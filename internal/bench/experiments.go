@@ -505,9 +505,10 @@ func Regalloc(s *Suite) ([]RegallocResult, error) {
 		ranges := lifetime.Ranges(info.Loop, res.Schedule, ir.RR)
 		bound := regalloc.LowerBound(ranges, res.Schedule.II)
 		for i, c := range combos {
-			// The probing strategies cost O(V·N²); restrict them to
-			// loops of ordinary size (the primary first-fit allocator
-			// runs everywhere).
+			// The probing strategies are compared on loops of at
+			// most 60 values, the population of the table in
+			// EXPERIMENTS.md (the primary first-fit allocator runs
+			// everywhere).
 			if c.strat != regalloc.FirstFit && len(ranges) > 60 {
 				continue
 			}

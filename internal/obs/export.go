@@ -177,7 +177,7 @@ func (e *Exporter) deliver(t *Trace) error {
 	}
 	if e.dir != "" {
 		name := fmt.Sprintf("trace-%06d-%s.json", e.seq.Add(1), t.Ctx.TraceID)
-		return os.WriteFile(filepath.Join(e.dir, name), doc, 0o644)
+		return spool(e.dir, name, doc)
 	}
 	resp, err := e.client.Post(e.url, "application/json", bytes.NewReader(doc))
 	if err != nil {
@@ -188,6 +188,29 @@ func (e *Exporter) deliver(t *Trace) error {
 		return fmt.Errorf("obs: collector returned %d", resp.StatusCode)
 	}
 	return nil
+}
+
+// spool writes doc to dir/name atomically: it writes a temp file in the
+// same directory and renames it into place, so a reader listing the
+// spool never sees a partial document. The temp name starts with a dot
+// and ends in .tmp, so no trace-*.json pattern matches it.
+func spool(dir, name string, doc []byte) error {
+	tmp, err := os.CreateTemp(dir, ".trace-*.tmp")
+	if err != nil {
+		return err
+	}
+	defer os.Remove(tmp.Name()) // no-op after a successful rename
+	_, err = tmp.Write(doc)
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Chmod(tmp.Name(), 0o644)
+	}
+	if err != nil {
+		return err
+	}
+	return os.Rename(tmp.Name(), filepath.Join(dir, name))
 }
 
 // The lsms-trace/1 document shape: OTLP/JSON resourceSpans with the

@@ -144,6 +144,74 @@ func TestExporterSpoolsToDir(t *testing.T) {
 	}
 }
 
+// A reader polling the spool while the exporter writes must only ever
+// see complete documents: spool files appear by rename, never by a
+// create-then-write a reader can catch half done.
+func TestExporterSpoolReaderSeesWholeDocuments(t *testing.T) {
+	dir := t.TempDir()
+	e, err := NewExporter(ExporterConfig{Dir: dir, Queue: 512})
+	if err != nil {
+		t.Fatal(err)
+	}
+	stop := make(chan struct{})
+	checked := make(chan int)
+	go func() {
+		seen := map[string]bool{}
+		for {
+			select {
+			case <-stop:
+				checked <- len(seen)
+				return
+			default:
+			}
+			names, _ := filepath.Glob(filepath.Join(dir, "trace-*.json"))
+			for _, name := range names {
+				if seen[name] {
+					continue
+				}
+				b, err := os.ReadFile(name)
+				if err != nil {
+					t.Errorf("reading listed spool file %s: %v", name, err)
+					continue
+				}
+				if _, err := UnmarshalTraceDoc(b); err != nil {
+					t.Errorf("spool file %s is partial (%d bytes): %v", name, len(b), err)
+				}
+				seen[name] = true
+			}
+		}
+	}()
+	// A large attribute keeps each write in flight long enough for the
+	// reader to catch a non-atomic one.
+	traces := 40
+	if testing.Short() {
+		traces = 10
+	}
+	pad := strings.Repeat("x", 1<<20)
+	for i := 0; i < traces; i++ {
+		tr := NewTrace(fmt.Sprintf("req-%d", i), "loop")
+		tr.Ctx = NewSpanContext()
+		tr.Ctx.Sampled = true
+		tr.Start("stage").Str("pad", pad).End(OutcomeOK)
+		tr.Finish(OutcomeOK)
+		if !e.Export(tr) {
+			t.Error("export rejected")
+			break
+		}
+	}
+	e.Close()
+	close(stop)
+	seen := <-checked
+	if st := e.Stats(); st.Exported != uint64(traces) || st.Failed != 0 {
+		t.Fatalf("stats %+v", st)
+	}
+	names, _ := filepath.Glob(filepath.Join(dir, "*"))
+	if len(names) != traces {
+		t.Fatalf("%d files in the spool for %d traces (temp files left behind?)", len(names), traces)
+	}
+	t.Logf("reader checked %d of %d documents while they were spooled", seen, traces)
+}
+
 func TestExporterUnwritableSpoolFailsFast(t *testing.T) {
 	if os.Geteuid() == 0 {
 		t.Skip("root writes anywhere")

@@ -14,13 +14,24 @@
 // so allocation is a cyclic-residue packing problem. The allocator
 // assigns offsets greedily under a configurable strategy and value
 // ordering, growing N from the lower bound
-// max(MaxLive, max_v ⌈len(v)/II⌉) until everything fits; Verify
-// re-checks the result by brute-force simulation.
+// max(MaxLive, max_v ⌈len(v)/II⌉) until everything fits. Each value's
+// feasible offsets come from one forbidden-offset mask built from the
+// placed values' bad multiples, so a pass at one N costs O(V²·span)
+// for span the typical ⌈len/II⌉; best-fit adds at most 24 probes per
+// value, each costing the value's own span.
+//
+// Verify re-checks the result without that arithmetic: it enumerates
+// every (value, iteration) instance over enough iterations for every
+// residue pattern to repeat, groups the instances by physical register,
+// and sweeps each register's instances in start order for an overlap —
+// O(V·iters) in place of a cycle-by-cycle simulation.
 package regalloc
 
 import (
 	"context"
 	"fmt"
+	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/ir"
@@ -103,8 +114,10 @@ func LowerBound(ranges []lifetime.Range, ii int) int {
 
 // Allocate assigns offsets using the given strategy and ordering, trying
 // file sizes from the lower bound upward. It returns the first size at
-// which the greedy pass succeeds. Allocate panics only on nonsensical
-// input (ii < 1); any range set gets some allocation since N can grow.
+// which the greedy pass succeeds. The ranges' values must be distinct,
+// as they key the resulting Offset map. Allocate panics only on
+// nonsensical input (ii < 1); any range set gets some allocation since
+// N can grow.
 func Allocate(ranges []lifetime.Range, ii int, strat Strategy, order Order) Allocation {
 	if ii < 1 {
 		panic("regalloc: II must be positive")
@@ -112,15 +125,14 @@ func Allocate(ranges []lifetime.Range, ii int, strat Strategy, order Order) Allo
 	if len(ranges) == 0 {
 		return Allocation{N: 0, Offset: map[ir.ValueID]int{}}
 	}
-	ordered := orderValues(ranges, order)
-	lo := LowerBound(ranges, ii)
-	if lo < 1 {
-		lo = 1
-	}
-	for n := lo; ; n++ {
-		if alloc, ok := tryFit(ordered, ii, n, strat); ok {
-			alloc.N = n
-			return alloc
+	p := packer{ordered: orderValues(ranges, order), ii: ii, offs: make([]int, len(ranges))}
+	for n := max(LowerBound(ranges, ii), 1); ; n++ {
+		if p.fit(n, strat) {
+			off := make(map[ir.ValueID]int, len(p.ordered))
+			for j, v := range p.ordered {
+				off[v.Val] = p.offs[j]
+			}
+			return Allocation{N: n, Offset: off}
 		}
 	}
 }
@@ -174,126 +186,115 @@ func orderValues(ranges []lifetime.Range, order Order) []lifetime.Range {
 	return out
 }
 
-// tryFit attempts a greedy assignment into n registers.
-func tryFit(ordered []lifetime.Range, ii, n int, strat Strategy) (Allocation, bool) {
-	alloc := Allocation{Offset: make(map[ir.ValueID]int, len(ordered))}
-	placed := make([]lifetime.Range, 0, len(ordered))
+// packer runs the greedy pass for one ordered value set. Its buffers are
+// reused across values and across file sizes.
+type packer struct {
+	ordered []lifetime.Range
+	ii      int
+	offs    []int  // offs[j] is ordered[j]'s offset once placed
+	forbid  []bool // forbid[r]: offset r collides with a placed value
+}
+
+// fit attempts a greedy assignment into n registers, leaving the offsets
+// in p.offs on success.
+//
+// For each value v it builds one mask of the offsets the placed values
+// forbid: a placed w at r_w collides with v at r exactly when
+// (r_w − r) mod n is a bad multiple m of badMultiples(v, w), so each
+// such m forbids r = (r_w − m) mod n, and a run of n or more bad
+// multiples forbids every offset. Building the mask costs the total
+// bad-multiple count, O(V·span) per value.
+func (p *packer) fit(n int, strat Strategy) bool {
+	p.forbid = slices.Grow(p.forbid[:0], n)[:n]
+	forbid := p.forbid
 	prevEnd := 0
-	for _, v := range ordered {
-		var feasible []int
-		for r := 0; r < n; r++ {
-			if fits(v, r, placed, alloc.Offset, ii, n) {
-				feasible = append(feasible, r)
+	for j, v := range p.ordered {
+		// Self: instances i and i+kN share a register; they must not overlap.
+		if n*p.ii < v.Len() {
+			return false
+		}
+		clear(forbid)
+		open := n
+		for k, w := range p.ordered[:j] {
+			if w.Val == v.Val {
+				continue
+			}
+			lo, hi := badMultiples(v, w, p.ii)
+			if hi-lo+1 >= n {
+				return false
+			}
+			for m := lo; m <= hi; m++ {
+				if r := mod(p.offs[k]-m, n); !forbid[r] {
+					forbid[r] = true
+					open--
+				}
 			}
 		}
-		if len(feasible) == 0 {
-			return Allocation{}, false
+		if open == 0 {
+			return false
 		}
-		var pick int
+		pick := slices.Index(forbid, false)
 		switch strat {
-		case FirstFit:
-			pick = feasible[0]
 		case EndFit:
 			// Closest at-or-above the previous wand's ending offset.
-			pick = feasible[0]
-			bestDist := cyclicUp(prevEnd, feasible[0], n)
-			for _, r := range feasible[1:] {
-				if d := cyclicUp(prevEnd, r, n); d < bestDist {
-					pick, bestDist = r, d
+			for d := range n {
+				if r := mod(prevEnd+d, n); !forbid[r] {
+					pick = r
+					break
 				}
 			}
 		case BestFit:
 			// Most-constrained placement: choose the offset that leaves
 			// the fewest offsets open for a hypothetical copy of v —
-			// i.e. pack v where it fits most snugly. Probing every
-			// feasible offset is O(N²) per value; cap the candidate set
-			// to keep large loops affordable.
+			// i.e. pack v where it fits most snugly. The copy's mask is
+			// v's mask plus the offsets v itself forbids from r, so
+			// probing r costs v's own bad-multiple count. Only the
+			// first bestFitCap feasible offsets are probed.
 			const bestFitCap = 24
-			if len(feasible) > bestFitCap {
-				feasible = feasible[:bestFitCap]
-			}
-			pick = feasible[0]
+			slo, shi := badMultiples(v, v, p.ii)
 			bestCost := 1 << 30
-			probe := v
-			probe.Val = ir.ValueID(-1) // synthetic copy, distinct from v
-			for _, r := range feasible {
-				trial := append(placed[:len(placed):len(placed)], v)
-				trialOff := alloc.Offset
-				trialOff[v.Val] = r
+			for r, probed := pick, 0; r < n && probed < bestFitCap; r++ {
+				if forbid[r] {
+					continue
+				}
+				probed++
 				remaining := 0
-				for q := 0; q < n; q++ {
-					if fits(probe, q, trial, trialOff, ii, n) {
-						remaining++
+				if shi-slo+1 < n {
+					remaining = open
+					for m := slo; m <= shi; m++ {
+						if !forbid[mod(r-m, n)] {
+							remaining--
+						}
 					}
 				}
-				delete(trialOff, v.Val)
-				cost := remaining*n + cyclicUp(prevEnd, r, n)
-				if cost < bestCost {
+				if cost := remaining*n + cyclicUp(prevEnd, r, n); cost < bestCost {
 					pick, bestCost = r, cost
 				}
 			}
 		}
-		alloc.Offset[v.Val] = pick
-		placed = append(placed, v)
-		prevEnd = pick + (v.Len()+ii-1)/ii
-	}
-	return alloc, true
-}
-
-func cyclicUp(from, to, n int) int {
-	d := (to - from) % n
-	if d < 0 {
-		d += n
-	}
-	return d
-}
-
-// fits reports whether offset r for v collides with any placed value, or
-// with v's own later instances.
-func fits(v lifetime.Range, r int, placed []lifetime.Range, off map[ir.ValueID]int, ii, n int) bool {
-	// Self: instances i and i+kN share a register; they must not overlap.
-	if n*ii < v.Len() {
-		return false
-	}
-	for _, w := range placed {
-		if w.Val == v.Val {
-			continue
-		}
-		rw := off[w.Val]
-		diff := (rw - r) % n
-		if diff < 0 {
-			diff += n
-		}
-		for _, m := range badResidues(v, w, ii, n) {
-			if diff == m {
-				return false
-			}
-		}
+		p.offs[j] = pick
+		prevEnd = pick + (v.Len()+p.ii-1)/p.ii
 	}
 	return true
 }
 
-// badResidues lists the residues (r_w − r_v) mod n that make v and w
-// collide: all m with s_v − e_w < m·II < e_v − s_w, reduced mod n.
-func badResidues(v, w lifetime.Range, ii, n int) []int {
-	lo := floorDiv(v.Start-w.End, ii) + 1
-	hi := ceilDiv(v.End-w.Start, ii) - 1
-	var out []int
-	seen := map[int]bool{}
-	for m := lo; m <= hi; m++ {
-		if m*ii <= v.Start-w.End || m*ii >= v.End-w.Start {
-			continue
-		}
-		res := m % n
-		if res < 0 {
-			res += n
-		}
-		if !seen[res] {
-			seen[res] = true
-			out = append(out, res)
-		}
+func cyclicUp(from, to, n int) int {
+	return mod(to-from, n)
+}
+
+func mod(a, n int) int {
+	a %= n
+	if a < 0 {
+		a += n
 	}
-	return out
+	return a
+}
+
+// badMultiples returns the multiples m ∈ [lo, hi] for which v and w
+// collide when (r_w − r_v) ≡ m (mod N): all m with
+// s_v − e_w < m·II < e_v − s_w.
+func badMultiples(v, w lifetime.Range, ii int) (lo, hi int) {
+	return floorDiv(v.Start-w.End, ii) + 1, ceilDiv(v.End-w.Start, ii) - 1
 }
 
 func floorDiv(a, b int) int {
@@ -312,10 +313,30 @@ func ceilDiv(a, b int) int {
 	return q
 }
 
-// Verify checks an allocation by brute force: it simulates enough
-// iterations that every residue pattern repeats and checks that no
-// physical register holds two live instances at once. It returns nil if
-// the allocation is sound.
+// instance is one (value, iteration) lifetime instance in one physical
+// register, clipped to the simulated horizon.
+type instance struct {
+	start, end int
+	val        ir.ValueID
+	iter       int
+}
+
+// lane is one value's instances in one physical register: iterations
+// iter, iter+N, …, iter+last·N, the first starting in the given round.
+type lane struct {
+	r                 lifetime.Range
+	iter, round, last int
+}
+
+// Verify checks an allocation by brute force, independently of the
+// allocator's residue arithmetic: it enumerates every instance
+// (value, iteration i) for i ∈ [0, iters] — enough iterations that every
+// residue pattern repeats — with live interval [s+i·II, e+i·II) clipped
+// to [0, horizon), places it in physical register (r − i) mod N, and
+// checks that no register holds two different instances at once. Each
+// register's instances are generated in start order and swept once, so
+// the cost is O(V·iters) after one O(V log V) sort, rather than a
+// per-cycle simulation. It returns nil if the allocation is sound.
 func Verify(ranges []lifetime.Range, ii int, alloc Allocation) error {
 	if len(ranges) == 0 {
 		return nil
@@ -324,39 +345,71 @@ func Verify(ranges []lifetime.Range, ii int, alloc Allocation) error {
 	if n == 0 {
 		return fmt.Errorf("regalloc: empty allocation for %d values", len(ranges))
 	}
+	if n < 0 {
+		return fmt.Errorf("regalloc: negative register count %d", n)
+	}
+	offs := make([]int, len(ranges))
 	maxEnd := 0
-	for _, r := range ranges {
-		if r.End > maxEnd {
-			maxEnd = r.End
+	for k, r := range ranges {
+		off, ok := alloc.Offset[r.Val]
+		if !ok {
+			return fmt.Errorf("regalloc: value %d not allocated", r.Val)
 		}
+		offs[k] = off
+		maxEnd = max(maxEnd, r.End)
 	}
 	spanIters := maxEnd/ii + 2
 	iters := 2*n + 2*spanIters // covers all residue alignments
-	type hold struct {
-		val  ir.ValueID
-		iter int
-	}
 	horizon := (iters + spanIters) * ii
-	for t := 0; t < horizon; t++ {
-		var perReg = make(map[int]hold)
-		for _, r := range ranges {
-			off, ok := alloc.Offset[r.Val]
-			if !ok {
-				return fmt.Errorf("regalloc: value %d not allocated", r.Val)
-			}
-			for i := 0; i <= iters; i++ {
-				if t < r.Start+i*ii || t >= r.End+i*ii {
+	// In register phys, a value's instances are the iterations
+	// i ≡ r_v − phys (mod N), so they start P = N·II cycles apart: at
+	// a + j·P for j = 0..last, where a = s_v + i₀·II, i₀ = (r_v − phys)
+	// mod N. Writing a = round·P + rem, the register's instances in
+	// start order go round by round and, within a round, by rem;
+	// clipping to [0, horizon) keeps that order. The next register
+	// lowers every rem by II (mod P), so the values' cyclic order by rem
+	// is the same in every register: sort it once for register 0, and
+	// register phys starts the cycle at the first rem ≥ phys·II.
+	period := n * ii
+	rem0 := make([]int, len(ranges))
+	order := make([]int, len(ranges))
+	for k, r := range ranges {
+		rem0[k] = mod(r.Start+mod(offs[k], n)*ii, period)
+		order[k] = k
+	}
+	slices.SortFunc(order, func(x, y int) int { return rem0[x] - rem0[y] })
+	lanes := make([]lane, len(ranges)) // reused across registers
+	for phys := 0; phys < n; phys++ {
+		cut, _ := slices.BinarySearchFunc(order, phys*ii, func(k, t int) int { return rem0[k] - t })
+		first, final := math.MaxInt, math.MinInt
+		for j := range lanes {
+			k := order[(cut+j)%len(order)]
+			i := mod(offs[k]-phys, n) // < N ≤ iters
+			round := floorDiv(ranges[k].Start+i*ii, period)
+			lanes[j] = lane{r: ranges[k], iter: i, round: round, last: (iters - i) / n}
+			first, final = min(first, round), max(final, round+lanes[j].last)
+		}
+		// Sweep in start order against the instance reaching furthest:
+		// any overlap of two different instances shows up against it.
+		last := instance{end: math.MinInt}
+		for round := first; round <= final; round++ {
+			for _, ln := range lanes {
+				j := round - ln.round
+				if j < 0 || j > ln.last {
 					continue
 				}
-				phys := (off - i) % n
-				if phys < 0 {
-					phys += n
+				i := ln.iter + j*n
+				x := instance{max(ln.r.Start+i*ii, 0), min(ln.r.End+i*ii, horizon), ln.r.Val, i}
+				if x.start >= x.end {
+					continue
 				}
-				if prev, busy := perReg[phys]; busy && !(prev.val == r.Val && prev.iter == i) {
+				if x.start < last.end && (x.val != last.val || x.iter != last.iter) {
 					return fmt.Errorf("regalloc: collision at t=%d reg=%d: value %d iter %d vs value %d iter %d",
-						t, phys, prev.val, prev.iter, r.Val, i)
+						x.start, phys, last.val, last.iter, x.val, x.iter)
 				}
-				perReg[phys] = hold{r.Val, i}
+				if x.end > last.end {
+					last = x
+				}
 			}
 		}
 	}
