@@ -411,6 +411,17 @@ func TestLexerBasics(t *testing.T) {
 	}
 }
 
+// TestLexerRejectsNonASCII: a non-ASCII byte is an error, not an
+// identifier start — read as a Latin-1 letter it once made the
+// identifier scan emit empty tokens forever.
+func TestLexerRejectsNonASCII(t *testing.T) {
+	for _, src := range []string{"x = caf\u00e9\n", "      subroutine s\ufffdn, a)\n", "y = \xaa\n"} {
+		if _, err := Lex(src); err == nil {
+			t.Errorf("Lex(%q) accepted a non-ASCII byte", src)
+		}
+	}
+}
+
 // The differential harness in core_test covers fixtures; here we close
 // the loop for frontend-generated IR: interp and the VLIW simulator must
 // agree on a frontend-compiled loop (via the core facade's helpers is a

@@ -121,7 +121,9 @@ func Lex(src string) ([]Token, error) {
 		}
 		lastNewline = false
 		switch {
-		case unicode.IsLetter(rune(c)) || c == '_':
+		case 'a' <= c && c <= 'z' || 'A' <= c && c <= 'Z' || c == '_':
+			// ASCII only: a byte of a multi-byte rune is not a letter,
+			// and the identifier scan below would not advance past it.
 			j := i
 			for j < n && (isAlnum(src[j]) || src[j] == '_') {
 				j++

@@ -3,7 +3,7 @@ package wire
 import (
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
+	"sync"
 
 	"repro/internal/sched"
 )
@@ -27,20 +27,35 @@ import (
 //     different target descriptions can never share a cache entry —
 //     and the version string is canonicalized first, so v1 and v2
 //     envelopes of the same request hash identically.
+//
+// A request Normalize returned is hashed as it stands, without being
+// normalized again.
 func (r *Request) Hash() (string, error) {
-	n, _, err := r.Normalize()
+	n, err := r.normalizedForm()
 	if err != nil {
 		return "", err
 	}
 	h := *n
 	h.Options.DeadlineMS = 0
-	b, err := json.Marshal(&h)
+	bp := hashBufs.Get().(*[]byte)
+	defer hashBufs.Put(bp)
+	b, err := appendRequest((*bp)[:0], &h)
 	if err != nil {
 		return "", err
 	}
+	*bp = b
 	sum := sha256.Sum256(b)
-	return "sha256:" + hex.EncodeToString(sum[:]), nil
+	var out [len(hashPrefix) + 2*sha256.Size]byte
+	copy(out[:], hashPrefix)
+	hex.Encode(out[len(hashPrefix):], sum[:])
+	return string(out[:]), nil
 }
+
+const hashPrefix = "sha256:"
+
+// hashBufs pools Hash's encoding buffers; the canonical bytes never
+// leave Hash, only their digest does.
+var hashBufs = sync.Pool{New: func() any { return new([]byte) }}
 
 // Effort is the deterministic subset of sched.Stats: the Section 6
 // counters without the wall-clock fields, so two runs of the same

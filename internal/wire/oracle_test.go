@@ -1,0 +1,71 @@
+package wire
+
+import (
+	"bytes"
+	"encoding/json"
+	"fmt"
+
+	"repro/internal/machine"
+)
+
+// This file keeps the encoding/json request codec the hand-written one
+// replaced, as the test oracle: oracleScratch.DecodeRequest is the old
+// two-pass decode (envelope first, then the loop RawMessage into a
+// reset document), and json.Marshal is the canonical encoding. The
+// codec tests and FuzzDecodeRequest hold the production codec to them.
+
+// envelope mirrors Request field-for-field but defers the loop document
+// and the inline spec to RawMessages.
+type envelope struct {
+	Version     string          `json:"version"`
+	Machine     string          `json:"machine"`
+	MachineSpec json.RawMessage `json:"machine_spec"`
+	Scheduler   string          `json:"scheduler"`
+	Options     Options         `json:"options"`
+	Source      string          `json:"source"`
+	LoopIndex   int             `json:"loop_index"`
+	Loop        json.RawMessage `json:"loop"`
+}
+
+// oracleScratch is the pooled decode storage of the oracle decoder.
+type oracleScratch struct {
+	env envelope
+	doc Loop
+	req Request
+}
+
+var jsonNull = []byte("null")
+
+// DecodeRequest is the reference decode: json.Unmarshal of the
+// envelope, then of the loop document into reset pooled storage.
+func (s *oracleScratch) DecodeRequest(body []byte) (*Request, error) {
+	s.env = envelope{Loop: s.env.Loop[:0], MachineSpec: s.env.MachineSpec[:0]}
+	if err := json.Unmarshal(body, &s.env); err != nil {
+		return nil, fmt.Errorf("parsing request: %w", err)
+	}
+	s.req.Reset()
+	s.req.Version = s.env.Version
+	s.req.Machine = s.env.Machine
+	if len(s.env.MachineSpec) > 0 && !bytes.Equal(s.env.MachineSpec, jsonNull) {
+		spec := new(machine.Spec)
+		if err := json.Unmarshal(s.env.MachineSpec, spec); err != nil {
+			return nil, fmt.Errorf("parsing request machine_spec: %w", err)
+		}
+		s.req.MachineSpec = spec
+	}
+	s.req.Scheduler = s.env.Scheduler
+	s.req.Options = s.env.Options
+	s.req.Source = s.env.Source
+	s.req.LoopIndex = s.env.LoopIndex
+	if len(s.env.Loop) > 0 && !bytes.Equal(s.env.Loop, jsonNull) {
+		s.doc.Reset()
+		if err := json.Unmarshal(s.env.Loop, &s.doc); err != nil {
+			return nil, fmt.Errorf("parsing request loop: %w", err)
+		}
+		s.req.Loop = &s.doc
+	}
+	return &s.req, nil
+}
+
+// oracleCanonical is the reference canonical encoding of a request.
+func oracleCanonical(r *Request) ([]byte, error) { return json.Marshal(r) }

@@ -1,14 +1,6 @@
 package wire
 
-import (
-	"bytes"
-	"encoding/json"
-	"fmt"
-
-	"repro/internal/machine"
-)
-
-// Reset clears the request envelope for reuse by json.Unmarshal, which
+// Reset clears the request envelope for reuse by the decoder, which
 // merges into existing values rather than starting fresh: a key absent
 // from the next document leaves the old field contents in place. Every
 // envelope field is therefore zeroed — in particular Loop drops to nil,
@@ -19,8 +11,8 @@ import (
 func (r *Request) Reset() { *r = Request{} }
 
 // Reset deep-zeroes the loop document while keeping every slice's
-// capacity, making it safe to json.Unmarshal the next document into it.
-// Unmarshal reuses slice backing arrays up to capacity without clearing
+// capacity, making it safe to decode the next document into it. The
+// decoder reuses slice backing arrays up to capacity without clearing
 // the elements first, so anything short of a deep zero leaks one
 // document's fields into the next: a stale Operand.Omega, LiveOut flag,
 // or Const literal would silently change the decoded loop — and its
@@ -46,80 +38,43 @@ func (w *Loop) Reset() {
 	*w = Loop{Values: values[:0], Ops: ops[:0], Deps: deps[:0]}
 }
 
-// envelope mirrors Request field-for-field but defers the loop document
-// to a RawMessage, so a decode can tell "loop absent" from "loop
-// present" while still funnelling the (large) document into pooled
-// storage. Field names and order must match Request exactly; the
-// differential test in scratch_test.go holds the two together.
-type envelope struct {
-	Version     string          `json:"version"`
-	Machine     string          `json:"machine"`
-	MachineSpec json.RawMessage `json:"machine_spec"`
-	Scheduler   string          `json:"scheduler"`
-	Options     Options         `json:"options"`
-	Source      string          `json:"source"`
-	LoopIndex   int             `json:"loop_index"`
-	Loop        json.RawMessage `json:"loop"`
-}
-
-// Scratch is pooled request-decode storage: the envelope's raw-message
-// buffer, the loop document, and the request struct all keep their
-// capacity across decodes, so a server worker that has seen a loop of
-// size n decodes the next size-≤n request without allocating document
-// storage. One Scratch serves one decode at a time.
+// Scratch is pooled request-decode storage: the loop document, the
+// request struct, and the decoder with the buffer escaped strings
+// unquote into all keep their capacity across decodes, so a server
+// worker that has seen a loop of size n decodes the next size-≤n
+// request without allocating document storage. One Scratch serves one
+// decode at a time.
 type Scratch struct {
-	env envelope
 	doc Loop
 	req Request
+	dec decoder
 }
 
 // Reset drops every reference the scratch holds to the last request —
-// decoded strings, the raw loop bytes, the document contents — while
+// decoded strings, the document contents, the unquoted bytes — while
 // keeping all buffer capacity for the next decode. Pools call this on
 // release so an idle scratch retains no request data.
 func (s *Scratch) Reset() {
-	s.env = envelope{Loop: s.env.Loop[:0], MachineSpec: s.env.MachineSpec[:0]}
 	s.doc.Reset()
 	s.req.Reset()
+	buf := s.dec.buf[:cap(s.dec.buf)]
+	clear(buf)
+	s.dec = decoder{buf: buf[:0]}
 }
 
-var jsonNull = []byte("null")
-
-// DecodeRequest parses body into the scratch-backed request. The
-// returned *Request — and the loop document it points at — alias the
-// scratch and are valid only until the next DecodeRequest call; decoded
-// strings are immutable and may outlive it. The decode is semantically
-// identical to json.Unmarshal into a fresh Request (the differential
-// test asserts canonical-byte equality over the corpus).
+// DecodeRequest parses body into the scratch-backed request in one pass
+// (see decode.go). The returned *Request — and the loop document it
+// points at — alias the scratch and are valid only until the next
+// DecodeRequest call; decoded strings never alias body and may outlive
+// both. On every input the decode gives the verdict and the request the
+// encoding/json decode it replaced gave (oracle_test.go).
 func (s *Scratch) DecodeRequest(body []byte) (*Request, error) {
-	s.env = envelope{Loop: s.env.Loop[:0], MachineSpec: s.env.MachineSpec[:0]}
-	if err := json.Unmarshal(body, &s.env); err != nil {
-		return nil, fmt.Errorf("parsing request: %w", err)
-	}
 	s.req.Reset()
-	s.req.Version = s.env.Version
-	s.req.Machine = s.env.Machine
-	if len(s.env.MachineSpec) > 0 && !bytes.Equal(s.env.MachineSpec, jsonNull) {
-		// Inline specs decode into a fresh document, not pooled storage:
-		// the built Desc keeps a reference to the spec, so reusing a
-		// buffer here would let one request's target leak into the next.
-		// They are also the rare path — named targets carry no spec.
-		spec := new(machine.Spec)
-		if err := json.Unmarshal(s.env.MachineSpec, spec); err != nil {
-			return nil, fmt.Errorf("parsing request machine_spec: %w", err)
-		}
-		s.req.MachineSpec = spec
-	}
-	s.req.Scheduler = s.env.Scheduler
-	s.req.Options = s.env.Options
-	s.req.Source = s.env.Source
-	s.req.LoopIndex = s.env.LoopIndex
-	if len(s.env.Loop) > 0 && !bytes.Equal(s.env.Loop, jsonNull) {
-		s.doc.Reset()
-		if err := json.Unmarshal(s.env.Loop, &s.doc); err != nil {
-			return nil, fmt.Errorf("parsing request loop: %w", err)
-		}
-		s.req.Loop = &s.doc
+	s.dec = decoder{data: body, buf: s.dec.buf[:0]}
+	err := s.dec.request(&s.req, &s.doc)
+	s.dec.data = nil
+	if err != nil {
+		return nil, err
 	}
 	return &s.req, nil
 }

@@ -97,7 +97,9 @@ func TestScratchDecodeMatchesFresh(t *testing.T) {
 
 // TestScratchReleaseRetainsNoRequestData asserts the release-path
 // invariant: after Reset, the scratch holds capacity but no decoded
-// strings, loop contents, or raw bytes from the request it served.
+// strings, loop contents, or unquoted bytes from the requests it
+// served. The source-form request's escaped newlines route its decode
+// through the unquote buffer, so that buffer is checked too.
 func TestScratchReleaseRetainsNoRequestData(t *testing.T) {
 	w, err := loopgen.Build(loopgen.Options{Size: 4, Seed: 7})
 	if err != nil {
@@ -108,17 +110,24 @@ func TestScratchReleaseRetainsNoRequestData(t *testing.T) {
 		t.Fatal(err)
 	}
 	body, _ := json.Marshal(req)
+	src, _ := json.Marshal(&Request{Version: Version, Machine: "cydra", Source: w.Loops[0].Source})
 	var scr Scratch
-	if _, err := scr.DecodeRequest(body); err != nil {
-		t.Fatal(err)
+	for _, b := range [][]byte{body, src} {
+		if _, err := scr.DecodeRequest(b); err != nil {
+			t.Fatal(err)
+		}
 	}
 	scr.Reset()
 	if scr.req != (Request{}) {
 		t.Errorf("request envelope retained after Reset: %+v", scr.req)
 	}
-	if got := scr.env; got.Version != "" || got.Machine != "" || got.Source != "" ||
-		got.Options != (Options{}) || len(got.Loop) != 0 {
-		t.Errorf("raw envelope retained after Reset: %+v", got)
+	if len(scr.dec.buf) != 0 || cap(scr.dec.buf) == 0 {
+		t.Errorf("unquote buffer: len %d cap %d after Reset, want empty with capacity kept", len(scr.dec.buf), cap(scr.dec.buf))
+	}
+	for i, c := range scr.dec.buf[:cap(scr.dec.buf)] {
+		if c != 0 {
+			t.Fatalf("unquoted request bytes retained after Reset at %d: %q", i, scr.dec.buf[:cap(scr.dec.buf)])
+		}
 	}
 	if d := &scr.doc; d.Name != "" || len(d.Values) != 0 || len(d.Ops) != 0 || len(d.Deps) != 0 {
 		t.Errorf("loop document retained after Reset: %+v", d)

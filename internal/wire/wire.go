@@ -37,7 +37,6 @@
 package wire
 
 import (
-	"encoding/json"
 	"fmt"
 	"time"
 
@@ -76,6 +75,12 @@ type Request struct {
 	Source      string        `json:"source,omitempty"`
 	LoopIndex   int           `json:"loop_index,omitempty"`
 	Loop        *Loop         `json:"loop,omitempty"`
+
+	// normalized marks a request Normalize returned: it is already in
+	// canonical form, so Hash and Canonical encode it as it stands.
+	// Copies keep the mark; a caller that edits a normalized request
+	// must re-normalize the original instead.
+	normalized bool
 }
 
 // Options is the serializable subset of sched.Config plus the
@@ -374,22 +379,30 @@ func (r *Request) Desc() (*machine.Desc, error) {
 // Validate checks the request's envelope (version, machine or inline
 // spec, exactly one payload form) without touching the payload.
 func (r *Request) Validate() error {
+	_, err := r.validate()
+	return err
+}
+
+// validate is Validate returning the resolved target, so an inline spec
+// is built once per Normalize.
+func (r *Request) validate() (*machine.Desc, error) {
 	switch r.Version {
 	case Version:
 	case VersionV1:
 		if r.MachineSpec != nil {
-			return fmt.Errorf("wire: inline machine specs require version %q (request is %q)", Version, r.Version)
+			return nil, fmt.Errorf("wire: inline machine specs require version %q (request is %q)", Version, r.Version)
 		}
 	default:
-		return fmt.Errorf("wire: unsupported version %q (want %q)", r.Version, Version)
+		return nil, fmt.Errorf("wire: unsupported version %q (want %q)", r.Version, Version)
 	}
-	if _, err := r.Desc(); err != nil {
-		return err
+	m, err := r.Desc()
+	if err != nil {
+		return nil, err
 	}
 	if (r.Source == "") == (r.Loop == nil) {
-		return fmt.Errorf("wire: exactly one of source or loop must be set")
+		return nil, fmt.Errorf("wire: exactly one of source or loop must be set")
 	}
-	return nil
+	return m, nil
 }
 
 // Normalize resolves the request to IR form: a source-form request is
@@ -400,18 +413,17 @@ func (r *Request) Validate() error {
 // canonicalized too — a v1 version string becomes Version, and an
 // inline spec fills the machine name — so every accepted way of
 // writing a request converges on one set of canonical bytes. The
-// receiver is not modified.
+// receiver is not modified; the result is marked normalized, so Hash
+// and Canonical on it skip a second Normalize.
 func (r *Request) Normalize() (*Request, *ir.Loop, error) {
-	if err := r.Validate(); err != nil {
-		return nil, nil, err
-	}
-	m, err := r.Desc()
+	m, err := r.validate()
 	if err != nil {
 		return nil, nil, err
 	}
 	n := *r
 	n.Version = Version
 	n.Machine = m.Name
+	n.normalized = true
 	if r.Source != "" {
 		_, loops, err := frontend.Compile(r.Source, m)
 		if err != nil {
@@ -443,9 +455,19 @@ func (r *Request) Normalize() (*Request, *ir.Loop, error) {
 // same work — regardless of source vs IR form — have identical
 // canonical bytes.
 func (r *Request) Canonical() ([]byte, error) {
-	n, _, err := r.Normalize()
+	n, err := r.normalizedForm()
 	if err != nil {
 		return nil, err
 	}
-	return json.Marshal(n)
+	return appendRequest(nil, n)
+}
+
+// normalizedForm returns r itself if Normalize produced it, else its
+// normalized form.
+func (r *Request) normalizedForm() (*Request, error) {
+	if r.normalized {
+		return r, nil
+	}
+	n, _, err := r.Normalize()
+	return n, err
 }
