@@ -9,6 +9,7 @@
 package repro
 
 import (
+	"context"
 	"os"
 	"strconv"
 	"sync"
@@ -246,7 +247,7 @@ func BenchmarkSlackScheduleSample(b *testing.B) {
 	l := fixture.Sample(m)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := sched.Slack(sched.Config{}).Schedule(l)
+		res, err := sched.Slack(sched.Config{}).Schedule(context.Background(), l)
 		if err != nil || !res.OK() {
 			b.Fatal("scheduling failed")
 		}
@@ -273,7 +274,7 @@ func BenchmarkEndToEnd(b *testing.B) {
 	r := fixture.RunnableDaxpy(m)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		c, err := core.Compile(r.Loop, core.Options{})
+		c, err := core.Compile(context.Background(), r.Loop, core.Options{})
 		if err != nil || !c.OK() {
 			b.Fatal("compile failed")
 		}

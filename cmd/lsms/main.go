@@ -188,7 +188,7 @@ func main() {
 			spans[i] = obs.NewTrace(name, name)
 			ctx = obs.WithTrace(ctx, spans[i])
 		}
-		compiled[i], cerrs[i] = core.CompileContext(ctx, loops[i].Loop, opt)
+		compiled[i], cerrs[i] = core.Compile(ctx, loops[i].Loop, opt)
 		if spans[i] != nil {
 			spans[i].Finish(compileOutcome(compiled[i], cerrs[i]))
 		}

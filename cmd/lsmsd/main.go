@@ -1,5 +1,5 @@
 // Command lsmsd serves modulo-scheduling compilations over HTTP: the
-// governed pipeline (core.CompileContext + sched.Budget) behind a
+// governed pipeline (core.Compile + sched.Budget) behind a
 // bounded worker pool with admission control, a content-addressed
 // result cache, singleflight deduplication, and graceful shutdown.
 //

@@ -11,6 +11,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -42,8 +43,8 @@ func main() {
 		log.Fatal(err)
 	}
 	cl := loops[0]
-	c, err := core.Compile(cl.Loop, core.Options{})
-	if err != nil || !c.OK() {
+	c, err := core.Compile(context.Background(), cl.Loop, core.Options{})
+	if err != nil {
 		log.Fatal("compilation failed")
 	}
 	k := c.Kernel

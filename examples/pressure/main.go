@@ -12,6 +12,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -43,8 +44,8 @@ func main() {
 
 	t := stats.NewTable("Scheduler", "II", "MaxLive", "MinAvg", "Gap")
 	for _, name := range []core.SchedulerName{core.SchedSlack, core.SchedSlackUni, core.SchedCydrome} {
-		c, err := core.Compile(l, core.Options{Scheduler: name, SkipCodegen: true})
-		if err != nil || !c.OK() {
+		c, err := core.Compile(context.Background(), l, core.Options{Scheduler: name, SkipCodegen: true})
+		if err != nil {
 			log.Fatalf("%s failed", name)
 		}
 		t.Row(string(name), c.Result.Schedule.II, c.RR.MaxLive, c.MinAvg, c.RR.MaxLive-c.MinAvg)
@@ -55,7 +56,7 @@ func main() {
 	// bidirectional vs early-only placement.
 	fmt.Println("\nper-value lifetimes (cycles live):")
 	for _, name := range []core.SchedulerName{core.SchedSlack, core.SchedSlackUni} {
-		c, _ := core.Compile(l, core.Options{Scheduler: name, SkipCodegen: true})
+		c, _ := core.Compile(context.Background(), l, core.Options{Scheduler: name, SkipCodegen: true})
 		fmt.Printf("  %s:\n", name)
 		for _, r := range lifetime.Ranges(l, c.Result.Schedule, ir.RR) {
 			fmt.Printf("    %-8s [%3d,%3d)  len %d\n", l.Value(r.Val).Name, r.Start, r.End, r.Len())

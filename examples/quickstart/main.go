@@ -10,6 +10,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -44,7 +45,7 @@ func main() {
 	fmt.Println("— loop IR after if-conversion, load/store elimination, SSA —")
 	fmt.Print(cl.Loop.String())
 
-	c, err := core.Compile(cl.Loop, core.Options{Scheduler: core.SchedSlack})
+	c, err := core.Compile(context.Background(), cl.Loop, core.Options{Scheduler: core.SchedSlack})
 	if err != nil {
 		log.Fatal(err)
 	}

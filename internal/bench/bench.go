@@ -333,7 +333,7 @@ func (s *Suite) runOne(ctx context.Context, name core.SchedulerName, cfg sched.C
 	if s.Metrics {
 		m := &sched.Metrics{}
 		if prev := cfg.Observer; prev != nil {
-			cfg.Observer = multiObserver{prev, m}
+			cfg.Observer = sched.Tee(prev, m)
 		} else {
 			cfg.Observer = m
 		}
@@ -343,7 +343,7 @@ func (s *Suite) runOne(ctx context.Context, name core.SchedulerName, cfg sched.C
 		run.Trace = obs.NewTrace(info.Name, info.Name)
 		ctx = obs.WithTrace(ctx, run.Trace)
 	}
-	c, err := core.CompileContext(ctx, info.Loop, core.Options{
+	c, err := core.Compile(ctx, info.Loop, core.Options{
 		Scheduler:   name,
 		Config:      cfg,
 		SkipCodegen: true,
@@ -394,15 +394,6 @@ func runOutcome(run Run) string {
 		return obs.OutcomeInfeasible
 	}
 	return obs.OutcomeOK
-}
-
-// multiObserver chains observers for one run.
-type multiObserver []sched.Observer
-
-func (m multiObserver) Event(e sched.Event) {
-	for _, o := range m {
-		o.Event(e)
-	}
 }
 
 // MergeMetrics folds the per-loop metrics of a sweep in loop order —

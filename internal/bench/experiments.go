@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"time"
@@ -498,7 +499,7 @@ func Regalloc(s *Suite) ([]RegallocResult, error) {
 		out[i].Strategy = fmt.Sprintf("%v/%v", c.strat, c.ord)
 	}
 	for _, info := range infos {
-		res, err := sched.Slack(sched.Config{}).Schedule(info.Loop)
+		res, err := sched.Slack(sched.Config{}).Schedule(context.Background(), info.Loop)
 		if err != nil || !res.OK() {
 			continue
 		}
@@ -751,7 +752,7 @@ func CodeExpansion(s *Suite) (*ExpansionResult, error) {
 	}
 	res := &ExpansionResult{}
 	for _, info := range infos {
-		sr, err := sched.Slack(sched.Config{}).Schedule(info.Loop)
+		sr, err := sched.Slack(sched.Config{}).Schedule(context.Background(), info.Loop)
 		if err != nil || !sr.OK() {
 			continue
 		}
@@ -818,11 +819,11 @@ func Straightline(s *Suite) (*StraightlineResult, error) {
 			big += info.Loop.Mach.Info(op.Opcode).Busy + info.Loop.Mach.Latency(op.Opcode)
 		}
 		cfg := sched.Config{StartII: big, MaxII: big}
-		a, err := sched.Slack(cfg).Schedule(info.Loop)
+		a, err := sched.Slack(cfg).Schedule(context.Background(), info.Loop)
 		if err != nil || !a.OK() {
 			continue
 		}
-		b, err := sched.SlackUnidirectional(cfg).Schedule(info.Loop)
+		b, err := sched.SlackUnidirectional(cfg).Schedule(context.Background(), info.Loop)
 		if err != nil || !b.OK() {
 			continue
 		}
@@ -872,7 +873,7 @@ func PredicateSharing(s *Suite) (*PredShareResult, error) {
 		if !info.Loop.HasConditional {
 			continue
 		}
-		sr, err := sched.Slack(sched.Config{}).Schedule(info.Loop)
+		sr, err := sched.Slack(sched.Config{}).Schedule(context.Background(), info.Loop)
 		if err != nil || !sr.OK() {
 			continue
 		}

@@ -66,9 +66,9 @@ type HistoryRecord struct {
 // core.Compile (scheduling + pressure, no codegen — the lsmsd serving
 // shape), round-robin over the corpus, plus one untimed sweep that
 // aggregates the effort counters. Each policy yields two records:
-// "compile/<policy>" (a fresh Compiled per op, the legacy entry point)
-// and "compileinto/<policy>" (one Compiled recycled across ops via
-// core.CompileInto — the allocation floor). The sweep counters are
+// "compile/<policy>" (a fresh Compiled per op via core.Compile, the
+// context convenience) and "compileinto/<policy>" (one Compiled recycled
+// across ops via core.CompileInto — the allocation floor). The sweep counters are
 // shared: both entry points perform identical scheduling work.
 // A nil mach measures on the paper machine.
 func CompileBench(size int, seed int64, cfg sched.Config, mach *machine.Desc) ([]BenchRecord, error) {
@@ -85,7 +85,8 @@ func CompileBench(size int, seed int64, cfg sched.Config, mach *machine.Desc) ([
 		r := testing.Benchmark(func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := core.Compile(loops[i%len(loops)].CL.Loop, opt); err != nil {
+				_, err := core.Compile(ctx, loops[i%len(loops)].CL.Loop, opt)
+				if err != nil && !errors.Is(err, sched.ErrInfeasible) {
 					benchErr = fmt.Errorf("%s/%s: %w", name, loops[i%len(loops)].Name, err)
 					b.FailNow()
 				}
@@ -115,8 +116,8 @@ func CompileBench(size int, seed int64, cfg sched.Config, mach *machine.Desc) ([
 			AllocsPerOp: float64(r.AllocsPerOp()),
 		}
 		for _, l := range loops {
-			c, err := core.Compile(l.CL.Loop, opt)
-			if err != nil {
+			c, err := core.Compile(ctx, l.CL.Loop, opt)
+			if err != nil && !errors.Is(err, sched.ErrInfeasible) {
 				return nil, fmt.Errorf("%s/%s: %w", name, l.Name, err)
 			}
 			st := c.Result.Stats

@@ -1,6 +1,7 @@
 package codegen
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -12,7 +13,7 @@ import (
 
 func compile(t *testing.T, l *ir.Loop) *Kernel {
 	t.Helper()
-	res, err := sched.Slack(sched.Config{}).Schedule(l)
+	res, err := sched.Slack(sched.Config{}).Schedule(context.Background(), l)
 	if err != nil || !res.OK() {
 		t.Fatalf("%s: scheduling failed", l.Name)
 	}
@@ -29,7 +30,7 @@ func compile(t *testing.T, l *ir.Loop) *Kernel {
 func TestKernelStructure(t *testing.T) {
 	m := machine.Cydra()
 	for _, l := range fixture.All(m) {
-		res, err := sched.Slack(sched.Config{}).Schedule(l)
+		res, err := sched.Slack(sched.Config{}).Schedule(context.Background(), l)
 		if err != nil || !res.OK() {
 			t.Fatalf("%s: scheduling failed", l.Name)
 		}

@@ -9,9 +9,9 @@
 //
 // # Public API surface and stability
 //
-// The stable entry points are CompileContext (and its background-context
-// wrapper Compile), the scheduler registry (Register, Lookup,
-// Schedulers), and VerifyExecution. Scheduling policies are looked up by
+// The stable entry points are Compile and its caller-owned-buffer form
+// CompileInto, the scheduler registry (Register, Lookup, Schedulers),
+// and VerifyExecution. Scheduling policies are looked up by
 // SchedulerName in a registry the four built-ins populate at init time,
 // so new policies plug in without core edits. Failures are typed and
 // matchable with errors.Is / errors.As:
@@ -85,40 +85,29 @@ type Compiled struct {
 // OK reports whether a feasible schedule was found.
 func (c *Compiled) OK() bool { return c.Result != nil && c.Result.OK() }
 
-// Compile is CompileContext with a background context and the legacy
-// give-up contract: an infeasible loop (II ceiling exhausted) returns
-// (c, nil) with c.OK() false rather than an ErrInfeasible, matching the
-// paper's Table 4 convention of tabulating failures as data. All other
-// errors — including budget exhaustion — pass through unchanged.
-func Compile(l *ir.Loop, opt Options) (*Compiled, error) {
-	c, err := CompileContext(context.Background(), l, opt)
-	if errors.Is(err, sched.ErrInfeasible) && c != nil {
-		err = nil
-	}
-	return c, err
-}
-
-// CompileContext schedules the loop and, by default, generates kernel
-// code. The context and Options.Config.Budget bound the scheduling
-// search (see sched.Scheduler.ScheduleContext); on exhaustion the error
-// matches sched.ErrBudgetExhausted unless Options.Degrade rescues the
+// Compile schedules the loop and, by default, generates kernel code.
+// The context and Options.Config.Budget bound the scheduling search
+// (see sched.Scheduler.Schedule); on exhaustion the error matches
+// sched.ErrBudgetExhausted unless Options.Degrade rescues the
 // compilation with the list scheduler. When scheduling fails with
 // ErrInfeasible or ErrBudgetExhausted, the returned *Compiled is still
-// non-nil and carries the partial sched.Result as evidence.
-func CompileContext(ctx context.Context, l *ir.Loop, opt Options) (*Compiled, error) {
+// non-nil and carries the partial sched.Result as evidence, so callers
+// that tabulate failures as data (the paper's Table 4) test
+// errors.Is(err, sched.ErrInfeasible) and read c.Result.
+func Compile(ctx context.Context, l *ir.Loop, opt Options) (*Compiled, error) {
 	c := &Compiled{}
 	err := CompileInto(ctx, c, l, opt)
 	if c.Loop == nil {
 		// CompileInto zeroed the destination: nothing was produced
 		// (unknown scheduler, preflight failure, or a hard
-		// mindist/codegen error) — the legacy nil-Compiled contract.
+		// mindist/codegen error).
 		return nil, err
 	}
 	return c, err
 }
 
-// CompileInto is CompileContext writing into a caller-owned Compiled:
-// dst's previous contents are destroyed, but the result buffers they
+// CompileInto is Compile writing into a caller-owned Compiled: dst's
+// previous contents are destroyed, but the result buffers they
 // carry — dst.Result itself, its Schedule.Time slice, its MinDist
 // backing array — are recycled, so a caller that reuses one Compiled
 // across compilations (the lsmsd worker loop, the bench sweep) reaches
@@ -126,11 +115,11 @@ func CompileContext(ctx context.Context, l *ir.Loop, opt Options) (*Compiled, er
 // compile in steady state. The caller must not retain references into
 // dst across calls.
 //
-// The outcome contract mirrors CompileContext exactly: on unknown
-// scheduler, preflight failure, or a hard mindist/codegen error dst is
-// zeroed (dst.Loop == nil) and the error returned; on scheduling
-// failure dst carries the partial evidence alongside the typed error;
-// on success (or a rescued Degrade) err is nil and dst is complete.
+// The outcome contract mirrors Compile exactly: on unknown scheduler,
+// preflight failure, or a hard mindist/codegen error dst is zeroed
+// (dst.Loop == nil) and the error returned; on scheduling failure dst
+// carries the partial evidence alongside the typed error; on success
+// (or a rescued Degrade) err is nil and dst is complete.
 func CompileInto(ctx context.Context, dst *Compiled, l *ir.Loop, opt Options) error {
 	// Recycle the result buffers the previous compilation left behind;
 	// everything else resets.
@@ -167,23 +156,9 @@ func CompileInto(ctx context.Context, dst *Compiled, l *ir.Loop, opt Options) er
 		tr.Scheduler = string(opt.Scheduler)
 	}
 	sp := tr.Start("schedule").Str("scheduler", string(opt.Scheduler))
-	runner := factory(opt.Config)
-	var err error
-	if into, ok := runner.(IntoRunner); ok {
-		err = into.ScheduleInto(ctx, l, res)
-		if res.Loop == nil {
-			res = nil // preflight failure: the zeroed buffer carries nothing
-		}
-	} else {
-		// Runners without the Into extension pay the allocations they
-		// always did; copy so dst still owns its result.
-		var r *sched.Result
-		r, err = runner.Schedule(ctx, l)
-		if r != nil {
-			*res = *r
-		} else {
-			res = nil
-		}
+	err := factory(opt.Config).ScheduleInto(ctx, l, res)
+	if res.Loop == nil {
+		res = nil // preflight failure: the zeroed buffer carries nothing
 	}
 	if res != nil {
 		sp.Int("ii", int64(res.II())).Int("mii", int64(res.Bounds.MII))
@@ -276,8 +251,8 @@ func scheduleOutcome(err error) string {
 func degrade(ctx context.Context, l *ir.Loop, opt Options, be *sched.BudgetError) (*sched.Result, error) {
 	cfg := opt.Config
 	cfg.Budget = sched.Budget{}
-	if sink := cfg.EventSink(); sink != nil {
-		sink.Event(sched.Event{
+	if cfg.Observer != nil {
+		cfg.Observer.Event(sched.Event{
 			Kind:   sched.EvDegraded,
 			Loop:   l.Name,
 			Policy: be.Policy,
@@ -286,7 +261,7 @@ func degrade(ctx context.Context, l *ir.Loop, opt Options, be *sched.BudgetError
 		})
 	}
 	sp := obs.FromContext(ctx).Start("degrade").Str("from", be.Policy).Str("reason", be.Reason)
-	res, err := sched.ListScheduleContext(ctx, l, cfg)
+	res, err := sched.ListSchedule(ctx, l, cfg)
 	if err != nil && !errors.Is(err, sched.ErrInfeasible) {
 		sp.End(obs.OutcomeError)
 		return res, err

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/fixture"
@@ -18,7 +19,7 @@ func TestDifferentialAllSchedulers(t *testing.T) {
 	m := machine.Cydra()
 	for _, r := range fixture.Runnables(m) {
 		for _, name := range Schedulers() {
-			c, err := Compile(r.Loop, Options{Scheduler: name})
+			c, err := Compile(context.Background(), r.Loop, Options{Scheduler: name})
 			if err != nil {
 				t.Fatalf("%s/%s: %v", name, r.Loop.Name, err)
 			}
@@ -41,7 +42,7 @@ func TestDifferentialAllSchedulers(t *testing.T) {
 func TestDifferentialAcrossMachines(t *testing.T) {
 	for _, m := range machine.Variants() {
 		for _, r := range fixture.Runnables(m) {
-			c, err := Compile(r.Loop, Options{})
+			c, err := Compile(context.Background(), r.Loop, Options{})
 			if err != nil {
 				t.Fatalf("%s/%s: %v", m.Name, r.Loop.Name, err)
 			}
@@ -63,7 +64,7 @@ func TestDifferentialAcrossMachines(t *testing.T) {
 func TestPressureBounds(t *testing.T) {
 	m := machine.Cydra()
 	for _, r := range fixture.Runnables(m) {
-		c, err := Compile(r.Loop, Options{})
+		c, err := Compile(context.Background(), r.Loop, Options{})
 		if err != nil || !c.OK() {
 			t.Fatalf("%s: compile failed", r.Loop.Name)
 		}
@@ -93,7 +94,7 @@ func TestPressureBounds(t *testing.T) {
 func TestShortTripCounts(t *testing.T) {
 	m := machine.Cydra()
 	r := fixture.RunnableDaxpy(m)
-	c, err := Compile(r.Loop, Options{})
+	c, err := Compile(context.Background(), r.Loop, Options{})
 	if err != nil || !c.OK() {
 		t.Fatal("compile failed")
 	}
@@ -107,7 +108,7 @@ func TestShortTripCounts(t *testing.T) {
 func TestZeroTrips(t *testing.T) {
 	m := machine.Cydra()
 	r := fixture.RunnableReduction(m)
-	c, err := Compile(r.Loop, Options{})
+	c, err := Compile(context.Background(), r.Loop, Options{})
 	if err != nil || !c.OK() {
 		t.Fatal("compile failed")
 	}
@@ -118,7 +119,7 @@ func TestZeroTrips(t *testing.T) {
 
 func TestSkipCodegen(t *testing.T) {
 	m := machine.Cydra()
-	c, err := Compile(fixture.Sample(m), Options{SkipCodegen: true})
+	c, err := Compile(context.Background(), fixture.Sample(m), Options{SkipCodegen: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +133,7 @@ func TestSkipCodegen(t *testing.T) {
 
 func TestUnknownScheduler(t *testing.T) {
 	m := machine.Cydra()
-	if _, err := Compile(fixture.Sample(m), Options{Scheduler: "magic"}); err == nil {
+	if _, err := Compile(context.Background(), fixture.Sample(m), Options{Scheduler: "magic"}); err == nil {
 		t.Error("unknown scheduler must error")
 	}
 }

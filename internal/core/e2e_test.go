@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/frontend"
@@ -227,7 +228,7 @@ func TestFrontendDifferential(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, name := range Schedulers() {
-				c, err := Compile(cl.Loop, Options{Scheduler: name})
+				c, err := Compile(context.Background(), cl.Loop, Options{Scheduler: name})
 				if err != nil {
 					t.Fatalf("%s: %v", name, err)
 				}
@@ -256,7 +257,7 @@ func TestFrontendLoopsReachMII(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		c, err := Compile(loops[0].Loop, Options{SkipCodegen: true})
+		c, err := Compile(context.Background(), loops[0].Loop, Options{SkipCodegen: true})
 		if err != nil {
 			t.Fatal(err)
 		}

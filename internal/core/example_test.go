@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/fixture"
@@ -13,7 +14,7 @@ import (
 // against the schedule-independent MinAvg bound, and the kernel size.
 func ExampleCompile() {
 	l := fixture.Daxpy(machine.Cydra())
-	c, err := Compile(l, Options{Scheduler: SchedSlack})
+	c, err := Compile(context.Background(), l, Options{Scheduler: SchedSlack})
 	if err != nil {
 		fmt.Println("compile failed:", err)
 		return

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -42,7 +43,7 @@ func TestGeneratedLoopsFullPipeline(t *testing.T) {
 		if trips > 24 {
 			trips = 24 // bound simulation time on big-II loops
 		}
-		c, err := Compile(cl.Loop, Options{})
+		c, err := Compile(context.Background(), cl.Loop, Options{})
 		if err != nil {
 			t.Fatalf("loop %d: %v\n%s", i, err, src)
 		}
@@ -84,7 +85,7 @@ func TestGeneratedLoopsBaselinePipeline(t *testing.T) {
 		if trips > 20 {
 			trips = 20
 		}
-		c, err := Compile(cl.Loop, Options{Scheduler: SchedCydrome})
+		c, err := Compile(context.Background(), cl.Loop, Options{Scheduler: SchedCydrome})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -124,7 +125,7 @@ func TestGeneratedLoopsMVE(t *testing.T) {
 		if trips > 20 {
 			trips = 20
 		}
-		res, err := sched.Slack(sched.Config{}).Schedule(cl.Loop)
+		res, err := sched.Slack(sched.Config{}).Schedule(context.Background(), cl.Loop)
 		if err != nil || !res.OK() {
 			t.Fatalf("loop %d: scheduling failed", i)
 		}

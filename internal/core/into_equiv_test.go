@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/ir"
 	"repro/internal/loopgen"
 	"repro/internal/sched"
 	"repro/internal/wire"
@@ -18,8 +19,10 @@ import (
 // every registered policy, CompileInto writing into ONE Compiled that
 // is recycled across all loops (so its Result, Schedule.Time, and
 // MinDist buffers arrive dirty and wrongly-sized at every call) must
-// produce results bit-identical to a fresh CompileContext, and must
-// classify errors identically.
+// produce results bit-identical to a fresh Compile, and must classify
+// errors identically. A policy registered from outside through
+// RunnerFunc rides along: CompileInto must hand it the recycled
+// dst.Result, so it reaches the same allocation floor as the built-ins.
 func TestCompileIntoEquivalence(t *testing.T) {
 	size := 120
 	if testing.Short() {
@@ -30,25 +33,38 @@ func TestCompileIntoEquivalence(t *testing.T) {
 		t.Fatalf("building workload: %v", err)
 	}
 	ctx := context.Background()
+	const custom SchedulerName = "zz-into-custom"
+	var lastDst *sched.Result
+	Register(custom, func(cfg sched.Config) Runner {
+		return RunnerFunc(func(ctx context.Context, l *ir.Loop, dst *sched.Result) error {
+			lastDst = dst
+			return sched.Slack(cfg).ScheduleInto(ctx, l, dst)
+		})
+	})
+	unregisterAtCleanup(t, custom)
 	for _, name := range Schedulers() {
 		opt := Options{Scheduler: name, SkipCodegen: true}
 		var buf Compiled // one buffer for the whole corpus — sizes vary per loop
 		for _, wl := range w.Loops {
-			fresh, ferr := CompileContext(ctx, wl.CL.Loop, opt)
+			fresh, ferr := Compile(ctx, wl.CL.Loop, opt)
+			prev := buf.Result
 			ierr := CompileInto(ctx, &buf, wl.CL.Loop, opt)
+			if name == custom && prev != nil && lastDst != prev {
+				t.Fatalf("%s: CompileInto did not hand the custom runner the recycled dst.Result", wl.Name)
+			}
 			if c1, c2 := errClass(ferr), errClass(ierr); c1 != c2 {
-				t.Fatalf("%s/%s: error class diverges: CompileContext %q (%v), CompileInto %q (%v)",
+				t.Fatalf("%s/%s: error class diverges: Compile %q (%v), CompileInto %q (%v)",
 					name, wl.Name, c1, ferr, c2, ierr)
 			}
 			if fresh == nil {
 				if buf.Loop != nil {
-					t.Fatalf("%s/%s: CompileContext produced nothing but CompileInto left dst populated",
+					t.Fatalf("%s/%s: Compile produced nothing but CompileInto left dst populated",
 						name, wl.Name)
 				}
 				continue
 			}
 			if buf.Loop == nil {
-				t.Fatalf("%s/%s: CompileContext produced a result but CompileInto zeroed dst", name, wl.Name)
+				t.Fatalf("%s/%s: Compile produced a result but CompileInto zeroed dst", name, wl.Name)
 			}
 			fh := compiledHash(t, name, wl.Name, fresh)
 			ih := compiledHash(t, name, wl.Name, &buf)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/json"
 	"fmt"
@@ -69,7 +70,7 @@ func testPooledEquivalence(t *testing.T, opts loopgen.Options) {
 // and the effort counters.
 func compileResultHash(t *testing.T, name SchedulerName, loopName string, l *ir.Loop, cfg sched.Config) string {
 	t.Helper()
-	c, err := Compile(l, Options{Scheduler: name, Config: cfg, SkipCodegen: true})
+	c, err := Compile(context.Background(), l, Options{Scheduler: name, Config: cfg, SkipCodegen: true})
 	if err != nil {
 		t.Fatalf("%s/%s: %v", name, loopName, err)
 	}

@@ -36,12 +36,8 @@ func TestSchedulersOrder(t *testing.T) {
 
 func TestUnknownSchedulerError(t *testing.T) {
 	l := fixture.Sample(machine.Cydra())
-	_, err := CompileContext(context.Background(), l, Options{Scheduler: "no-such-policy"})
-	if !errors.Is(err, ErrUnknownScheduler) {
+	if _, err := Compile(context.Background(), l, Options{Scheduler: "no-such-policy"}); !errors.Is(err, ErrUnknownScheduler) {
 		t.Fatalf("err = %v, want ErrUnknownScheduler", err)
-	}
-	if _, err := Compile(l, Options{Scheduler: "no-such-policy"}); !errors.Is(err, ErrUnknownScheduler) {
-		t.Fatalf("Compile err = %v, want ErrUnknownScheduler", err)
 	}
 }
 
@@ -51,16 +47,12 @@ func TestRegisterCustomPolicy(t *testing.T) {
 	const name SchedulerName = "zz-custom"
 	calls := 0
 	Register(name, func(cfg sched.Config) Runner {
-		return RunnerFunc(func(ctx context.Context, l *ir.Loop) (*sched.Result, error) {
+		return RunnerFunc(func(ctx context.Context, l *ir.Loop, dst *sched.Result) error {
 			calls++
-			return sched.ListScheduleContext(ctx, l, cfg)
+			return sched.ListScheduleInto(ctx, l, cfg, dst)
 		})
 	})
-	defer func() { // the registry is process-global; leave it as found
-		registry.Lock()
-		delete(registry.m, name)
-		registry.Unlock()
-	}()
+	unregisterAtCleanup(t, name)
 
 	found := false
 	for _, n := range Schedulers() {
@@ -71,13 +63,23 @@ func TestRegisterCustomPolicy(t *testing.T) {
 	if !found {
 		t.Fatalf("%q missing from Schedulers(): %v", name, Schedulers())
 	}
-	c, err := Compile(fixture.Sample(machine.Cydra()), Options{Scheduler: name, SkipCodegen: true})
+	c, err := Compile(context.Background(), fixture.Sample(machine.Cydra()), Options{Scheduler: name, SkipCodegen: true})
 	if err != nil || !c.OK() {
 		t.Fatalf("custom policy compile: %v", err)
 	}
 	if calls != 1 {
 		t.Fatalf("custom runner called %d times, want 1", calls)
 	}
+}
+
+// unregisterAtCleanup removes a test-registered policy when the test
+// ends: the registry is process-global, so leave it as found.
+func unregisterAtCleanup(t *testing.T, name SchedulerName) {
+	t.Cleanup(func() {
+		registry.Lock()
+		delete(registry.m, name)
+		registry.Unlock()
+	})
 }
 
 func TestRegisterPanics(t *testing.T) {
@@ -109,7 +111,7 @@ func TestCompileDegrade(t *testing.T) {
 		SkipCodegen: true,
 	}
 	// Without Degrade: the typed error, with the partial result.
-	c, err := CompileContext(context.Background(), l, opt)
+	c, err := Compile(context.Background(), l, opt)
 	if !errors.Is(err, sched.ErrBudgetExhausted) {
 		t.Fatalf("err = %v, want ErrBudgetExhausted", err)
 	}
@@ -118,7 +120,7 @@ func TestCompileDegrade(t *testing.T) {
 	}
 
 	opt.Degrade = true
-	c, err = CompileContext(context.Background(), l, opt)
+	c, err = Compile(context.Background(), l, opt)
 	if err != nil {
 		t.Fatalf("degraded compile: %v", err)
 	}
@@ -138,7 +140,7 @@ func TestDegradeRespectsCancellation(t *testing.T) {
 	l := fixture.Daxpy(machine.Cydra())
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := CompileContext(ctx, l, Options{Scheduler: SchedSlack, Degrade: true, SkipCodegen: true})
+	_, err := Compile(ctx, l, Options{Scheduler: SchedSlack, Degrade: true, SkipCodegen: true})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}

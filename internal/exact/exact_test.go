@@ -30,7 +30,7 @@ func TestExactBudgetErrorTyped(t *testing.T) {
 	}
 	var l *ir.Loop
 	for _, wl := range suite.Loops {
-		sres, serr := sched.Slack(sched.Config{}).ScheduleContext(context.Background(), wl.CL.Loop)
+		sres, serr := sched.Slack(sched.Config{}).Schedule(context.Background(), wl.CL.Loop)
 		if serr == nil && sres.OK() && sres.Stats.CentralIters > 300 {
 			l = wl.CL.Loop
 			break
@@ -98,7 +98,7 @@ func TestExactAnytime(t *testing.T) {
 	for _, l := range fixture.All(m) {
 		// Enough nodes for the slack seed's central loop, too few for the
 		// exact search to prove anything.
-		sres, serr := sched.Slack(sched.Config{}).ScheduleContext(context.Background(), l)
+		sres, serr := sched.Slack(sched.Config{}).Schedule(context.Background(), l)
 		if serr != nil || !sres.OK() {
 			continue
 		}
@@ -167,7 +167,7 @@ func TestExactRegistered(t *testing.T) {
 	if !found {
 		t.Fatalf("Schedulers() = %v, missing %q", names, core.SchedExact)
 	}
-	c, err := core.Compile(fixture.Sample(machine.Cydra()), core.Options{Scheduler: core.SchedExact})
+	c, err := core.Compile(context.Background(), fixture.Sample(machine.Cydra()), core.Options{Scheduler: core.SchedExact})
 	if err != nil {
 		t.Fatalf("core.Compile(exact): %v", err)
 	}
@@ -176,20 +176,21 @@ func TestExactRegistered(t *testing.T) {
 	}
 }
 
-// TestExactScheduleInto: the IntoRunner contract — reused dst matches a
-// fresh Schedule call, and preflight failure zeroes dst.
+// TestExactScheduleInto: the core.Runner contract — reused dst matches a
+// fresh Search, and preflight failure zeroes dst.
 func TestExactScheduleInto(t *testing.T) {
 	m := machine.Cydra()
 	var dst sched.Result
 	for _, l := range fixture.All(m) {
-		fresh, errA := exact.New(sched.Config{}).Schedule(context.Background(), l)
+		o, errA := exact.New(sched.Config{}).Search(context.Background(), l)
 		errB := exact.New(sched.Config{}).ScheduleInto(context.Background(), l, &dst)
 		if (errA == nil) != (errB == nil) {
 			t.Fatalf("%s: error divergence: %v vs %v", l.Name, errA, errB)
 		}
-		if errA != nil || fresh == nil {
+		if errA != nil || o == nil {
 			continue
 		}
+		fresh := o.Result
 		if fresh.Schedule.II != dst.Schedule.II {
 			t.Fatalf("%s: II divergence %d vs %d", l.Name, fresh.Schedule.II, dst.Schedule.II)
 		}

@@ -131,7 +131,7 @@ func TestExactNeverWorseThanSlack(t *testing.T) {
 	improved := 0
 	for _, wl := range suite.Loops {
 		l := wl.CL.Loop
-		sres, serr := sched.Slack(sched.Config{}).ScheduleContext(context.Background(), l)
+		sres, serr := sched.Slack(sched.Config{}).Schedule(context.Background(), l)
 		if serr != nil || !sres.OK() {
 			continue
 		}

@@ -1,6 +1,7 @@
 package regalloc
 
 import (
+	"context"
 	"fmt"
 	"maps"
 	"math/rand"
@@ -47,7 +48,7 @@ func TestSampleCoreAllocation(t *testing.T) {
 func TestFixtureAllocationsNearMaxLive(t *testing.T) {
 	m := machine.Cydra()
 	for _, l := range fixture.All(m) {
-		res, err := sched.Slack(sched.Config{}).Schedule(l)
+		res, err := sched.Slack(sched.Config{}).Schedule(context.Background(), l)
 		if err != nil || !res.OK() {
 			t.Fatalf("%s: scheduling failed", l.Name)
 		}
@@ -347,7 +348,7 @@ var corpusFiles = sync.OnceValues(func() ([]corpusFile, error) {
 	var out []corpusFile
 	for _, lp := range suite.Loops {
 		l := lp.CL.Loop
-		res, err := sched.Slack(sched.Config{}).Schedule(l)
+		res, err := sched.Slack(sched.Config{}).Schedule(context.Background(), l)
 		if err != nil || !res.OK() {
 			continue
 		}

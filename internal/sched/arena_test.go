@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/fixture"
@@ -16,7 +17,7 @@ func TestArenaReleaseRetainsNoRequestData(t *testing.T) {
 	l := fixture.Divide(machine.Cydra())
 	a := AcquireArena()
 	cfg := Config{Arena: a}
-	if _, err := Slack(cfg).Schedule(l); err != nil {
+	if _, err := Slack(cfg).Schedule(context.Background(), l); err != nil {
 		t.Fatal(err)
 	}
 	if a.preparedFor != l {
@@ -64,12 +65,12 @@ func TestArenaPoolRoundTrip(t *testing.T) {
 	loops := fixture.All(m)
 	for _, l := range loops {
 		a := AcquireArena()
-		got, err := Slack(Config{Arena: a}).Schedule(l)
+		got, err := Slack(Config{Arena: a}).Schedule(context.Background(), l)
 		a.Release()
 		if err != nil {
 			t.Fatalf("%s: %v", l.Name, err)
 		}
-		want, err := Slack(Config{NoPool: true}).Schedule(l)
+		want, err := Slack(Config{NoPool: true}).Schedule(context.Background(), l)
 		if err != nil {
 			t.Fatalf("%s: %v", l.Name, err)
 		}

@@ -18,10 +18,10 @@ func TestDeadlineExhaustsPromptly(t *testing.T) {
 	cfg := Config{Budget: Budget{Deadline: time.Nanosecond}}
 	ctx := context.Background()
 	runs := map[string]func(*ir.Loop) (*Result, error){
-		"slack":    func(l *ir.Loop) (*Result, error) { return Slack(cfg).ScheduleContext(ctx, l) },
-		"slack-1d": func(l *ir.Loop) (*Result, error) { return SlackUnidirectional(cfg).ScheduleContext(ctx, l) },
-		"cydrome":  func(l *ir.Loop) (*Result, error) { return Cydrome(cfg).ScheduleContext(ctx, l) },
-		"list":     func(l *ir.Loop) (*Result, error) { return ListScheduleContext(ctx, l, cfg) },
+		"slack":    func(l *ir.Loop) (*Result, error) { return Slack(cfg).Schedule(ctx, l) },
+		"slack-1d": func(l *ir.Loop) (*Result, error) { return SlackUnidirectional(cfg).Schedule(ctx, l) },
+		"cydrome":  func(l *ir.Loop) (*Result, error) { return Cydrome(cfg).Schedule(ctx, l) },
+		"list":     func(l *ir.Loop) (*Result, error) { return ListSchedule(ctx, l, cfg) },
 	}
 	for name, run := range runs {
 		for _, l := range fixture.All(m) {
@@ -57,7 +57,7 @@ var tinyEject = Config{EjectBudgetPerOp: 1, MinEjectBudget: 1}
 func TestMaxIIAttempts(t *testing.T) {
 	l := fixture.Divide(machine.Cydra())
 	cfg := tinyEject
-	res, err := Slack(cfg).Schedule(l)
+	res, err := Slack(cfg).Schedule(context.Background(), l)
 	if err != nil || !res.OK() {
 		t.Fatalf("unbudgeted run failed: %v", err)
 	}
@@ -65,7 +65,7 @@ func TestMaxIIAttempts(t *testing.T) {
 		t.Fatalf("fixture took %d attempts; the cap test needs at least 2", res.Stats.IIAttempts)
 	}
 	cfg.Budget = Budget{MaxIIAttempts: 1}
-	res, err = Slack(cfg).ScheduleContext(context.Background(), l)
+	res, err = Slack(cfg).Schedule(context.Background(), l)
 	var be *BudgetError
 	if !errors.As(err, &be) || be.Reason != ReasonIIAttempts {
 		t.Fatalf("err = %v, want BudgetError(%s)", err, ReasonIIAttempts)
@@ -79,7 +79,7 @@ func TestMaxCentralIters(t *testing.T) {
 	l := fixture.Divide(machine.Cydra())
 	cfg := tinyEject
 	cfg.Budget = Budget{MaxCentralIters: 50}
-	res, err := Slack(cfg).ScheduleContext(context.Background(), l)
+	res, err := Slack(cfg).Schedule(context.Background(), l)
 	var be *BudgetError
 	if !errors.As(err, &be) || be.Reason != ReasonCentralIters {
 		t.Fatalf("err = %v, want BudgetError(%s)", err, ReasonCentralIters)
@@ -95,7 +95,7 @@ func TestContextCancellation(t *testing.T) {
 	l := fixture.Daxpy(machine.Cydra())
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	res, err := Slack(Config{}).ScheduleContext(ctx, l)
+	res, err := Slack(Config{}).Schedule(ctx, l)
 	if !errors.Is(err, ErrBudgetExhausted) {
 		t.Fatalf("err = %v, want ErrBudgetExhausted", err)
 	}
@@ -118,11 +118,11 @@ func TestGenerousBudgetIsInvisible(t *testing.T) {
 	m := machine.Cydra()
 	generous := Budget{Deadline: time.Hour, MaxCentralIters: 1 << 40, MaxIIAttempts: 1 << 20}
 	for _, l := range fixture.All(m) {
-		plain, err := Slack(Config{}).Schedule(l)
+		plain, err := Slack(Config{}).Schedule(context.Background(), l)
 		if err != nil || !plain.OK() {
 			t.Fatalf("%s: %v", l.Name, err)
 		}
-		budgeted, err := Slack(Config{Budget: generous}).ScheduleContext(context.Background(), l)
+		budgeted, err := Slack(Config{Budget: generous}).Schedule(context.Background(), l)
 		if err != nil || !budgeted.OK() {
 			t.Fatalf("%s (budgeted): %v", l.Name, err)
 		}

@@ -43,19 +43,12 @@ type Config struct {
 	StartII int
 	// Budget bounds the work of one Schedule call (wall clock, central
 	// iterations, II attempts); the zero value is unlimited. On
-	// exhaustion ScheduleContext returns a *BudgetError.
+	// exhaustion Schedule returns a *BudgetError.
 	Budget Budget
 	// Observer, when non-nil, receives the typed event stream of the
 	// run (EvAttemptStart, EvPlace, EvForce, EvEject, EvRestart,
-	// EvAttemptEnd); see Observer and TextObserver.
+	// EvAttemptEnd); see Observer, Tee and TextObserver.
 	Observer Observer
-	// Trace, when non-nil, receives one formatted line per central-loop
-	// placement event.
-	//
-	// Deprecated: use Observer; TextObserver reproduces this output
-	// byte-for-byte from the typed events. Trace remains wired (through
-	// an internal adapter) for existing callers.
-	Trace func(format string, args ...any)
 	// NoFastPaths disables the parametric MinDist cache and the
 	// incremental Estart/Lstart maintenance, recomputing both from
 	// scratch at every step. The optimized and direct paths are proven
@@ -66,7 +59,7 @@ type Config struct {
 	// makes each Schedule call acquire its own arena — from the
 	// process-wide pool, or fresh when NoPool is set — and release it on
 	// every exit path. A caller that sets Arena owns its lifecycle:
-	// core.CompileContext acquires one arena per compilation so the
+	// core.CompileInto acquires one arena per compilation so the
 	// scheduler, the degrade fallback, and the pressure measurements
 	// share scratch.
 	Arena *Arena
@@ -138,24 +131,9 @@ func New(policy Policy, cfg Config) *Scheduler {
 	return &Scheduler{policy: policy, cfg: cfg.withDefaults()}
 }
 
-// Schedule modulo schedules the loop with a background context.
-//
-// For backward compatibility it keeps the legacy give-up contract:
-// exhausting the II ceiling returns (res, nil) with res.OK() false.
-// Budget exhaustion (only possible when Config.Budget is set) still
-// surfaces as a *BudgetError. New callers should prefer
-// ScheduleContext, whose error contract is uniform.
-func (s *Scheduler) Schedule(l *ir.Loop) (*Result, error) {
-	res, err := s.ScheduleContext(context.Background(), l)
-	if errors.Is(err, ErrInfeasible) {
-		err = nil
-	}
-	return res, err
-}
-
-// ScheduleContext modulo schedules the loop: it tries II = MII first
-// and, when the heuristics give up, retries at increased II until
-// success or the II ceiling (Section 4.2). The context and
+// Schedule modulo schedules the loop: it tries II = MII first and,
+// when the heuristics give up, retries at increased II until success or
+// the II ceiling (Section 4.2). The context and
 // Config.Budget are checked at every II-attempt boundary and every few
 // hundred central-loop iterations, so a hostile loop cannot hang the
 // caller.
@@ -168,24 +146,23 @@ func (s *Scheduler) Schedule(l *ir.Loop) (*Result, error) {
 //     was exhausted;
 //   - a *BudgetError (errors.Is ErrBudgetExhausted; also the context
 //     error when canceled) when the budget or context ran out.
-func (s *Scheduler) ScheduleContext(ctx context.Context, l *ir.Loop) (*Result, error) {
+func (s *Scheduler) Schedule(ctx context.Context, l *ir.Loop) (*Result, error) {
 	res := &Result{}
 	err := s.ScheduleInto(ctx, l, res)
 	if res.Loop == nil {
-		// Preflight failed before the result was populated — the legacy
-		// nil-Result contract.
+		// Preflight failed before the result was populated.
 		return nil, err
 	}
 	return res, err
 }
 
-// ScheduleInto is ScheduleContext writing into a caller-owned Result:
+// ScheduleInto is Schedule writing into a caller-owned Result:
 // dst's previous contents are destroyed, but its Schedule.Time slice
 // and MinDist backing array are reused when large enough, so a caller
 // recycling one Result across compilations allocates nothing here in
 // steady state (core.CompileInto's contract). On preflight failure
 // (unfinalized loop, MII computation error) dst is zeroed and the
-// error returned; otherwise dst carries exactly what ScheduleContext's
+// error returned; otherwise dst carries exactly what Schedule's
 // Result would, with the same typed errors.
 func (s *Scheduler) ScheduleInto(ctx context.Context, l *ir.Loop, dst *Result) error {
 	prevSched, prevMD := dst.Schedule, dst.MinDist
@@ -212,7 +189,7 @@ func (s *Scheduler) ScheduleInto(ctx context.Context, l *ir.Loop, dst *Result) e
 	}
 
 	guard := newBudgetGuard(ctx, s.cfg.Budget)
-	sink := s.cfg.EventSink()
+	sink := s.cfg.Observer
 
 	// Pooled scratch: everything per-attempt lives in the arena. When
 	// the caller did not supply one, acquire here and release on every

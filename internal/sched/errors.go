@@ -10,7 +10,7 @@ import (
 // run; match the class with errors.Is and recover the evidence with
 // errors.As:
 //
-//	res, err := s.ScheduleContext(ctx, l)
+//	res, err := s.Schedule(ctx, l)
 //	var be *sched.BudgetError
 //	switch {
 //	case errors.As(err, &be):        // budget/deadline/cancellation; be.Stats has the effort

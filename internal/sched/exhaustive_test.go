@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -19,7 +20,7 @@ func TestExhaustiveFindsFixtureSchedules(t *testing.T) {
 		if len(l.Ops) > 12 {
 			continue
 		}
-		res, err := Slack(Config{}).Schedule(l)
+		res, err := Slack(Config{}).Schedule(context.Background(), l)
 		if err != nil || !res.OK() {
 			t.Fatalf("%s: slack failed", l.Name)
 		}
@@ -68,7 +69,7 @@ func TestExhaustiveConfirmsInfeasibleMII(t *testing.T) {
 		// RecMII = 56 > 55, so a 55-cycle schedule would be a bug.
 		t.Fatalf("II=55 should be infeasible, found:\n%s", s55)
 	}
-	res, err := Slack(Config{}).Schedule(l)
+	res, err := Slack(Config{}).Schedule(context.Background(), l)
 	if err != nil || !res.OK() {
 		t.Fatal("slack failed entirely")
 	}
@@ -124,7 +125,7 @@ func TestSlackNearOptimalOnTinyLoops(t *testing.T) {
 		}
 		l.MustFinalize()
 
-		res, err := Slack(Config{}).Schedule(l)
+		res, err := Slack(Config{}).Schedule(context.Background(), l)
 		if err != nil || !res.OK() {
 			t.Fatalf("trial %d: slack failed", trial)
 		}

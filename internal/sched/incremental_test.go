@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -130,10 +131,10 @@ func TestResultMinDistAtFinalII(t *testing.T) {
 	for _, wl := range boundsLoops(t) {
 		l := wl.CL.Loop
 		for _, mk := range []func() (*Result, error){
-			func() (*Result, error) { return Slack(Config{}).Schedule(l) },
-			func() (*Result, error) { return SlackUnidirectional(Config{}).Schedule(l) },
-			func() (*Result, error) { return Cydrome(Config{}).Schedule(l) },
-			func() (*Result, error) { return ListSchedule(l, Config{}) },
+			func() (*Result, error) { return Slack(Config{}).Schedule(context.Background(), l) },
+			func() (*Result, error) { return SlackUnidirectional(Config{}).Schedule(context.Background(), l) },
+			func() (*Result, error) { return Cydrome(Config{}).Schedule(context.Background(), l) },
+			func() (*Result, error) { return ListSchedule(context.Background(), l, Config{}) },
 		} {
 			res, err := mk()
 			if err != nil {
@@ -157,10 +158,10 @@ func TestNoFastPathsEquivalence(t *testing.T) {
 	for _, wl := range boundsLoops(t) {
 		l := wl.CL.Loop
 		for _, mk := range []func(Config) (*Result, error){
-			func(c Config) (*Result, error) { return Slack(c).Schedule(l) },
-			func(c Config) (*Result, error) { return SlackUnidirectional(c).Schedule(l) },
-			func(c Config) (*Result, error) { return Cydrome(c).Schedule(l) },
-			func(c Config) (*Result, error) { return ListSchedule(l, c) },
+			func(c Config) (*Result, error) { return Slack(c).Schedule(context.Background(), l) },
+			func(c Config) (*Result, error) { return SlackUnidirectional(c).Schedule(context.Background(), l) },
+			func(c Config) (*Result, error) { return Cydrome(c).Schedule(context.Background(), l) },
+			func(c Config) (*Result, error) { return ListSchedule(context.Background(), l, c) },
 		} {
 			fast, err := mk(Config{})
 			if err != nil {

@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -94,7 +95,7 @@ func TestEngineInvariants(t *testing.T) {
 		l.MustFinalize()
 
 		pol := &instrumentedPolicy{t: t}
-		res, err := New(pol, Config{}).Schedule(l)
+		res, err := New(pol, Config{}).Schedule(context.Background(), l)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -14,19 +14,7 @@ import (
 	"repro/internal/obs"
 )
 
-// ListSchedule is ListScheduleContext with a background context and the
-// legacy give-up contract: exhausting the II ceiling returns (res, nil)
-// with res.OK() false. Budget exhaustion still surfaces as a
-// *BudgetError.
-func ListSchedule(l *ir.Loop, cfg Config) (*Result, error) {
-	res, err := ListScheduleContext(context.Background(), l, cfg)
-	if errors.Is(err, ErrInfeasible) {
-		err = nil
-	}
-	return res, err
-}
-
-// ListScheduleContext is a classic list scheduler adapted to the modulo
+// ListSchedule is a classic list scheduler adapted to the modulo
 // constraint, with no backtracking: operations are placed in decreasing
 // height order (longest dependence path to Stop), each as early as
 // possible; if an operation has no feasible slot the whole attempt fails
@@ -37,11 +25,11 @@ func ListSchedule(l *ir.Loop, cfg Config) (*Result, error) {
 // does not fit now may fit nowhere later, and "a list-scheduling compiler
 // is not likely to find a feasible schedule at MII when recurrence
 // circuits are present." The benchmark harness quantifies exactly that —
-// and it is also the graceful-degradation fallback core.Compile uses
+// and it is also the graceful-degradation fallback core.CompileInto uses
 // when a budgeted run of a backtracking scheduler exhausts its budget,
 // which is why it shares the context, Budget, typed-error, and Observer
-// contracts of Scheduler.ScheduleContext.
-func ListScheduleContext(ctx context.Context, l *ir.Loop, cfg Config) (*Result, error) {
+// contracts of Scheduler.Schedule.
+func ListSchedule(ctx context.Context, l *ir.Loop, cfg Config) (*Result, error) {
 	res := &Result{}
 	err := ListScheduleInto(ctx, l, cfg, res)
 	if res.Loop == nil {
@@ -50,7 +38,7 @@ func ListScheduleContext(ctx context.Context, l *ir.Loop, cfg Config) (*Result, 
 	return res, err
 }
 
-// ListScheduleInto is ListScheduleContext writing into a caller-owned
+// ListScheduleInto is ListSchedule writing into a caller-owned
 // Result, with the same buffer-reuse contract as
 // Scheduler.ScheduleInto: dst's previous contents are destroyed, its
 // Schedule and MinDist backing storage are recycled, and on preflight
@@ -78,7 +66,7 @@ func ListScheduleInto(ctx context.Context, l *ir.Loop, cfg Config, dst *Result) 
 	n := len(l.Ops)
 
 	guard := newBudgetGuard(ctx, cfg.Budget)
-	sink := cfg.EventSink()
+	sink := cfg.Observer
 	budgetStop := func(reason string, ii int) error {
 		res.Stats.Elapsed = time.Since(started)
 		e := &BudgetError{

@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/loopgen"
@@ -22,7 +23,7 @@ func benchScheduleKernels(b *testing.B, cfg Config) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, wl := range ks {
-			res, err := Slack(cfg).Schedule(wl.CL.Loop)
+			res, err := Slack(cfg).Schedule(context.Background(), wl.CL.Loop)
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"context"
 	"sync"
 	"testing"
 
@@ -20,7 +21,7 @@ func TestSafeMetricsConcurrentStreams(t *testing.T) {
 	want := &Metrics{}
 	for _, l := range loops {
 		mm := &Metrics{}
-		if _, err := Slack(Config{Observer: mm}).Schedule(l); err != nil {
+		if _, err := Slack(Config{Observer: mm}).Schedule(context.Background(), l); err != nil {
 			t.Fatalf("%s: %v", l.Name, err)
 		}
 		want.Merge(mm)
@@ -34,7 +35,7 @@ func TestSafeMetricsConcurrentStreams(t *testing.T) {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				if _, err := Slack(Config{Observer: shared}).Schedule(l); err != nil {
+				if _, err := Slack(Config{Observer: shared}).Schedule(context.Background(), l); err != nil {
 					t.Errorf("%s: %v", l.Name, err)
 				}
 			}()

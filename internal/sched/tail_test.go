@@ -2,6 +2,7 @@ package sched
 
 import (
 	"bytes"
+	"context"
 	"reflect"
 	"testing"
 
@@ -24,8 +25,8 @@ func TestTextTraceReconstructedFromTailByteIdentical(t *testing.T) {
 			var live bytes.Buffer
 			tail := NewTailRecorder(1 << 16) // lossless for these runs
 			c := cfg
-			c.Observer = multiObserver{TextObserver(&live), tail}
-			if _, err := Slack(c).Schedule(l); err != nil {
+			c.Observer = Tee(TextObserver(&live), tail)
+			if _, err := Slack(c).Schedule(context.Background(), l); err != nil {
 				t.Fatal(err)
 			}
 			if tail.Dropped() != 0 {
@@ -57,8 +58,8 @@ func TestTailRecorderRing(t *testing.T) {
 	ring := NewTailRecorder(32)
 	l := fixture.Divide(machine.Cydra())
 	cfg := tinyEject
-	cfg.Observer = multiObserver{full, ring}
-	if _, err := Slack(cfg).Schedule(l); err != nil {
+	cfg.Observer = Tee(full, ring)
+	if _, err := Slack(cfg).Schedule(context.Background(), l); err != nil {
 		t.Fatal(err)
 	}
 	if len(full.events) <= 32 {

@@ -24,20 +24,13 @@ import (
 type metrics struct {
 	reg *obs.Registry
 
-	requests        *obs.Family
-	cacheHitsC      *obs.Family
-	cacheMissesC    *obs.Family
-	storeHitsC      *obs.Family
-	storeMissesC    *obs.Family
-	deduped         *obs.Family
-	rejected        *obs.Family
-	panics          *obs.Family
-	compileOK       *obs.Family
-	compileDegraded *obs.Family
-	infeasible      *obs.Family
-	budgetExhausted *obs.Family
-	badRequests     *obs.Family
-	internalErrors  *obs.Family
+	requests     *obs.Family
+	cacheHitsC   *obs.Family
+	cacheMissesC *obs.Family
+	storeHitsC   *obs.Family
+	deduped      *obs.Family
+	rejected     *obs.Family
+	badRequests  *obs.Family
 
 	// Background refinement tier (Config.Refine); every started
 	// refinement ends in exactly one of the three outcome counters.
@@ -67,16 +60,9 @@ func newMetrics(s *Server) *metrics {
 	m.cacheHitsC = r.Counter("lsmsd_cache_hits_total", "Requests answered from the in-memory store tier.")
 	m.cacheMissesC = r.Counter("lsmsd_cache_misses_total", "Requests that missed every result-store tier.")
 	m.storeHitsC = r.Counter("lsmsd_store_hits_total", "Requests answered from a persistent store tier (served byte-identically across restarts).")
-	m.storeMissesC = r.Counter("lsmsd_store_misses_total", "Requests that missed every result-store tier (alias of lsmsd_cache_misses_total, under the store naming).")
 	m.deduped = r.Counter("lsmsd_dedup_total", "Requests collapsed onto an identical in-flight compile.")
 	m.rejected = r.Counter("lsmsd_rejected_total", "Requests rejected 429 by admission control.")
-	m.panics = r.Counter("lsmsd_panics_total", "Per-request panics isolated by the compile barrier.")
-	m.compileOK = r.Counter("lsmsd_compile_ok_total", "Compilations that produced a feasible schedule.")
-	m.compileDegraded = r.Counter("lsmsd_compile_degraded_total", "Compilations rescued by the list-scheduler fallback.")
-	m.infeasible = r.Counter("lsmsd_compile_infeasible_total", "Compilations that exhausted the II ceiling.")
-	m.budgetExhausted = r.Counter("lsmsd_compile_budget_exhausted_total", "Compilations that exhausted their budget.")
 	m.badRequests = r.Counter("lsmsd_bad_requests_total", "Malformed or unresolvable requests.")
-	m.internalErrors = r.Counter("lsmsd_internal_errors_total", "Internal failures.")
 	m.refineStarted = r.Counter("lsmsd_refine_started_total", "Background exact refinements started.")
 	m.refineImproved = r.Counter("lsmsd_refine_improved_total", "Refinements that strictly improved (II, MaxLive) and upgraded the store record.")
 	m.refineUnchanged = r.Counter("lsmsd_refine_unchanged_total", "Refinements whose exact result did not beat the served schedule.")
@@ -181,7 +167,6 @@ func (m *metrics) storeHit() {
 
 func (m *metrics) storeMiss() {
 	m.cacheMissesC.Inc()
-	m.storeMissesC.Inc()
 	m.lookups.Add(1)
 }
 

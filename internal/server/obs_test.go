@@ -32,13 +32,14 @@ func TestMetricsExpositionLints(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 2})
 	m := machine.Cydra()
 
-	// Success, cache hit, budget-exhausted, infeasible, bad request —
-	// populate every family the lint will see.
+	// Success, cache hit, budget-exhausted, infeasible, panic, bad
+	// request — populate every family the lint will see.
 	body := requestBody(t, fixture.Daxpy(m), "slack", wire.Options{})
 	post(t, ts.URL, body)
 	post(t, ts.URL, body)
 	post(t, ts.URL, requestBody(t, fixture.Divide(m), "slack", budgetTripOptions))
 	post(t, ts.URL, requestBody(t, fixture.Daxpy(m), "slack", wire.Options{MaxII: 1}))
+	post(t, ts.URL, requestBody(t, fixture.Daxpy(m), "test-panic", wire.Options{}))
 	post(t, ts.URL, []byte("{not json"))
 
 	resp, err := http.Get(ts.URL + "/metrics")
@@ -50,12 +51,29 @@ func TestMetricsExpositionLints(t *testing.T) {
 	if issues := obs.LintExposition(bytes.NewReader(b)); len(issues) != 0 {
 		t.Fatalf("exposition lint found %d issues in:\n%s\nissues: %v", len(issues), b, issues)
 	}
-	// The labelled compile counter must carry both dimensions.
-	if !strings.Contains(string(b), `lsmsd_compiles_total{scheduler="slack",outcome="ok"}`) {
-		t.Fatalf("no labelled ok compile sample in:\n%s", b)
+	// The labelled compile counter carries both dimensions and every
+	// outcome, including the ones the retired per-outcome families
+	// below used to count.
+	for _, want := range []string{
+		`lsmsd_compiles_total{scheduler="slack",outcome="ok"} 1`,
+		`lsmsd_compiles_total{scheduler="slack",outcome="central-iterations"} 1`,
+		`lsmsd_compiles_total{scheduler="slack",outcome="infeasible"} 1`,
+		`lsmsd_compiles_total{scheduler="test-panic",outcome="panic"} 1`,
+	} {
+		if !strings.Contains(string(b), want+"\n") {
+			t.Fatalf("no sample %q in:\n%s", want, b)
+		}
 	}
-	if !strings.Contains(string(b), `lsmsd_compiles_total{scheduler="slack",outcome="central-iterations"}`) {
-		t.Fatalf("no budget-reason outcome label in:\n%s", b)
+	// Families that only repeated lsmsd_compiles_total or
+	// lsmsd_cache_misses_total are gone.
+	for _, gone := range []string{
+		"lsmsd_compile_ok_total", "lsmsd_compile_degraded_total",
+		"lsmsd_compile_infeasible_total", "lsmsd_compile_budget_exhausted_total",
+		"lsmsd_panics_total", "lsmsd_internal_errors_total", "lsmsd_store_misses_total",
+	} {
+		if strings.Contains(string(b), gone) {
+			t.Errorf("retired family %s still exported", gone)
+		}
 	}
 }
 

@@ -1,6 +1,6 @@
 // Package server implements lsmsd's HTTP service: modulo-scheduling
 // compilation as admission-controlled, cached, observable traffic on
-// top of the governed pipeline (core.CompileContext + sched.Budget).
+// top of the governed pipeline (core.Compile + sched.Budget).
 //
 // Endpoints:
 //
@@ -675,15 +675,6 @@ func readBody(r io.Reader, buf *[]byte) ([]byte, error) {
 	}
 }
 
-// teeObserver fans the scheduler's event stream to the server-wide
-// aggregate and the per-request tail recorder.
-type teeObserver struct{ a, b sched.Observer }
-
-func (t teeObserver) Event(e sched.Event) {
-	t.a.Event(e)
-	t.b.Event(e)
-}
-
 // admitAndCompile runs the admission-controlled compilation and
 // serializes its outcome, recording the request's trace — spans from
 // every pipeline stage plus, for failed or degraded runs, the tail of
@@ -710,7 +701,7 @@ func (s *Server) admitAndCompile(ctx context.Context, norm *wire.Request, loop *
 
 	cfg := norm.Options.SchedConfig()
 	cfg.Budget.Deadline = s.effectiveDeadline(cfg.Budget.Deadline)
-	cfg.Observer = teeObserver{s.sm, tail}
+	cfg.Observer = sched.Tee(s.sm, tail)
 	compiled, err := s.safeCompile(obs.WithTrace(ctx, tr), loop, core.Options{
 		Scheduler:   core.SchedulerName(schedName),
 		Config:      cfg,
@@ -776,14 +767,14 @@ func (e *panicError) Error() string {
 	return fmt.Sprintf("server: %s: panic: %v", e.Loop, e.Recovered)
 }
 
-// safeCompile is CompileContext behind a panic barrier.
+// safeCompile is core.Compile behind a panic barrier.
 func (s *Server) safeCompile(ctx context.Context, l *ir.Loop, opt core.Options) (c *core.Compiled, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			c, err = nil, &panicError{Loop: l.Name, Recovered: r, Stack: debug.Stack()}
 		}
 	}()
-	return core.CompileContext(ctx, l, opt)
+	return core.Compile(ctx, l, opt)
 }
 
 // outcomeOf maps a compilation result onto the wire response and HTTP
@@ -807,12 +798,10 @@ func (s *Server) outcomeOf(norm *wire.Request, loop *ir.Loop, schedName, hash st
 	case err == nil:
 		// fall through to the success body below
 	case errors.As(err, &pe):
-		s.m.panics.Inc()
 		return s.respOutcome(http.StatusInternalServerError, obs.OutcomePanic, resp, &wire.Error{
 			Kind: wire.ErrKindPanic, Message: pe.Error(),
 		}, false)
 	case errors.As(err, &be):
-		s.m.budgetExhausted.Inc()
 		// The outcome label carries the exhausted bound (deadline,
 		// central-iterations, ii-attempts, canceled), so the labelled
 		// compile counters can tell cancellation from exhaustion.
@@ -828,7 +817,6 @@ func (s *Server) outcomeOf(norm *wire.Request, loop *ir.Loop, schedName, hash st
 			LastII:  be.LastII,
 		}, false)
 	case errors.Is(err, sched.ErrInfeasible):
-		s.m.infeasible.Inc()
 		var ie *sched.InfeasibleError
 		e := &wire.Error{Kind: wire.ErrKindInfeasible, Message: err.Error()}
 		if errors.As(err, &ie) {
@@ -838,7 +826,6 @@ func (s *Server) outcomeOf(norm *wire.Request, loop *ir.Loop, schedName, hash st
 		// (the II ceiling is part of the content hash), so cache it.
 		return s.respOutcome(http.StatusUnprocessableEntity, obs.OutcomeInfeasible, resp, e, true)
 	default:
-		s.m.internalErrors.Inc()
 		return s.respOutcome(http.StatusInternalServerError, obs.OutcomeError, resp, &wire.Error{
 			Kind: wire.ErrKindInternal, Message: err.Error(),
 		}, false)
@@ -848,9 +835,8 @@ func (s *Server) outcomeOf(norm *wire.Request, loop *ir.Loop, schedName, hash st
 	resp.OK = c.OK()
 	resp.Degraded = c.Degraded
 	if !c.OK() {
-		// Defensive: core.CompileContext reports infeasibility via err,
+		// Defensive: core.Compile reports infeasibility via err,
 		// so this branch only guards external Result producers.
-		s.m.infeasible.Inc()
 		return s.respOutcome(http.StatusUnprocessableEntity, obs.OutcomeInfeasible, resp, &wire.Error{
 			Kind:    wire.ErrKindInfeasible,
 			Message: fmt.Sprintf("no feasible schedule (last II attempted %d)", res.FailedII),
@@ -858,10 +844,8 @@ func (s *Server) outcomeOf(norm *wire.Request, loop *ir.Loop, schedName, hash st
 			LastII:  res.FailedII,
 		}, true)
 	}
-	s.m.compileOK.Inc()
 	name := obs.OutcomeOK
 	if c.Degraded {
-		s.m.compileDegraded.Inc()
 		name = obs.OutcomeDegraded
 	}
 	sc := res.Schedule

@@ -29,23 +29,23 @@ var blockRelease chan struct{}
 
 func init() {
 	core.Register("test-block", func(cfg sched.Config) core.Runner {
-		return core.RunnerFunc(func(ctx context.Context, l *ir.Loop) (*sched.Result, error) {
+		return core.RunnerFunc(func(ctx context.Context, l *ir.Loop, dst *sched.Result) error {
 			select {
 			case <-blockRelease:
 			case <-ctx.Done():
-				return nil, ctx.Err()
+				return ctx.Err()
 			}
-			return sched.Slack(cfg).ScheduleContext(ctx, l)
+			return sched.Slack(cfg).ScheduleInto(ctx, l, dst)
 		})
 	})
 	core.Register("test-panic", func(cfg sched.Config) core.Runner {
-		return core.RunnerFunc(func(ctx context.Context, l *ir.Loop) (*sched.Result, error) {
+		return core.RunnerFunc(func(context.Context, *ir.Loop, *sched.Result) error {
 			panic("synthetic scheduler panic")
 		})
 	})
 	core.Register("test-budget", func(cfg sched.Config) core.Runner {
-		return core.RunnerFunc(func(ctx context.Context, l *ir.Loop) (*sched.Result, error) {
-			return nil, &sched.BudgetError{
+		return core.RunnerFunc(func(ctx context.Context, l *ir.Loop, dst *sched.Result) error {
+			return &sched.BudgetError{
 				Loop: l.Name, Policy: "test-budget", Reason: sched.ReasonDeadline, MII: 2, LastII: 3,
 			}
 		})

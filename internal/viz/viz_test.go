@@ -1,6 +1,7 @@
 package viz
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -13,7 +14,7 @@ import (
 func scheduled(t *testing.T) (*ir.Loop, *ir.Schedule) {
 	t.Helper()
 	l := fixture.Sample(machine.Cydra())
-	res, err := sched.Slack(sched.Config{}).Schedule(l)
+	res, err := sched.Slack(sched.Config{}).Schedule(context.Background(), l)
 	if err != nil || !res.OK() {
 		t.Fatal("scheduling failed")
 	}

@@ -1,6 +1,7 @@
 package vliw
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/codegen"
@@ -17,7 +18,7 @@ import (
 func TestMVEMatchesInterpreterAndRotating(t *testing.T) {
 	m := machine.Cydra()
 	for _, r := range fixture.Runnables(m) {
-		res, err := sched.Slack(sched.Config{}).Schedule(r.Loop)
+		res, err := sched.Slack(sched.Config{}).Schedule(context.Background(), r.Loop)
 		if err != nil || !res.OK() {
 			t.Fatalf("%s: scheduling failed", r.Loop.Name)
 		}
@@ -66,7 +67,7 @@ func TestMVEMatchesInterpreterAndRotating(t *testing.T) {
 func TestMVEUnrollFactor(t *testing.T) {
 	m := machine.Cydra()
 	l := fixture.Sample(m)
-	res, err := sched.Slack(sched.Config{}).Schedule(l)
+	res, err := sched.Slack(sched.Config{}).Schedule(context.Background(), l)
 	if err != nil || !res.OK() {
 		t.Fatal("scheduling failed")
 	}
@@ -91,7 +92,7 @@ func TestMVEUnrollFactor(t *testing.T) {
 func TestMVEShortTrips(t *testing.T) {
 	m := machine.Cydra()
 	r := fixture.RunnableSample(m)
-	res, err := sched.Slack(sched.Config{}).Schedule(r.Loop)
+	res, err := sched.Slack(sched.Config{}).Schedule(context.Background(), r.Loop)
 	if err != nil || !res.OK() {
 		t.Fatal("scheduling failed")
 	}

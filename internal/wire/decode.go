@@ -184,8 +184,6 @@ func (d *decoder) options(o *Options) error {
 			return intField(d, &o.MaxII)
 		case "start_ii":
 			return intField(d, &o.StartII)
-		case "no_fast_paths":
-			return d.boolean(&o.NoFastPaths)
 		case "deadline_ms":
 			return intField(d, &o.DeadlineMS)
 		case "max_central_iters":

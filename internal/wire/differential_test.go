@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"context"
 	"encoding/json"
 	"reflect"
 	"testing"
@@ -12,7 +13,7 @@ import (
 
 // TestDifferentialLoopgen runs generator loops through the full wire
 // path — encode → canonical JSON → parse → normalize (decode) →
-// CompileContext — and asserts the schedule, II, MaxLive, and the
+// core.Compile — and asserts the schedule, II, MaxLive, and the
 // deterministic effort counters match the direct compilation of the
 // original loop, for both the paper's scheduler and the baseline.
 func TestDifferentialLoopgen(t *testing.T) {
@@ -66,7 +67,7 @@ type outcome struct {
 
 func compileAny(t *testing.T, scheduler, name string, l *ir.Loop) outcome {
 	t.Helper()
-	c, err := core.Compile(l, core.Options{
+	c, err := core.Compile(context.Background(), l, core.Options{
 		Scheduler:   core.SchedulerName(scheduler),
 		SkipCodegen: true,
 	})

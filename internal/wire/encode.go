@@ -81,9 +81,6 @@ func appendOptions(b []byte, o *Options) []byte {
 	if o.StartII != 0 {
 		b = appendInt(append(b, `,"start_ii":`...), o.StartII)
 	}
-	if o.NoFastPaths {
-		b = append(b, `,"no_fast_paths":true`...)
-	}
 	if o.DeadlineMS != 0 {
 		b = appendInt(append(b, `,"deadline_ms":`...), o.DeadlineMS)
 	}

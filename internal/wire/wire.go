@@ -92,7 +92,6 @@ type Options struct {
 	MinEjectBudget   int   `json:"min_eject_budget,omitempty"`
 	MaxII            int   `json:"max_ii,omitempty"`
 	StartII          int   `json:"start_ii,omitempty"`
-	NoFastPaths      bool  `json:"no_fast_paths,omitempty"`
 	DeadlineMS       int64 `json:"deadline_ms,omitempty"`
 	MaxCentralIters  int64 `json:"max_central_iters,omitempty"`
 	MaxIIAttempts    int   `json:"max_ii_attempts,omitempty"`
@@ -100,7 +99,7 @@ type Options struct {
 }
 
 // SchedConfig converts the wire options to a sched.Config (Observer
-// and Trace are process-local and stay nil).
+// is process-local and stays nil).
 func (o Options) SchedConfig() sched.Config {
 	return sched.Config{
 		IncrementByOne:   o.IncrementByOne,
@@ -108,7 +107,6 @@ func (o Options) SchedConfig() sched.Config {
 		MinEjectBudget:   o.MinEjectBudget,
 		MaxII:            o.MaxII,
 		StartII:          o.StartII,
-		NoFastPaths:      o.NoFastPaths,
 		Budget: sched.Budget{
 			Deadline:        time.Duration(o.DeadlineMS) * time.Millisecond,
 			MaxCentralIters: o.MaxCentralIters,
@@ -125,7 +123,6 @@ func OptionsFrom(cfg sched.Config, degrade bool) Options {
 		MinEjectBudget:   cfg.MinEjectBudget,
 		MaxII:            cfg.MaxII,
 		StartII:          cfg.StartII,
-		NoFastPaths:      cfg.NoFastPaths,
 		DeadlineMS:       cfg.Budget.Deadline.Milliseconds(),
 		MaxCentralIters:  cfg.Budget.MaxCentralIters,
 		MaxIIAttempts:    cfg.Budget.MaxIIAttempts,

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"os"
@@ -18,7 +19,7 @@ import (
 // the deterministic observables.
 func compile(t *testing.T, l *ir.Loop, scheduler string) (ii int, times []int, maxLive int, eff Effort) {
 	t.Helper()
-	c, err := core.Compile(l, core.Options{
+	c, err := core.Compile(context.Background(), l, core.Options{
 		Scheduler:   core.SchedulerName(scheduler),
 		SkipCodegen: true,
 	})
@@ -293,6 +294,45 @@ func TestV1EnvelopeCompat(t *testing.T) {
 	}
 	if h != goldenHash {
 		t.Errorf("v1 form hashes %s, v2 form %s; they must share a cache entry", h, goldenHash)
+	}
+}
+
+// TestRetiredOptionKeyIgnored: testdata/daxpy.retired-option.wire.json
+// is the golden fixture with the fast-path debug key an earlier wire
+// revision accepted in "options". The key is now an ordinary unknown
+// key, so the request decodes, canonicalizes and hashes exactly like
+// the golden fixture without it.
+func TestRetiredOptionKeyIgnored(t *testing.T) {
+	golden, err := os.ReadFile("testdata/daxpy.wire.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	retired, err := os.ReadFile("testdata/daxpy.retired-option.wire.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Equal(golden, retired) {
+		t.Fatal("fixtures are identical; the retired key is missing")
+	}
+	var want, got Request
+	if err := json.Unmarshal(golden, &want); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(retired, &got); err != nil {
+		t.Fatalf("request with the retired key does not decode: %v", err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("decoded requests differ:\n got %+v\nwant %+v", got, want)
+	}
+	canon, err := got.Canonical()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(canon, bytes.TrimRight(golden, "\n")) {
+		t.Errorf("canonical form differs from the golden fixture:\n%s", canon)
+	}
+	if h, err := got.Hash(); err != nil || h != goldenHash {
+		t.Errorf("hash = %s (%v), want %s", h, err, goldenHash)
 	}
 }
 
