@@ -4,7 +4,7 @@
 // Usage:
 //
 //	lsms-bench [-size 1525] [-seed 1993] [-exp all] [-parallel N]
-//	           [-benchjson BENCH_sched.json] [-metricsjson BENCH_metrics.json]
+//	           [-metricsjson BENCH_metrics.json]
 //	           [-tracedir DIR] [-deadline 0] [-degrade]
 //
 // -tracedir traces every compilation in the sweep and writes one Chrome
@@ -13,7 +13,7 @@
 //
 // Experiments: table1 table2 table3 table4 fig5 fig6 fig7 fig8 effort
 // headline ablation regalloc iistep expansion predshare straightline
-// latencies targets gap perf metrics all
+// latencies targets gap metrics all. An unknown id exits with status 2.
 //
 // The "gap" experiment re-searches the corpus with the exact
 // branch-and-bound backend under a per-loop budget (-gap-deadline,
@@ -55,6 +55,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"time"
 
@@ -71,7 +72,6 @@ func main() {
 	seed := flag.Int64("seed", 1993, "workload generator seed")
 	exp := flag.String("exp", "all", "comma-separated experiment ids")
 	par := flag.Int("parallel", 0, "worker pool for the scheduling sweep (0 = GOMAXPROCS, 1 = sequential)")
-	benchjson := flag.String("benchjson", "", "write the perf experiment's JSON record here (implies -exp perf)")
 	metricsjson := flag.String("metricsjson", "", "write the merged event-stream metrics JSON here (implies -exp metrics)")
 	tracedir := flag.String("tracedir", "", "write one Chrome trace_event file per policy into this directory")
 	noFast := flag.Bool("nofastpaths", false, "disable parametric MinDist reuse and incremental bounds (perf attribution baseline)")
@@ -92,6 +92,12 @@ func main() {
 	gapNodes := flag.Int64("gap-nodes", 1<<20, "gap experiment: per-loop exact-search node budget")
 	flag.Parse()
 
+	wants, err := parseExps(*exp)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "lsms-bench: %v\n", err)
+		os.Exit(2)
+	}
+	want := func(id string) bool { return wants["all"] || wants[id] }
 	mach := resolveMachine(*machName)
 
 	if *history != "" {
@@ -126,12 +132,6 @@ func main() {
 		}))
 		return
 	}
-
-	wants := map[string]bool{}
-	for _, e := range strings.Split(*exp, ",") {
-		wants[strings.TrimSpace(e)] = true
-	}
-	want := func(id string) bool { return wants["all"] || wants[id] }
 
 	var s *bench.Suite
 	suite := func() *bench.Suite {
@@ -283,15 +283,6 @@ func main() {
 		fmt.Println("Markdown (EXPERIMENTS.md form):")
 		fmt.Println(bench.MarkdownGap(rows))
 	}
-	if want("perf") || *benchjson != "" {
-		r, err := bench.Perf(suite())
-		check(err)
-		fmt.Println(r)
-		if *benchjson != "" {
-			check(r.WriteJSON(*benchjson))
-			fmt.Printf("perf record written to %s\n", *benchjson)
-		}
-	}
 	if want("metrics") || *metricsjson != "" {
 		r, err := bench.CollectMetrics(suite())
 		check(err)
@@ -304,6 +295,28 @@ func main() {
 	if *tracedir != "" {
 		check(writeTraces(suite(), *tracedir))
 	}
+}
+
+// experiments lists the -exp ids in the order they run.
+var experiments = []string{"table1", "table2", "table3", "table4", "fig5", "fig6", "fig7", "fig8",
+	"effort", "headline", "ablation", "regalloc", "iistep", "expansion", "predshare",
+	"straightline", "latencies", "targets", "gap", "metrics"}
+
+// parseExps splits the comma-separated -exp list, rejecting ids that
+// name no experiment so a typo cannot pass for an empty run.
+func parseExps(list string) (map[string]bool, error) {
+	wants := map[string]bool{}
+	for _, e := range strings.Split(list, ",") {
+		e = strings.TrimSpace(e)
+		if e == "" {
+			continue
+		}
+		if e != "all" && !slices.Contains(experiments, e) {
+			return nil, fmt.Errorf("unknown experiment %q (valid: all %s)", e, strings.Join(experiments, " "))
+		}
+		wants[e] = true
+	}
+	return wants, nil
 }
 
 // writeTraces sweeps every policy (cached runs are reused) and writes

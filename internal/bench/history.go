@@ -1,10 +1,8 @@
-// Continuous benchmark trajectory: BENCH_sched.json is a single
-// snapshot, so a perf win recorded there is invisible one PR later.
-// History appends one record per PR (keyed by git SHA and date) to an
-// append-only JSONL file — conventionally BENCH_history.jsonl at the
-// repo root — each carrying ns/op, B/op, allocs/op per scheduling
-// policy on the per-compile hot path plus the Section 6 effort
-// counters of one deterministic sweep. cmd/benchdiff compares the head
+// Continuous benchmark trajectory: History appends one record per PR
+// (keyed by git SHA and date) to an append-only JSONL file —
+// conventionally BENCH_history.jsonl at the repo root — each carrying
+// ns/op, B/op, allocs/op per scheduling policy on the per-compile hot
+// path plus the Section 6 effort counters of one deterministic sweep. cmd/benchdiff compares the head
 // record against the last committed one and fails CI on regression.
 package bench
 

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/obs"
+	"repro/internal/sched"
 )
 
 // The -metricsjson record must be byte-deterministic: same corpus, same
@@ -43,8 +44,8 @@ func TestMetricsJSONByteDeterministic(t *testing.T) {
 		for _, n := range p.Outcomes {
 			total += n
 		}
-		if total != p.Counters.Attempts {
-			t.Fatalf("%s: outcome total %d != attempts %d", p.Policy, total, p.Counters.Attempts)
+		if attempts := p.Events[sched.EvAttemptStart.String()]; total != attempts {
+			t.Fatalf("%s: outcome total %d != attempts %d", p.Policy, total, attempts)
 		}
 	}
 }

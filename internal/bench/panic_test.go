@@ -146,7 +146,7 @@ func TestMetricsReportDeterministicAcrossPools(t *testing.T) {
 		t.Fatalf("got %d policies, want %d", len(mr1.Policies), len(core.Schedulers()))
 	}
 	for _, p := range mr1.Policies {
-		if p.Counters.Attempts == 0 || p.Events[sched.EvPlace.String()] == 0 {
+		if p.Events[sched.EvAttemptStart.String()] == 0 || p.Events[sched.EvPlace.String()] == 0 {
 			t.Fatalf("%s: metrics counted nothing: %+v", p.Policy, p)
 		}
 	}
@@ -175,7 +175,7 @@ func TestMetricsDoNotPerturbScheduling(t *testing.T) {
 			t.Fatalf("%s: no metrics attached", ro[i].Info.Name)
 		}
 	}
-	if m := MergeMetrics(ro); m == nil || m.Attempts == 0 {
+	if m := MergeMetrics(ro); m == nil || m.Events[sched.EvAttemptStart] == 0 {
 		t.Fatalf("merged metrics empty: %+v", MergeMetrics(ro))
 	}
 	if MergeMetrics(rp) != nil {

@@ -1,9 +1,6 @@
 package bench
 
 import (
-	"encoding/json"
-	"os"
-	"path/filepath"
 	"testing"
 
 	"repro/internal/core"
@@ -86,41 +83,5 @@ func TestFastPathsMatchLegacyAcrossWorkload(t *testing.T) {
 					rl[i].OK, rl[i].II, rl[i].MaxLive)
 			}
 		}
-	}
-}
-
-// TestPerfReport smoke-tests the JSON emitter: all policies present,
-// counters populated, wall time attributed, file written.
-func TestPerfReport(t *testing.T) {
-	s := suite(t, 60)
-	r, err := Perf(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(r.Policies) != len(core.Schedulers()) {
-		t.Fatalf("got %d policies, want %d", len(r.Policies), len(core.Schedulers()))
-	}
-	for _, p := range r.Policies {
-		if p.Loops != s.Size() || p.Placements == 0 || p.CentralIters == 0 {
-			t.Fatalf("%s: implausible counters %+v", p.Policy, p)
-		}
-	}
-	if !r.FastPaths {
-		t.Fatal("default sweep should use the fast paths")
-	}
-	path := filepath.Join(t.TempDir(), "BENCH_sched.json")
-	if err := r.WriteJSON(path); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var back PerfReport
-	if err := json.Unmarshal(data, &back); err != nil {
-		t.Fatal(err)
-	}
-	if back.Size != r.Size || len(back.Policies) != len(r.Policies) {
-		t.Fatalf("round trip mismatch: %+v vs %+v", back, r)
 	}
 }

@@ -17,9 +17,10 @@
 // infeasible within the search horizon.
 //
 // Optimality is relative to the same horizon convention as the
-// exhaustive oracle (sched.FindAtII / sched.BestAtII): issue cycles in
-// [0, CriticalPath + 3·II + 1). The differential tests in this package
-// pin (II, MaxLive) bit-identity between the two on small loops.
+// exhaustive oracle (FindAtII / BestAtII in the sched package's
+// tests): issue cycles in [0, CriticalPath + 3·II + 1). The
+// differential tests there (oracle_test.go) pin (II, MaxLive)
+// bit-identity between the two on small loops.
 //
 // Budgets: Config.Budget.MaxCentralIters caps search nodes (the
 // deterministic bound — one node is one branch of the placement tree),

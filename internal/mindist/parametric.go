@@ -229,6 +229,7 @@ type Cache struct {
 	parReuse  *Parametric // scratch store for the one-time build (may be nil)
 	parFailed bool
 	calls     int
+	direct    bool
 	stop      func() bool
 	tr        *obs.Trace
 }
@@ -257,6 +258,7 @@ func (s *Scratch) CacheFor(l *ir.Loop) *Cache {
 	c.parReuse = &s.par
 	c.parFailed = false
 	c.calls = 0
+	c.direct = false
 	c.stop = nil
 	c.tr = nil
 	return c
@@ -271,6 +273,7 @@ func (s *Scratch) Reset() {
 	c.parReuse = nil
 	c.parFailed = false
 	c.calls = 0
+	c.direct = false
 	c.stop = nil
 	c.tr = nil
 }
@@ -281,6 +284,11 @@ func (s *Scratch) Reset() {
 // disables the checks entirely. The scheduler wires its budget guard
 // here so deadlines bound even the O(n³) MinDist work.
 func (c *Cache) SetStop(stop func() bool) { c.stop = stop }
+
+// SetDirect makes every At call run Floyd–Warshall at its II, never
+// building the parametric relation — the scheduler's NoFastPaths mode.
+// Direct tables still poll the stop and record "mindist" spans.
+func (c *Cache) SetDirect(direct bool) { c.direct = direct }
 
 // SetTrace attaches an observability trace: each At call then records a
 // "mindist" span carrying the II and the mode that answered it (direct
@@ -293,7 +301,7 @@ func (c *Cache) SetTrace(tr *obs.Trace) { c.tr = tr }
 // ErrStopped when the stop poll fired.
 func (c *Cache) At(ii int) (*Table, error) {
 	c.calls++
-	if c.calls > 1 && c.par == nil && !c.parFailed {
+	if c.calls > 1 && c.par == nil && !c.parFailed && !c.direct {
 		sp := c.tr.Start("mindist-parametric")
 		p, err := newParametricIn(c.l, DefaultFrontierCap, c.stop, c.parReuse)
 		switch {

@@ -12,6 +12,7 @@ import (
 	"repro/internal/machine"
 	"repro/internal/mii"
 	"repro/internal/mindist"
+	"repro/internal/obs"
 )
 
 // sameTable asserts every entry of the two tables matches.
@@ -201,5 +202,41 @@ func BenchmarkParametricInstantiate(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// TestCacheDirectMode is the NoFastPaths contract: a direct-mode cache
+// answers every retry with Floyd–Warshall (a "mindist" span with
+// mode=direct, never a parametric build) and still polls its stop, so a
+// budget bounds the direct path too.
+func TestCacheDirectMode(t *testing.T) {
+	l := fixture.Sample(machine.Cydra())
+	b, err := mii.Compute(l)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := obs.NewTrace("direct", l.Name)
+	c := mindist.NewCache(l)
+	c.SetDirect(true)
+	c.SetTrace(tr)
+	for ii := b.MII; ii <= b.MII+3; ii++ {
+		direct, err := mindist.Compute(l, ii)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := c.At(ii)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameTable(t, l.Name, ii, direct, got)
+	}
+	for _, sp := range tr.Spans {
+		if sp.Name != "mindist" || sp.Attrs[1].Str != "direct" {
+			t.Fatalf("direct-mode cache recorded %s %+v", sp.Name, sp.Attrs)
+		}
+	}
+	c.SetStop(func() bool { return true })
+	if _, err := c.At(b.MII + 4); !errors.Is(err, mindist.ErrStopped) {
+		t.Fatalf("stopped direct-mode At: err = %v, want ErrStopped", err)
 	}
 }

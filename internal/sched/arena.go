@@ -25,6 +25,7 @@ import (
 	"repro/internal/mii"
 	"repro/internal/mindist"
 	"repro/internal/mrt"
+	"repro/internal/obs"
 )
 
 // Arena holds the pooled scratch state of one compilation. The zero
@@ -38,6 +39,8 @@ type Arena struct {
 	md  mindist.Scratch // MinDist cache + parametric frontier store
 	mrt mrt.Scratch     // modulo resource table rows + op span arrays
 	lt  lifetime.Scratch
+
+	spans spanObserver // derives attempt spans when the compile is traced
 
 	// Per-compile loop preparation (see prepareLoop).
 	preparedFor *ir.Loop
@@ -95,8 +98,9 @@ func acquireArena(nopool bool) *Arena {
 
 // Release ends the arena's compile: it drops every reference to
 // per-request data — the loop, the MinDist cache's loop/poll/trace, the
-// MRT's loop, the attempt state's observer and event strings — and, for
-// pooled arenas, returns the backing stores to the pool. Double release
+// MRT's loop, the attempt state's observer and event strings, the span
+// adapter's trace — and, for pooled arenas, returns the backing stores
+// to the pool. Double release
 // is a no-op so a deferred Release composes with early manual ones.
 func (a *Arena) Release() {
 	if !a.held {
@@ -114,6 +118,7 @@ func (a *Arena) Release() {
 	st.mrt = nil
 	st.obs = nil
 	st.evt = Event{}
+	a.spans = spanObserver{}
 
 	if a.pooled {
 		arenaRecycled.Add(1)
@@ -124,9 +129,17 @@ func (a *Arena) Release() {
 // Lifetime returns the arena's pooled pressure-measurement scratch.
 func (a *Arena) Lifetime() *lifetime.Scratch { return &a.lt }
 
-// cacheFor returns the arena's MinDist cache rebound to l. Tables it
-// hands out alias arena storage; publish them only via Table.Clone.
-func (a *Arena) cacheFor(l *ir.Loop) *mindist.Cache { return a.md.CacheFor(l) }
+// cacheFor returns the arena's MinDist cache rebound to l: it polls
+// stop, records spans on tr, and computes every II directly when
+// direct (Config.NoFastPaths). Tables it hands out alias arena storage;
+// publish them only via Table.Clone.
+func (a *Arena) cacheFor(l *ir.Loop, stop func() bool, tr *obs.Trace, direct bool) *mindist.Cache {
+	c := a.md.CacheFor(l)
+	c.SetStop(stop)
+	c.SetTrace(tr)
+	c.SetDirect(direct)
+	return c
+}
 
 // prepareLoop builds the per-compile, II-independent view of the loop:
 // the compact CSR dependence adjacency (int32, first-occurrence order,

@@ -49,8 +49,9 @@ type Config struct {
 	// run (EvAttemptStart, EvPlace, EvForce, EvEject, EvRestart,
 	// EvAttemptEnd); see Observer, Tee and TextObserver.
 	Observer Observer
-	// NoFastPaths disables the parametric MinDist cache and the
-	// incremental Estart/Lstart maintenance, recomputing both from
+	// NoFastPaths puts the MinDist cache in direct mode (Floyd–Warshall
+	// at every II, never the parametric relation) and disables the
+	// incremental Estart/Lstart maintenance, recomputing bounds from
 	// scratch at every step. The optimized and direct paths are proven
 	// equivalent by differential tests; this knob exists for them and
 	// for perf attribution.
@@ -90,8 +91,6 @@ type Stats struct {
 	Ejections    int64         // operations ejected from partial schedules
 	Restarts     int64         // step-6 invocations (budget exhausted)
 	Elapsed      time.Duration // wall-clock scheduling time
-	MinDistTime  time.Duration // of Elapsed: building MinDist tables
-	CentralTime  time.Duration // of Elapsed: running the central loop
 }
 
 // Backtracked reports whether the loop needed any backtracking.
@@ -189,7 +188,6 @@ func (s *Scheduler) ScheduleInto(ctx context.Context, l *ir.Loop, dst *Result) e
 	}
 
 	guard := newBudgetGuard(ctx, s.cfg.Budget)
-	sink := s.cfg.Observer
 
 	// Pooled scratch: everything per-attempt lives in the arena. When
 	// the caller did not supply one, acquire here and release on every
@@ -201,40 +199,30 @@ func (s *Scheduler) ScheduleInto(ctx context.Context, l *ir.Loop, dst *Result) e
 		a = acquireArena(s.cfg.NoPool)
 		defer a.Release()
 	}
-	// Fast-path MinDist tables alias arena storage that the next compile
+	// MinDist tables alias arena storage that the next compile
 	// overwrites, so the table escaping through res.MinDist is cloned at
 	// exit (LIFO: this defer runs before the arena release above).
 	defer func() {
-		if !s.cfg.NoFastPaths && res.MinDist != nil {
+		if res.MinDist != nil {
 			res.MinDist = res.MinDist.CloneInto(prevMD)
 		}
 	}()
+	sink := a.sink(tr, s.cfg.Observer)
 
 	// The cache computes the first II directly and answers retries from
 	// the parametric relation in O(n²), reusing one table's backing
 	// store throughout; res.MinDist therefore always holds the table at
 	// the final (achieved or last attempted) II. Under a budget the
-	// cache polls the guard so even MinDist construction is bounded.
-	cache := a.cacheFor(l)
-	cache.SetStop(guard.stop())
-	cache.SetTrace(tr)
+	// cache polls the guard so even MinDist construction is bounded;
+	// under NoFastPaths it computes every II directly.
+	cache := a.cacheFor(l, guard.stop(), tr, s.cfg.NoFastPaths)
 	for ii <= maxII {
 		if reason := guard.attemptExceeded(&res.Stats, res.Stats.IIAttempts); reason != "" {
 			res.Stats.Elapsed = time.Since(started)
 			return s.budgetError(ctx, l, reason, bounds, ii, res.Stats)
 		}
 		res.Stats.IIAttempts++
-		mdStart := time.Now()
-		var md *mindist.Table
-		var err error
-		if s.cfg.NoFastPaths {
-			sp := tr.Start("mindist").Int("ii", int64(ii)).Str("mode", "direct")
-			md, err = mindist.Compute(l, ii)
-			sp.End(mindistOutcome(err))
-		} else {
-			md, err = cache.At(ii)
-		}
-		res.Stats.MinDistTime += time.Since(mdStart)
+		md, err := cache.At(ii)
 		if err != nil {
 			if errors.Is(err, mindist.ErrStopped) {
 				reason := guard.exceeded(&res.Stats)
@@ -250,29 +238,21 @@ func (s *Scheduler) ScheduleInto(ctx context.Context, l *ir.Loop, dst *Result) e
 			continue
 		}
 		res.MinDist = md
-		caStart := time.Now()
-		itersBefore := res.Stats.CentralIters
-		spa := tr.Start("attempt").Int("ii", int64(ii))
-		st := a.newState(l, ii, md)
-		st.noIncremental = s.cfg.NoFastPaths
+		evt := Event{Loop: l.Name, Policy: s.policy.Name(), II: ii, Op: -1}
 		if sink != nil {
-			st.obs = sink
-			st.evt = Event{Loop: l.Name, Policy: s.policy.Name(), II: ii, Op: -1}
-			e := st.evt
+			e := evt
 			e.Kind = EvAttemptStart
 			sink.Event(e)
 		}
+		st := a.newState(l, ii, md)
+		st.noIncremental = s.cfg.NoFastPaths
+		st.obs, st.evt = sink, evt
 		ok, reason := s.attempt(st, &res.Stats, &guard, sink)
-		res.Stats.CentralTime += time.Since(caStart)
-		outcome := attemptOutcome(ok, reason)
-		spa.Int("iters", res.Stats.CentralIters-itersBefore).
-			Int("ejections", int64(st.ejections)).
-			End(outcome.String())
 		if sink != nil {
-			e := st.evt
+			e := evt
 			e.Kind = EvAttemptEnd
 			e.OK = ok
-			e.Outcome = outcome
+			e.Outcome = attemptOutcome(ok, reason)
 			e.Ejections = st.ejections
 			sink.Event(e)
 		}
@@ -289,7 +269,7 @@ func (s *Scheduler) ScheduleInto(ctx context.Context, l *ir.Loop, dst *Result) e
 		res.Stats.Restarts++
 		res.FailedII = ii
 		if sink != nil {
-			e := st.evt
+			e := evt
 			e.Kind = EvRestart
 			e.Ejections = st.ejections
 			sink.Event(e)
@@ -304,20 +284,6 @@ func (s *Scheduler) ScheduleInto(ctx context.Context, l *ir.Loop, dst *Result) e
 		MaxII:  maxII,
 		LastII: res.FailedII,
 		Stats:  res.Stats,
-	}
-}
-
-// mindistOutcome classifies a MinDist computation for its span: stopped
-// tables mean the budget tripped mid-build; any other error means the II
-// violated a recurrence (infeasible at this II).
-func mindistOutcome(err error) string {
-	switch {
-	case err == nil:
-		return obs.OutcomeOK
-	case errors.Is(err, mindist.ErrStopped):
-		return obs.OutcomeBudgetExhausted
-	default:
-		return obs.OutcomeInfeasible
 	}
 }
 

@@ -66,7 +66,6 @@ func ListScheduleInto(ctx context.Context, l *ir.Loop, cfg Config, dst *Result) 
 	n := len(l.Ops)
 
 	guard := newBudgetGuard(ctx, cfg.Budget)
-	sink := cfg.Observer
 	budgetStop := func(reason string, ii int) error {
 		res.Stats.Elapsed = time.Since(started)
 		e := &BudgetError{
@@ -88,28 +87,19 @@ func ListScheduleInto(ctx context.Context, l *ir.Loop, cfg Config, dst *Result) 
 		defer a.Release()
 	}
 	defer func() {
-		if !cfg.NoFastPaths && res.MinDist != nil {
+		if res.MinDist != nil {
 			res.MinDist = res.MinDist.CloneInto(prevMD)
 		}
 	}()
+	sink := a.sink(tr, cfg.Observer)
 
-	cache := a.cacheFor(l)
-	cache.SetStop(guard.stop())
-	cache.SetTrace(tr)
+	cache := a.cacheFor(l, guard.stop(), tr, cfg.NoFastPaths)
 	for ii := bounds.MII; ii <= maxII; ii++ {
 		if reason := guard.attemptExceeded(&res.Stats, res.Stats.IIAttempts); reason != "" {
 			return budgetStop(reason, ii)
 		}
 		res.Stats.IIAttempts++
-		mdStart := time.Now()
-		var md *mindist.Table
-		var err error
-		if cfg.NoFastPaths {
-			md, err = mindist.Compute(l, ii)
-		} else {
-			md, err = cache.At(ii)
-		}
-		res.Stats.MinDistTime += time.Since(mdStart)
+		md, err := cache.At(ii)
 		if err != nil {
 			if errors.Is(err, mindist.ErrStopped) {
 				reason := guard.exceeded(&res.Stats)
@@ -129,9 +119,6 @@ func ListScheduleInto(ctx context.Context, l *ir.Loop, cfg Config, dst *Result) 
 			e.Kind = EvAttemptStart
 			sink.Event(e)
 		}
-		caStart := time.Now()
-		itersBefore := res.Stats.CentralIters
-		spa := tr.Start("attempt").Int("ii", int64(ii)).Str("policy", "list")
 		// Height priority: longest path to Stop at this II.
 		order, times := a.listScratch(n)
 		for i := range order {
@@ -160,10 +147,11 @@ func ListScheduleInto(ctx context.Context, l *ir.Loop, cfg Config, dst *Result) 
 				}
 			}
 			res.Stats.CentralIters++
-			// Earliest start from already-placed ops (both directions of
-			// the MinDist constraint must hold against each).
+			// Earliest start from Start (MinDist index n) and from
+			// already-placed ops (both directions of the MinDist
+			// constraint must hold against each).
 			lo := 0
-			if d := md.Dist(md.Start(), x); d != mindist.NoPath {
+			if d := md.Dist(n, x); d != mindist.NoPath {
 				lo = d
 			}
 			hi := -1
@@ -213,14 +201,11 @@ func ListScheduleInto(ctx context.Context, l *ir.Loop, cfg Config, dst *Result) 
 				break
 			}
 		}
-		res.Stats.CentralTime += time.Since(caStart)
-		outcome := attemptOutcome(ok && stopReason == "", stopReason)
-		spa.Int("iters", res.Stats.CentralIters-itersBefore).End(outcome.String())
 		if sink != nil {
 			e := evt
 			e.Kind = EvAttemptEnd
 			e.OK = ok && stopReason == ""
-			e.Outcome = outcome
+			e.Outcome = attemptOutcome(e.OK, stopReason)
 			sink.Event(e)
 		}
 		if stopReason != "" {

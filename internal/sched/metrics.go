@@ -13,10 +13,6 @@ type Metrics struct {
 	// Events counts every event by kind, indexed by EventKind.
 	Events [numEventKinds]int64 `json:"-"`
 
-	// Attempts / AttemptsOK count II attempts and how many succeeded.
-	Attempts   int64 `json:"attempts"`
-	AttemptsOK int64 `json:"attempts_ok"`
-
 	// AttemptOutcomes counts finished attempts by AttemptOutcome — the
 	// dimension the flat OK bit loses: a budget-exhausted attempt
 	// (deadline, central-iteration or II-attempt cap) is distinguishable
@@ -33,9 +29,6 @@ type Metrics struct {
 	// attempts with ejections in [2^(b-1), 2^b), bucket 0 counts
 	// ejection-free attempts.
 	EjectionsPerAttempt [16]int64 `json:"ejections_per_attempt"`
-
-	// Degradations counts EvDegraded events (list-scheduler fallbacks).
-	Degradations int64 `json:"degradations"`
 }
 
 // Event implements Observer.
@@ -44,22 +37,15 @@ func (m *Metrics) Event(e Event) {
 		m.Events[e.Kind]++
 	}
 	switch e.Kind {
-	case EvAttemptStart:
-		m.Attempts++
 	case EvPlace:
 		if e.Cycle < 0 {
 			m.ScanFailures++
 		}
 	case EvAttemptEnd:
-		if e.OK {
-			m.AttemptsOK++
-		}
 		if int(e.Outcome) < len(m.AttemptOutcomes) {
 			m.AttemptOutcomes[e.Outcome]++
 		}
 		m.EjectionsPerAttempt[histBucket(e.Ejections)]++
-	case EvDegraded:
-		m.Degradations++
 	}
 }
 
@@ -87,8 +73,6 @@ func (m *Metrics) Merge(other *Metrics) {
 	for i := range m.Events {
 		m.Events[i] += other.Events[i]
 	}
-	m.Attempts += other.Attempts
-	m.AttemptsOK += other.AttemptsOK
 	for i := range m.AttemptOutcomes {
 		m.AttemptOutcomes[i] += other.AttemptOutcomes[i]
 	}
@@ -96,7 +80,6 @@ func (m *Metrics) Merge(other *Metrics) {
 	for i := range m.EjectionsPerAttempt {
 		m.EjectionsPerAttempt[i] += other.EjectionsPerAttempt[i]
 	}
-	m.Degradations += other.Degradations
 }
 
 // EventCounts returns the per-kind counters keyed by the kind's stable

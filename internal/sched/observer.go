@@ -3,6 +3,8 @@ package sched
 import (
 	"fmt"
 	"io"
+
+	"repro/internal/obs"
 )
 
 // AttemptOutcome classifies how one II attempt ended; it is stamped on
@@ -175,6 +177,46 @@ type tee struct{ a, b Observer }
 func (t tee) Event(e Event) {
 	t.a.Event(e)
 	t.b.Event(e)
+}
+
+// spanObserver derives a trace's "attempt" spans from the event
+// stream: EvAttemptStart opens one carrying the II and policy, each
+// EvPlace counts one central-loop iteration, and EvAttemptEnd closes it
+// with the attempt's ejections and outcome. Every event is then
+// forwarded to next, the caller's Config.Observer, when one is set. It
+// lives in the Arena, so a traced compile allocates nothing for it.
+type spanObserver struct {
+	tr    *obs.Trace
+	next  Observer
+	sp    *obs.Span
+	iters int64
+}
+
+func (o *spanObserver) Event(e Event) {
+	switch e.Kind {
+	case EvAttemptStart:
+		o.sp = o.tr.Start("attempt").Int("ii", int64(e.II)).Str("policy", e.Policy)
+		o.iters = 0
+	case EvPlace:
+		o.iters++
+	case EvAttemptEnd:
+		o.sp.Int("iters", o.iters).Int("ejections", int64(e.Ejections)).End(e.Outcome.String())
+		o.sp = nil
+	}
+	if o.next != nil {
+		o.next.Event(e)
+	}
+}
+
+// sink returns the observer one scheduling run emits to: the arena's
+// span adapter when the context carries a trace (forwarding to cfg),
+// else cfg itself — nil for an unobserved run.
+func (a *Arena) sink(tr *obs.Trace, cfg Observer) Observer {
+	if tr == nil {
+		return cfg
+	}
+	a.spans = spanObserver{tr: tr, next: cfg}
+	return &a.spans
 }
 
 // textObserver renders events in the -trace text format.

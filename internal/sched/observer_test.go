@@ -187,19 +187,19 @@ func TestMetricsMergeMatchesSerial(t *testing.T) {
 	if !reflect.DeepEqual(whole, merged) {
 		t.Fatalf("merged metrics differ from serial aggregate:\nserial %+v\nmerged %+v", whole, merged)
 	}
-	if merged.Attempts == 0 || merged.Events[EvPlace] == 0 {
+	if merged.Events[EvAttemptStart] == 0 || merged.Events[EvPlace] == 0 {
 		t.Fatalf("metrics did not count anything: %+v", merged)
 	}
 }
 
 // The outcome dimension survives Merge and always reconciles with the
-// flat Attempts/AttemptsOK counters — the dimension is additive, never
-// an alternative count. (Mid-attempt exhaustion and cancellation
+// attempt-start events and with one successful attempt per loop — the
+// dimension is additive, never an alternative count. (Mid-attempt exhaustion and cancellation
 // specifics are covered in outcome_test.go.)
 func TestMetricsOutcomeDimension(t *testing.T) {
-	m := machine.Cydra()
+	loops := fixture.All(machine.Cydra())
 	merged := &Metrics{}
-	for _, l := range fixture.All(m) {
+	for _, l := range loops {
 		per := &Metrics{}
 		cfg := tinyEject
 		cfg.Observer = per
@@ -212,12 +212,11 @@ func TestMetricsOutcomeDimension(t *testing.T) {
 	for _, n := range merged.AttemptOutcomes {
 		total += n
 	}
-	if total != merged.Attempts {
-		t.Fatalf("outcome total %d != attempts %d", total, merged.Attempts)
+	if total != merged.Events[EvAttemptStart] {
+		t.Fatalf("outcome total %d != attempts %d", total, merged.Events[EvAttemptStart])
 	}
-	if merged.AttemptOutcomes[AttemptOK] != merged.AttemptsOK {
-		t.Fatalf("ok outcomes %d != AttemptsOK %d",
-			merged.AttemptOutcomes[AttemptOK], merged.AttemptsOK)
+	if merged.AttemptOutcomes[AttemptOK] != int64(len(loops)) {
+		t.Fatalf("ok outcomes %d, want one per loop (%d)", merged.AttemptOutcomes[AttemptOK], len(loops))
 	}
 	counts := merged.OutcomeCounts()
 	if counts[AttemptCentralIters.String()] != 0 || counts[AttemptCanceled.String()] != 0 {

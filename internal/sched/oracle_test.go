@@ -1,4 +1,4 @@
-package exact_test
+package sched_test
 
 import (
 	"context"
@@ -13,6 +13,10 @@ import (
 	"repro/internal/mii"
 	"repro/internal/sched"
 )
+
+// The exact backend's differential tests live in sched's external test
+// package: it imports exact, and sees the exhaustive searchers
+// (exhaustive_test.go) that the sched package keeps out of its build.
 
 // oracleNodes bounds the exhaustive oracle's enumeration: generous
 // enough that every small-loop oracle run in this file completes.

@@ -118,8 +118,8 @@ func TestAttemptOutcomeGiveUpAndOK(t *testing.T) {
 	for _, n := range met.AttemptOutcomes {
 		total += n
 	}
-	if total != met.Attempts {
-		t.Fatalf("outcome total %d != attempts %d", total, met.Attempts)
+	if total != met.Events[EvAttemptStart] {
+		t.Fatalf("outcome total %d != attempts %d", total, met.Events[EvAttemptStart])
 	}
 }
 
@@ -226,5 +226,66 @@ func TestScheduleRecordsSpans(t *testing.T) {
 	}
 	if !found {
 		t.Fatalf("no attempt span with outcome %s: %+v", obs.OutcomeCentralIters, tr2.Spans)
+	}
+}
+
+// Attempt spans derive from the event stream, so they reconcile with
+// the Section 6 counters on every fixture, under every policy and the
+// list scheduler: one span per II attempt, span iters summing to
+// CentralIters and span ejections to Ejections. The caller's own
+// Observer still sees the whole stream alongside the spans.
+func TestAttemptSpansMatchStats(t *testing.T) {
+	cfg := tinyEject // forces restarts, so retries are covered too
+	runs := map[string]func(context.Context, *ir.Loop, Config) (*Result, error){
+		"slack": func(ctx context.Context, l *ir.Loop, c Config) (*Result, error) {
+			return Slack(c).Schedule(ctx, l)
+		},
+		"slack-unidirectional": func(ctx context.Context, l *ir.Loop, c Config) (*Result, error) {
+			return SlackUnidirectional(c).Schedule(ctx, l)
+		},
+		"cydrome": func(ctx context.Context, l *ir.Loop, c Config) (*Result, error) {
+			return Cydrome(c).Schedule(ctx, l)
+		},
+		"list": ListSchedule,
+	}
+	for name, run := range runs {
+		for _, l := range fixture.All(machine.Cydra()) {
+			tr := obs.NewTrace(name, l.Name)
+			met := &Metrics{}
+			c := cfg
+			c.Observer = met
+			res, err := run(obs.WithTrace(context.Background(), tr), l, c)
+			if err != nil && !errors.Is(err, ErrInfeasible) { // an infeasible result still carries its Stats
+				t.Fatalf("%s/%s: %v", name, l.Name, err)
+			}
+			var spans, iters, ejections int64
+			for _, sp := range tr.Spans {
+				if sp.Name != "attempt" {
+					continue
+				}
+				spans++
+				for _, a := range sp.Attrs {
+					switch a.Key {
+					case "iters":
+						iters += a.Int
+					case "ejections":
+						ejections += a.Int
+					case "policy":
+						if a.Str != res.Policy {
+							t.Errorf("%s/%s: span policy %q, want %q", name, l.Name, a.Str, res.Policy)
+						}
+					}
+				}
+			}
+			st := res.Stats
+			if spans != int64(st.IIAttempts) || iters != st.CentralIters || ejections != st.Ejections {
+				t.Errorf("%s/%s: spans %d, iters %d, ejections %d; stats %d, %d, %d",
+					name, l.Name, spans, iters, ejections, st.IIAttempts, st.CentralIters, st.Ejections)
+			}
+			if met.Events[EvAttemptStart] != spans || met.Events[EvPlace] != iters {
+				t.Errorf("%s/%s: observer saw %d attempts, %d places; spans %d, iters %d",
+					name, l.Name, met.Events[EvAttemptStart], met.Events[EvPlace], spans, iters)
+			}
+		}
 	}
 }

@@ -1,9 +1,7 @@
 package server
 
 import (
-	"fmt"
 	"net/http"
-	"sort"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -25,9 +23,8 @@ type metrics struct {
 	reg *obs.Registry
 
 	requests     *obs.Family
-	cacheHitsC   *obs.Family
+	hitsC        *obs.Family // lsmsd_cache_hits_total{tier}
 	cacheMissesC *obs.Family
-	storeHitsC   *obs.Family
 	deduped      *obs.Family
 	rejected     *obs.Family
 	badRequests  *obs.Family
@@ -47,6 +44,12 @@ type metrics struct {
 	maxLive        *obs.Family // lsmsd_maxlive
 	queueDepth     *obs.Family // lsmsd_queue_depth
 
+	// The scheduler event stream, folded in once per compile from the
+	// compile's own sched.Metrics (foldSched).
+	schedEvents       *obs.Family // lsmsd_sched_events_total{kind}
+	schedOutcomes     *obs.Family // lsmsd_sched_attempt_outcomes_total{outcome}
+	schedScanFailures *obs.Family // lsmsd_sched_scan_failures_total
+
 	// hits/lookups back the cache-hit-ratio gauge callback: a GaugeFunc
 	// runs under the registry lock and therefore cannot read the
 	// counter families, so the ratio derives from these mirrors.
@@ -57,9 +60,10 @@ func newMetrics(s *Server) *metrics {
 	r := obs.NewRegistry()
 	m := &metrics{reg: r}
 	m.requests = r.Counter("lsmsd_requests_total", "Compile requests received.")
-	m.cacheHitsC = r.Counter("lsmsd_cache_hits_total", "Requests answered from the in-memory store tier.")
+	m.hitsC = r.Counter("lsmsd_cache_hits_total", "Requests answered from a result-store tier: memory, or disk (served byte-identically across restarts).", "tier")
+	m.hitsC.Add(0, "memory")
+	m.hitsC.Add(0, "disk")
 	m.cacheMissesC = r.Counter("lsmsd_cache_misses_total", "Requests that missed every result-store tier.")
-	m.storeHitsC = r.Counter("lsmsd_store_hits_total", "Requests answered from a persistent store tier (served byte-identically across restarts).")
 	m.deduped = r.Counter("lsmsd_dedup_total", "Requests collapsed onto an identical in-flight compile.")
 	m.rejected = r.Counter("lsmsd_rejected_total", "Requests rejected 429 by admission control.")
 	m.badRequests = r.Counter("lsmsd_bad_requests_total", "Malformed or unresolvable requests.")
@@ -147,20 +151,28 @@ func newMetrics(s *Server) *metrics {
 			}
 			return 0
 		})
+
+	m.schedEvents = r.Counter("lsmsd_sched_events_total",
+		"Scheduler events folded across all requests, by kind.", "kind")
+	var zero sched.Metrics // its arrays span every kind and outcome
+	for k := range zero.Events {
+		m.schedEvents.Add(0, sched.EventKind(k).String())
+	}
+	m.schedOutcomes = r.Counter("lsmsd_sched_attempt_outcomes_total",
+		"Finished II attempts by outcome (ok, give-up, budget bound, canceled).", "outcome")
+	for o := range zero.AttemptOutcomes {
+		m.schedOutcomes.Add(0, sched.AttemptOutcome(o).String())
+	}
+	m.schedScanFailures = r.Counter("lsmsd_sched_scan_failures_total",
+		"Window scans that found no conflict-free cycle.")
 	return m
 }
 
-// cacheHit / storeHit / storeMiss keep the hit-ratio mirrors in step
-// with the counter families. A hit from any tier counts toward the
-// ratio; the families split by depth (memory vs persistent).
-func (m *metrics) cacheHit() {
-	m.cacheHitsC.Inc()
-	m.hits.Add(1)
-	m.lookups.Add(1)
-}
-
-func (m *metrics) storeHit() {
-	m.storeHitsC.Inc()
+// hit / storeMiss keep the hit-ratio mirrors in step with the counter
+// families. A hit from any tier counts toward the ratio; the family
+// splits it by tier ("memory" or "disk").
+func (m *metrics) hit(tier string) {
+	m.hitsC.Inc(tier)
 	m.hits.Add(1)
 	m.lookups.Add(1)
 }
@@ -179,11 +191,29 @@ func (m *metrics) compileDone(scheduler, outcome string, seconds float64, traceI
 	m.compileSeconds.ObserveExemplar(seconds, "trace_id", traceID, scheduler, outcome)
 }
 
-// handleMetrics renders the registry and the folded scheduler event
-// stream in the Prometheus text exposition format — scrapeable,
-// lintable (obs.LintExposition), and dependency-free. The registry
-// renders under its one lock; the scheduler families render from one
-// SafeMetrics snapshot, so each section is internally consistent.
+// foldSched adds one compile's scheduler event-stream aggregate to the
+// sched families and zeroes it for the caller's next compile.
+func (m *metrics) foldSched(sm *sched.Metrics) {
+	for k, n := range sm.Events {
+		if n > 0 {
+			m.schedEvents.Add(float64(n), sched.EventKind(k).String())
+		}
+	}
+	for o, n := range sm.AttemptOutcomes {
+		if n > 0 {
+			m.schedOutcomes.Add(float64(n), sched.AttemptOutcome(o).String())
+		}
+	}
+	if sm.ScanFailures > 0 {
+		m.schedScanFailures.Add(float64(sm.ScanFailures))
+	}
+	*sm = sched.Metrics{}
+}
+
+// handleMetrics renders the registry in the Prometheus text exposition
+// format — scrapeable, lintable (obs.LintExposition), and
+// dependency-free — under the registry's one lock, so a scrape is one
+// consistent snapshot.
 //
 // The format is negotiated: the default is the classic 0.0.4 text
 // format, in which exemplar syntax is illegal and therefore omitted; a
@@ -191,66 +221,14 @@ func (m *metrics) compileDone(scheduler, outcome string, seconds float64, traceI
 // gets the OpenMetrics render — histogram exemplars included,
 // terminated by the mandatory "# EOF" line.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	om := obs.AcceptsOpenMetrics(r.Header.Get("Accept"))
 	var b strings.Builder
-	if om {
+	if obs.AcceptsOpenMetrics(r.Header.Get("Accept")) {
 		s.m.reg.WriteOpenMetrics(&b)
-	} else {
-		s.m.reg.WriteText(&b)
-	}
-	writeSchedFamilies(&b, s.sm.Snapshot(), om)
-	if om {
 		b.WriteString("# EOF\n")
 		w.Header().Set("Content-Type", obs.OpenMetricsContentType)
 	} else {
+		s.m.reg.WriteText(&b)
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	}
 	w.Write([]byte(b.String()))
-}
-
-// writeSchedFamilies renders the scheduler event-stream aggregate: the
-// per-kind event counters, the per-outcome attempt counters (the
-// dimension that distinguishes budget-exhausted from cancelled
-// attempts), and the flat effort counters. In OpenMetrics mode the
-// counter families are declared without their _total suffix, matching
-// the registry's render.
-func writeSchedFamilies(b *strings.Builder, m sched.Metrics, openMetrics bool) {
-	famName := func(name string) string {
-		if openMetrics {
-			return strings.TrimSuffix(name, "_total")
-		}
-		return name
-	}
-	labelled := func(name, help, label string, counts map[string]int64) {
-		fmt.Fprintf(b, "# HELP %s %s\n# TYPE %s counter\n", famName(name), help, famName(name))
-		keys := make([]string, 0, len(counts))
-		for k := range counts {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		for _, k := range keys {
-			fmt.Fprintf(b, "%s{%s=%q} %d\n", name, label, k, counts[k])
-		}
-	}
-	counter := func(name, help string, v int64) {
-		fmt.Fprintf(b, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", famName(name), help, famName(name), name, v)
-	}
-	labelled("lsmsd_sched_events_total",
-		"Scheduler events folded across all requests, by kind.", "kind", m.EventCounts())
-	labelled("lsmsd_sched_attempt_outcomes_total",
-		"Finished II attempts by outcome (ok, give-up, budget bound, canceled).", "outcome", m.OutcomeCounts())
-	counter("lsmsd_sched_attempts_total", "II attempts across all requests.", m.Attempts)
-	counter("lsmsd_sched_attempts_ok_total", "Successful II attempts.", m.AttemptsOK)
-	counter("lsmsd_sched_scan_failures_total", "Window scans that found no conflict-free cycle.", m.ScanFailures)
-	counter("lsmsd_sched_degradations_total", "List-scheduler fallbacks observed in the event stream.", m.Degradations)
-}
-
-// schedEventsTotal sums the snapshot's per-kind counters; tests use it
-// to prove a cache hit scheduled nothing.
-func schedEventsTotal(m sched.Metrics) int64 {
-	var n int64
-	for _, v := range m.EventCounts() {
-		n += v
-	}
-	return n
 }

@@ -2,17 +2,23 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/fixture"
 	"repro/internal/machine"
 	"repro/internal/obs"
+	"repro/internal/sched"
 	"repro/internal/wire"
 )
 
@@ -224,4 +230,123 @@ func TestRequestIDAndLogging(t *testing.T) {
 	if !sawCompile || !sawHit {
 		t.Errorf("log stream missing compile/hit records:\n%s", logBuf.String())
 	}
+}
+
+// schedEvents sums lsmsd_sched_events_total over every kind; tests use
+// it to prove a store hit scheduled nothing.
+func schedEvents(s *Server) int64 {
+	var n float64
+	for k := range (sched.Metrics{}).Events {
+		n += s.m.schedEvents.Value(sched.EventKind(k).String())
+	}
+	return int64(n)
+}
+
+// TestSchedFamiliesMatchEventStream is the -race test of lsmsd's one
+// exposition path for the scheduler event stream: concurrent distinct
+// misses each fold their own sched.Metrics into the registry, and the
+// family totals must equal one sched.Metrics fed the same compiles.
+// Every kind and outcome series is listed from boot, and the sched
+// families are exactly the three the registry declares.
+func TestSchedFamiliesMatchEventStream(t *testing.T) {
+	s, ts := newTestServer(t, Config{Workers: 4})
+	var zero sched.Metrics
+	boot := scrape(t, ts.URL)
+	var series []string
+	for k := range zero.Events {
+		series = append(series, fmt.Sprintf("lsmsd_sched_events_total{kind=%q} 0", sched.EventKind(k)))
+	}
+	for o := range zero.AttemptOutcomes {
+		series = append(series, fmt.Sprintf("lsmsd_sched_attempt_outcomes_total{outcome=%q} 0", sched.AttemptOutcome(o)))
+	}
+	series = append(series, "lsmsd_sched_scan_failures_total 0",
+		`lsmsd_cache_hits_total{tier="memory"} 0`, `lsmsd_cache_hits_total{tier="disk"} 0`)
+	for _, line := range series {
+		if !strings.Contains(boot, "\n"+line+"\n") {
+			t.Errorf("boot exposition lacks %q", line)
+		}
+	}
+	var fams []string
+	for _, line := range strings.Split(boot, "\n") {
+		if name, ok := strings.CutPrefix(line, "# TYPE lsmsd_sched_"); ok {
+			fams = append(fams, "lsmsd_sched_"+strings.Fields(name)[0])
+		}
+	}
+	if want := []string{"lsmsd_sched_events_total", "lsmsd_sched_attempt_outcomes_total",
+		"lsmsd_sched_scan_failures_total"}; !slices.Equal(fams, want) {
+		t.Errorf("sched families %v, want %v", fams, want)
+	}
+
+	loops := fixture.All(machine.Cydra())
+	want := &sched.Metrics{}
+	bodies := make([][]byte, len(loops))
+	for i, l := range loops {
+		req, err := wire.NewRequest(l, "slack", wire.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		norm, loop, err := req.Normalize()
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := norm.Options.SchedConfig()
+		cfg.Observer = want
+		if _, err := core.Compile(context.Background(), loop, core.Options{Config: cfg, SkipCodegen: true}); err != nil {
+			t.Fatalf("%s: %v", l.Name, err)
+		}
+		bodies[i] = requestBody(t, l, "slack", wire.Options{})
+	}
+
+	var wg sync.WaitGroup
+	for i, body := range bodies {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			r, err := http.Post(ts.URL+"/v1/compile", "application/json", bytes.NewReader(body))
+			if err != nil {
+				t.Errorf("%s: %v", loops[i].Name, err)
+				return
+			}
+			b, _ := io.ReadAll(r.Body)
+			r.Body.Close()
+			if r.StatusCode != http.StatusOK || r.Header.Get("X-Lsmsd-Cache") != "miss" {
+				t.Errorf("%s: status %d, cache %q: %s", loops[i].Name, r.StatusCode, r.Header.Get("X-Lsmsd-Cache"), b)
+			}
+		}()
+	}
+	wg.Wait()
+
+	for k, n := range want.Events {
+		kind := sched.EventKind(k).String()
+		if got := s.m.schedEvents.Value(kind); got != float64(n) {
+			t.Errorf("events{kind=%s} = %v, want %d", kind, got, n)
+		}
+	}
+	for o, n := range want.AttemptOutcomes {
+		outcome := sched.AttemptOutcome(o).String()
+		if got := s.m.schedOutcomes.Value(outcome); got != float64(n) {
+			t.Errorf("attempt_outcomes{outcome=%s} = %v, want %d", outcome, got, n)
+		}
+	}
+	if got := s.m.schedScanFailures.Value(); got != float64(want.ScanFailures) {
+		t.Errorf("scan_failures = %v, want %d", got, want.ScanFailures)
+	}
+	if want.Events[sched.EvPlace] == 0 {
+		t.Fatal("reference stream is empty")
+	}
+}
+
+// scrape returns the /metrics text exposition.
+func scrape(t *testing.T, url string) string {
+	t.Helper()
+	resp, err := http.Get(url + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	b, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(b)
 }

@@ -200,7 +200,6 @@ type Server struct {
 	disk      *store.Disk // the persistent tier, nil when not configured
 	flights   *flightGroup
 	refine    *refiner // nil unless Config.Refine
-	sm        *sched.SafeMetrics
 	flight    *obs.FlightRecorder
 	exporter  *obs.Exporter // nil unless tracing is configured
 	slo       *obs.SLO
@@ -223,7 +222,6 @@ func New(cfg Config) (*Server, error) {
 		cfg:     cfg,
 		adm:     newAdmission(cfg.Workers, cfg.QueueDepth),
 		flights: newFlightGroup(),
-		sm:      &sched.SafeMetrics{},
 		flight:  obs.NewFlightRecorder(cfg.FlightEntries),
 		logger:  cfg.Logger,
 		started: time.Now(),
@@ -321,9 +319,6 @@ func (s *Server) Close() error {
 	})
 	return s.closeErr
 }
-
-// Metrics returns a snapshot of the folded scheduler event stream.
-func (s *Server) Metrics() sched.Metrics { return s.sm.Snapshot() }
 
 // CacheLen reports how many records the result store holds, summed
 // over its tiers — a key resident in both the memory and disk tiers
@@ -528,9 +523,9 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 		label := "hit"
 		if tier > 0 {
 			label = "hit-disk"
-			s.m.storeHit()
+			s.m.hit("disk")
 		} else {
-			s.m.cacheHit()
+			s.m.hit("memory")
 		}
 		// Memory hits only pay for a trace when it will be exported; a
 		// deeper-tier hit did I/O, so it also leaves a flight-recorder
@@ -600,7 +595,7 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 	tr := obs.NewTrace(reqID, loop.Name)
 	tr.Scheduler = schedName
 	tr.Ctx, tr.Parent = sctx, parent
-	out := s.admitAndCompile(r.Context(), norm, loop, schedName, hash, reqID, scr.tail, tr)
+	out := s.admitAndCompile(r.Context(), norm, loop, schedName, hash, reqID, scr.tail, &scr.sm, tr)
 	s.flights.finish(hash, c, out)
 	if s.refine != nil && out.cacheable && out.status == http.StatusOK &&
 		out.name == obs.OutcomeOK && schedName != string(core.SchedExact) {
@@ -629,9 +624,9 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 
 // reqScratch is the pooled per-request decode state: the body buffer,
 // the wire decode scratch (envelope, loop document, request struct),
-// and the event tail recorder. A worker that has served a request of a
-// given size serves the next one of that size without allocating any of
-// them. One scratch belongs to one request from Get to release; the
+// the event tail recorder, and the compile's scheduler metrics. A
+// worker that has served a request of a given size serves the next one
+// of that size without allocating any of them. One scratch belongs to one request from Get to release; the
 // response bytes it produces are freshly allocated (they outlive the
 // request in the result cache and singleflight waiters), so nothing the
 // scratch owns escapes the handler.
@@ -639,6 +634,7 @@ type reqScratch struct {
 	body []byte
 	dec  wire.Scratch
 	tail *sched.TailRecorder
+	sm   sched.Metrics
 }
 
 var reqScratchPool = sync.Pool{
@@ -679,10 +675,12 @@ func readBody(r io.Reader, buf *[]byte) ([]byte, error) {
 // serializes its outcome, recording the request's trace — spans from
 // every pipeline stage plus, for failed or degraded runs, the tail of
 // the scheduler event stream — into the flight recorder and, when the
-// trace is sampled, the exporter. The caller builds tr (stamped with
-// the request's span context); rejected or canceled-in-queue requests
-// return before the trace starts and leave it unfinished.
-func (s *Server) admitAndCompile(ctx context.Context, norm *wire.Request, loop *ir.Loop, schedName, hash, reqID string, tail *sched.TailRecorder, tr *obs.Trace) outcome {
+// trace is sampled, the exporter; sm aggregates the compile's event
+// stream and is folded into the registry afterwards. The caller builds
+// tr (stamped with the request's span context); rejected or
+// canceled-in-queue requests return before the trace starts and leave
+// it unfinished.
+func (s *Server) admitAndCompile(ctx context.Context, norm *wire.Request, loop *ir.Loop, schedName, hash, reqID string, tail *sched.TailRecorder, sm *sched.Metrics, tr *obs.Trace) outcome {
 	s.m.queueDepth.Observe(float64(s.adm.waiting()))
 	if !s.adm.tryEnter() {
 		s.m.rejected.Inc()
@@ -701,13 +699,14 @@ func (s *Server) admitAndCompile(ctx context.Context, norm *wire.Request, loop *
 
 	cfg := norm.Options.SchedConfig()
 	cfg.Budget.Deadline = s.effectiveDeadline(cfg.Budget.Deadline)
-	cfg.Observer = sched.Tee(s.sm, tail)
+	cfg.Observer = sched.Tee(sm, tail)
 	compiled, err := s.safeCompile(obs.WithTrace(ctx, tr), loop, core.Options{
 		Scheduler:   core.SchedulerName(schedName),
 		Config:      cfg,
 		SkipCodegen: true,
 		Degrade:     norm.Options.Degrade,
 	})
+	s.m.foldSched(sm)
 	out := s.outcomeOf(norm, loop, schedName, hash, compiled, err)
 	if out.cacheable {
 		// Write-through under its own span: when the disk tier is

@@ -102,7 +102,8 @@ func decodeResponse(t *testing.T, body []byte) *wire.Response {
 	return &r
 }
 
-// metricValue scrapes one un-labelled counter/gauge from /metrics.
+// metricValue scrapes one counter/gauge series from /metrics; name
+// includes the label set of a labelled series.
 func metricValue(t *testing.T, url, name string) int64 {
 	t.Helper()
 	resp, err := http.Get(url + "/metrics")
@@ -142,11 +143,11 @@ func TestCompileCacheHit(t *testing.T) {
 	if !first.OK || first.II < first.Bounds.MII || len(first.Times) == 0 {
 		t.Fatalf("first response implausible: %+v", first)
 	}
-	eventsAfterFirst := schedEventsTotal(s.Metrics())
+	eventsAfterFirst := schedEvents(s)
 	if eventsAfterFirst == 0 {
 		t.Fatal("first compile produced no scheduler events")
 	}
-	hitsBefore := metricValue(t, ts.URL, "lsmsd_cache_hits_total")
+	hitsBefore := metricValue(t, ts.URL, `lsmsd_cache_hits_total{tier="memory"}`)
 
 	r2, b2 := post(t, ts.URL, body)
 	if r2.StatusCode != http.StatusOK {
@@ -158,10 +159,10 @@ func TestCompileCacheHit(t *testing.T) {
 	if !bytes.Equal(b1, b2) {
 		t.Errorf("cached response not byte-identical:\n%s\nvs\n%s", b1, b2)
 	}
-	if hits := metricValue(t, ts.URL, "lsmsd_cache_hits_total"); hits != hitsBefore+1 {
+	if hits := metricValue(t, ts.URL, `lsmsd_cache_hits_total{tier="memory"}`); hits != hitsBefore+1 {
 		t.Errorf("cache hits: %d, want %d", hits, hitsBefore+1)
 	}
-	if after := schedEventsTotal(s.Metrics()); after != eventsAfterFirst {
+	if after := schedEvents(s); after != eventsAfterFirst {
 		t.Errorf("cache hit emitted scheduler events: %d before, %d after", eventsAfterFirst, after)
 	}
 }

@@ -65,7 +65,7 @@ func TestRestartByteIdentity(t *testing.T) {
 		t.Fatalf("LoadReport = %d loaded, %d rejected, ok=%v; want %d, 0, true",
 			loaded, rejected, ok, len(bodies))
 	}
-	eventsBefore := schedEventsTotal(s2.Metrics())
+	eventsBefore := schedEvents(s2)
 	for i, body := range bodies {
 		r, b := post(t, ts2.URL, body)
 		if got := r.Header.Get("X-Lsmsd-Cache"); got != "hit-disk" {
@@ -75,11 +75,11 @@ func TestRestartByteIdentity(t *testing.T) {
 			t.Errorf("replay %d not byte-identical:\n%s\nvs\n%s", i, first[i], b)
 		}
 	}
-	if after := schedEventsTotal(s2.Metrics()); after != eventsBefore {
+	if after := schedEvents(s2); after != eventsBefore {
 		t.Errorf("disk replays emitted scheduler events: %d before, %d after", eventsBefore, after)
 	}
-	if hits := metricValue(t, ts2.URL, "lsmsd_store_hits_total"); hits != int64(len(bodies)) {
-		t.Errorf("lsmsd_store_hits_total = %d, want %d", hits, len(bodies))
+	if hits := metricValue(t, ts2.URL, `lsmsd_cache_hits_total{tier="disk"}`); hits != int64(len(bodies)) {
+		t.Errorf("disk-tier hits = %d, want %d", hits, len(bodies))
 	}
 	if recs := metricValue(t, ts2.URL, "lsmsd_store_records"); recs < int64(len(bodies)) {
 		t.Errorf("lsmsd_store_records = %d, want >= %d", recs, len(bodies))
@@ -218,12 +218,12 @@ func TestWarmStart(t *testing.T) {
 		t.Fatalf("post-restart warm-start stats: %+v err=%v", st, err)
 	}
 	// And the warmed store serves traffic without scheduling.
-	events := schedEventsTotal(s2.Metrics())
+	events := schedEvents(s2)
 	r, _ := post(t, ts2.URL, requestBody(t, suite.Loops[0].CL.Loop, "slack", wire.Options{}))
 	if got := r.Header.Get("X-Lsmsd-Cache"); got != "hit" && got != "hit-disk" {
 		t.Fatalf("warmed request: %q, want a store hit", got)
 	}
-	if after := schedEventsTotal(s2.Metrics()); after != events {
+	if after := schedEvents(s2); after != events {
 		t.Error("warmed request scheduled")
 	}
 }

@@ -70,8 +70,9 @@ func (s *Server) WarmStart(ctx context.Context, reqs []*wire.Request) (WarmStats
 		go func() {
 			defer wg.Done()
 			tail := sched.NewTailRecorder(0)
+			var sm sched.Metrics
 			for i := range feed {
-				s.warmOne(ctx, reqs[i], i, warmRoot, tail, &warm, &compiled, fail)
+				s.warmOne(ctx, reqs[i], i, warmRoot, tail, &sm, &warm, &compiled, fail)
 				tail.Reset()
 			}
 		}()
@@ -100,7 +101,7 @@ feeding:
 // warmOne precompiles one corpus request: store probe first, then the
 // same admitAndCompile path a live request takes.
 func (s *Server) warmOne(ctx context.Context, req *wire.Request, i int, warmRoot obs.SpanContext,
-	tail *sched.TailRecorder, warm, compiled *atomic.Int64, fail func(error)) {
+	tail *sched.TailRecorder, sm *sched.Metrics, warm, compiled *atomic.Int64, fail func(error)) {
 	norm, loop, err := req.Normalize()
 	if err != nil {
 		fail(fmt.Errorf("warm-start request %d: %w", i, err))
@@ -153,7 +154,7 @@ func (s *Server) warmOne(ctx context.Context, req *wire.Request, i int, warmRoot
 		Sampled: warmRoot.Sampled,
 	}
 	tr.Links = []obs.SpanContext{warmRoot}
-	out := s.admitAndCompile(ctx, norm, loop, schedName, hash, reqID, tail, tr)
+	out := s.admitAndCompile(ctx, norm, loop, schedName, hash, reqID, tail, sm, tr)
 	s.flights.finish(hash, c, out)
 	if out.cacheable {
 		compiled.Add(1)
