@@ -12,11 +12,14 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/ir"
 	"repro/internal/loopgen"
 	"repro/internal/machine"
 	"repro/internal/sched"
@@ -60,15 +63,25 @@ type HistoryRecord struct {
 }
 
 // CompileBench measures the per-compile hot path for every registered
-// policy on the sized workload: a testing.Benchmark whose op is one
+// policy on the sized workload: testing.Benchmark runs whose op is one
 // core.Compile (scheduling + pressure, no codegen — the lsmsd serving
-// shape), round-robin over the corpus, plus one untimed sweep that
-// aggregates the effort counters. Each policy yields two records:
-// "compile/<policy>" (a fresh Compiled per op via core.Compile, the
-// context convenience) and "compileinto/<policy>" (one Compiled recycled
-// across ops via core.CompileInto — the allocation floor). The sweep counters are
-// shared: both entry points perform identical scheduling work.
-// A nil mach measures on the paper machine.
+// shape) of every corpus loop, plus one untimed sweep that aggregates
+// the effort counters. Each policy yields two records:
+// "compile/<policy>" (a fresh Compiled per compile via core.Compile,
+// the context convenience) and "compileinto/<policy>" (one Compiled
+// recycled across compiles via core.CompileInto — the allocation
+// floor). Both perform identical scheduling work, so the sweep
+// counters are shared.
+//
+// A benchmark iteration is one whole pass over the corpus, and the
+// records report per-compile figures: the pass divided by the number
+// of loops, so every row covers every loop whatever iteration count
+// the host's speed picks. allocs/op, which benchdiff holds exactly,
+// and B/op are measured apart from the timing, over one more pass
+// (allocsPerCompile), so they do not depend on -benchtime. The counter
+// sweep runs first, through the recycled Compiled, so it also warms
+// that Compiled and the pools and no timed pass pays for first use. A
+// nil mach measures on the paper machine.
 func CompileBench(size int, seed int64, cfg sched.Config, mach *machine.Desc) ([]BenchRecord, error) {
 	w, err := loopgen.Build(loopgen.Options{Size: size, Seed: seed, Mach: mach})
 	if err != nil {
@@ -79,42 +92,10 @@ func CompileBench(size int, seed int64, cfg sched.Config, mach *machine.Desc) ([
 	var out []BenchRecord
 	for _, name := range core.Schedulers() {
 		opt := core.Options{Scheduler: name, Config: cfg, SkipCodegen: true}
-		var benchErr error
-		r := testing.Benchmark(func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				_, err := core.Compile(ctx, loops[i%len(loops)].CL.Loop, opt)
-				if err != nil && !errors.Is(err, sched.ErrInfeasible) {
-					benchErr = fmt.Errorf("%s/%s: %w", name, loops[i%len(loops)].Name, err)
-					b.FailNow()
-				}
-			}
-		})
-		if benchErr != nil {
-			return nil, benchErr
-		}
-		rInto := testing.Benchmark(func(b *testing.B) {
-			b.ReportAllocs()
-			var c core.Compiled
-			for i := 0; i < b.N; i++ {
-				err := core.CompileInto(ctx, &c, loops[i%len(loops)].CL.Loop, opt)
-				if err != nil && !errors.Is(err, sched.ErrInfeasible) {
-					benchErr = fmt.Errorf("%s/%s: %w", name, loops[i%len(loops)].Name, err)
-					b.FailNow()
-				}
-			}
-		})
-		if benchErr != nil {
-			return nil, benchErr
-		}
-		rec := BenchRecord{
-			Name:        "compile/" + string(name),
-			NsPerOp:     float64(r.NsPerOp()),
-			BytesPerOp:  float64(r.AllocedBytesPerOp()),
-			AllocsPerOp: float64(r.AllocsPerOp()),
-		}
+		rec := BenchRecord{Name: "compile/" + string(name)}
+		var c core.Compiled
 		for _, l := range loops {
-			c, err := core.Compile(ctx, l.CL.Loop, opt)
+			err := core.CompileInto(ctx, &c, l.CL.Loop, opt)
 			if err != nil && !errors.Is(err, sched.ErrInfeasible) {
 				return nil, fmt.Errorf("%s/%s: %w", name, l.Name, err)
 			}
@@ -128,12 +109,62 @@ func CompileBench(size int, seed int64, cfg sched.Config, mach *machine.Desc) ([
 		}
 		recInto := rec
 		recInto.Name = "compileinto/" + string(name)
-		recInto.NsPerOp = float64(rInto.NsPerOp())
-		recInto.BytesPerOp = float64(rInto.AllocedBytesPerOp())
-		recInto.AllocsPerOp = float64(rInto.AllocsPerOp())
+
+		var benchErr error
+		measure := func(rec *BenchRecord, compile func(*ir.Loop) error) {
+			pass := func() {
+				for _, l := range loops {
+					err := compile(l.CL.Loop)
+					if err != nil && !errors.Is(err, sched.ErrInfeasible) && benchErr == nil {
+						benchErr = fmt.Errorf("%s/%s: %w", name, l.Name, err)
+					}
+				}
+			}
+			r := testing.Benchmark(func(b *testing.B) {
+				for i := 0; i < b.N && benchErr == nil; i++ {
+					pass()
+				}
+			})
+			rec.NsPerOp = float64(r.T.Nanoseconds()) / (float64(r.N) * float64(len(loops)))
+			rec.AllocsPerOp, rec.BytesPerOp = allocsPerCompile(pass, len(loops))
+		}
+		measure(&rec, func(l *ir.Loop) error {
+			_, err := core.Compile(ctx, l, opt)
+			return err
+		})
+		measure(&recInto, func(l *ir.Loop) error { return core.CompileInto(ctx, &c, l, opt) })
+		if benchErr != nil {
+			return nil, benchErr
+		}
 		out = append(out, rec, recInto)
 	}
 	return out, nil
+}
+
+// allocsPerCompile measures one call of pass, over n compiles, after
+// two warm-up calls, on a single P with the collector off, and returns
+// its allocations per compile, rounded to a whole allocation, and its
+// bytes per compile. Each guard removes a dependence on timing:
+//   - a collection empties the sync.Pools (the arena pool, RecMII's
+//     workspace pool), and refilling them counts against the pass;
+//   - on several Ps, a pooled arena parked on another P's private slot
+//     is allocated afresh;
+//   - a fresh arena's scratch, the MinDist frontier store among it, can
+//     take two passes to reach its high-water mark;
+//   - the runtime counts tiny allocations lazily, so a pass's raw count
+//     can move by one.
+func allocsPerCompile(pass func(), n int) (allocs, bytes float64) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	pass()
+	pass()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	pass()
+	runtime.ReadMemStats(&after)
+	allocs = math.Round(float64(after.Mallocs-before.Mallocs) / float64(n))
+	bytes = float64(after.TotalAlloc-before.TotalAlloc) / float64(n)
+	return allocs, bytes
 }
 
 // NewHistoryRecord assembles one trajectory record. Date is the

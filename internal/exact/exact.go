@@ -417,11 +417,13 @@ func (e *searcher) runAttempt(ii, bound int) (times []int, maxLive int, md *mind
 	e.vals = e.vals[:0]
 	byValue := make(map[ir.ValueID]int32, len(e.l.Values))
 	ltSum := 0
+	var buf [256]int // keeps the MinLT table off the heap for loops up to 256 values
+	minLTs := mindist.MinLTs(e.l, e.md, buf[:0])
 	for _, v := range e.l.Values {
 		if v.File != ir.RR || !v.IsVariant() {
 			continue
 		}
-		lt := mindist.MinLT(e.l, e.md, v.ID)
+		lt := minLTs[v.ID]
 		vs := valState{id: v.ID, minLT: lt, cur: lt}
 		for _, d := range v.Defs {
 			vs.defs = append(vs.defs, int32(d))

@@ -29,7 +29,7 @@ const NoPath = -(1 << 40)
 // Table holds the MinDist relation for one loop at one II.
 type Table struct {
 	II    int
-	n     int // number of real ops; Start = n, Stop = n+1
+	n     int // number of real ops; Stop = n, Start = n+1
 	d     []int
 	width int
 }
@@ -80,7 +80,7 @@ func computeInto(l *ir.Loop, ii int, reuse *Table, poll func() bool) (*Table, er
 	for _, dep := range l.Deps {
 		relax(int(dep.From), int(dep.To), dep.Latency-dep.Omega*ii)
 	}
-	start, stop := n, n+1
+	stop, start := n, n+1
 	for i, op := range l.Ops {
 		relax(start, i, 0)
 		relax(i, stop, l.Mach.Latency(op.Opcode))
@@ -166,14 +166,20 @@ func (t *Table) CloneInto(dst *Table) *Table {
 func (t *Table) N() int { return t.n }
 
 // Start returns the index of the Start pseudo-op.
-func (t *Table) Start() int { return t.n }
+func (t *Table) Start() int { return t.n + 1 }
 
-// Stop returns the index of the Stop pseudo-op.
-func (t *Table) Stop() int { return t.n + 1 }
+// Stop returns the index of the Stop pseudo-op. It directly follows the
+// real ops (see OpsAndStop).
+func (t *Table) Stop() int { return t.n }
 
 // Dist returns MinDist(x, y), or NoPath. Indices are op ids, Start() or
 // Stop().
 func (t *Table) Dist(x, y int) int { return t.d[x*t.width+y] }
+
+// OpsAndStop returns MinDist(x, y) for every real op y and for Stop, in
+// index order: entry y is op y and entry N() is Stop. x is an op id,
+// Start() or Stop(). The slice aliases the table.
+func (t *Table) OpsAndStop(x int) []int { return t.d[x*t.width : x*t.width+t.n+1] }
 
 // CriticalPath returns MinDist(Start, Stop): the minimum length in cycles
 // of one loop iteration.
@@ -187,47 +193,68 @@ func (t *Table) CriticalPath() int { return t.Dist(t.Start(), t.Stop()) }
 // For the rare multi-def merge values this generalizes to
 // max over uses of (min over defs), which stays a valid lower bound. A
 // value without in-loop readers is live for its defining latency.
+// MinLT scans every dependence; MinLTs gives all values in one scan.
 func MinLT(l *ir.Loop, t *Table, v ir.ValueID) int {
 	val := l.Value(v)
 	if len(val.Defs) == 0 {
 		return 0
 	}
 	best := 0
-	maxDefLat := 0
-	for _, d := range val.Defs {
-		if lat := l.Mach.Latency(l.Op(d).Opcode); lat > maxDefLat {
-			maxDefLat = lat
+	for i := range l.Deps {
+		if dep := &l.Deps[i]; dep.Kind == ir.DepFlow && dep.Val == v {
+			best = max(best, useLT(t, val, dep))
 		}
 	}
-	hasUse := false
-	for _, dep := range l.Deps {
-		if dep.Kind != ir.DepFlow || dep.Val != v {
+	return max(best, defLatency(l, val))
+}
+
+// MinLTs returns MinLT(v) for every value v, indexed by value id, in one
+// pass over the dependences. It reuses dst's storage when large enough.
+func MinLTs(l *ir.Loop, t *Table, dst []int) []int {
+	if cap(dst) < len(l.Values) {
+		dst = make([]int, len(l.Values))
+	}
+	dst = dst[:len(l.Values)]
+	clear(dst)
+	for i := range l.Deps {
+		if dep := &l.Deps[i]; dep.Kind == ir.DepFlow {
+			dst[dep.Val] = max(dst[dep.Val], useLT(t, l.Value(dep.Val), dep))
+		}
+	}
+	for _, v := range l.Values {
+		if len(v.Defs) == 0 {
+			dst[v.ID] = 0
+		} else {
+			dst[v.ID] = max(dst[v.ID], defLatency(l, v))
+		}
+	}
+	return dst
+}
+
+// useLT is the lifetime one flow use demands of its value: the minimum
+// over the value's defs of ω·II + MinDist(def, use), or 0 when no def
+// reaches the use.
+func useLT(t *Table, val *ir.Value, dep *ir.Dep) int {
+	lt := NoPath
+	for _, d := range val.Defs {
+		md := t.Dist(int(d), int(dep.To))
+		if md == NoPath {
 			continue
 		}
-		hasUse = true
-		lt := NoPath
-		// min over defs of ω·II + MinDist(def, use)
-		for _, d := range val.Defs {
-			md := t.Dist(int(d), int(dep.To))
-			if md == NoPath {
-				continue
-			}
-			cand := dep.Omega*t.II + md
-			if lt == NoPath || cand < lt {
-				lt = cand
-			}
-		}
-		if lt != NoPath && lt > best {
-			best = lt
+		if c := dep.Omega*t.II + md; lt == NoPath || c < lt {
+			lt = c
 		}
 	}
-	if !hasUse {
-		return maxDefLat
+	return max(lt, 0)
+}
+
+// defLatency is the largest latency among the value's defining ops.
+func defLatency(l *ir.Loop, val *ir.Value) int {
+	lat := 0
+	for _, d := range val.Defs {
+		lat = max(lat, l.Mach.Latency(l.Op(d).Opcode))
 	}
-	if best < maxDefLat {
-		best = maxDefLat
-	}
-	return best
+	return lat
 }
 
 // MinAvg returns the schedule-independent lower bound on the loop's
@@ -236,13 +263,14 @@ func MinLT(l *ir.Loop, t *Table, v ir.ValueID) int {
 //
 //	MinAvg = Σ over values v of ⌈MinLT(v)/II⌉.
 func MinAvg(l *ir.Loop, t *Table, file ir.RegFile) int {
+	var buf [256]int // keeps the per-value table off the heap for loops up to 256 values
+	lts := MinLTs(l, t, buf[:0])
 	sum := 0
 	for _, v := range l.Values {
 		if v.File != file || !v.IsVariant() {
 			continue
 		}
-		lt := MinLT(l, t, v.ID)
-		sum += (lt + t.II - 1) / t.II
+		sum += (lts[v.ID] + t.II - 1) / t.II
 	}
 	return sum
 }

@@ -53,7 +53,7 @@ type pathPair struct {
 
 // Parametric is the II-independent MinDist relation of one loop.
 type Parametric struct {
-	n     int // real ops; Start = n, Stop = n+1
+	n     int // real ops; Stop = n, Start = n+1
 	width int
 	sets  [][]pathPair // Pareto frontier per (x, y), sorted by omega asc, lat asc
 }
@@ -137,7 +137,7 @@ func newParametricIn(l *ir.Loop, frontierCap int, poll func() bool, reuse *Param
 	for _, dep := range l.Deps {
 		relax(int(dep.From), int(dep.To), dep.Latency, dep.Omega)
 	}
-	start, stop := n, n+1
+	stop, start := n, n+1
 	for i, op := range l.Ops {
 		relax(start, i, 0, 0)
 		relax(i, stop, l.Mach.Latency(op.Opcode), 0)

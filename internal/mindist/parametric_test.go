@@ -240,3 +240,109 @@ func TestCacheDirectMode(t *testing.T) {
 		t.Fatalf("stopped direct-mode At: err = %v, want ErrStopped", err)
 	}
 }
+
+// referenceMinLT is MinLT written out per value, one scan of every
+// dependence per value, as the scheduler once computed it. It is the
+// reference for MinLT and MinLTs.
+func referenceMinLT(l *ir.Loop, t *mindist.Table, v ir.ValueID) int {
+	val := l.Value(v)
+	if len(val.Defs) == 0 {
+		return 0
+	}
+	best := 0
+	maxDefLat := 0
+	for _, d := range val.Defs {
+		if lat := l.Mach.Latency(l.Op(d).Opcode); lat > maxDefLat {
+			maxDefLat = lat
+		}
+	}
+	hasUse := false
+	for _, dep := range l.Deps {
+		if dep.Kind != ir.DepFlow || dep.Val != v {
+			continue
+		}
+		hasUse = true
+		lt := mindist.NoPath
+		for _, d := range val.Defs {
+			md := t.Dist(int(d), int(dep.To))
+			if md == mindist.NoPath {
+				continue
+			}
+			if c := dep.Omega*t.II + md; lt == mindist.NoPath || c < lt {
+				lt = c
+			}
+		}
+		if lt != mindist.NoPath && lt > best {
+			best = lt
+		}
+	}
+	if !hasUse {
+		return maxDefLat
+	}
+	return max(best, maxDefLat)
+}
+
+// TestMinLTsMatchReference holds MinLT and the one-pass MinLTs to the
+// per-value reference for every value of every corpus loop at several
+// IIs, reusing one MinLTs buffer across loops of different sizes.
+func TestMinLTsMatchReference(t *testing.T) {
+	var lts []int
+	for _, k := range corpus(t) {
+		l := k.CL.Loop
+		b, err := mii.Compute(l)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for ii := b.MII; ii <= b.MII+3; ii++ {
+			md, err := mindist.Compute(l, ii)
+			if err != nil {
+				t.Fatal(err)
+			}
+			lts = mindist.MinLTs(l, md, lts)
+			if len(lts) != len(l.Values) {
+				t.Fatalf("%s II=%d: MinLTs has %d entries, want %d", k.Name, ii, len(lts), len(l.Values))
+			}
+			for _, v := range l.Values {
+				want := referenceMinLT(l, md, v.ID)
+				if got := mindist.MinLT(l, md, v.ID); got != want {
+					t.Fatalf("%s II=%d: MinLT(%s) = %d, reference %d", k.Name, ii, v.Name, got, want)
+				}
+				if lts[v.ID] != want {
+					t.Fatalf("%s II=%d: MinLTs[%s] = %d, reference %d", k.Name, ii, v.Name, lts[v.ID], want)
+				}
+			}
+		}
+	}
+}
+
+// TestOpsAndStopLayout pins the row layout callers index by: entry y of
+// OpsAndStop(x) is Dist(x, y) for every op y, and entry N() is Stop.
+func TestOpsAndStopLayout(t *testing.T) {
+	l := fixture.Sample(machine.Cydra())
+	b, err := mii.Compute(l)
+	if err != nil {
+		t.Fatal(err)
+	}
+	md, err := mindist.Compute(l, b.MII)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := md.N()
+	if md.Stop() != n {
+		t.Fatalf("Stop() = %d, want N() = %d", md.Stop(), n)
+	}
+	for _, x := range append([]int{md.Start(), md.Stop()}, 0, n-1) {
+		row := md.OpsAndStop(x)
+		if len(row) != n+1 {
+			t.Fatalf("len(OpsAndStop(%d)) = %d, want %d", x, len(row), n+1)
+		}
+		for y := 0; y < n; y++ {
+			if row[y] != md.Dist(x, y) {
+				t.Fatalf("OpsAndStop(%d)[%d] = %d, Dist %d", x, y, row[y], md.Dist(x, y))
+			}
+		}
+		if row[n] != md.Dist(x, md.Stop()) {
+			t.Fatalf("OpsAndStop(%d)[N] = %d, Dist(x, Stop) %d", x, row[n], md.Dist(x, md.Stop()))
+		}
+	}
+}

@@ -115,6 +115,7 @@ func (a *Arena) Release() {
 	st := &a.st
 	st.L = nil
 	st.MD = nil
+	st.dStart = nil
 	st.mrt = nil
 	st.obs = nil
 	st.evt = Event{}
@@ -162,6 +163,22 @@ func (a *Arena) prepareLoop(l *ir.Loop) {
 		st.divider[i] = l.Mach.NotPipelined(l.Mach.Info(op.Opcode).Kind)
 		if op.Opcode == machine.BrTop {
 			st.brtop = i
+		}
+	}
+	// Whether an op's RR result has a flow use by another op does not
+	// depend on the schedule, so SlackPolicy.stretchable reads it from
+	// here instead of scanning l.Deps per central iteration.
+	st.otherUse = growBools(st.otherUse, n)
+	clear(st.otherUse)
+	for i := range l.Deps {
+		dep := &l.Deps[i]
+		if dep.Kind != ir.DepFlow || l.Value(dep.Val).File != ir.RR {
+			continue
+		}
+		for _, d := range l.Value(dep.Val).Defs {
+			if d != dep.To {
+				st.otherUse[d] = true
+			}
 		}
 	}
 	st.contention = mii.HasResourceContention(l)
@@ -291,6 +308,11 @@ func (a *Arena) newState(l *ir.Loop, iiVal int, md *mindist.Table) *State {
 		st.lastPlace[i] = ir.Unplaced
 		st.scratch[i] = false
 	}
+	st.placed = st.placed.resize(n + 1)
+	st.unplaced = st.unplaced.resize(n + 1)
+	for i := 0; i <= n; i++ {
+		st.unplaced.add(i)
+	}
 	st.victimBuf = st.victimBuf[:0]
 	st.unplacedCount = n + 1
 	st.ejections = 0
@@ -299,21 +321,41 @@ func (a *Arena) newState(l *ir.Loop, iiVal int, md *mindist.Table) *State {
 	st.evt = Event{}
 
 	a.criticalInto(l, iiVal)
+	a.distInto(md)
 
-	st.minLT = growInts(st.minLT, len(l.Values))
-	for i := range st.minLT {
-		st.minLT[i] = 0
-	}
-	for _, v := range l.Values {
-		if v.File == ir.RR && v.IsVariant() {
-			st.minLT[v.ID] = mindist.MinLT(l, md, v.ID)
-		}
-	}
+	st.minLT = mindist.MinLTs(l, md, st.minLT)
 
 	cp := md.CriticalPath()
 	st.lstartStop = stopAnchor(cp, iiVal, st.contention)
 	st.recomputeBounds()
 	return st
+}
+
+// distInto fills the attempt's MinDist view (see State.dIn): the
+// transpose of the II's table over the ops and Stop, Start's row, and
+// each index's related set from its two rows. It runs after the index
+// sets are sized.
+func (a *Arena) distInto(md *mindist.Table) {
+	st := &a.st
+	n, w := st.n, st.n+1
+	st.dIn = growInts(st.dIn, w*w)
+	for x := 0; x <= n; x++ {
+		for y, d := range md.OpsAndStop(x) {
+			st.dIn[y*w+x] = d
+		}
+	}
+	st.dStart = md.OpsAndStop(md.Start())
+	words := len(st.placed)
+	st.related = st.related.resize(w * words * 64) // w rows of words words
+	for x := 0; x <= n; x++ {
+		out, in := st.row(x)
+		rel := st.relatedTo(x)
+		for y, d := range out {
+			if d != mindist.NoPath || in[y] != mindist.NoPath {
+				rel.add(y)
+			}
+		}
+	}
 }
 
 // mrtScratch exposes the arena's MRT storage to the list scheduler.

@@ -32,8 +32,8 @@ func (p *CydromePolicy) BeginAttempt(st *State) {
 func (p *CydromePolicy) ChooseOp(st *State) int {
 	pick := func(filter func(int) bool) int {
 		best := -1
-		for x := 0; x <= st.n; x++ {
-			if st.Placed(x) || !filter(x) {
+		for x := range st.unplaced.all {
+			if !filter(x) {
 				continue
 			}
 			if best == -1 || p.staticPrio[x] < p.staticPrio[best] ||

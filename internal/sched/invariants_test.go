@@ -39,11 +39,11 @@ func (p *instrumentedPolicy) ChooseOp(st *State) int {
 				continue
 			}
 			tz := st.Time(z)
-			if d := st.distPublic(z, y); d != mindist.NoPath && tz+d > es {
+			if d := oracleDist(st, z, y); d != mindist.NoPath && tz+d > es {
 				p.fails++
 				p.t.Errorf("Estart(%d)=%d below placed %d@%d + dist %d", y, es, z, tz, d)
 			}
-			if d := st.distPublic(y, z); d != mindist.NoPath && tz-d < ls {
+			if d := oracleDist(st, y, z); d != mindist.NoPath && tz-d < ls {
 				p.fails++
 				p.t.Errorf("Lstart(%d)=%d above placed %d@%d − dist %d", y, ls, z, tz, d)
 			}
@@ -51,9 +51,6 @@ func (p *instrumentedPolicy) ChooseOp(st *State) int {
 	}
 	return x
 }
-
-// distPublic exposes the internal MinDist lookup for the invariant test.
-func (st *State) distPublic(x, y int) int { return st.dist(x, y) }
 
 // TestEngineInvariants runs the instrumented policy over random loops:
 // the bound-maintenance code must keep Estart/Lstart exact after every

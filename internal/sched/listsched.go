@@ -147,11 +147,11 @@ func ListScheduleInto(ctx context.Context, l *ir.Loop, cfg Config, dst *Result) 
 				}
 			}
 			res.Stats.CentralIters++
-			// Earliest start from Start (MinDist index n) and from
-			// already-placed ops (both directions of the MinDist
-			// constraint must hold against each).
+			// Earliest start from Start and from already-placed ops
+			// (both directions of the MinDist constraint must hold
+			// against each).
 			lo := 0
-			if d := md.Dist(n, x); d != mindist.NoPath {
+			if d := md.Dist(md.Start(), x); d != mindist.NoPath {
 				lo = d
 			}
 			hi := -1

@@ -31,16 +31,15 @@ func (p *SlackPolicy) BeginAttempt(st *State) {}
 // (an estimate of resource contention), halved again if it uses the
 // divider (whose complex non-pipelined reservation pattern leaves few
 // slots). Ties break toward the smallest Lstart: a top-down bias that
-// interacts well with the backtracking policy.
+// interacts well with the backtracking policy, then toward the smallest
+// index. Priorities are kept as four times the halved slack, an exact
+// integer, so they order exactly as the fractional values do.
 func (p *SlackPolicy) ChooseOp(st *State) int {
-	best := -1
-	var bestPrio float64
-	for x := 0; x <= st.n; x++ {
-		if st.Placed(x) {
-			continue
-		}
-		prio := float64(st.Slack(x))
-		if st.Contention() && st.Critical(x) {
+	best, bestPrio := -1, 0
+	contention := st.Contention()
+	for x := range st.unplaced.all {
+		prio := 4 * st.Slack(x)
+		if contention && st.Critical(x) {
 			prio /= 2
 		}
 		if st.UsesDivider(x) {
@@ -116,6 +115,10 @@ func placedFraction(st *State, group []int32) (float64, int) {
 // self-recurrences (fixed length ω·II) are ignored. Predicate guards
 // live in the ICR file and are likewise outside the RR-pressure goal.
 //
+// Whether the output counts (an RR result with a flow use by another
+// op) does not depend on the schedule, so it is read from the
+// per-compile table Arena.prepareLoop builds.
+//
 // An input v, defined by d and read by x at distance ω, cannot be
 // stretched by x if even x's latest start leaves some other use holding
 // the lifetime at least as long:
@@ -123,10 +126,9 @@ func placedFraction(st *State, group []int32) (float64, int) {
 //	Estart(d) + MinLT(v) ≥ ω·II + Lstart(x).
 func (p *SlackPolicy) stretchable(st *State, x int) (in, out int) {
 	op := st.L.Ops[x]
-	counted := map[ir.ValueID]bool{}
-	for _, rd := range op.Args {
+	for i, rd := range op.Args {
 		v := st.L.Value(rd.Val)
-		if v.File != ir.RR || !v.IsVariant() || counted[v.ID] {
+		if v.File != ir.RR || !v.IsVariant() || seenBefore(op.Args[:i], rd.Val) {
 			continue
 		}
 		self := false
@@ -138,7 +140,6 @@ func (p *SlackPolicy) stretchable(st *State, x int) (in, out int) {
 		if self {
 			continue
 		}
-		counted[v.ID] = true
 		for _, d := range v.Defs {
 			if st.Estart(int(d))+st.MinLT(v.ID) < rd.Omega*st.II+st.Lstart(x) {
 				in++
@@ -146,16 +147,18 @@ func (p *SlackPolicy) stretchable(st *State, x int) (in, out int) {
 			}
 		}
 	}
-	if op.Result != ir.None {
-		v := st.L.Value(op.Result)
-		if v.File == ir.RR {
-			for _, dep := range st.L.Deps {
-				if dep.Kind == ir.DepFlow && dep.Val == v.ID && int(dep.To) != x {
-					out = 1
-					break
-				}
-			}
-		}
+	if st.otherUse[x] {
+		out = 1
 	}
 	return in, out
+}
+
+// seenBefore reports whether an earlier operand already read v.
+func seenBefore(args []ir.Operand, v ir.ValueID) bool {
+	for _, a := range args {
+		if a.Val == v {
+			return true
+		}
+	}
+	return false
 }

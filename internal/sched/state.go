@@ -20,6 +20,8 @@
 package sched
 
 import (
+	"math/bits"
+
 	"repro/internal/ir"
 	"repro/internal/mindist"
 	"repro/internal/mrt"
@@ -38,12 +40,32 @@ type State struct {
 	estart, lstart []int // bounds per index (ops + Stop)
 	lastPlace      []int // most recent placement, or ir.Unplaced if never placed
 
+	// The placed and unplaced index sets (ops + Stop, n+1 bits each,
+	// complementary). Every scan walks the one set it needs in
+	// ascending index order, so the costs are the paper's O(p) and O(u)
+	// rather than O(n), and every first-wins tie breaks by index as a
+	// full 0..n walk would.
+	placed, unplaced bitset
+
+	// The attempt's MinDist view, filled once per attempt by
+	// Arena.distInto. MD.OpsAndStop(x) holds MinDist(x, y) for every
+	// state index y (Stop is index n in both); dIn[x*(n+1)+y] is its
+	// transpose, MinDist(y, x), so every scan over y reads one
+	// contiguous row of each. dStart[x] aliases MinDist(Start, x).
+	// related holds one row per index x, the set of y with a dependence
+	// path to or from x. Any other y has no MinDist constraint with x
+	// either way, so a scan about x walks its set intersected with x's
+	// row.
+	dIn, dStart []int
+	related     bitset
+
 	lstartStop int  // current Lstart(Stop) anchor (Section 4.2)
 	contention bool // ResMII > 1
 
 	critical []bool // per op: uses a critical resource at this II
 	divider  []bool // per op: runs on the (non-pipelined) divider
-	minLT    []int  // per value: MinLT at this II (RR values; 0 elsewhere)
+	otherUse []bool // per op: its RR result has a flow use by another op
+	minLT    []int  // per value: MinLT at this II
 
 	// Immediate dependence neighbours per op (deduplicated, no self
 	// arcs) in compressed-sparse-row form: node x's predecessors are
@@ -140,32 +162,18 @@ func stopAnchor(estartStop, ii int, contention bool) int {
 	return (estartStop + ii - 1) / ii * ii
 }
 
-// dist returns MinDist between indices (ops or Stop).
-func (st *State) dist(x, y int) int {
-	xi, yi := x, y
-	if x == st.n {
-		xi = st.MD.Stop()
-	}
-	if y == st.n {
-		yi = st.MD.Stop()
-	}
-	return st.MD.Dist(xi, yi)
-}
-
-// recomputeBounds rebuilds Estart/Lstart for every unplaced index from
-// Start, the Lstart(Stop) anchor, and all placed indices — the O(p·u)
+// recomputeBounds rebuilds Estart/Lstart for every index from Start,
+// the Lstart(Stop) anchor, and all placed indices — the O(p·u)
 // recomputation of Section 4.4 — then maintains the Stop anchor, which
 // may trigger a Stop ejection and another pass (Section 4.2).
 func (st *State) recomputeBounds() {
 	for {
-		for x := 0; x <= st.n; x++ {
-			if st.Placed(x) {
-				st.estart[x] = st.time[x]
-				st.lstart[x] = st.time[x]
-				st.esFrom[x] = -1
-				st.lsFrom[x] = -1
-				continue
-			}
+		for x := range st.placed.all {
+			t := st.time[x]
+			st.estart[x], st.lstart[x] = t, t
+			st.esFrom[x], st.lsFrom[x] = -1, -1
+		}
+		for x := range st.unplaced.all {
 			st.recomputeIndex(x)
 		}
 		if !st.maintainStop() {
@@ -174,28 +182,40 @@ func (st *State) recomputeBounds() {
 	}
 }
 
+// row returns x's MinDist rows: out[y] = MinDist(x, y) and
+// in[y] = MinDist(y, x), for every state index y.
+func (st *State) row(x int) (out, in []int) {
+	w := st.n + 1
+	return st.MD.OpsAndStop(x), st.dIn[x*w : x*w+w]
+}
+
+// relatedTo returns the set of indices with a dependence path to or
+// from x (x included).
+func (st *State) relatedTo(x int) bitset {
+	w := len(st.placed)
+	return st.related[x*w : x*w+w]
+}
+
 // recomputeIndex rebuilds one unplaced index's Estart and Lstart — and
-// their witnesses — in a single pass over the placed ops.
+// their witnesses — in a single O(p) pass over the placed indices.
 func (st *State) recomputeIndex(x int) {
+	out, in := st.row(x)
 	es := 0
-	if d := st.MD.Dist(st.MD.Start(), st.mdIndex(x)); d != mindist.NoPath {
+	if d := st.dStart[x]; d != mindist.NoPath {
 		es = d
 	}
 	ls := st.lstartStop
-	if d := st.dist(x, st.n); d != mindist.NoPath {
+	if d := out[st.n]; d != mindist.NoPath {
 		ls = st.lstartStop - d
 	}
 	esFrom, lsFrom := -1, -1
-	for y := 0; y <= st.n; y++ {
-		if !st.Placed(y) || y == x {
-			continue
-		}
+	for y := range st.placed.and(st.relatedTo(x)) {
 		ty := st.time[y]
-		if d := st.dist(y, x); d != mindist.NoPath && ty+d > es {
+		if d := in[y]; d != mindist.NoPath && ty+d > es {
 			es = ty + d
 			esFrom = y
 		}
-		if d := st.dist(x, y); d != mindist.NoPath && ty-d < ls {
+		if d := out[y]; d != mindist.NoPath && ty-d < ls {
 			ls = ty - d
 			lsFrom = y
 		}
@@ -209,16 +229,14 @@ func (st *State) recomputeIndex(x int) {
 // recomputeEstart rebuilds one unplaced index's Estart — and its witness
 // — from Start and every placed index.
 func (st *State) recomputeEstart(x int) {
+	_, in := st.row(x)
 	es := 0
-	if d := st.MD.Dist(st.MD.Start(), st.mdIndex(x)); d != mindist.NoPath {
+	if d := st.dStart[x]; d != mindist.NoPath {
 		es = d
 	}
 	from := -1
-	for y := 0; y <= st.n; y++ {
-		if !st.Placed(y) || y == x {
-			continue
-		}
-		if d := st.dist(y, x); d != mindist.NoPath && st.time[y]+d > es {
+	for y := range st.placed.and(st.relatedTo(x)) {
+		if d := in[y]; d != mindist.NoPath && st.time[y]+d > es {
 			es = st.time[y] + d
 			from = y
 		}
@@ -230,16 +248,14 @@ func (st *State) recomputeEstart(x int) {
 // recomputeLstart rebuilds one unplaced index's Lstart — and its witness
 // — from the Stop anchor and every placed index.
 func (st *State) recomputeLstart(x int) {
+	out, _ := st.row(x)
 	ls := st.lstartStop
-	if d := st.dist(x, st.n); d != mindist.NoPath {
+	if d := out[st.n]; d != mindist.NoPath {
 		ls = st.lstartStop - d
 	}
 	from := -1
-	for y := 0; y <= st.n; y++ {
-		if !st.Placed(y) || y == x {
-			continue
-		}
-		if d := st.dist(x, y); d != mindist.NoPath && st.time[y]-d < ls {
+	for y := range st.placed.and(st.relatedTo(x)) {
+		if d := out[y]; d != mindist.NoPath && st.time[y]-d < ls {
 			ls = st.time[y] - d
 			from = y
 		}
@@ -265,15 +281,13 @@ func (st *State) refreshBounds(x int) {
 	st.lstart[x] = t
 	st.esFrom[x] = -1
 	st.lsFrom[x] = -1
-	for y := 0; y <= st.n; y++ {
-		if y == x || st.Placed(y) {
-			continue
-		}
-		if d := st.dist(x, y); d != mindist.NoPath && t+d > st.estart[y] {
+	out, in := st.row(x)
+	for y := range st.unplaced.and(st.relatedTo(x)) {
+		if d := out[y]; d != mindist.NoPath && t+d > st.estart[y] {
 			st.estart[y] = t + d
 			st.esFrom[y] = x
 		}
-		if d := st.dist(y, x); d != mindist.NoPath && t-d < st.lstart[y] {
+		if d := in[y]; d != mindist.NoPath && t-d < st.lstart[y] {
 			st.lstart[y] = t - d
 			st.lsFrom[y] = x
 		}
@@ -288,31 +302,26 @@ func (st *State) refreshBounds(x int) {
 // Estart or Lstart was witnessed by y is rebuilt in O(p). Bounds
 // witnessed elsewhere (or by the schedule-independent base) still hold —
 // an ejection can only loosen constraints, and only through the ejected
-// op — so the common case costs a single O(u) witness scan. The Stop
-// anchor never moves here: ejections only lower Estart(Stop), and the
-// anchor resets only when pushed upward (Section 4.2).
+// op — so beyond those rebuilds the repair costs one O(u) witness scan
+// over the unplaced indices related to y (only those can have y as a
+// witness). The Stop anchor never moves here: ejections only lower
+// Estart(Stop), and the anchor resets only when pushed upward
+// (Section 4.2).
 func (st *State) repairAfterEject(y int) {
 	st.recomputeIndex(y)
-	for x := 0; x <= st.n; x++ {
-		if x == y || st.Placed(x) {
+	for x := range st.unplaced.and(st.relatedTo(y)) {
+		if x == y {
 			continue
 		}
-		switch {
-		case st.esFrom[x] == y && st.lsFrom[x] == y:
+		switch es, ls := st.esFrom[x] == y, st.lsFrom[x] == y; {
+		case es && ls:
 			st.recomputeIndex(x)
-		case st.esFrom[x] == y:
+		case es:
 			st.recomputeEstart(x)
-		case st.lsFrom[x] == y:
+		case ls:
 			st.recomputeLstart(x)
 		}
 	}
-}
-
-func (st *State) mdIndex(x int) int {
-	if x == st.n {
-		return st.MD.Stop()
-	}
-	return x
 }
 
 // maintainStop implements the Lstart(Stop) reset rule (Section 4.2):
@@ -324,14 +333,12 @@ func (st *State) maintainStop() bool {
 	es := st.estart[stop]
 	if st.Placed(stop) {
 		es = 0
-		if d := st.MD.Dist(st.MD.Start(), st.MD.Stop()); d != mindist.NoPath {
+		if d := st.dStart[stop]; d != mindist.NoPath {
 			es = d
 		}
-		for y := 0; y < st.n; y++ {
-			if !st.Placed(y) {
-				continue
-			}
-			if d := st.dist(y, stop); d != mindist.NoPath && st.time[y]+d > es {
+		_, in := st.row(stop)
+		for y := range st.placed.all {
+			if d := in[y]; y != stop && d != mindist.NoPath && st.time[y]+d > es {
 				es = st.time[y] + d
 			}
 		}
@@ -356,6 +363,8 @@ func (st *State) place(x, cycle int) {
 	}
 	st.time[x] = cycle
 	st.lastPlace[x] = cycle
+	st.placed.add(x)
+	st.unplaced.remove(x)
 	st.unplacedCount--
 }
 
@@ -376,6 +385,8 @@ func (st *State) eject(x int) {
 		st.mrt.Eject(st.L.Ops[x])
 	}
 	st.time[x] = ir.Unplaced
+	st.placed.remove(x)
+	st.unplaced.add(x)
 	st.unplacedCount++
 	st.ejections++
 	// Under NoFastPaths every refreshBounds call recomputes from
@@ -406,28 +417,75 @@ func (st *State) resourceVictims(x, cycle int) []ir.OpID {
 	return st.mrt.Conflicts(st.L.Ops[x], cycle)
 }
 
-// depVictims returns the placed indices whose MinDist constraints against
-// x sitting at cycle are violated. MinDist reflects the transitive
-// closure of the successor relation, so this ejects beyond immediate
-// successors, which the paper found reduces overall backtracking
-// (Section 4.4).
+// depVictims returns the placed indices, in ascending order, whose
+// MinDist constraints against the unplaced x sitting at cycle are
+// violated. MinDist reflects the transitive closure of the successor
+// relation, so this ejects beyond immediate successors, which the paper
+// found reduces overall backtracking (Section 4.4).
 // The returned slice aliases st.depBuf and is valid until the next call;
 // forceAt copies it into its victim list immediately.
 func (st *State) depVictims(x, cycle int) []int {
-	out := st.depBuf[:0]
-	for y := 0; y <= st.n; y++ {
-		if y == x || !st.Placed(y) {
-			continue
-		}
+	victims := st.depBuf[:0]
+	out, in := st.row(x)
+	for y := range st.placed.and(st.relatedTo(x)) {
 		ty := st.time[y]
-		if d := st.dist(x, y); d != mindist.NoPath && cycle+d > ty {
-			out = append(out, y)
+		if d := out[y]; d != mindist.NoPath && cycle+d > ty {
+			victims = append(victims, y)
 			continue
 		}
-		if d := st.dist(y, x); d != mindist.NoPath && ty+d > cycle {
-			out = append(out, y)
+		if d := in[y]; d != mindist.NoPath && ty+d > cycle {
+			victims = append(victims, y)
 		}
 	}
-	st.depBuf = out
-	return out
+	st.depBuf = victims
+	return victims
+}
+
+// bitset is a set of state indices, one bit each.
+type bitset []uint64
+
+// resize returns an empty set able to hold indices [0, n), reusing s's
+// backing store when it is large enough.
+func (s bitset) resize(n int) bitset {
+	w := (n + 63) / 64
+	if cap(s) >= w {
+		s = s[:w]
+	} else {
+		s = make(bitset, w)
+	}
+	clear(s)
+	return s
+}
+
+func (s bitset) add(x int)    { s[x>>6] |= 1 << (uint(x) & 63) }
+func (s bitset) remove(x int) { s[x>>6] &^= 1 << (uint(x) & 63) }
+
+// all yields the members in ascending order. The set must not change
+// during the walk.
+func (s bitset) all(yield func(int) bool) {
+	for i, w := range s {
+		for w != 0 {
+			if !yield(i<<6 | bits.TrailingZeros64(w)) {
+				return
+			}
+			w &= w - 1
+		}
+	}
+}
+
+// and returns an iterator over the members of s that are also in t, in
+// ascending order. Neither set may change during the walk.
+func (s bitset) and(t bitset) func(yield func(int) bool) {
+	return func(yield func(int) bool) {
+		t = t[:len(s)]
+		for i, w := range s {
+			w &= t[i]
+			for w != 0 {
+				if !yield(i<<6 | bits.TrailingZeros64(w)) {
+					return
+				}
+				w &= w - 1
+			}
+		}
+	}
 }
