@@ -34,6 +34,7 @@ package exact
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"time"
@@ -43,6 +44,7 @@ import (
 	"repro/internal/mii"
 	"repro/internal/mindist"
 	"repro/internal/mrt"
+	"repro/internal/obs"
 	"repro/internal/sched"
 )
 
@@ -106,8 +108,33 @@ func (s *Scheduler) ScheduleInto(ctx context.Context, l *ir.Loop, dst *sched.Res
 
 // Search runs the exact search and returns the full Outcome. On typed
 // failure (budget exhausted with nothing found, or proven infeasible)
-// the Outcome still carries the partial evidence in Result.
+// the Outcome still carries the partial evidence in Result. Under a
+// trace (obs.WithTrace) the search is one "exact" span carrying the
+// (II, MaxLive) found and the proof bit.
 func (s *Scheduler) Search(ctx context.Context, l *ir.Loop) (*Outcome, error) {
+	sp := obs.FromContext(ctx).Start("exact")
+	o, err := s.search(ctx, l)
+	outcome, proven := obs.OutcomeOK, int64(0)
+	var be *sched.BudgetError
+	switch {
+	case o == nil:
+		sp.End(obs.OutcomeError)
+		return o, err
+	case errors.As(err, &be):
+		outcome = be.Reason
+	case err != nil:
+		outcome = obs.OutcomeInfeasible
+	case o.Proven:
+		proven = 1
+	}
+	if o.Result.OK() {
+		sp.Int("ii", int64(o.Result.Schedule.II)).Int("maxlive", int64(o.MaxLive))
+	}
+	sp.Int("proven", proven).End(outcome)
+	return o, err
+}
+
+func (s *Scheduler) search(ctx context.Context, l *ir.Loop) (*Outcome, error) {
 	if !l.Finalized() {
 		return nil, fmt.Errorf("exact: loop %s not finalized", l.Name)
 	}

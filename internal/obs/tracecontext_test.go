@@ -45,18 +45,20 @@ func TestParseTraceparentFutureVersion(t *testing.T) {
 	}
 }
 
+// invalidTraceparents are headers ParseTraceparent must reject.
+var invalidTraceparents = map[string]string{
+	"empty":             "",
+	"short":             "00-abc",
+	"version ff":        "ff-0123456789abcdef0123456789abcdef-0123456789abcdef-01",
+	"zero trace id":     "00-00000000000000000000000000000000-0123456789abcdef-01",
+	"zero span id":      "00-0123456789abcdef0123456789abcdef-0000000000000000-01",
+	"bad separators":    "00_0123456789abcdef0123456789abcdef_0123456789abcdef_01",
+	"non-hex trace id":  "00-0123456789abcdeg0123456789abcdef-0123456789abcdef-01",
+	"v00 trailing data": "00-0123456789abcdef0123456789abcdef-0123456789abcdef-01-x",
+}
+
 func TestParseTraceparentInvalid(t *testing.T) {
-	cases := map[string]string{
-		"empty":             "",
-		"short":             "00-abc",
-		"version ff":        "ff-0123456789abcdef0123456789abcdef-0123456789abcdef-01",
-		"zero trace id":     "00-00000000000000000000000000000000-0123456789abcdef-01",
-		"zero span id":      "00-0123456789abcdef0123456789abcdef-0000000000000000-01",
-		"bad separators":    "00_0123456789abcdef0123456789abcdef_0123456789abcdef_01",
-		"non-hex trace id":  "00-0123456789abcdeg0123456789abcdef-0123456789abcdef-01",
-		"v00 trailing data": "00-0123456789abcdef0123456789abcdef-0123456789abcdef-01-x",
-	}
-	for name, h := range cases {
+	for name, h := range invalidTraceparents {
 		if _, err := ParseTraceparent(h); err == nil {
 			t.Errorf("%s: %q parsed without error", name, h)
 		}
@@ -151,4 +153,33 @@ func TestSpanContextJSONRoundTrip(t *testing.T) {
 	if back.Ctx.TraceID != tr.Ctx.TraceID || back.Parent.SpanID != sc.SpanID {
 		t.Fatal("span context did not survive the round trip")
 	}
+}
+
+// FuzzParseTraceparent: every request's traceparent header is untrusted
+// input. Parsing never panics, and an accepted header's re-rendered
+// Traceparent parses back to the same TraceID, SpanID and Sampled.
+func FuzzParseTraceparent(f *testing.F) {
+	for _, h := range []string{
+		"00-0123456789abcdef0123456789abcdef-0123456789abcdef-01",
+		"00-0123456789abcdef0123456789abcdef-0123456789abcdef-00",
+		"cc-0123456789abcdef0123456789abcdef-0123456789abcdef-01-extra",
+	} {
+		f.Add(h)
+	}
+	for _, h := range invalidTraceparents {
+		f.Add(h)
+	}
+	f.Fuzz(func(t *testing.T, h string) {
+		sc, err := ParseTraceparent(h)
+		if err != nil {
+			return
+		}
+		back, err := ParseTraceparent(sc.Traceparent())
+		if err != nil {
+			t.Fatalf("%q parsed to %+v, whose Traceparent %q does not parse: %v", h, sc, sc.Traceparent(), err)
+		}
+		if back != sc {
+			t.Fatalf("%q parsed to %+v, but its Traceparent %q parses to %+v", h, sc, sc.Traceparent(), back)
+		}
+	})
 }

@@ -2,6 +2,7 @@ package server
 
 import (
 	"context"
+	"errors"
 	"sync"
 )
 
@@ -24,31 +25,32 @@ func newAdmission(workers, queueDepth int) *admission {
 	}
 }
 
-// tryEnter claims a queue slot without blocking; false means overload.
-func (a *admission) tryEnter() bool {
+// errOverloaded is enter's verdict when the admission queue is full.
+var errOverloaded = errors.New("admission queue full")
+
+// enter claims a queue slot without blocking — errOverloaded when the
+// queue is full — then waits for a worker slot or the end of ctx. On
+// nil the caller holds both slots until release.
+func (a *admission) enter(ctx context.Context) error {
 	select {
 	case a.queue <- struct{}{}:
-		return true
 	default:
-		return false
+		return errOverloaded
 	}
-}
-
-// leave releases the queue slot claimed by tryEnter.
-func (a *admission) leave() { <-a.queue }
-
-// acquireWorker blocks until a worker slot frees up or ctx ends.
-func (a *admission) acquireWorker(ctx context.Context) error {
 	select {
 	case a.workers <- struct{}{}:
 		return nil
 	case <-ctx.Done():
+		<-a.queue
 		return ctx.Err()
 	}
 }
 
-// releaseWorker frees the slot claimed by acquireWorker.
-func (a *admission) releaseWorker() { <-a.workers }
+// release frees the slots enter claimed.
+func (a *admission) release() {
+	<-a.workers
+	<-a.queue
+}
 
 // running reports how many compiles hold a worker slot.
 func (a *admission) running() int { return len(a.workers) }
@@ -173,6 +175,17 @@ func (g *flightGroup) join(key string) (*call, bool) {
 	c := &call{done: make(chan struct{})}
 	g.m[key] = c
 	return c, true
+}
+
+// wait blocks a follower until the leader's outcome is published
+// (true) or ctx ends (false).
+func (c *call) wait(ctx context.Context) (outcome, bool) {
+	select {
+	case <-c.done:
+		return c.out, true
+	case <-ctx.Done():
+		return outcome{}, false
+	}
 }
 
 // finish publishes the leader's outcome and retires the call.

@@ -20,8 +20,8 @@ func (s *Server) DebugHandler() http.Handler {
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	mux.HandleFunc("/debug/flightrecorder", s.handleFlightRecorder)
-	mux.HandleFunc("/debug/slo", s.handleSLO)
+	mux.HandleFunc("GET /debug/flightrecorder", s.handleFlightRecorder)
+	mux.HandleFunc("GET /debug/slo", s.handleSLO)
 	return mux
 }
 
@@ -30,11 +30,6 @@ func (s *Server) DebugHandler() http.Handler {
 // ?trace=<32-hex-trace-id> narrows the dump to the entries belonging to
 // one W3C trace — the "what did this request do on this node" query.
 func (s *Server) handleFlightRecorder(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		w.Header().Set("Allow", http.MethodGet)
-		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-		return
-	}
 	w.Header().Set("Content-Type", "application/json")
 	if id := r.URL.Query().Get("trace"); id != "" {
 		s.flight.WriteJSONFilter(w, func(t *obs.Trace) bool {
@@ -49,11 +44,6 @@ func (s *Server) handleFlightRecorder(w http.ResponseWriter, r *http.Request) {
 // and burn rates, the configured objectives and threshold, and the
 // current readiness verdict.
 func (s *Server) handleSLO(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		w.Header().Set("Allow", http.MethodGet)
-		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-		return
-	}
 	ready, reason := s.ready()
 	out := struct {
 		obs.SLOSnapshot

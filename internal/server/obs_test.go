@@ -214,21 +214,52 @@ func TestRequestIDAndLogging(t *testing.T) {
 		t.Errorf("second request ID %q, want a fresh server-generated one", got)
 	}
 
+	// Turned-away requests log too: one record each, with the status
+	// and the wire error kind as the outcome.
+	rejected := map[string][]byte{
+		"bad-json":  []byte("{not json"),
+		"bad-sched": requestBody(t, fixture.Daxpy(machine.Cydra()), "no-such-policy", wire.Options{}),
+	}
+	for id, b := range rejected {
+		req, _ := http.NewRequest(http.MethodPost, ts.URL+"/v1/compile", bytes.NewReader(b))
+		req.Header.Set("X-Request-Id", id)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+	}
+
 	var sawCompile, sawHit bool
+	records := map[string]int{}
 	for _, line := range strings.Split(strings.TrimSpace(logBuf.String()), "\n") {
 		var rec map[string]any
 		if err := json.Unmarshal([]byte(line), &rec); err != nil {
 			t.Fatalf("unparseable log line %q: %v", line, err)
 		}
-		if rec["request_id"] == "caller-7" && rec["outcome"] == obs.OutcomeOK {
+		id, _ := rec["request_id"].(string)
+		records[id]++
+		if id == "caller-7" && rec["outcome"] == obs.OutcomeOK {
 			sawCompile = true
 		}
 		if rec["cache"] == "hit" {
 			sawHit = true
 		}
+		want := map[string]string{"bad-json": wire.ErrKindBadRequest, "bad-sched": wire.ErrKindUnknownScheduler}[id]
+		if want != "" && (rec["status"] != float64(http.StatusBadRequest) || rec["outcome"] != want) {
+			t.Errorf("%s logged status %v outcome %v, want 400 %s", id, rec["status"], rec["outcome"], want)
+		}
 	}
 	if !sawCompile || !sawHit {
 		t.Errorf("log stream missing compile/hit records:\n%s", logBuf.String())
+	}
+	if got := s.slo.Snapshot().Short.Total; got != 4 {
+		t.Errorf("SLO tracker saw %d samples for 4 compile responses", got)
+	}
+	for id := range rejected {
+		if records[id] != 1 {
+			t.Errorf("%s left %d log records, want 1:\n%s", id, records[id], logBuf.String())
+		}
 	}
 }
 

@@ -2,19 +2,13 @@ package server
 
 import (
 	"context"
-	"encoding/json"
 	"net/http"
 	"sync"
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/exact"
-	"repro/internal/ir"
-	"repro/internal/lifetime"
-	"repro/internal/mindist"
 	"repro/internal/obs"
 	"repro/internal/store"
-	"repro/internal/wire"
 )
 
 // The refinement tier (Config.Refine): requests are answered
@@ -33,15 +27,16 @@ import (
 
 // refineJob is one queued refinement: a private copy of the raw request
 // bytes (the handler's decode buffers are pooled and recycled, so the
-// worker re-decodes from its own copy) plus the served response bytes
-// for the strict-improvement comparison.
+// worker re-decodes from its own copy) plus the served schedule's
+// (II, MaxLive) for the strict-improvement comparison.
 type refineJob struct {
-	hash      string
-	reqID     string
-	schedName string
-	loopName  string
-	rawReq    []byte // owned copy of the request body
-	baseBody  []byte // served response bytes (immutable by outcome contract)
+	hash        string
+	reqID       string
+	schedName   string
+	loopName    string
+	rawReq      []byte // owned copy of the request body
+	baseII      int
+	baseMaxLive int
 	// link is the originating request's span context. The refinement runs
 	// under a fresh TraceID — it outlives the request and belongs to no
 	// caller — but its trace carries a span link back here, so a store
@@ -72,14 +67,32 @@ func newRefiner(s *Server) *refiner {
 	return r
 }
 
-// enqueue offers a job without blocking the request path; a full queue
-// drops the job (the record stays correct, just unrefined).
-func (r *refiner) enqueue(job refineJob) bool {
+// offer queues the background refinement of a live cold compile
+// without blocking the request path: a successful, cacheable compile
+// by any scheduler but exact, which has nothing to refine toward. A
+// full queue drops the job (the record stays correct, just unrefined).
+// Nil-safe: a server without the tier offers nothing.
+func (r *refiner) offer(scr *reqScratch, body []byte, out outcome) {
+	if r == nil || !out.cacheable || out.status != http.StatusOK || out.name != obs.OutcomeOK ||
+		scr.p.scheduler == string(core.SchedExact) {
+		return
+	}
+	// The job owns a copy of the raw request (the decode scratch is
+	// pooled). The request's span context rides along as the link
+	// target: the refine trace is caused by this request without being
+	// nested under it.
 	select {
-	case r.jobs <- job:
-		return true
+	case r.jobs <- refineJob{
+		hash:        scr.p.hash,
+		reqID:       scr.id,
+		schedName:   scr.p.scheduler,
+		loopName:    scr.p.loopName,
+		rawReq:      append([]byte(nil), body...),
+		baseII:      scr.c.Result.Schedule.II,
+		baseMaxLive: scr.c.RR.MaxLive,
+		link:        scr.tc.ctx,
+	}:
 	default:
-		return false
 	}
 }
 
@@ -95,36 +108,30 @@ func (r *refiner) close() {
 
 func (r *refiner) run() {
 	defer r.wg.Done()
-	var dec wire.Scratch
+	scr := reqScratchPool.Get().(*reqScratch)
+	defer scr.release()
 	for {
 		select {
 		case <-r.ctx.Done():
 			return
 		case job := <-r.jobs:
-			r.process(&dec, job)
-			dec.Reset()
+			r.process(scr, job)
+			scr.reset()
 		}
 	}
 }
 
-// process runs one refinement end to end: re-decode, exact search,
-// strict-improvement comparison, store upgrade. Every job leaves one
-// `refine` trace in the flight recorder and bumps exactly one of the
-// improved/unchanged/exhausted counters.
-func (r *refiner) process(dec *wire.Scratch, job refineJob) {
+// process runs one refinement end to end: decode, prepare, an exact
+// compile, the strict-improvement comparison, and the store upgrade.
+// Every job leaves one `refine` trace in the flight recorder and bumps
+// exactly one of the improved/unchanged/exhausted counters.
+func (r *refiner) process(scr *reqScratch, job refineJob) {
 	s := r.s
 	start := time.Now()
 	s.m.refineStarted.Inc()
-	tr := obs.NewTrace(job.reqID, job.loopName)
-	tr.Scheduler = string(core.SchedExact)
-	tr.Ctx = obs.SpanContext{
-		TraceID: obs.NewTraceID(),
-		SpanID:  obs.NewSpanID(),
-		Sampled: job.link.Sampled, // inherit the originating verdict
-	}
-	if !job.link.IsZero() {
-		tr.Links = []obs.SpanContext{job.link}
-	}
+	scr.id, scr.tc = job.reqID, linkedTo(job.link)
+	scr.p.loopName, scr.p.scheduler = job.loopName, string(core.SchedExact)
+	tr := scr.trace()
 	sp := tr.Start("refine")
 
 	outcome := "exhausted"
@@ -141,8 +148,8 @@ func (r *refiner) process(dec *wire.Scratch, job refineJob) {
 		default:
 			s.m.refineExhausted.Inc()
 		}
-		if s.logger != nil {
-			s.logger.Info("refine",
+		if s.cfg.Logger != nil {
+			s.cfg.Logger.Info("refine",
 				"request_id", job.reqID,
 				"loop", job.loopName,
 				"scheduler", job.schedName,
@@ -153,19 +160,13 @@ func (r *refiner) process(dec *wire.Scratch, job refineJob) {
 		}
 	}()
 
-	req, err := dec.DecodeRequest(job.rawReq)
+	req, err := scr.dec.DecodeRequest(job.rawReq)
 	if err != nil {
 		tr.Err = err.Error()
 		return
 	}
-	norm, loop, err := req.Normalize()
-	if err != nil {
-		tr.Err = err.Error()
-		return
-	}
-	var base wire.Response
-	if err := json.Unmarshal(job.baseBody, &base); err != nil {
-		tr.Err = err.Error()
+	if e := s.prepare(req, &scr.p); e != nil {
+		tr.Err = e.Message
 		return
 	}
 
@@ -173,69 +174,36 @@ func (r *refiner) process(dec *wire.Scratch, job refineJob) {
 	// still bind — a refined schedule must satisfy the same contract the
 	// original answer did — but the synchronous deadline does not: the
 	// whole point of the tier is searching under a longer budget.
-	cfg := norm.Options.SchedConfig()
+	cfg := scr.p.norm.Options.SchedConfig()
 	cfg.Budget.Deadline = s.cfg.RefineDeadline
 	cfg.Budget.MaxCentralIters = s.cfg.RefineNodes
 	cfg.Budget.MaxIIAttempts = 0
-	out, err := exact.New(cfg).Search(r.ctx, loop)
-	if err != nil || out == nil || out.Result == nil || !out.Result.OK() {
+	err = core.CompileInto(obs.WithTrace(r.ctx, tr), &scr.c, scr.p.loop, core.Options{
+		Scheduler:   core.SchedExact,
+		Config:      cfg,
+		SkipCodegen: true,
+	})
+	if err != nil || !scr.c.OK() {
 		if err != nil {
 			tr.Err = err.Error()
 		}
 		return
 	}
-	res := out.Result
-	eII, eML := res.Schedule.II, out.MaxLive
-	sp.Int("base_ii", int64(base.II)).Int("base_maxlive", int64(base.MaxLive))
+	eII, eML := scr.c.Result.Schedule.II, scr.c.RR.MaxLive
+	sp.Int("base_ii", int64(job.baseII)).Int("base_maxlive", int64(job.baseMaxLive))
 	sp.Int("ii", int64(eII)).Int("maxlive", int64(eML))
-	if out.Proven {
-		sp.Int("proven", 1)
-	}
-	if eII > base.II || (eII == base.II && eML >= base.MaxLive) {
+	if eII > job.baseII || (eII == job.baseII && eML >= job.baseMaxLive) {
 		outcome = "unchanged"
 		return
 	}
-
-	md := res.MinDist
-	if md == nil || md.II != res.Schedule.II {
-		md, err = mindist.Compute(loop, res.Schedule.II)
-		if err != nil {
-			tr.Err = err.Error()
-			return
-		}
-	}
-	sc := res.Schedule
-	b := res.Bounds
-	resp := &wire.Response{
-		Hash:      job.hash,
-		Loop:      loop.Name,
-		Machine:   norm.Machine,
-		Scheduler: job.schedName,
-		OK:        true,
-		Bounds:    wire.Bounds{ResMII: b.ResMII, RecMII: b.RecMII, MII: b.MII},
-		II:        sc.II,
-		Length:    sc.Length(),
-		Stages:    sc.Stages(),
-		Times:     sc.Time,
-		MaxLive:   eML,
-		MinAvg:    mindist.MinAvg(loop, md, ir.RR),
-		ICR:       lifetime.ICRUsage(loop, sc),
-		GPRs:      loop.GPRCount(),
-		Effort:    wire.EffortOf(res.Stats),
-		Refined:   true,
-	}
-	body, err := json.Marshal(resp)
-	if err != nil {
-		tr.Err = err.Error()
-		return
-	}
+	out := outcomeOf(&scr.p, &scr.c, nil, true)
 	if r.ctx.Err() != nil {
 		return // shutting down: don't race the store teardown
 	}
-	s.store.Upgrade(job.hash, store.Record{
-		Status:  http.StatusOK,
-		Machine: norm.Machine,
-		Body:    body,
+	s.store.Upgrade(scr.p.hash, store.Record{
+		Status:  out.status,
+		Machine: scr.p.norm.Machine,
+		Body:    out.body,
 		Refined: true,
 	})
 	outcome = "improved"

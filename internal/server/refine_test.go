@@ -3,14 +3,20 @@ package server
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"testing"
 	"time"
 
+	"repro/internal/core"
+	"repro/internal/exact"
 	"repro/internal/ir"
+	"repro/internal/lifetime"
 	"repro/internal/loopgen"
 	"repro/internal/machine"
+	"repro/internal/mindist"
 	"repro/internal/wire"
 )
 
@@ -83,6 +89,13 @@ func TestRefineUpgradesStoreEntry(t *testing.T) {
 	}
 
 	refined := waitRefined(t, ts1.URL, body)
+	want, err := os.ReadFile("testdata/refined_triad.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(refined, want) {
+		t.Fatalf("refined body differs from testdata/refined_triad.json:\n%s\nvs\n%s", refined, want)
+	}
 	got := decodeResponse(t, refined)
 	if !got.OK || !got.Refined {
 		t.Fatalf("refined response not marked: %+v", got)
@@ -108,17 +121,26 @@ func TestRefineUpgradesStoreEntry(t *testing.T) {
 		t.Errorf("lsmsd_refine_improved_total = %d, want 1", v)
 	}
 
-	// The refinement left a trace with a `refine` span in the recorder.
-	var sawSpan bool
+	// The refinement left a trace with a `refine` span in the recorder,
+	// and the exact backend's own span carries the proof bit.
+	var sawSpan, sawProven bool
 	for _, tr := range s1.FlightRecorder().Snapshot() {
 		for _, sp := range tr.Spans {
 			if sp.Name == "refine" && sp.Outcome == "improved" {
 				sawSpan = true
 			}
+			for _, a := range sp.Attrs {
+				if sp.Name == "exact" && a.Key == "proven" {
+					sawProven = true
+				}
+			}
 		}
 	}
 	if !sawSpan {
 		t.Error("no refine span with outcome improved in the flight recorder")
+	}
+	if !sawProven {
+		t.Error("the refine trace has no exact span carrying proven")
 	}
 
 	ts1.Close()
@@ -182,5 +204,110 @@ func TestRefineSkipsExactRequests(t *testing.T) {
 	time.Sleep(100 * time.Millisecond)
 	if v := metricValue(t, ts.URL, "lsmsd_refine_started_total"); v != 0 {
 		t.Errorf("lsmsd_refine_started_total = %d, want 0", v)
+	}
+}
+
+// refinedOracle is the refined body as the refiner once built it by
+// hand: a direct exact.Search, MinDist recomputed at the found II when
+// the result carries none, and every derived field filled in place.
+func refinedOracle(t *testing.T, l *ir.Loop, hash string, cfg Config) []byte {
+	t.Helper()
+	req, err := wire.NewRequest(l, "slack", wire.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	norm, loop, err := req.Normalize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	scfg := norm.Options.SchedConfig()
+	scfg.Budget.Deadline = cfg.RefineDeadline
+	scfg.Budget.MaxCentralIters = cfg.RefineNodes
+	out, err := exact.New(scfg).Search(context.Background(), loop)
+	if err != nil || !out.Result.OK() {
+		t.Fatalf("%s: exact search: %v", l.Name, err)
+	}
+	res := out.Result
+	md := res.MinDist
+	if md == nil || md.II != res.Schedule.II {
+		if md, err = mindist.Compute(loop, res.Schedule.II); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sc, b := res.Schedule, res.Bounds
+	body, err := json.Marshal(&wire.Response{
+		Hash: hash, Loop: loop.Name, Machine: norm.Machine, Scheduler: "slack", OK: true,
+		Bounds: wire.Bounds{ResMII: b.ResMII, RecMII: b.RecMII, MII: b.MII},
+		II:     sc.II, Length: sc.Length(), Stages: sc.Stages(), Times: sc.Time,
+		MaxLive: out.MaxLive, MinAvg: mindist.MinAvg(loop, md, ir.RR),
+		ICR: lifetime.ICRUsage(loop, sc), GPRs: loop.GPRCount(),
+		Effort: wire.EffortOf(res.Stats), Refined: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return body
+}
+
+// TestRefinedBodyIsOutcomeOf holds the refiner to the one response
+// builder over the kernel corpus: with the served schedule made
+// unbeatable-looking (a huge base II) every job upgrades, and the
+// stored body must equal both outcomeOf over a SchedExact compile with
+// Refined set and the body the refiner used to build by hand.
+func TestRefinedBodyIsOutcomeOf(t *testing.T) {
+	// The node cap, not the wall clock, bounds each search, so both
+	// sides of the comparison stop at the same node.
+	cfg := Config{Workers: 1, RefineDeadline: time.Minute, RefineNodes: 1 << 12}
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	r := &refiner{s: s}
+	r.ctx, r.cancel = context.WithCancel(context.Background())
+	defer r.cancel()
+	scr := reqScratchPool.Get().(*reqScratch)
+	defer scr.release()
+
+	ks, err := loopgen.Kernels(machine.Cydra())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if testing.Short() {
+		ks = ks[:8]
+	}
+	for _, k := range ks {
+		raw := requestBody(t, k.CL.Loop, "slack", wire.Options{})
+		req, err := wire.NewRequest(k.CL.Loop, "slack", wire.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var p prepared
+		if e := s.prepare(req, &p); e != nil {
+			t.Fatal(e.Message)
+		}
+		r.process(scr, refineJob{hash: p.hash, reqID: k.Name, schedName: p.scheduler, loopName: p.loopName,
+			rawReq: raw, baseII: 1 << 20})
+		scr.reset()
+		rec, ok := s.store.Get(p.hash)
+		if !ok || !rec.Refined {
+			t.Fatalf("%s: no refined record stored", k.Name)
+		}
+
+		cfg2 := p.norm.Options.SchedConfig()
+		cfg2.Budget.Deadline = cfg.RefineDeadline
+		cfg2.Budget.MaxCentralIters = cfg.RefineNodes
+		c, err := core.Compile(context.Background(), p.loop, core.Options{
+			Scheduler: core.SchedExact, Config: cfg2, SkipCodegen: true,
+		})
+		if err != nil {
+			t.Fatalf("%s: %v", k.Name, err)
+		}
+		if want := outcomeOf(&p, c, nil, true); !bytes.Equal(rec.Body, want.body) {
+			t.Errorf("%s: refined body is not outcomeOf's:\n%s\nvs\n%s", k.Name, rec.Body, want.body)
+		}
+		if want := refinedOracle(t, k.CL.Loop, p.hash, cfg); !bytes.Equal(rec.Body, want) {
+			t.Errorf("%s: refined body differs from the hand-built one:\n%s\nvs\n%s", k.Name, rec.Body, want)
+		}
 	}
 }

@@ -227,3 +227,54 @@ func TestWarmStart(t *testing.T) {
 		t.Error("warmed request scheduled")
 	}
 }
+
+// TestWarmStartServesLiveBytes: warm-start runs the live stages, so a
+// request it warmed is served byte-identically to a cold POST on a
+// fresh server. Warm compiles count in lsmsd_compiles_total and never
+// in lsmsd_requests_total, which counts only HTTP traffic.
+func TestWarmStartServesLiveBytes(t *testing.T) {
+	suite, err := loopgen.Build(loopgen.Options{Size: 1, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var reqs []*wire.Request
+	var bodies [][]byte
+	for _, l := range suite.Loops {
+		req, err := wire.NewRequest(l.CL.Loop, "slack", wire.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		reqs = append(reqs, req)
+		bodies = append(bodies, requestBody(t, l.CL.Loop, "slack", wire.Options{}))
+	}
+
+	warmed, tsWarm := newTestServer(t, Config{Workers: 2})
+	if st, err := warmed.WarmStart(context.Background(), reqs); err != nil || st.Compiled != len(reqs) {
+		t.Fatalf("warm-start stats %+v, err %v", st, err)
+	}
+	ok := `lsmsd_compiles_total{scheduler="slack",outcome="ok"}`
+	if n := metricValue(t, tsWarm.URL, ok); n != int64(len(reqs)) {
+		t.Errorf("%s = %d after warm-start, want %d", ok, n, len(reqs))
+	}
+	if n := metricValue(t, tsWarm.URL, "lsmsd_requests_total"); n != 0 {
+		t.Errorf("lsmsd_requests_total = %d after warm-start, want 0", n)
+	}
+
+	_, tsCold := newTestServer(t, Config{Workers: 2})
+	for i, body := range bodies {
+		rw, bw := post(t, tsWarm.URL, body)
+		rc, bc := post(t, tsCold.URL, body)
+		if rw.Header.Get("X-Lsmsd-Cache") != "hit" || rc.Header.Get("X-Lsmsd-Cache") != "miss" {
+			t.Fatalf("request %d: cache %q warmed, %q cold", i, rw.Header.Get("X-Lsmsd-Cache"), rc.Header.Get("X-Lsmsd-Cache"))
+		}
+		if rw.StatusCode != rc.StatusCode || !bytes.Equal(bw, bc) {
+			t.Fatalf("request %d: warmed %d %s\ncold %d %s", i, rw.StatusCode, bw, rc.StatusCode, bc)
+		}
+	}
+	if n := metricValue(t, tsWarm.URL, "lsmsd_requests_total"); n != int64(len(reqs)) {
+		t.Errorf("lsmsd_requests_total = %d, want %d", n, len(reqs))
+	}
+	if n := metricValue(t, tsWarm.URL, ok); n != int64(len(reqs)) {
+		t.Errorf("%s = %d after hits, want %d", ok, n, len(reqs))
+	}
+}

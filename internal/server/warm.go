@@ -2,13 +2,12 @@ package server
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
 
-	"repro/internal/core"
 	"repro/internal/obs"
-	"repro/internal/sched"
 	"repro/internal/wire"
 )
 
@@ -50,13 +49,7 @@ func (s *Server) WarmStart(ctx context.Context, reqs []*wire.Request) (WarmStats
 		errOnce.Do(func() { firstErr = err })
 	}
 
-	workers := s.cfg.Workers
-	if workers > len(reqs) {
-		workers = len(reqs)
-	}
-	if workers < 1 {
-		workers = 1
-	}
+	workers := max(1, min(s.cfg.Workers, len(reqs)))
 	// One root span context identifies this warm-start run; every corpus
 	// compile traces under its own fresh TraceID with a span link back to
 	// this root, so the run's traces group without pretending the
@@ -69,11 +62,18 @@ func (s *Server) WarmStart(ctx context.Context, reqs []*wire.Request) (WarmStats
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			tail := sched.NewTailRecorder(0)
-			var sm sched.Metrics
+			scr := reqScratchPool.Get().(*reqScratch)
+			defer scr.release()
 			for i := range feed {
-				s.warmOne(ctx, reqs[i], i, warmRoot, tail, &sm, &warm, &compiled, fail)
-				tail.Reset()
+				switch stored, err := s.warmOne(ctx, scr, reqs[i], i, warmRoot); {
+				case err != nil:
+					fail(fmt.Errorf("warm-start request %d: %w", i, err))
+				case stored:
+					warm.Add(1)
+				default:
+					compiled.Add(1)
+				}
+				scr.reset()
 			}
 		}()
 	}
@@ -98,67 +98,34 @@ feeding:
 	return stats, firstErr
 }
 
-// warmOne precompiles one corpus request: store probe first, then the
-// same admitAndCompile path a live request takes.
-func (s *Server) warmOne(ctx context.Context, req *wire.Request, i int, warmRoot obs.SpanContext,
-	tail *sched.TailRecorder, sm *sched.Metrics, warm, compiled *atomic.Int64, fail func(error)) {
-	norm, loop, err := req.Normalize()
-	if err != nil {
-		fail(fmt.Errorf("warm-start request %d: %w", i, err))
-		return
+// warmOne precompiles one corpus request through the live stages:
+// prepare, a store probe (stored reports a hit), then join — as the
+// singleflight leader it runs admit, compile and store; as a follower,
+// a live request is already compiling the key and its write-through
+// warms the store. Each compile traces under a fresh TraceID linked to
+// the run's root.
+func (s *Server) warmOne(ctx context.Context, scr *reqScratch, req *wire.Request, i int, root obs.SpanContext) (stored bool, err error) {
+	if e := s.prepare(req, &scr.p); e != nil {
+		return false, errors.New(e.Message)
 	}
-	schedName := norm.Scheduler
-	if schedName == "" {
-		schedName = string(core.SchedSlack)
-	}
-	if _, ok := core.Lookup(core.SchedulerName(schedName)); !ok {
-		fail(fmt.Errorf("warm-start request %d: unknown scheduler %q", i, schedName))
-		return
-	}
-	hash, err := norm.Hash()
-	if err != nil {
-		fail(fmt.Errorf("warm-start request %d: %w", i, err))
-		return
-	}
-	if _, ok := s.store.Get(hash); ok {
-		warm.Add(1)
-		return
+	if _, ok := s.store.Get(scr.p.hash); ok {
+		return true, nil
 	}
 	if !s.gate.enter() {
-		fail(fmt.Errorf("warm-start request %d: server is draining", i))
-		return
+		return false, errors.New("server is draining")
 	}
 	defer s.gate.exit()
-	c, leader := s.flights.join(hash)
-	if !leader {
-		// A live request is already compiling this key; its write-through
-		// warms the store for us.
-		select {
-		case <-c.done:
-			if c.out.cacheable {
-				compiled.Add(1)
-			} else {
-				fail(fmt.Errorf("warm-start request %d: shared compile was not cacheable (%s)", i, c.out.name))
-			}
-		case <-ctx.Done():
-			fail(fmt.Errorf("warm-start request %d: %w", i, ctx.Err()))
-		}
-		return
+	var out outcome
+	var ok bool
+	if c, leader := s.flights.join(scr.p.hash); leader {
+		scr.id, scr.tc = fmt.Sprintf("warm-%04d", i), linkedTo(root)
+		out, _ = s.miss(ctx, scr)
+		s.flights.finish(scr.p.hash, c, out)
+	} else if out, ok = c.wait(ctx); !ok {
+		return false, ctx.Err()
 	}
-	reqID := fmt.Sprintf("warm-%04d", i)
-	tr := obs.NewTrace(reqID, loop.Name)
-	tr.Scheduler = schedName
-	tr.Ctx = obs.SpanContext{
-		TraceID: obs.NewTraceID(),
-		SpanID:  obs.NewSpanID(),
-		Sampled: warmRoot.Sampled,
+	if !out.cacheable {
+		return false, fmt.Errorf("%s: %s outcome not cacheable", scr.p.loopName, out.name)
 	}
-	tr.Links = []obs.SpanContext{warmRoot}
-	out := s.admitAndCompile(ctx, norm, loop, schedName, hash, reqID, tail, sm, tr)
-	s.flights.finish(hash, c, out)
-	if out.cacheable {
-		compiled.Add(1)
-	} else {
-		fail(fmt.Errorf("warm-start request %d (%s): %s outcome not cacheable", i, loop.Name, out.name))
-	}
+	return false, nil
 }
