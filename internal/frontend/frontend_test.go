@@ -1,9 +1,12 @@
 package frontend
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/interp"
 	"repro/internal/ir"
@@ -377,19 +380,6 @@ func TestNestedLoopPicksInnermost(t *testing.T) {
 	// Outer index i is invariant inside; it is simply unused here.
 }
 
-func TestParseErrors(t *testing.T) {
-	cases := []string{
-		"      subroutine s\n      do 10 i = 1, 5\n10    continue\n      end\n",
-		"      subroutine s(x)\n      real x(5)\n      call foo(x)\n      end\n",
-		"      subroutine s(x)\n      real x(5)\n      x(1) = x(2)**2\n      end\n",
-	}
-	for i, src := range cases {
-		if _, err := Parse(src); err == nil {
-			t.Errorf("case %d should fail to parse", i)
-		}
-	}
-}
-
 func TestLexerBasics(t *testing.T) {
 	toks, err := Lex("x = a .lt. 1.5e2 ! comment\nC full comment line\n  y = .5")
 	if err != nil {
@@ -419,6 +409,29 @@ func TestLexerRejectsNonASCII(t *testing.T) {
 		if _, err := Lex(src); err == nil {
 			t.Errorf("Lex(%q) accepted a non-ASCII byte", src)
 		}
+	}
+}
+
+// TestLexLinearInRealLiterals: deciding whether "1." starts a real or
+// a dotted operator once lower-cased the whole remaining source, nine
+// times per literal, so lexing was quadratic: 16k literals took
+// seconds, and a default-sized request body hours, before the server
+// admitted the request. A linear lexer takes milliseconds for 1 MiB.
+func TestLexLinearInRealLiterals(t *testing.T) {
+	src := "      x = " + strings.Repeat("1.5+", 1<<18) + "1.5\n"
+	start := time.Now()
+	toks, err := Lex(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if el := time.Since(start); el > time.Second {
+		t.Errorf("lexing %d bytes took %v, want < 1s", len(src), el)
+	}
+	if want := 2 + 2*(1<<18) + 1 + 2; len(toks) != want {
+		t.Errorf("%d tokens, want %d", len(toks), want)
+	}
+	if toks[2].Kind != TokReal || toks[2].Text != "1.5" || toks[3].Kind != TokPlus {
+		t.Errorf("tokens start %v %v, want real 1.5 then +", toks[2], toks[3])
 	}
 }
 
@@ -508,6 +521,133 @@ func TestElseIfChain(t *testing.T) {
 		if want > 20 {
 			want = 20
 		}
+		if got := res.Mem[layout.Base["y"]+int64(i)-1].F; got != want {
+			t.Fatalf("y(%d) = %v, want %v", i, got, want)
+		}
+	}
+}
+
+// TestValueNamesMatchSprintf holds the strconv-built value and loop
+// names to the fmt.Sprintf formats they replaced: canonical requests,
+// and so content hashes, carry these names.
+func TestValueNamesMatchSprintf(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	ints := []int64{0, 1, -1, 9, 10, 99, 100, -100, math.MaxInt64, math.MinInt64}
+	for i := 0; i < 1000; i++ {
+		ints = append(ints, rng.Int63()>>rng.Intn(63)*int64(1-2*rng.Intn(2)))
+	}
+	for _, v := range ints {
+		for _, c := range []struct{ got, want string }{
+			{intName("c", v), fmt.Sprintf("c%d", v)},
+			{intName("saxpy:", v), fmt.Sprintf("%s:%d", "saxpy", v)},
+			{pointerName("x", v), fmt.Sprintf("p.%s%+d", "x", v)},
+			{elemAddrName("abc", v), fmt.Sprintf("addr.%s(%d)", "abc", v)},
+		} {
+			if c.got != c.want {
+				t.Errorf("got name %q, want %q", c.got, c.want)
+			}
+		}
+	}
+	floats := []float64{0, math.Copysign(0, -1), 0.5, 1, 2.5, 1e20, 1e21, 1e-4, 1e-5, 1e-7,
+		123456789, 1.5e300, 5e-324, math.MaxFloat64, 1.0 / 3}
+	for i := 0; i < 1000; i++ {
+		floats = append(floats, math.Float64frombits(rng.Uint64()), rng.Float64()*math.Pow(10, float64(rng.Intn(40)-20)))
+	}
+	for _, f := range floats {
+		if math.IsNaN(f) || math.IsInf(f, 0) {
+			continue // a real literal is finite: ParseFloat rejects the rest
+		}
+		if got, want := realName(f), fmt.Sprintf("c%g", f); got != want {
+			t.Errorf("realName(%v) = %q, want %q", f, got, want)
+		}
+	}
+}
+
+// TestStepReadingLoopValues: a DO step that reads the loop index, or an
+// array through the index, used to recurse without end while the index
+// or pointer recurrence was still being built — a fatal stack overflow
+// that took the whole server down on one source-form request.
+func TestStepReadingLoopValues(t *testing.T) {
+	for _, step := range []string{"i", "m(i)", "m(i) + i"} {
+		src := "      subroutine s(n, a, m)\n      real a(100)\n      integer n, i, m(100)\n" +
+			"      do i = 1, n, " + step + "\n        a(i) = 1.0\n      end do\n      end\n"
+		if _, _, err := Compile(src, machine.Cydra()); err != nil {
+			t.Errorf("step %s: %v", step, err)
+		}
+	}
+}
+
+// TestPatchOrderDeterministic: carried scalars and store-forwarded
+// arrays are patched in the order their placeholders were made. The
+// patch passes used to range over maps, so a loop needing two anchoring
+// copies lowered to a different op order from run to run (and so to a
+// different content hash), and a value forwarded through two stores
+// was left reading an unpatched placeholder in most runs.
+func TestPatchOrderDeterministic(t *testing.T) {
+	twoCopies := `
+      subroutine s(n, a, q, r)
+      real a(100), q, r, x, y
+      integer n, i
+      do i = 1, 100
+        a(i) = x + y
+        x = q
+        y = r
+      end do
+      end
+`
+	chained := `
+      subroutine s(n, a, b, c)
+      real a(100), b(100), c(100)
+      integer n, i
+      do i = 2, 100
+        a(i) = c(i) + 1.0
+        b(i) = a(i-1)
+        c(i) = b(i-1) + a(i-1)
+      end do
+      end
+`
+	for _, src := range []string{twoCopies, chained} {
+		first := compileOne(t, src).Loop.String()
+		for k := 0; k < 20; k++ {
+			if got := compileOne(t, src).Loop.String(); got != first {
+				t.Fatalf("lowering differs between runs:\n%s\n%s", first, got)
+			}
+		}
+	}
+	// The copies anchor x then y, in the order their carried reads
+	// appear.
+	body := compileOne(t, twoCopies).Loop.String()
+	if fx, fy := strings.Index(body, "fin.x ="), strings.Index(body, "fin.y ="); fx < 0 || fy < fx {
+		t.Errorf("want fin.x then fin.y:\n%s", body)
+	}
+}
+
+// TestConstantAndAffineSubscriptsNotMerged: a(3) and a(i+3) are
+// different elements. Unguarded loads were common-subexpression
+// eliminated on (array, offset) alone, so the second read returned the
+// first one's value.
+func TestConstantAndAffineSubscriptsNotMerged(t *testing.T) {
+	cl := compileOne(t, `
+      subroutine s(n, a, y)
+      real a(100), y(100)
+      integer n, i
+      do i = 1, 90
+        y(i) = a(3) + a(i+3)
+      end do
+      end
+`)
+	env, layout, trips, err := cl.BuildEnv(Binding{
+		Fill: func(array string, idx int) ir.Scalar { return ir.FloatS(float64(idx)) },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := interp.Run(cl.Loop, env, trips)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 1; i <= 90; i++ {
+		want := 3 + float64(i+3) // the fill makes a(k) = k
 		if got := res.Mem[layout.Base["y"]+int64(i)-1].F; got != want {
 			t.Fatalf("y(%d) = %v, want %v", i, got, want)
 		}

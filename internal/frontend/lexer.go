@@ -13,8 +13,8 @@ package frontend
 
 import (
 	"fmt"
+	"slices"
 	"strings"
-	"unicode"
 )
 
 // TokKind classifies tokens.
@@ -59,17 +59,33 @@ func (t Token) String() string {
 	return fmt.Sprintf("%q", t.Text)
 }
 
-var keywords = map[string]bool{
-	"subroutine": true, "integer": true, "real": true, "do": true,
-	"if": true, "then": true, "else": true, "elseif": true, "end": true,
-	"enddo": true, "endif": true, "continue": true, "return": true,
-	"call": true, "goto": true, "dimension": true, "parameter": true,
+// isKeyword reports whether a lower-cased word is a keyword.
+func isKeyword(word string) bool {
+	switch word {
+	case "subroutine", "integer", "real", "do", "if", "then", "else",
+		"elseif", "end", "enddo", "endif", "continue", "return", "call",
+		"goto", "dimension", "parameter":
+		return true
+	}
+	return false
 }
 
 // Lex tokenizes the source. FORTRAN-style comment lines (leading C, c,
 // or !) and '!' tail comments are skipped; statements end at newlines.
 func Lex(src string) ([]Token, error) {
-	var toks []Token
+	toks, err := lexInto(nil, src)
+	if err != nil {
+		return nil, err
+	}
+	return toks, nil
+}
+
+// lexInto is Lex appending to toks[:0]; on error it still returns the
+// slice, for reuse.
+func lexInto(toks []Token, src string) ([]Token, error) {
+	// Typical sources run 2.5 bytes per token; len/2 avoids regrowth
+	// without reserving far more than the source needs.
+	toks = slices.Grow(toks[:0], len(src)/2+2)
 	line := 1
 	i := 0
 	n := len(src)
@@ -125,26 +141,31 @@ func Lex(src string) ([]Token, error) {
 			// ASCII only: a byte of a multi-byte rune is not a letter,
 			// and the identifier scan below would not advance past it.
 			j := i
+			upper := false
 			for j < n && (isAlnum(src[j]) || src[j] == '_') {
+				upper = upper || 'A' <= src[j] && src[j] <= 'Z'
 				j++
 			}
-			word := strings.ToLower(src[i:j])
+			word := src[i:j]
+			if upper {
+				word = strings.ToLower(word)
+			}
 			i = j
-			if keywords[word] {
+			if isKeyword(word) {
 				emit(TokKw, word)
 			} else {
 				emit(TokIdent, word)
 			}
-		case unicode.IsDigit(rune(c)):
+		case isDigit(c):
 			j := i
 			isReal := false
-			for j < n && unicode.IsDigit(rune(src[j])) {
+			for j < n && isDigit(src[j]) {
 				j++
 			}
-			if j < n && src[j] == '.' && !isRelopStart(src[j:]) {
+			if j < n && src[j] == '.' && dotOp(src[j:]) < 0 {
 				isReal = true
 				j++
-				for j < n && unicode.IsDigit(rune(src[j])) {
+				for j < n && isDigit(src[j]) {
 					j++
 				}
 			}
@@ -153,10 +174,10 @@ func Lex(src string) ([]Token, error) {
 				if k < n && (src[k] == '+' || src[k] == '-') {
 					k++
 				}
-				if k < n && unicode.IsDigit(rune(src[k])) {
+				if k < n && isDigit(src[k]) {
 					isReal = true
 					j = k
-					for j < n && unicode.IsDigit(rune(src[j])) {
+					for j < n && isDigit(src[j]) {
 						j++
 					}
 				}
@@ -169,37 +190,22 @@ func Lex(src string) ([]Token, error) {
 			i = j
 		case c == '.':
 			// .lt. style operators, .and., .or., .not., or a real like .5
-			rest := strings.ToLower(src[i:minInt(i+6, n)])
-			matched := false
-			for _, op := range []struct {
-				pat, text string
-				kind      TokKind
-			}{
-				{".and.", "&&", TokAnd}, {".or.", "||", TokOr}, {".not.", "!", TokNot},
-				{".lt.", "<", TokRelop}, {".le.", "<=", TokRelop},
-				{".gt.", ">", TokRelop}, {".ge.", ">=", TokRelop},
-				{".eq.", "==", TokRelop}, {".ne.", "/=", TokRelop},
-			} {
-				if strings.HasPrefix(rest, op.pat) {
-					emit(op.kind, op.text)
-					i += len(op.pat)
-					matched = true
-					break
-				}
-			}
-			if matched {
+			if k := dotOp(src[i:]); k >= 0 {
+				op := &dotOps[k]
+				emit(op.kind, op.text)
+				i += len(op.pat)
 				continue
 			}
-			if i+1 < n && unicode.IsDigit(rune(src[i+1])) {
+			if i+1 < n && isDigit(src[i+1]) {
 				j := i + 1
-				for j < n && unicode.IsDigit(rune(src[j])) {
+				for j < n && isDigit(src[j]) {
 					j++
 				}
 				emit(TokReal, src[i:j])
 				i = j
 				continue
 			}
-			return nil, fmt.Errorf("line %d: stray '.'", line)
+			return toks, fmt.Errorf("line %d: stray '.'", line)
 		case c == '(':
 			emit(TokLParen, "(")
 			i++
@@ -217,7 +223,7 @@ func Lex(src string) ([]Token, error) {
 			i++
 		case c == '*':
 			if i+1 < n && src[i+1] == '*' {
-				return nil, fmt.Errorf("line %d: exponentiation (**) is not supported", line)
+				return toks, fmt.Errorf("line %d: exponentiation (**) is not supported", line)
 			}
 			emit(TokStar, "*")
 			i++
@@ -254,7 +260,7 @@ func Lex(src string) ([]Token, error) {
 				i++
 			}
 		default:
-			return nil, fmt.Errorf("line %d: unexpected character %q", line, string(c))
+			return toks, fmt.Errorf("line %d: unexpected character %q", line, string(c))
 		}
 	}
 	if len(toks) > 0 && toks[len(toks)-1].Kind != TokNewline {
@@ -268,18 +274,44 @@ func isAlnum(c byte) bool {
 	return c >= 'a' && c <= 'z' || c >= 'A' && c <= 'Z' || c >= '0' && c <= '9'
 }
 
-func isRelopStart(s string) bool {
-	for _, p := range []string{".lt.", ".le.", ".gt.", ".ge.", ".eq.", ".ne.", ".and.", ".or.", ".not."} {
-		if strings.HasPrefix(strings.ToLower(s), p) {
-			return true
-		}
-	}
-	return false
+func isDigit(c byte) bool { return '0' <= c && c <= '9' }
+
+// dotOps are the dotted FORTRAN operators and the token each becomes.
+var dotOps = [...]struct {
+	pat, text string
+	kind      TokKind
+}{
+	{".and.", "&&", TokAnd}, {".or.", "||", TokOr}, {".not.", "!", TokNot},
+	{".lt.", "<", TokRelop}, {".le.", "<=", TokRelop},
+	{".gt.", ">", TokRelop}, {".ge.", ">=", TokRelop},
+	{".eq.", "==", TokRelop}, {".ne.", "/=", TokRelop},
 }
 
-func minInt(a, b int) int {
-	if a < b {
-		return a
+// dotOp returns the index in dotOps of the operator s starts with,
+// matched case-insensitively, or -1. It reads at most five bytes of s,
+// so deciding whether each "1." starts a real keeps lexing linear. No
+// non-ASCII rune lower-cases to a letter of these operators, so ASCII
+// folding matches what strings.ToLower would.
+func dotOp(s string) int {
+	for k := range dotOps {
+		pat := dotOps[k].pat
+		if len(s) < len(pat) {
+			continue
+		}
+		match := true
+		for j := 0; j < len(pat); j++ {
+			c := s[j]
+			if 'A' <= c && c <= 'Z' {
+				c += 'a' - 'A'
+			}
+			if c != pat[j] {
+				match = false
+				break
+			}
+		}
+		if match {
+			return k
+		}
 	}
-	return b
+	return -1
 }

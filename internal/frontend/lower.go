@@ -1,7 +1,10 @@
 package frontend
 
 import (
-	"fmt"
+	"cmp"
+	"slices"
+	"strconv"
+	"sync"
 
 	"repro/internal/ir"
 	"repro/internal/machine"
@@ -53,6 +56,8 @@ type CompiledLoop struct {
 	// Trips is the compile-time trip count, or 0 if unknown.
 	Trips int
 
+	// The maps below are nil when empty.
+
 	// Scalars maps invariant scalar names to their GPR live-in values.
 	Scalars map[string]ir.ValueID
 	// ArrayBases maps array names to GPR base-address values (only for
@@ -86,30 +91,149 @@ func Compile(src string, m *machine.Desc) (*Unit, []*CompiledLoop, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	var out []*CompiledLoop
-	for _, do := range u.InnermostLoops() {
-		out = append(out, Lower(u, do, m))
+	dos := u.InnermostLoops()
+	out := make([]*CompiledLoop, len(dos))
+	for i, do := range dos {
+		out[i] = Lower(u, do, m)
 	}
 	return u, out, nil
+}
+
+// CompileIndex compiles src as Compile does but lowers only its
+// index-th innermost loop. It returns that loop and the number of
+// innermost loops; the loop is nil when index is out of range. The AST
+// and the unit are recycled once the loop is lowered, so the loop
+// carries only Loop, Ineligible and Trips (BuildEnv needs Compile).
+func CompileIndex(src string, index int, m *machine.Desc) (*CompiledLoop, int, error) {
+	mem := unitMems.Get().(*unitMem)
+	defer mem.release(len(src))
+	prog, err := mem.p.parse(src, &mem.prog)
+	if err != nil {
+		return nil, 0, err
+	}
+	u, err := mem.a.analyze(prog, &mem.unit)
+	if err != nil {
+		return nil, 0, err
+	}
+	mem.dos = appendInnermost(mem.dos[:0], prog.Body)
+	if index < 0 || index >= len(mem.dos) {
+		return nil, len(mem.dos), nil
+	}
+	return lower(u, mem.dos[index], m, false), len(mem.dos), nil
+}
+
+// unitMem is the memory CompileIndex parses and analyzes into: the
+// parser's and the analyzer's slabs, the program and the unit.
+type unitMem struct {
+	p    parser
+	a    analyzer
+	prog Program
+	unit Unit
+	dos  []*DoStmt
+}
+
+// unitMems recycles CompileIndex's memory; the memory of a source
+// longer than maxPooledSource is left to the collector.
+var unitMems = sync.Pool{New: func() any { return new(unitMem) }}
+
+const maxPooledSource = 1 << 16
+
+// release empties mem, whose AST and unit must be dead, and pools it.
+func (mem *unitMem) release(srcLen int) {
+	if srcLen > maxPooledSource {
+		return
+	}
+	mem.p.reset()
+	mem.a.reset()
+	clear(mem.dos)
+	mem.dos = mem.dos[:0]
+	syms := mem.unit.Syms
+	clear(syms)
+	mem.unit = Unit{Syms: syms}
+	mem.prog = Program{}
+	unitMems.Put(mem)
 }
 
 // Lower lowers one innermost DO loop. Ineligible loops get a nil Loop
 // and a reason.
 func Lower(u *Unit, do *DoStmt, m *machine.Desc) *CompiledLoop {
-	cl := &CompiledLoop{
-		Do: do, Unit: u,
-		Scalars:     map[string]ir.ValueID{},
-		ArrayBases:  map[string]ir.ValueID{},
-		ConstAddrs:  map[ConstAddrKey]ir.ValueID{},
-		FinalScalar: map[string]ir.ValueID{},
+	return lower(u, do, m, true)
+}
+
+// lower lowers one loop; env fills the CompiledLoop's AST fields,
+// recipes and live-in maps, which only BuildEnv reads.
+func lower(u *Unit, do *DoStmt, m *machine.Desc, env bool) *CompiledLoop {
+	cl := new(CompiledLoop)
+	lo := lowerers.Get().(*lowerer)
+	lo.reset(u, do, cl, m)
+	err := lo.run()
+	if env {
+		lo.export()
 	}
-	lo := &lowerer{u: u, do: do, cl: cl, m: m}
-	if err := lo.run(); err != nil {
+	lo.release()
+	if err != nil {
 		cl.Ineligible = err
 		cl.Loop = nil
-		return cl
 	}
 	return cl
+}
+
+// lowerers recycles lowering state: the per-symbol and per-element
+// tables and the access lists, which nothing lowered refers to.
+var lowerers = sync.Pool{New: func() any { return new(lowerer) }}
+
+// maxPooledLowerer bounds the symbols and the accesses of a lowerer
+// worth recycling.
+const maxPooledLowerer = 1 << 10
+
+// reset readies a lowerer for one loop: it keeps only the reusable
+// tables, emptied, so every other field starts from its zero value.
+func (lo *lowerer) reset(u *Unit, do *DoStmt, cl *CompiledLoop, m *machine.Desc) {
+	*lo = lowerer{
+		u: u, do: do, cl: cl, m: m,
+		syms:         slices.Grow(lo.syms[:0], len(u.Syms))[:len(u.Syms)],
+		carried:      lo.carried[:0],
+		forwarded:    lo.forwarded[:0],
+		carriedOwner: lo.carriedOwner[:0],
+		fwdOwner:     lo.fwdOwner[:0],
+		constCache:   lo.constCache,
+		elems:        lo.elems,
+		elemSlab:     lo.elemSlab,
+		accs:         lo.accs[:0],
+		emitted:      lo.emitted[:0],
+		recipes:      lo.recipes[:0],
+		scalars:      lo.scalars[:0],
+		bases:        lo.bases[:0],
+		finals:       lo.finals[:0],
+		elemAddrs:    lo.elemAddrs[:0],
+		ids:          lo.ids[:0],
+	}
+	clear(lo.syms)
+	lo.elemSlab.reset()
+	if lo.constCache == nil {
+		lo.constCache = make(map[ir.Scalar]ir.ValueID, 8)
+	}
+	if lo.elems == nil {
+		lo.elems = make(map[elemKey]*elemState, 16)
+	}
+	clear(lo.constCache)
+	clear(lo.elems)
+}
+
+// release drops the lowerer's references to the loop and pools it,
+// unless its tables grew too large to keep.
+func (lo *lowerer) release() {
+	if len(lo.syms) > maxPooledLowerer || len(lo.accs) > maxPooledLowerer {
+		return
+	}
+	clear(lo.syms)
+	clear(lo.recipes)
+	clear(lo.scalars)
+	clear(lo.bases)
+	clear(lo.finals)
+	clear(lo.elemAddrs)
+	lo.u, lo.do, lo.cl, lo.m, lo.l, lo.opnds = nil, nil, nil, nil, nil, nil
+	lowerers.Put(lo)
 }
 
 // lowerer holds per-loop lowering state.
@@ -125,16 +249,19 @@ type lowerer struct {
 	loKnown   bool
 	loVal     int64
 
-	// Predicate context: nil when unpredicated; otherwise the guard and
-	// its sense.
-	pred    *ir.Operand
-	predNeg bool
+	// g is the predicate context ops are emitted under.
+	g guard
 
-	// Scalar versioning. A version is an operand (value + omega) because
-	// forwarded loads hand out loop-carried reads directly.
-	assignedScalars map[string]bool
-	scalarCur       map[string]ir.Operand
-	carried         map[string]ir.ValueID // placeholder for prev-iteration final
+	// syms is the per-symbol state, indexed by Symbol.id. carried and
+	// forwarded list the symbols that got a carried placeholder and a
+	// store-forward placeholder, in creation order, which is the order
+	// they are patched in; carriedOwner maps a value ID to its index in
+	// carried, or -1, while carried placeholders are resolved.
+	syms         []symState
+	carried      []int
+	forwarded    []int
+	carriedOwner []int
+	fwdOwner     []int
 
 	// Index variable (materialized lazily).
 	indexVal ir.ValueID
@@ -142,23 +269,96 @@ type lowerer struct {
 	// Literal/const caches.
 	constCache map[ir.Scalar]ir.ValueID
 
-	// Array machinery.
-	pointers map[ConstAddrKey]ir.ValueID // affine address recurrences
-	cseLoads map[ConstAddrKey]ir.ValueID // unpredicated loads this iteration
-	plan     *accessPlan
+	// elems is the per-element state, by subscript form.
+	elems    map[elemKey]*elemState
+	elemSlab slab[elemState]
+
+	// accs is planAccesses' census; nodes counts the body's expression
+	// nodes, to size the loop.
+	accs  []plannedAccess
+	nodes int
 	// accesses emitted, for the dependence pass.
-	emitted []*emittedAccess
+	emitted []emittedAccess
+	// The loop's Recipes and its live-in and live-out values, which
+	// export copies into the CompiledLoop.
+	recipes   []Recipe
+	scalars   []namedValue
+	bases     []namedValue
+	finals    []namedValue
+	elemAddrs []elemAddr
+	// ids is finalizeScalars' scratch.
+	ids []int
+
+	// opnds is the arena op operands and guards are cut from.
+	opnds []ir.Operand
 
 	numBB int
 	numIf int
 }
 
+// guard is a predicate context: ok is false when unpredicated;
+// otherwise ops execute when op's value differs from neg.
+type guard struct {
+	op      ir.Operand
+	neg, ok bool
+}
+
+// symState is the lowerer's state for one symbol.
+type symState struct {
+	sym *Symbol
+	// assigned marks a loop-assigned scalar (never the DO variable).
+	assigned bool
+	// cur is the scalar's current version this iteration, when hasCur.
+	// A version is an operand (value + omega) because forwarded loads
+	// hand out loop-carried reads directly.
+	cur    ir.Operand
+	hasCur bool
+	// carried is the placeholder for the previous iteration's final
+	// version; visiting guards resolveFinal against cycles.
+	carried  ir.ValueID
+	visiting bool
+	// liveIn is an invariant scalar's GPR live-in, base an array's GPR
+	// base address.
+	liveIn, base ir.ValueID
+	// Value names used more than once, built on first use.
+	ldName, mergeName string
+	// Store forwarding: forwardsStore marks an array one of whose loads
+	// forwards from its single store; placeholder stands for the value
+	// that store writes, patched to storeVal after lowering.
+	forwardsStore bool
+	placeholder   ir.ValueID
+	storeVal      ir.Operand
+	hasStoreVal   bool
+}
+
+// elemKey names the elements one subscript form reaches: a(i + c) when
+// hasI, the invariant element a(c) otherwise.
+type elemKey struct {
+	sym  int
+	c    int64
+	hasI bool
+}
+
+// elemState is the lowerer's state for one elemKey. Value IDs are
+// None until made.
+type elemState struct {
+	pointer   ir.ValueID // affine address recurrence (hasI)
+	constAddr ir.ValueID // GPR live-in address (!hasI)
+	cse       ir.ValueID // unpredicated load this iteration
+	leader    ir.ValueID // the load forwarded loads read (hasI)
+	// A load forwarded from the array's single store reads its value
+	// storeFwd iterations back; one forwarded from the leader load
+	// a(i + loadFwdC) reads it loadFwdOmega iterations back.
+	storeFwd, loadFwdOmega  int
+	hasStoreFwd, hasLoadFwd bool
+	loadFwdC                int64
+}
+
 type emittedAccess struct {
 	op      ir.OpID
 	isStore bool
-	array   string
+	sym     int
 	aff     affineSub
-	order   int
 }
 
 type affineSub struct {
@@ -167,24 +367,13 @@ type affineSub struct {
 	c    int64 // constant offset
 }
 
-// accessPlan is the pre-pass over array references deciding load/store
-// elimination (Section 2.3's register forwarding of cross-iteration
-// array flow).
-type accessPlan struct {
-	// forwarded maps a load's plan key to its source and distance.
-	storeForward map[ConstAddrKey]int // load (array,c) → ω from the array's single store
-	loadForward  map[ConstAddrKey]struct {
-		leaderC int64
-		omega   int
-	}
-	// storeVal is patched after lowering: the value each array's
-	// unconditional store writes (with the omega of the stored operand).
-	storeVal      map[string]ir.ValueID
-	storeValOmega map[string]int
-	// placeholders for store-forwarded reads, patched at the end.
-	storePlaceholder map[string]ir.ValueID
-	// leader load values by (array, c).
-	leaderVal map[ConstAddrKey]ir.ValueID
+// plannedAccess is one array access of the body, for planAccesses.
+type plannedAccess struct {
+	sym     int
+	aff     affineSub
+	isStore bool
+	pred    bool
+	order   int
 }
 
 func (lo *lowerer) run() error {
@@ -199,15 +388,9 @@ func (lo *lowerer) run() error {
 		return errf(do.Pos(), "not an innermost loop")
 	}
 
-	lo.l = ir.NewLoop(fmt.Sprintf("%s:%d", u.Prog.Name, do.Pos()), lo.m)
+	lo.l = ir.NewLoop(intName(u.Prog.Name+":", int64(do.Pos())), lo.m)
 	lo.l.NumBB = lo.numBB
-	lo.assignedScalars = map[string]bool{}
-	lo.scalarCur = map[string]ir.Operand{}
-	lo.carried = map[string]ir.ValueID{}
 	lo.indexVal = -1
-	lo.constCache = map[ir.Scalar]ir.ValueID{}
-	lo.pointers = map[ConstAddrKey]ir.ValueID{}
-	lo.cseLoads = map[ConstAddrKey]ir.ValueID{}
 
 	if c, ok := constInt(do.Lo); ok {
 		lo.loKnown, lo.loVal = true, c
@@ -236,10 +419,17 @@ func (lo *lowerer) run() error {
 		}
 	}
 
-	collectAssigned(do.Body, lo.assignedScalars)
-	delete(lo.assignedScalars, do.Var) // the index is ours, not a scalar
+	lo.markAssigned(do.Body)
+	lo.state(u.Syms[do.Var]).assigned = false // the index is ours, not a scalar
 
 	lo.planAccesses()
+	// nodes/2 + 4 values and ops cover about half the loops of the
+	// loopgen corpus; the rest overflow into a small second chunk. A
+	// larger estimate would leave more slack in every loop kept.
+	lo.l.Grow(lo.nodes/2+4, lo.nodes/2+4)
+	// About as many operands as nodes, including guards.
+	lo.opnds = make([]ir.Operand, 0, lo.nodes+16)
+	lo.emitted = slices.Grow(lo.emitted, len(lo.accs))
 
 	if err := lo.stmts(do.Body); err != nil {
 		return err
@@ -255,9 +445,8 @@ func (lo *lowerer) run() error {
 	lo.l.HasConditional = lo.numIf > 0
 
 	// Mark live-outs: every scalar the loop assigns survives it.
-	for name, v := range lo.cl.FinalScalar {
-		_ = name
-		lo.l.Value(v).LiveOut = true
+	for _, f := range lo.finals {
+		lo.l.Value(f.val).LiveOut = true
 	}
 
 	if err := lo.l.Finalize(); err != nil {
@@ -268,6 +457,53 @@ func (lo *lowerer) run() error {
 	}
 	lo.cl.Loop = lo.l
 	return nil
+}
+
+// namedValue is a scalar's or an array's value; elemAddr an invariant
+// element's address.
+type namedValue struct {
+	name string
+	val  ir.ValueID
+}
+
+type elemAddr struct {
+	key ConstAddrKey
+	val ir.ValueID
+}
+
+// export copies the loop's AST, recipes and live-in and live-out values
+// into its CompiledLoop.
+func (lo *lowerer) export() {
+	cl := lo.cl
+	cl.Do, cl.Unit = lo.do, lo.u
+	cl.Recipes = slices.Clone(lo.recipes)
+	cl.Scalars = valueMap(lo.scalars)
+	cl.ArrayBases = valueMap(lo.bases)
+	cl.FinalScalar = valueMap(lo.finals)
+	if len(lo.elemAddrs) > 0 {
+		cl.ConstAddrs = make(map[ConstAddrKey]ir.ValueID, len(lo.elemAddrs))
+		for _, a := range lo.elemAddrs {
+			cl.ConstAddrs[a.key] = a.val
+		}
+	}
+}
+
+// valueMap returns vals as a map, or nil when there are none.
+func valueMap(vals []namedValue) map[string]ir.ValueID {
+	if len(vals) == 0 {
+		return nil
+	}
+	m := make(map[string]ir.ValueID, len(vals))
+	for _, v := range vals {
+		m[v.name] = v.val
+	}
+	return m
+}
+
+// intName is fmt.Sprintf("%s%d", prefix, v).
+func intName(prefix string, v int64) string {
+	var buf [64]byte
+	return string(strconv.AppendInt(append(buf[:0], prefix...), v, 10))
 }
 
 func countBBs(stmts []Stmt) int {
@@ -301,16 +537,17 @@ func hasNestedDo(stmts []Stmt) bool {
 	return false
 }
 
-func collectAssigned(stmts []Stmt, out map[string]bool) {
+// markAssigned marks every scalar the statements assign.
+func (lo *lowerer) markAssigned(stmts []Stmt) {
 	for _, s := range stmts {
 		switch s := s.(type) {
 		case *AssignStmt:
 			if v, ok := s.Lhs.(*VarRef); ok {
-				out[v.Name] = true
+				lo.state(lo.u.Syms[v.Name]).assigned = true
 			}
 		case *IfStmt:
-			collectAssigned(s.Then, out)
-			collectAssigned(s.Else, out)
+			lo.markAssigned(s.Then)
+			lo.markAssigned(s.Else)
 		}
 	}
 }
@@ -344,181 +581,218 @@ func constInt(e Expr) (int64, bool) {
 
 // affineOf classifies a subscript as i + c when possible.
 func (lo *lowerer) affineOf(e Expr) affineSub {
-	var walk func(e Expr) (hasI bool, c int64, ok bool)
-	walk = func(e Expr) (bool, int64, bool) {
-		switch e := e.(type) {
-		case *IntLit:
-			return false, e.Val, true
-		case *VarRef:
-			if e.Name == lo.do.Var {
-				return true, 0, true
-			}
-			return false, 0, false
-		case *UnExpr:
-			if e.Op == "-" {
-				h, c, ok := walk(e.X)
-				if ok && !h {
-					return false, -c, true
-				}
-			}
-			return false, 0, false
-		case *BinExpr:
-			lh, lc, lok := walk(e.L)
-			rh, rc, rok := walk(e.R)
-			if !lok || !rok {
-				return false, 0, false
-			}
-			switch e.Op {
-			case "+":
-				if lh && rh {
-					return false, 0, false
-				}
-				return lh || rh, lc + rc, true
-			case "-":
-				if rh {
-					return false, 0, false
-				}
-				return lh, lc - rc, true
-			}
-			return false, 0, false
-		}
-		return false, 0, false
-	}
-	h, c, ok := walk(e)
+	h, c, ok := affineWalk(e, lo.do.Var)
 	return affineSub{ok: ok, hasI: h, c: c}
 }
 
-// planAccesses walks the body once, classifying array accesses and
-// deciding forwarding.
-func (lo *lowerer) planAccesses() {
-	type acc struct {
-		aff     affineSub
-		isStore bool
-		pred    bool
-		order   int
-	}
-	order := 0
-	byArray := map[string][]acc{}
-	var walk func(stmts []Stmt, pred bool)
-	var walkExpr func(e Expr, pred bool)
-	walkExpr = func(e Expr, pred bool) {
-		switch e := e.(type) {
-		case *ArrayRef:
-			order++
-			byArray[e.Name] = append(byArray[e.Name], acc{lo.affineOf(e.Index), false, pred, order})
-			walkExpr(e.Index, pred)
-		case *BinExpr:
-			walkExpr(e.L, pred)
-			walkExpr(e.R, pred)
-		case *UnExpr:
-			walkExpr(e.X, pred)
-		case *CallExpr:
-			for _, a := range e.Args {
-				walkExpr(a, pred)
+// affineWalk reports whether e is i + c for the loop variable i (hasI)
+// or the constant c, and c.
+func affineWalk(e Expr, index string) (hasI bool, c int64, ok bool) {
+	switch e := e.(type) {
+	case *IntLit:
+		return false, e.Val, true
+	case *VarRef:
+		if e.Name == index {
+			return true, 0, true
+		}
+		return false, 0, false
+	case *UnExpr:
+		if e.Op == "-" {
+			h, c, ok := affineWalk(e.X, index)
+			if ok && !h {
+				return false, -c, true
 			}
 		}
-	}
-	walk = func(stmts []Stmt, pred bool) {
-		for _, s := range stmts {
-			switch s := s.(type) {
-			case *AssignStmt:
-				walkExpr(s.Rhs, pred)
-				if ar, ok := s.Lhs.(*ArrayRef); ok {
-					order++
-					byArray[ar.Name] = append(byArray[ar.Name], acc{lo.affineOf(ar.Index), true, pred, order})
-					walkExpr(ar.Index, pred)
-				}
-			case *IfStmt:
-				walkExpr(s.Cond, pred)
-				walk(s.Then, true)
-				walk(s.Else, true)
-			}
+		return false, 0, false
+	case *BinExpr:
+		lh, lc, lok := affineWalk(e.L, index)
+		rh, rc, rok := affineWalk(e.R, index)
+		if !lok || !rok {
+			return false, 0, false
 		}
+		switch e.Op {
+		case "+":
+			if lh && rh {
+				return false, 0, false
+			}
+			return lh || rh, lc + rc, true
+		case "-":
+			if rh {
+				return false, 0, false
+			}
+			return lh, lc - rc, true
+		}
+		return false, 0, false
 	}
-	walk(lo.do.Body, false)
+	return false, 0, false
+}
 
-	plan := &accessPlan{
-		storeForward: map[ConstAddrKey]int{},
-		loadForward: map[ConstAddrKey]struct {
-			leaderC int64
-			omega   int
-		}{},
-		storeVal:         map[string]ir.ValueID{},
-		storeValOmega:    map[string]int{},
-		storePlaceholder: map[string]ir.ValueID{},
-		leaderVal:        map[ConstAddrKey]ir.ValueID{},
+// state returns sym's lowering state, initializing it on first use.
+func (lo *lowerer) state(sym *Symbol) *symState {
+	st := &lo.syms[sym.id]
+	if st.sym == nil {
+		// reset zeroed the entry.
+		st.sym = sym
+		st.carried, st.liveIn, st.base, st.placeholder = ir.None, ir.None, ir.None, ir.None
 	}
-	lo.plan = plan
+	return st
+}
+
+// elem returns key's state, creating it.
+func (lo *lowerer) elem(key elemKey) *elemState {
+	e := lo.elems[key]
+	if e == nil {
+		e = lo.elemSlab.new()
+		*e = elemState{pointer: ir.None, constAddr: ir.None, cse: ir.None, leader: ir.None}
+		lo.elems[key] = e
+	}
+	return e
+}
+
+// planAccesses walks the body once, classifying array accesses and
+// deciding forwarding (Section 2.3's register forwarding of
+// cross-iteration array flow).
+func (lo *lowerer) planAccesses() {
+	lo.accessStmts(lo.do.Body, false)
+	lo.elemSlab.buf = slices.Grow(lo.elemSlab.buf, len(lo.accs))
 	if !lo.stepKnown {
 		return
 	}
-	for array, accs := range byArray {
-		allAffineI := true
-		var stores []acc
+	// Group by array; the sort is stable, so each array's accesses stay
+	// in program order.
+	slices.SortStableFunc(lo.accs, func(a, b plannedAccess) int { return cmp.Compare(a.sym, b.sym) })
+	for start := 0; start < len(lo.accs); {
+		end := start + 1
+		for end < len(lo.accs) && lo.accs[end].sym == lo.accs[start].sym {
+			end++
+		}
+		lo.planArray(lo.accs[start:end])
+		start = end
+	}
+}
+
+// planArray decides forwarding for one array's accesses.
+func (lo *lowerer) planArray(accs []plannedAccess) {
+	allAffineI := true
+	nstores := 0
+	var store plannedAccess
+	for _, a := range accs {
+		if !a.aff.ok || !a.aff.hasI {
+			allAffineI = false
+		}
+		if a.isStore {
+			if nstores == 0 {
+				store = a
+			}
+			nstores++
+		}
+	}
+	if !allAffineI {
+		return
+	}
+	sym := accs[0].sym
+	switch {
+	case nstores == 1 && !store.pred:
+		sc := store.aff.c
 		for _, a := range accs {
-			if !a.aff.ok || !a.aff.hasI {
-				allAffineI = false
-			}
 			if a.isStore {
-				stores = append(stores, a)
+				continue
+			}
+			d := sc - a.aff.c
+			if d == 0 {
+				// Same-iteration forward: legal only when every load
+				// of this element follows the store (the plan key is
+				// per-(array, offset), so one pre-store load, which
+				// must read original memory, disables it).
+				allAfter := true
+				for _, b := range accs {
+					if !b.isStore && b.aff.c == a.aff.c && b.order < store.order {
+						allAfter = false
+					}
+				}
+				if allAfter {
+					lo.planStoreForward(sym, a.aff.c, 0)
+				}
+				continue
+			}
+			if d > 0 && d%lo.step == 0 {
+				w := d / lo.step
+				if w >= 1 && w <= MaxForwardOmega {
+					lo.planStoreForward(sym, a.aff.c, int(w))
+				}
 			}
 		}
-		if !allAffineI {
-			continue
+	case nstores == 0:
+		// Forward every load from the one reading farthest ahead.
+		leader := accs[0].aff.c
+		for _, a := range accs {
+			if sign(lo.step)*(a.aff.c-leader) > 0 {
+				leader = a.aff.c
+			}
 		}
-		switch {
-		case len(stores) == 1 && !stores[0].pred:
-			sc := stores[0].aff.c
-			for _, a := range accs {
-				if a.isStore {
-					continue
-				}
-				d := sc - a.aff.c
-				if d == 0 {
-					// Same-iteration forward: legal only when every load
-					// of this element follows the store (the plan key is
-					// per-(array, offset), so one pre-store load, which
-					// must read original memory, disables it).
-					allAfter := true
-					for _, b := range accs {
-						if !b.isStore && b.aff.c == a.aff.c && b.order < stores[0].order {
-							allAfter = false
-						}
-					}
-					if allAfter {
-						plan.storeForward[ConstAddrKey{array, a.aff.c}] = 0
-					}
-					continue
-				}
-				if d > 0 && d%lo.step == 0 {
-					w := d / lo.step
-					if w >= 1 && w <= MaxForwardOmega {
-						plan.storeForward[ConstAddrKey{array, a.aff.c}] = int(w)
-					}
-				}
-			}
-		case len(stores) == 0:
-			// Forward every load from the one reading farthest ahead.
-			leader := accs[0].aff.c
-			for _, a := range accs {
-				if sign(lo.step)*(a.aff.c-leader) > 0 {
-					leader = a.aff.c
-				}
-			}
-			for _, a := range accs {
-				d := leader - a.aff.c
-				if d != 0 && d%lo.step == 0 {
-					w := d / lo.step
-					if w >= 1 && w <= MaxForwardOmega {
-						plan.loadForward[ConstAddrKey{array, a.aff.c}] = struct {
-							leaderC int64
-							omega   int
-						}{leader, int(w)}
-					}
+		for _, a := range accs {
+			d := leader - a.aff.c
+			if d != 0 && d%lo.step == 0 {
+				w := d / lo.step
+				if w >= 1 && w <= MaxForwardOmega {
+					e := lo.elem(elemKey{sym, a.aff.c, true})
+					e.hasLoadFwd, e.loadFwdC, e.loadFwdOmega = true, leader, int(w)
 				}
 			}
 		}
 	}
+}
+
+// planStoreForward forwards loads of a(i + c) from the array's store, w
+// iterations back.
+func (lo *lowerer) planStoreForward(sym int, c int64, w int) {
+	e := lo.elem(elemKey{sym, c, true})
+	e.hasStoreFwd, e.storeFwd = true, w
+	lo.syms[sym].forwardsStore = true
+}
+
+// accessStmts and accessExpr record the body's array accesses in
+// program order, and count its expression nodes.
+func (lo *lowerer) accessStmts(stmts []Stmt, pred bool) {
+	for _, s := range stmts {
+		switch s := s.(type) {
+		case *AssignStmt:
+			lo.accessExpr(s.Rhs, pred)
+			if ar, ok := s.Lhs.(*ArrayRef); ok {
+				lo.access(ar, true, pred)
+				lo.accessExpr(ar.Index, pred)
+			}
+		case *IfStmt:
+			lo.accessExpr(s.Cond, pred)
+			lo.accessStmts(s.Then, true)
+			lo.accessStmts(s.Else, true)
+		}
+	}
+}
+
+func (lo *lowerer) accessExpr(e Expr, pred bool) {
+	lo.nodes++
+	switch e := e.(type) {
+	case *ArrayRef:
+		lo.access(e, false, pred)
+		lo.accessExpr(e.Index, pred)
+	case *BinExpr:
+		lo.accessExpr(e.L, pred)
+		lo.accessExpr(e.R, pred)
+	case *UnExpr:
+		lo.accessExpr(e.X, pred)
+	case *CallExpr:
+		for _, a := range e.Args {
+			lo.accessExpr(a, pred)
+		}
+	}
+}
+
+func (lo *lowerer) access(ar *ArrayRef, isStore, pred bool) {
+	lo.accs = append(lo.accs, plannedAccess{
+		sym: lo.state(lo.u.Syms[ar.Name]).sym.id, aff: lo.affineOf(ar.Index),
+		isStore: isStore, pred: pred, order: len(lo.accs) + 1,
+	})
 }
 
 func sign(x int64) int64 {

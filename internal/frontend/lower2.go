@@ -1,16 +1,35 @@
 package frontend
 
 import (
-	"fmt"
-	"sort"
+	"slices"
+	"strconv"
+	"strings"
 
 	"repro/internal/ir"
 	"repro/internal/machine"
 )
 
-// guard returns the current predicate operand (nil when unpredicated).
-func (lo *lowerer) guard() (*ir.Operand, bool) {
-	return lo.pred, lo.predNeg
+// operands copies args into the operand arena and returns the copy,
+// capped so that appending to it cannot overwrite a neighbour.
+func (lo *lowerer) operands(args ...ir.Operand) []ir.Operand {
+	if len(args) == 0 {
+		return nil
+	}
+	if cap(lo.opnds)-len(lo.opnds) < len(args) {
+		lo.opnds = make([]ir.Operand, 0, max(64, len(args), 2*cap(lo.opnds)))
+	}
+	n := len(lo.opnds)
+	lo.opnds = append(lo.opnds, args...)
+	return lo.opnds[n:len(lo.opnds):len(lo.opnds)]
+}
+
+// guardOp guards op by g: a copy of g's predicate operand, since the
+// patch passes rewrite each op's guard in place.
+func (lo *lowerer) guardOp(op *ir.Op, g guard) {
+	if g.ok {
+		op.Pred = &lo.operands(g.op)[0]
+		op.PredNeg = g.neg
+	}
 }
 
 // emit appends an op guarded by the current predicate and returns its
@@ -20,48 +39,90 @@ func (lo *lowerer) emit(code machine.Opcode, args []ir.Operand, name string, fil
 	if code != machine.Store {
 		result = lo.l.NewValue(name, file, typ).ID
 	}
-	op := lo.l.NewOp(code, args, result)
-	if p, neg := lo.guard(); p != nil {
-		cp := *p
-		op.Pred = &cp
-		op.PredNeg = neg
-	}
+	lo.guardOp(lo.l.NewOp(code, lo.operands(args...), result), lo.g)
 	return result
 }
 
 // emitUnpred appends an op with no guard regardless of context
 // (speculative pure ops, condition cones, leader loads).
 func (lo *lowerer) emitUnpred(code machine.Opcode, args []ir.Operand, name string, file ir.RegFile, typ ir.Type) ir.ValueID {
-	savedP, savedN := lo.pred, lo.predNeg
-	lo.pred, lo.predNeg = nil, false
+	saved := lo.g
+	lo.g = guard{}
 	v := lo.emit(code, args, name, file, typ)
-	lo.pred, lo.predNeg = savedP, savedN
+	lo.g = saved
 	return v
 }
 
 // constVal interns a literal as a def-less GPR constant.
 func (lo *lowerer) constVal(s ir.Scalar, typ ir.Type, name string) ir.Operand {
-	key := s
-	if v, ok := lo.constCache[key]; ok {
+	if v, ok := lo.constCache[s]; ok {
 		return ir.Operand{Val: v}
 	}
 	v := lo.l.Const(name, typ, s)
-	lo.constCache[key] = v.ID
+	lo.constCache[s] = v.ID
 	return ir.Operand{Val: v.ID}
+}
+
+// intConst and realConst intern an integer or real literal, named c
+// followed by its value as %d or %g formats it; the name is built only
+// for a new constant.
+func (lo *lowerer) intConst(v int64) ir.Operand {
+	if c, ok := lo.constCache[ir.IntS(v)]; ok {
+		return ir.Operand{Val: c}
+	}
+	return lo.constVal(ir.IntS(v), ir.Int, intName("c", v))
+}
+
+func (lo *lowerer) realConst(v float64) ir.Operand {
+	if c, ok := lo.constCache[ir.FloatS(v)]; ok {
+		return ir.Operand{Val: c}
+	}
+	return lo.constVal(ir.FloatS(v), ir.Float, realName(v))
+}
+
+// Value names are built with strconv, as fmt.Sprintf would format them
+// (TestValueNamesMatchSprintf):
+
+// realName is fmt.Sprintf("c%g", v).
+func realName(v float64) string {
+	var buf [32]byte
+	return string(strconv.AppendFloat(append(buf[:0], 'c'), v, 'g', -1, 64))
+}
+
+// pointerName is fmt.Sprintf("p.%s%+d", array, c).
+func pointerName(array string, c int64) string {
+	var buf [64]byte
+	name := append(append(buf[:0], "p."...), array...)
+	if c >= 0 {
+		name = append(name, '+')
+	}
+	return string(strconv.AppendInt(name, c, 10))
+}
+
+// elemAddrName is fmt.Sprintf("addr.%s(%d)", array, idx).
+func elemAddrName(array string, idx int64) string {
+	var buf [64]byte
+	name := append(append(append(buf[:0], "addr."...), array...), '(')
+	return string(append(strconv.AppendInt(name, idx, 10), ')'))
+}
+
+// valueType is the IR type of a symbol's values.
+func valueType(sym *Symbol) ir.Type {
+	if sym.Type == TInteger {
+		return ir.Int
+	}
+	return ir.Float
 }
 
 // invariantScalar returns the GPR live-in for a scalar the loop never
 // assigns (parameters, outer-loop indices, globals).
-func (lo *lowerer) invariantScalar(name string) ir.Operand {
-	if v, ok := lo.cl.Scalars[name]; ok {
-		return ir.Operand{Val: v}
+func (lo *lowerer) invariantScalar(st *symState) ir.Operand {
+	if st.liveIn != ir.None {
+		return ir.Operand{Val: st.liveIn}
 	}
-	typ := ir.Float
-	if lo.u.Syms[name].Type == TInteger {
-		typ = ir.Int
-	}
-	v := lo.l.NewValue(name, ir.GPR, typ)
-	lo.cl.Scalars[name] = v.ID
+	v := lo.l.NewValue(st.sym.Name, ir.GPR, valueType(st.sym))
+	st.liveIn = v.ID
+	lo.scalars = append(lo.scalars, namedValue{st.sym.Name, v.ID})
 	return ir.Operand{Val: v.ID}
 }
 
@@ -84,57 +145,62 @@ func (lo *lowerer) indexValue() ir.Operand {
 		return ir.Operand{Val: lo.indexVal}
 	}
 	v := lo.l.NewValue("i."+lo.do.Var, ir.RR, ir.Int)
-	lo.l.NewOp(machine.AAdd, []ir.Operand{{Val: v.ID, Omega: 1}, lo.stepOperand()}, v.ID)
+	// Record the value before lowering the step, which may read it.
 	lo.indexVal = v.ID
-	lo.cl.Recipes = append(lo.cl.Recipes, Recipe{Val: v.ID, Kind: RecipeIndex})
+	lo.l.NewOp(machine.AAdd, lo.operands(ir.Operand{Val: v.ID, Omega: 1}, lo.stepOperand()), v.ID)
+	lo.recipes = append(lo.recipes, Recipe{Val: v.ID, Kind: RecipeIndex})
 	return ir.Operand{Val: v.ID}
 }
 
 // pointerFor materializes the address recurrence for affine accesses
 // a(i + c): one strength-reduced pointer per distinct (array, c).
-func (lo *lowerer) pointerFor(array string, c int64) ir.Operand {
-	key := ConstAddrKey{array, c}
-	if v, ok := lo.pointers[key]; ok {
-		return ir.Operand{Val: v}
+func (lo *lowerer) pointerFor(sym *Symbol, c int64) ir.Operand {
+	e := lo.elem(elemKey{sym.id, c, true})
+	if e.pointer != ir.None {
+		return ir.Operand{Val: e.pointer}
 	}
-	v := lo.l.NewValue(fmt.Sprintf("p.%s%+d", array, c), ir.RR, ir.Addr)
-	lo.l.NewOp(machine.AAdd, []ir.Operand{{Val: v.ID, Omega: 1}, lo.stepOperand()}, v.ID)
-	lo.pointers[key] = v.ID
-	lo.cl.Recipes = append(lo.cl.Recipes, Recipe{Val: v.ID, Kind: RecipeAffine, Array: array, C: c})
+	v := lo.l.NewValue(pointerName(sym.Name, c), ir.RR, ir.Addr)
+	// Record the value before lowering the step, which may read it.
+	e.pointer = v.ID
+	lo.l.NewOp(machine.AAdd, lo.operands(ir.Operand{Val: v.ID, Omega: 1}, lo.stepOperand()), v.ID)
+	lo.recipes = append(lo.recipes, Recipe{Val: v.ID, Kind: RecipeAffine, Array: sym.Name, C: c})
 	return ir.Operand{Val: v.ID}
 }
 
 // constAddr returns the GPR live-in address of an invariant element.
-func (lo *lowerer) constAddr(array string, idx int64) ir.Operand {
-	key := ConstAddrKey{array, idx}
-	if v, ok := lo.cl.ConstAddrs[key]; ok {
-		return ir.Operand{Val: v}
+func (lo *lowerer) constAddr(sym *Symbol, idx int64) ir.Operand {
+	e := lo.elem(elemKey{sym.id, idx, false})
+	if e.constAddr != ir.None {
+		return ir.Operand{Val: e.constAddr}
 	}
-	v := lo.l.NewValue(fmt.Sprintf("addr.%s(%d)", array, idx), ir.GPR, ir.Addr)
-	lo.cl.ConstAddrs[key] = v.ID
+	v := lo.l.NewValue(elemAddrName(sym.Name, idx), ir.GPR, ir.Addr)
+	e.constAddr = v.ID
+	lo.elemAddrs = append(lo.elemAddrs, elemAddr{ConstAddrKey{sym.Name, idx}, v.ID})
 	return ir.Operand{Val: v.ID}
 }
 
 // arrayBase returns the GPR live-in base address of an array (used only
 // for non-affine subscripts).
-func (lo *lowerer) arrayBase(array string) ir.Operand {
-	if v, ok := lo.cl.ArrayBases[array]; ok {
-		return ir.Operand{Val: v}
+func (lo *lowerer) arrayBase(st *symState) ir.Operand {
+	if st.base != ir.None {
+		return ir.Operand{Val: st.base}
 	}
-	v := lo.l.NewValue("base."+array, ir.GPR, ir.Addr)
-	lo.cl.ArrayBases[array] = v.ID
+	v := lo.l.NewValue("base."+st.sym.Name, ir.GPR, ir.Addr)
+	st.base = v.ID
+	lo.bases = append(lo.bases, namedValue{st.sym.Name, v.ID})
 	return ir.Operand{Val: v.ID}
 }
 
 // storePlaceholder returns (creating on demand) the placeholder value
 // standing for "the value the array's single store writes", patched to
 // the real stored value after lowering.
-func (lo *lowerer) storePlaceholder(array string, typ ir.Type) ir.ValueID {
-	if v, ok := lo.plan.storePlaceholder[array]; ok {
-		return v
+func (lo *lowerer) storePlaceholder(st *symState, typ ir.Type) ir.ValueID {
+	if st.placeholder != ir.None {
+		return st.placeholder
 	}
-	v := lo.l.NewValue("fwd."+array, ir.RR, typ)
-	lo.plan.storePlaceholder[array] = v.ID
+	v := lo.l.NewValue("fwd."+st.sym.Name, ir.RR, typ)
+	st.placeholder = v.ID
+	lo.forwarded = append(lo.forwarded, st.sym.id)
 	return v.ID
 }
 
@@ -163,18 +229,18 @@ func (lo *lowerer) ifStmt(s *IfStmt) error {
 	if err != nil {
 		return err
 	}
-	parentP, parentN := lo.pred, lo.predNeg
+	parentG := lo.g
 
 	// Combined guards: with no parent the compare value itself guards
 	// both branches (the else side via the negated sense); under a
 	// parent we materialize parent∧p and parent∧¬p.
 	setGuard := func(neg bool) error {
-		if parentP == nil {
-			lo.pred, lo.predNeg = &cond, neg
+		if !parentG.ok {
+			lo.g = guard{op: cond, neg: neg, ok: true}
 			return nil
 		}
-		parent := *parentP
-		if parentN {
+		parent := parentG.op
+		if parentG.neg {
 			// Materialize the positive sense of the parent.
 			pv := lo.emitUnpred(machine.PNot, []ir.Operand{parent}, "np", ir.ICR, ir.Pred)
 			parent = ir.Operand{Val: pv}
@@ -185,7 +251,7 @@ func (lo *lowerer) ifStmt(s *IfStmt) error {
 			leaf = ir.Operand{Val: nv}
 		}
 		cv := lo.emitUnpred(machine.PAnd, []ir.Operand{parent, leaf}, "pp", ir.ICR, ir.Pred)
-		lo.pred, lo.predNeg = &ir.Operand{Val: cv}, false
+		lo.g = guard{op: ir.Operand{Val: cv}, ok: true}
 		return nil
 	}
 
@@ -203,7 +269,7 @@ func (lo *lowerer) ifStmt(s *IfStmt) error {
 			return err
 		}
 	}
-	lo.pred, lo.predNeg = parentP, parentN
+	lo.g = parentG
 	return nil
 }
 
@@ -212,9 +278,9 @@ func (lo *lowerer) ifStmt(s *IfStmt) error {
 // always-defined values — loads issued fresh and unguarded, scalar
 // merges, and invariants — so speculation is safe.
 func (lo *lowerer) cond(e Expr) (ir.Operand, error) {
-	savedP, savedN := lo.pred, lo.predNeg
-	lo.pred, lo.predNeg = nil, false
-	defer func() { lo.pred, lo.predNeg = savedP, savedN }()
+	saved := lo.g
+	lo.g = guard{}
+	defer func() { lo.g = saved }()
 	return lo.condIn(e)
 }
 
@@ -302,18 +368,19 @@ func (lo *lowerer) convert(op ir.Operand, from, to BaseType) ir.Operand {
 func (lo *lowerer) expr(e Expr) (ir.Operand, BaseType, error) {
 	switch e := e.(type) {
 	case *IntLit:
-		return lo.constVal(ir.IntS(e.Val), ir.Int, fmt.Sprintf("c%d", e.Val)), TInteger, nil
+		return lo.intConst(e.Val), TInteger, nil
 	case *RealLit:
-		return lo.constVal(ir.FloatS(e.Val), ir.Float, fmt.Sprintf("c%g", e.Val)), TReal, nil
+		return lo.realConst(e.Val), TReal, nil
 	case *VarRef:
 		if e.Name == lo.do.Var {
 			return lo.indexValue(), TInteger, nil
 		}
 		sym := lo.u.Syms[e.Name]
-		if lo.assignedScalars[e.Name] {
-			return lo.scalarRead(e.Name), sym.Type, nil
+		st := lo.state(sym)
+		if st.assigned {
+			return lo.scalarRead(st), sym.Type, nil
 		}
-		return lo.invariantScalar(e.Name), sym.Type, nil
+		return lo.invariantScalar(st), sym.Type, nil
 	case *ArrayRef:
 		return lo.arrayLoad(e)
 	case *BinExpr:
@@ -377,14 +444,16 @@ func (lo *lowerer) binExpr(e *BinExpr) (ir.Operand, BaseType, error) {
 }
 
 func (lo *lowerer) call(e *CallExpr) (ir.Operand, BaseType, error) {
-	args := make([]ir.Operand, len(e.Args))
-	types := make([]BaseType, len(e.Args))
-	for i, a := range e.Args {
+	// Intrinsics take at most two arguments.
+	var argBuf [2]ir.Operand
+	var typeBuf [2]BaseType
+	args, types := argBuf[:0], typeBuf[:0]
+	for _, a := range e.Args {
 		op, t, err := lo.expr(a)
 		if err != nil {
 			return op, t, err
 		}
-		args[i], types[i] = op, t
+		args, types = append(args, op), append(types, t)
 	}
 	toReal := func(i int) ir.Operand { return lo.convert(args[i], types[i], TReal) }
 	switch e.Name {
@@ -415,24 +484,21 @@ func (lo *lowerer) call(e *CallExpr) (ir.Operand, BaseType, error) {
 // scalarRead reads a loop-assigned scalar: the current version if one
 // exists this iteration, else the previous iteration's final version via
 // a carried placeholder (patched later).
-func (lo *lowerer) scalarRead(name string) ir.Operand {
-	if cur, ok := lo.scalarCur[name]; ok {
-		return cur
+func (lo *lowerer) scalarRead(st *symState) ir.Operand {
+	if st.hasCur {
+		return st.cur
 	}
-	return ir.Operand{Val: lo.carriedPlaceholder(name)}
+	return ir.Operand{Val: lo.carriedPlaceholder(st)}
 }
 
 // carriedPlaceholder is patched to (final version, ω+1) by patchCarried.
-func (lo *lowerer) carriedPlaceholder(name string) ir.ValueID {
-	if v, ok := lo.carried[name]; ok {
-		return v
+func (lo *lowerer) carriedPlaceholder(st *symState) ir.ValueID {
+	if st.carried != ir.None {
+		return st.carried
 	}
-	typ := ir.Float
-	if lo.u.Syms[name].Type == TInteger {
-		typ = ir.Int
-	}
-	v := lo.l.NewValue("carry."+name, ir.RR, typ)
-	lo.carried[name] = v.ID
+	v := lo.l.NewValue("carry."+st.sym.Name, ir.RR, valueType(st.sym))
+	st.carried = v.ID
+	lo.carried = append(lo.carried, st.sym.id)
 	return v.ID
 }
 
@@ -444,30 +510,29 @@ func (lo *lowerer) assign(s *AssignStmt) error {
 			return errf(s.Pos(), "assignment to the DO variable")
 		}
 		sym := lo.u.Syms[lhs.Name]
+		st := lo.state(sym)
 		rhs, rt, err := lo.expr(s.Rhs)
 		if err != nil {
 			return err
 		}
 		rhs = lo.convert(rhs, rt, sym.Type)
-		if p, neg := lo.guard(); p != nil {
+		if g := lo.g; g.ok {
 			// Predicated assignment: a merge value with two defs under
 			// complementary senses — the Cydra way of joining branches.
-			typ := ir.Float
 			copyOp := machine.FCopy
 			if sym.Type == TInteger {
-				typ, copyOp = ir.Int, machine.Copy
+				copyOp = machine.Copy
 			}
-			merge := lo.l.NewValue("m."+lhs.Name, ir.RR, typ)
-			old := lo.scalarRead(lhs.Name)
-			d1 := lo.l.NewOp(copyOp, []ir.Operand{rhs}, merge.ID)
-			cp1 := *p
-			d1.Pred, d1.PredNeg = &cp1, neg
-			d2 := lo.l.NewOp(copyOp, []ir.Operand{old}, merge.ID)
-			cp2 := *p
-			d2.Pred, d2.PredNeg = &cp2, !neg
-			lo.scalarCur[lhs.Name] = ir.Operand{Val: merge.ID}
+			if st.mergeName == "" {
+				st.mergeName = "m." + lhs.Name
+			}
+			merge := lo.l.NewValue(st.mergeName, ir.RR, valueType(sym))
+			old := lo.scalarRead(st)
+			lo.guardOp(lo.l.NewOp(copyOp, lo.operands(rhs), merge.ID), g)
+			lo.guardOp(lo.l.NewOp(copyOp, lo.operands(old), merge.ID), guard{op: g.op, neg: !g.neg, ok: true})
+			st.cur, st.hasCur = ir.Operand{Val: merge.ID}, true
 		} else {
-			lo.scalarCur[lhs.Name] = rhs
+			st.cur, st.hasCur = rhs, true
 		}
 		return nil
 	case *ArrayRef:
@@ -481,41 +546,27 @@ func (lo *lowerer) assign(s *AssignStmt) error {
 		if err != nil {
 			return err
 		}
-		op := lo.l.NewOp(machine.Store, []ir.Operand{addr, data}, ir.None)
-		if p, neg := lo.guard(); p != nil {
-			cp := *p
-			op.Pred, op.PredNeg = &cp, neg
-		}
-		lo.emitted = append(lo.emitted, &emittedAccess{op: op.ID, isStore: true, array: lhs.Name, aff: aff, order: len(lo.emitted)})
+		op := lo.l.NewOp(machine.Store, lo.operands(addr, data), ir.None)
+		lo.guardOp(op, lo.g)
+		lo.emitted = append(lo.emitted, emittedAccess{op: op.ID, isStore: true, sym: sym.id, aff: aff})
 		// Remember the stored value for store-forwarded loads.
-		if _, forwards := lo.plan.storePlaceholder[lhs.Name]; forwards || lo.mayForwardStore(lhs.Name) {
-			lo.plan.storeVal[lhs.Name] = data.Val
-			lo.plan.storeValOmega[lhs.Name] = data.Omega
+		if st := lo.state(sym); st.forwardsStore {
+			st.storeVal, st.hasStoreVal = data, true
 		}
 		return nil
 	}
 	return errf(s.Pos(), "bad assignment target")
 }
 
-// mayForwardStore reports whether some load of the array was planned to
-// forward from its store.
-func (lo *lowerer) mayForwardStore(array string) bool {
-	for k := range lo.plan.storeForward {
-		if k.Array == array {
-			return true
-		}
-	}
-	return false
-}
-
 // address lowers an array subscript to an address operand.
 func (lo *lowerer) address(ref *ArrayRef) (ir.Operand, affineSub, error) {
+	sym := lo.u.Syms[ref.Name]
 	aff := lo.affineOf(ref.Index)
 	switch {
 	case aff.ok && aff.hasI:
-		return lo.pointerFor(ref.Name, aff.c), aff, nil
+		return lo.pointerFor(sym, aff.c), aff, nil
 	case aff.ok:
-		return lo.constAddr(ref.Name, aff.c), aff, nil
+		return lo.constAddr(sym, aff.c), aff, nil
 	default:
 		sub, t, err := lo.expr(ref.Index)
 		if err != nil {
@@ -526,87 +577,100 @@ func (lo *lowerer) address(ref *ArrayRef) (ir.Operand, affineSub, error) {
 		}
 		one := lo.constVal(ir.IntS(1), ir.Addr, "c1")
 		off := lo.emit(machine.ASub, []ir.Operand{sub, one}, "off", ir.RR, ir.Addr)
-		addr := lo.emit(machine.AAdd, []ir.Operand{lo.arrayBase(ref.Name), {Val: off}}, "addr", ir.RR, ir.Addr)
+		addr := lo.emit(machine.AAdd, []ir.Operand{lo.arrayBase(lo.state(sym)), {Val: off}}, "addr", ir.RR, ir.Addr)
 		return ir.Operand{Val: addr}, aff, nil
 	}
+}
+
+// loadName is the name of the array's load values.
+func (st *symState) loadName() string {
+	if st.ldName == "" {
+		st.ldName = "ld." + st.sym.Name
+	}
+	return st.ldName
 }
 
 // arrayLoad lowers an array read: a forwarded register read when load/
 // store elimination applies, otherwise a Load (CSE'd when unguarded).
 func (lo *lowerer) arrayLoad(ref *ArrayRef) (ir.Operand, BaseType, error) {
 	sym := lo.u.Syms[ref.Name]
-	typ := ir.Float
-	if sym.Type == TInteger {
-		typ = ir.Int
-	}
+	st := lo.state(sym)
+	typ := valueType(sym)
 	aff := lo.affineOf(ref.Index)
-	key := ConstAddrKey{ref.Name, aff.c}
-	if aff.ok && aff.hasI {
-		if w, ok := lo.plan.storeForward[key]; ok {
-			sp := lo.storePlaceholder(ref.Name, typ)
-			return ir.Operand{Val: sp, Omega: w}, sym.Type, nil
+	key := elemKey{sym.id, aff.c, aff.hasI}
+	if e := lo.elems[key]; e != nil && aff.ok && aff.hasI {
+		if e.hasStoreFwd {
+			sp := lo.storePlaceholder(st, typ)
+			return ir.Operand{Val: sp, Omega: e.storeFwd}, sym.Type, nil
 		}
-		if f, ok := lo.plan.loadForward[key]; ok {
-			leader := lo.leaderLoad(ref.Name, f.leaderC, typ)
-			return ir.Operand{Val: leader, Omega: f.omega}, sym.Type, nil
+		if e.hasLoadFwd {
+			leader := lo.leaderLoad(sym, e.loadFwdC, typ)
+			return ir.Operand{Val: leader, Omega: e.loadFwdOmega}, sym.Type, nil
 		}
 	}
 	// CSE only for unguarded loads; a guarded load may not execute.
-	cacheable := lo.pred == nil && aff.ok
+	cacheable := !lo.g.ok && aff.ok
 	if cacheable {
-		if v, ok := lo.cseLoads[key]; ok {
-			return ir.Operand{Val: v}, sym.Type, nil
+		if e := lo.elems[key]; e != nil && e.cse != ir.None {
+			return ir.Operand{Val: e.cse}, sym.Type, nil
 		}
 	}
 	addr, aff, err := lo.address(ref)
 	if err != nil {
 		return ir.Operand{}, sym.Type, err
 	}
-	v := lo.emit(machine.Load, []ir.Operand{addr}, "ld."+ref.Name, ir.RR, typ)
-	lo.emitted = append(lo.emitted, &emittedAccess{op: lo.l.Value(v).Defs[0], isStore: false, array: ref.Name, aff: aff, order: len(lo.emitted)})
+	v := lo.emit(machine.Load, []ir.Operand{addr}, st.loadName(), ir.RR, typ)
+	lo.emitted = append(lo.emitted, emittedAccess{op: lo.l.Value(v).Defs[0], sym: sym.id, aff: aff})
 	if cacheable {
-		lo.cseLoads[key] = v
+		lo.elem(key).cse = v
 	}
 	return ir.Operand{Val: v}, sym.Type, nil
 }
 
 // leaderLoad emits (once) the unguarded load every other read of the
 // array forwards from, and records its preheader recipe.
-func (lo *lowerer) leaderLoad(array string, c int64, typ ir.Type) ir.ValueID {
-	key := ConstAddrKey{array, c}
-	if v, ok := lo.plan.leaderVal[key]; ok {
-		return v
+func (lo *lowerer) leaderLoad(sym *Symbol, c int64, typ ir.Type) ir.ValueID {
+	e := lo.elem(elemKey{sym.id, c, true})
+	if e.leader != ir.None {
+		return e.leader
 	}
-	addr := lo.pointerFor(array, c)
-	v := lo.emitUnpred(machine.Load, []ir.Operand{addr}, "ld."+array, ir.RR, typ)
-	lo.plan.leaderVal[key] = v
-	lo.emitted = append(lo.emitted, &emittedAccess{op: lo.l.Value(v).Defs[0], isStore: false, array: array, aff: affineSub{ok: true, hasI: true, c: c}, order: len(lo.emitted)})
-	lo.cl.Recipes = append(lo.cl.Recipes, Recipe{Val: v, Kind: RecipeMemLoad, Array: array, C: c})
+	addr := lo.pointerFor(sym, c)
+	v := lo.emitUnpred(machine.Load, []ir.Operand{addr}, lo.state(sym).loadName(), ir.RR, typ)
+	e.leader = v
+	lo.emitted = append(lo.emitted, emittedAccess{op: lo.l.Value(v).Defs[0], sym: sym.id, aff: affineSub{ok: true, hasI: true, c: c}})
+	lo.recipes = append(lo.recipes, Recipe{Val: v, Kind: RecipeMemLoad, Array: sym.Name, C: c})
 	// The leader is also this (array, c)'s load for CSE purposes.
-	if lo.pred == nil {
-		lo.cseLoads[key] = v
+	if !lo.g.ok {
+		e.cse = v
 	}
 	return v
 }
 
 // patchCarried resolves carried placeholders: every read of
 // "carry.name" becomes a read of the scalar's final version, one
-// iteration back.
+// iteration back. Placeholders resolve in creation order, so the copies
+// resolveFinal adds come in a fixed order.
 func (lo *lowerer) patchCarried() error {
 	if len(lo.carried) == 0 {
 		// Still record live-out final versions.
 		return lo.finalizeScalars()
 	}
-	final := map[ir.ValueID]ir.Operand{} // placeholder → resolved final
-	for name, ph := range lo.carried {
-		op, err := lo.resolveFinal(name, map[string]bool{})
+	lo.carriedOwner = ownerTable(lo.carriedOwner, len(lo.l.Values))
+	for k, id := range lo.carried {
+		lo.carriedOwner[lo.syms[id].carried] = k
+	}
+	final := make([]ir.Operand, len(lo.carried)) // by carried index
+	for k, id := range lo.carried {
+		op, err := lo.resolveFinal(id)
 		if err != nil {
 			return err
 		}
-		final[ph] = op
+		final[k] = op
 	}
+	owner := lo.carriedOwner
 	rewrite := func(o *ir.Operand) {
-		if f, ok := final[o.Val]; ok {
+		if int(o.Val) < len(owner) && owner[o.Val] >= 0 {
+			f := final[owner[o.Val]]
 			o.Val = f.Val
 			o.Omega += f.Omega + 1
 		}
@@ -622,47 +686,54 @@ func (lo *lowerer) patchCarried() error {
 	return lo.finalizeScalars()
 }
 
+// ownerTable returns t resized to n entries of -1.
+func ownerTable(t []int, n int) []int {
+	t = slices.Grow(t[:0], n)[:n]
+	for i := range t {
+		t[i] = -1
+	}
+	return t
+}
+
 // resolveFinal returns the value anchoring a scalar's end-of-iteration
 // version: always a loop-variant read at distance 0, so that the
 // scalar's carried read is exactly (final, ω=1) and its preheader
 // instance at iteration −1 is exactly the variable's pre-loop value.
 // Copies are materialized when the raw final version is an invariant, a
 // forwarded (ω > 0) read, or another scalar's carried placeholder.
-func (lo *lowerer) resolveFinal(name string, visiting map[string]bool) (ir.Operand, error) {
-	if visiting[name] {
+func (lo *lowerer) resolveFinal(id int) (ir.Operand, error) {
+	st := &lo.syms[id]
+	name := st.sym.Name
+	if st.visiting {
 		return ir.Operand{}, errf(lo.do.Pos(), "unsupported mutual scalar recurrence through %s (swap pattern)", name)
 	}
-	visiting[name] = true
-	defer delete(visiting, name)
+	st.visiting = true
+	defer func() { st.visiting = false }()
 
-	cur, ok := lo.scalarCur[name]
-	if !ok {
+	if !st.hasCur {
 		// Read but never assigned on any path this iteration — cannot
-		// happen: assignedScalars gated the placeholder.
+		// happen: only assigned scalars get a placeholder.
 		return ir.Operand{}, errf(lo.do.Pos(), "scalar %s carried but never assigned", name)
 	}
+	cur := st.cur
 	// A final version that is another scalar's carried placeholder means
 	// "this scalar ends the iteration holding that one's previous value".
-	for other, ph := range lo.carried {
-		if cur.Val == ph {
-			r, err := lo.resolveFinal(other, visiting)
-			if err != nil {
-				return ir.Operand{}, err
-			}
-			cur = ir.Operand{Val: r.Val, Omega: cur.Omega + r.Omega + 1}
-			break
+	if owner := lo.carriedOwner; int(cur.Val) < len(owner) && owner[cur.Val] >= 0 {
+		r, err := lo.resolveFinal(lo.carried[owner[cur.Val]])
+		if err != nil {
+			return ir.Operand{}, err
 		}
+		cur = ir.Operand{Val: r.Val, Omega: cur.Omega + r.Omega + 1}
 	}
 	if v := lo.l.Value(cur.Val); !v.IsVariant() || cur.Omega > 0 {
 		copyOp := machine.FCopy
-		typ := ir.Float
-		if lo.u.Syms[name].Type == TInteger {
-			copyOp, typ = machine.Copy, ir.Int
+		if st.sym.Type == TInteger {
+			copyOp = machine.Copy
 		}
-		nv := lo.emitUnpred(copyOp, []ir.Operand{cur}, "fin."+name, ir.RR, typ)
+		nv := lo.emitUnpred(copyOp, []ir.Operand{cur}, "fin."+name, ir.RR, valueType(st.sym))
 		cur = ir.Operand{Val: nv}
 	}
-	lo.scalarCur[name] = cur
+	st.cur = cur
 	return cur, nil
 }
 
@@ -670,69 +741,84 @@ func (lo *lowerer) resolveFinal(name string, visiting map[string]bool) (ir.Opera
 // it for live-out marking, and registers a preheader recipe (BuildEnv
 // seeds only the instances actually read).
 func (lo *lowerer) finalizeScalars() error {
-	names := make([]string, 0, len(lo.scalarCur))
-	for name := range lo.scalarCur {
-		names = append(names, name)
+	ids := lo.ids[:0]
+	for id := range lo.syms {
+		if lo.syms[id].hasCur {
+			ids = append(ids, id)
+		}
 	}
-	sort.Strings(names)
-	for _, name := range names {
-		cur, err := lo.resolveFinal(name, map[string]bool{})
+	lo.ids = ids
+	slices.SortFunc(ids, func(a, b int) int { return strings.Compare(lo.syms[a].sym.Name, lo.syms[b].sym.Name) })
+	for _, id := range ids {
+		cur, err := lo.resolveFinal(id)
 		if err != nil {
 			return err
 		}
-		lo.cl.FinalScalar[name] = cur.Val
-		lo.cl.Recipes = append(lo.cl.Recipes, Recipe{Val: cur.Val, Kind: RecipeScalar, Scalar: name})
+		name := lo.syms[id].sym.Name
+		lo.finals = append(lo.finals, namedValue{name, cur.Val})
+		lo.recipes = append(lo.recipes, Recipe{Val: cur.Val, Kind: RecipeScalar, Scalar: name})
 	}
 	return nil
 }
 
 // patchStoreForwards resolves "fwd.array" placeholders to the stored
-// value and records their preheader recipes.
+// value and records their preheader recipes. Every placeholder is
+// resolved first, in creation order, and then every read rewritten in
+// one pass, so a copy that reads another array's placeholder (a value
+// forwarded through two stores) is rewritten too.
 func (lo *lowerer) patchStoreForwards() error {
-	if len(lo.plan.storePlaceholder) == 0 {
+	if len(lo.forwarded) == 0 {
 		return nil
 	}
-	for array, ph := range lo.plan.storePlaceholder {
-		dv, ok := lo.plan.storeVal[array]
-		if !ok {
+	resolved := make([]ir.Operand, len(lo.forwarded))
+	for k, id := range lo.forwarded {
+		st := &lo.syms[id]
+		array := st.sym.Name
+		if !st.hasStoreVal {
 			return errf(lo.do.Pos(), "forwarded load from %s found no store (bug)", array)
 		}
-		dOmega := lo.plan.storeValOmega[array]
-		val := lo.l.Value(dv)
-		if !val.IsVariant() || dOmega > 0 {
+		d := st.storeVal
+		if val := lo.l.Value(d.Val); !val.IsVariant() || d.Omega > 0 {
 			// Stored value is a constant/invariant or itself a carried
 			// read: anchor it with a copy so forwards have a variant.
 			copyOp := machine.FCopy
 			if val.Type == ir.Int || val.Type == ir.Addr {
 				copyOp = machine.Copy
 			}
-			nv := lo.emitUnpred(copyOp, []ir.Operand{{Val: dv, Omega: dOmega}}, "fwd0."+array, ir.RR, val.Type)
-			dv, dOmega = nv, 0
+			d = ir.Operand{Val: lo.emitUnpred(copyOp, []ir.Operand{d}, "fwd0."+array, ir.RR, val.Type)}
 		}
-		for _, op := range lo.l.Ops {
-			for i := range op.Args {
-				if op.Args[i].Val == ph {
-					op.Args[i].Val = dv
-					op.Args[i].Omega += dOmega
-				}
-			}
-			if op.Pred != nil && op.Pred.Val == ph {
-				op.Pred.Val = dv
-				op.Pred.Omega += dOmega
-			}
-		}
+		resolved[k] = d
 		// The store's affine offset drives the preheader addresses.
 		var storeC int64
 		found := false
 		for _, a := range lo.emitted {
-			if a.isStore && a.array == array && a.aff.ok && a.aff.hasI {
+			if a.isStore && a.sym == id && a.aff.ok && a.aff.hasI {
 				storeC, found = a.aff.c, true
 			}
 		}
 		if !found {
 			return errf(lo.do.Pos(), "store forwarding without affine store (bug)")
 		}
-		lo.cl.Recipes = append(lo.cl.Recipes, Recipe{Val: dv, Kind: RecipeMemLoad, Array: array, C: storeC})
+		lo.recipes = append(lo.recipes, Recipe{Val: d.Val, Kind: RecipeMemLoad, Array: array, C: storeC})
+	}
+	lo.fwdOwner = ownerTable(lo.fwdOwner, len(lo.l.Values))
+	owner := lo.fwdOwner
+	for k, id := range lo.forwarded {
+		owner[lo.syms[id].placeholder] = k
+	}
+	rewrite := func(o *ir.Operand) {
+		if k := owner[o.Val]; k >= 0 {
+			o.Val = resolved[k].Val
+			o.Omega += resolved[k].Omega
+		}
+	}
+	for _, op := range lo.l.Ops {
+		for i := range op.Args {
+			rewrite(&op.Args[i])
+		}
+		if op.Pred != nil {
+			rewrite(op.Pred)
+		}
 	}
 	return nil
 }
@@ -751,10 +837,11 @@ func (lo *lowerer) memDeps() {
 			x.Pred.Val == y.Pred.Val && x.Pred.Omega == y.Pred.Omega &&
 			x.PredNeg != y.PredNeg
 	}
-	for i, a := range lo.emitted {
+	for i := range lo.emitted {
+		a := &lo.emitted[i]
 		for j := i + 1; j < len(lo.emitted); j++ {
-			b := lo.emitted[j]
-			if a.array != b.array || (!a.isStore && !b.isStore) {
+			b := &lo.emitted[j]
+			if a.sym != b.sym || (!a.isStore && !b.isStore) {
 				continue
 			}
 			opA, opB := lo.l.Op(a.op), lo.l.Op(b.op)

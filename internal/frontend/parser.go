@@ -1,27 +1,180 @@
 package frontend
 
-import "strconv"
+import (
+	"strconv"
+	"sync"
+)
 
 // Parse parses one subroutine.
 func Parse(src string) (*Program, error) {
-	toks, err := Lex(src)
+	return new(parser).parse(src, new(Program))
+}
+
+// parse lexes src into a pooled token slice and parses it into prog.
+func (p *parser) parse(src string, prog *Program) (*Program, error) {
+	bp := tokenBufs.Get().(*[]Token)
+	toks, err := lexInto(*bp, src)
+	defer func() {
+		// Drop the tokens' strings, so a pooled slice pins no source.
+		clear(toks)
+		p.toks, p.pos = nil, 0
+		if cap(toks) <= maxPooledTokens {
+			*bp = toks[:0]
+			tokenBufs.Put(bp)
+		}
+	}()
 	if err != nil {
 		return nil, err
 	}
-	p := &parser{toks: toks}
-	return p.program()
+	p.toks = toks
+	return p.program(prog)
 }
+
+// tokenBufs recycles Parse's token slices: the AST keeps the tokens'
+// strings, never the slice. A slice longer than maxPooledTokens (2 MiB)
+// is left to the collector.
+var tokenBufs = sync.Pool{New: func() any { return new([]Token) }}
+
+const maxPooledTokens = 1 << 16
 
 type parser struct {
 	toks []Token
 	pos  int
+
+	// The AST's nodes and lists come from slabs: one allocation per
+	// chunk rather than one per node or list.
+	ints    slab[IntLit]
+	reals   slab[RealLit]
+	vars    slab[VarRef]
+	arrays  slab[ArrayRef]
+	bins    slab[BinExpr]
+	uns     slab[UnExpr]
+	calls   slab[CallExpr]
+	assigns slab[AssignStmt]
+	ifs     slab[IfStmt]
+	dos     slab[DoStmt]
+	decls   slab[Decl]
+	names   slab[DeclName]
+	strs    slab[string]
+	exprs   slab[Expr]
+	lists   slab[Stmt]
+	declPs  slab[*Decl]
+
+	// stmts and declStack stack the statements of the blocks being
+	// parsed and the declarations; each list is copied out at its exact
+	// size when it ends.
+	stmts     []Stmt
+	declStack []*Decl
 }
 
-func (p *parser) cur() Token  { return p.toks[p.pos] }
-func (p *parser) next() Token { t := p.toks[p.pos]; p.pos++; return t }
+// reset readies a parser whose previous AST is dead for another parse.
+func (p *parser) reset() {
+	p.ints.reset()
+	p.reals.reset()
+	p.vars.reset()
+	p.arrays.reset()
+	p.bins.reset()
+	p.uns.reset()
+	p.calls.reset()
+	p.assigns.reset()
+	p.ifs.reset()
+	p.dos.reset()
+	p.decls.reset()
+	p.names.reset()
+	p.strs.reset()
+	p.exprs.reset()
+	p.lists.reset()
+	p.declPs.reset()
+	clear(p.stmts)
+	clear(p.declStack)
+	p.stmts, p.declStack = p.stmts[:0], p.declStack[:0]
+}
+
+// slab hands out zeroed Ts and lists of Ts from shared chunks; a chunk
+// is never reallocated, so what it hands out stays valid. A new slab
+// allocates exactly what each call asks for, so an AST that outlives
+// its parse holds no slack; reset sizes the next chunk from everything
+// handed out since the last reset, so a recycled slab soon stops
+// allocating. Callers set fields one by one:
+// copying a whole struct in would cost a bulk write barrier while the
+// collector runs.
+type slab[T any] struct {
+	buf  []T
+	used int
+}
+
+// new returns a zeroed T.
+func (s *slab[T]) new() *T { return &s.make(1)[0] }
+
+// make returns n zeroed Ts, capped so that appending to them copies.
+func (s *slab[T]) make(n int) []T {
+	if cap(s.buf)-len(s.buf) < n {
+		s.buf = make([]T, 0, n)
+	}
+	s.used += n
+	i := len(s.buf)
+	s.buf = s.buf[:i+n]
+	return s.buf[i : i+n : i+n]
+}
+
+// clone returns a copy of list, or nil for an empty one.
+func (s *slab[T]) clone(list []T) []T {
+	if len(list) == 0 {
+		return nil
+	}
+	out := s.make(len(list))
+	copy(out, list)
+	return out
+}
+
+// reset readies the slab for reuse once nothing it handed out is live:
+// it keeps the newest chunk, zeroed, if that holds everything handed
+// out since the last reset, and replaces it with one twice that size if
+// not, so sources of varying size soon fit.
+func (s *slab[T]) reset() {
+	if cap(s.buf) < s.used {
+		s.buf = make([]T, 0, 2*s.used)
+	} else {
+		clear(s.buf)
+		s.buf = s.buf[:0]
+	}
+	s.used = 0
+}
+
+// ifStmtNode returns a slab-allocated IfStmt.
+func (p *parser) ifStmtNode(cond Expr, then, els []Stmt, line int) *IfStmt {
+	s := p.ifs.new()
+	s.Cond, s.Then, s.Else, s.Line = cond, then, els, line
+	return s
+}
+
+// binary returns a slab-allocated BinExpr.
+func (p *parser) binary(op string, l, r Expr, line int) *BinExpr {
+	e := p.bins.new()
+	e.Op, e.L, e.R, e.Line = op, l, r, line
+	return e
+}
+
+// unaryOp returns a slab-allocated UnExpr.
+func (p *parser) unaryOp(op string, x Expr, line int) *UnExpr {
+	e := p.uns.new()
+	e.Op, e.X, e.Line = op, x, line
+	return e
+}
+
+// call returns a slab-allocated CallExpr.
+func (p *parser) call(name string, args []Expr, line int) *CallExpr {
+	e := p.calls.new()
+	e.Name, e.Args, e.Line = name, args, line
+	return e
+}
+
+func (p *parser) cur() Token    { return p.toks[p.pos] }
+func (p *parser) kind() TokKind { return p.toks[p.pos].Kind }
+func (p *parser) next() Token   { t := p.toks[p.pos]; p.pos++; return t }
 
 func (p *parser) skipNewlines() {
-	for p.cur().Kind == TokNewline {
+	for p.kind() == TokNewline {
 		p.pos++
 	}
 }
@@ -45,23 +198,55 @@ func (p *parser) expectKw(kw string) error {
 }
 
 func (p *parser) atKw(kw string) bool {
-	t := p.cur()
+	t := &p.toks[p.pos]
 	return t.Kind == TokKw && t.Text == kw
 }
 
 func (p *parser) endOfStmt() error {
-	t := p.cur()
-	switch t.Kind {
+	switch p.kind() {
 	case TokNewline:
 		p.pos++
 		return nil
 	case TokEOF:
 		return nil
 	}
+	t := p.cur()
 	return errf(t.Line, "unexpected %s at end of statement", t)
 }
 
-func (p *parser) program() (*Program, error) {
+// countAhead counts the tokens of kind k at parenthesis depth 0 from
+// the current token to the end of the statement, to size a list.
+func (p *parser) countAhead(k TokKind) int {
+	n, depth := 0, 0
+	for _, t := range p.toks[p.pos:] {
+		switch t.Kind {
+		case TokNewline, TokEOF:
+			return n
+		case TokLParen:
+			depth++
+		case TokRParen:
+			depth--
+		}
+		if t.Kind == k && depth == 0 {
+			n++
+		}
+	}
+	return n
+}
+
+// popStmts returns a copy of the statements stacked from base on and
+// unstacks them; a block without statements is nil.
+func (p *parser) popStmts(base int) []Stmt {
+	if len(p.stmts) == base {
+		return nil
+	}
+	out := p.lists.clone(p.stmts[base:])
+	clear(p.stmts[base:])
+	p.stmts = p.stmts[:base]
+	return out
+}
+
+func (p *parser) program(prog *Program) (*Program, error) {
 	p.skipNewlines()
 	if err := p.expectKw("subroutine"); err != nil {
 		return nil, err
@@ -70,16 +255,19 @@ func (p *parser) program() (*Program, error) {
 	if err != nil {
 		return nil, err
 	}
-	prog := &Program{Name: name.Text}
-	if p.cur().Kind == TokLParen {
+	prog.Name = name.Text
+	if p.kind() == TokLParen {
 		p.pos++
-		for p.cur().Kind != TokRParen {
+		if n := p.countAhead(TokIdent); n > 0 {
+			prog.Params = p.strs.make(n)[:0]
+		}
+		for p.kind() != TokRParen {
 			id, err := p.expect(TokIdent, "parameter name")
 			if err != nil {
 				return nil, err
 			}
 			prog.Params = append(prog.Params, id.Text)
-			if p.cur().Kind == TokComma {
+			if p.kind() == TokComma {
 				p.pos++
 			}
 		}
@@ -96,9 +284,10 @@ func (p *parser) program() (*Program, error) {
 		if err != nil {
 			return nil, err
 		}
-		prog.Decls = append(prog.Decls, d)
+		p.declStack = append(p.declStack, d)
 		p.skipNewlines()
 	}
+	prog.Decls = p.declPs.clone(p.declStack)
 
 	// Body.
 	for {
@@ -122,14 +311,16 @@ func (p *parser) program() (*Program, error) {
 		if err != nil {
 			return nil, err
 		}
-		prog.Body = append(prog.Body, s)
+		p.stmts = append(p.stmts, s)
 	}
+	prog.Body = p.popStmts(0)
 	return prog, nil
 }
 
 func (p *parser) decl() (*Decl, error) {
 	t := p.next() // integer / real / dimension
-	d := &Decl{Line: t.Line}
+	d := p.decls.new()
+	d.Line = t.Line
 	switch t.Text {
 	case "integer":
 		d.Type = TInteger
@@ -137,19 +328,20 @@ func (p *parser) decl() (*Decl, error) {
 		d.Type = TReal
 	}
 	// Optional *4 / *8 width suffix on real.
-	if p.cur().Kind == TokStar {
+	if p.kind() == TokStar {
 		p.pos++
 		if _, err := p.expect(TokInt, "type width"); err != nil {
 			return nil, err
 		}
 	}
+	d.Names = p.names.make(p.countAhead(TokComma) + 1)[:0]
 	for {
 		id, err := p.expect(TokIdent, "declared name")
 		if err != nil {
 			return nil, err
 		}
 		dn := DeclName{Name: id.Text}
-		if p.cur().Kind == TokLParen {
+		if p.kind() == TokLParen {
 			p.pos++
 			e, err := p.expr()
 			if err != nil {
@@ -161,7 +353,7 @@ func (p *parser) decl() (*Decl, error) {
 			}
 		}
 		d.Names = append(d.Names, dn)
-		if p.cur().Kind != TokComma {
+		if p.kind() != TokComma {
 			break
 		}
 		p.pos++
@@ -170,7 +362,7 @@ func (p *parser) decl() (*Decl, error) {
 }
 
 func (p *parser) stmtBlock(terminators ...string) ([]Stmt, string, error) {
-	var out []Stmt
+	base := len(p.stmts)
 	for {
 		p.skipNewlines()
 		t := p.cur()
@@ -181,7 +373,7 @@ func (p *parser) stmtBlock(terminators ...string) ([]Stmt, string, error) {
 			for _, term := range terminators {
 				if t.Text == term {
 					p.pos++
-					return out, term, nil
+					return p.popStmts(base), term, nil
 				}
 			}
 			// "end do" / "end if" two-word forms.
@@ -191,7 +383,7 @@ func (p *parser) stmtBlock(terminators ...string) ([]Stmt, string, error) {
 					for _, term := range terminators {
 						if term == "end"+nt.Text {
 							p.pos += 2
-							return out, term, nil
+							return p.popStmts(base), term, nil
 						}
 					}
 				}
@@ -208,7 +400,7 @@ func (p *parser) stmtBlock(terminators ...string) ([]Stmt, string, error) {
 		if err != nil {
 			return nil, "", err
 		}
-		out = append(out, s)
+		p.stmts = append(p.stmts, s)
 	}
 }
 
@@ -236,7 +428,9 @@ func (p *parser) stmt() (Stmt, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &AssignStmt{Lhs: lhs, Rhs: rhs, Line: t.Line}, p.endOfStmt()
+		a := p.assigns.new()
+		a.Lhs, a.Rhs, a.Line = lhs, rhs, t.Line
+		return a, p.endOfStmt()
 	case t.Kind == TokKw && (t.Text == "call" || t.Text == "goto"):
 		return nil, errf(t.Line, "%s statements cannot be modulo scheduled (paper, Section 6)", t.Text)
 	}
@@ -247,7 +441,7 @@ func (p *parser) doStmt() (Stmt, error) {
 	t := p.next() // do
 	// Optional label form: "do 10 i = ..." with "10 continue" terminator
 	// is not supported; use end do.
-	if p.cur().Kind == TokInt {
+	if p.kind() == TokInt {
 		return nil, errf(t.Line, "labelled DO loops are not supported; use END DO")
 	}
 	v, err := p.expect(TokIdent, "loop variable")
@@ -269,7 +463,7 @@ func (p *parser) doStmt() (Stmt, error) {
 		return nil, err
 	}
 	var step Expr
-	if p.cur().Kind == TokComma {
+	if p.kind() == TokComma {
 		p.pos++
 		step, err = p.expr()
 		if err != nil {
@@ -286,7 +480,9 @@ func (p *parser) doStmt() (Stmt, error) {
 	if err := p.endOfStmt(); err != nil {
 		return nil, err
 	}
-	return &DoStmt{Var: v.Text, Lo: lo, Hi: hi, Step: step, Body: body, Line: t.Line}, nil
+	do := p.dos.new()
+	do.Var, do.Lo, do.Hi, do.Step, do.Body, do.Line = v.Text, lo, hi, step, body, t.Line
+	return do, nil
 }
 
 func (p *parser) ifStmt() (Stmt, error) {
@@ -307,7 +503,7 @@ func (p *parser) ifStmt() (Stmt, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &IfStmt{Cond: cond, Then: []Stmt{s}, Line: t.Line}, nil
+		return p.ifStmtNode(cond, p.lists.clone([]Stmt{s}), nil, t.Line), nil
 	}
 	p.pos++ // then
 	if err := p.endOfStmt(); err != nil {
@@ -327,7 +523,7 @@ func (p *parser) ifStmt() (Stmt, error) {
 			if err != nil {
 				return nil, err
 			}
-			return &IfStmt{Cond: cond, Then: thenBlk, Else: []Stmt{nested}, Line: t.Line}, nil
+			return p.ifStmtNode(cond, thenBlk, p.lists.clone([]Stmt{nested}), t.Line), nil
 		}
 		if err := p.endOfStmt(); err != nil {
 			return nil, err
@@ -341,12 +537,12 @@ func (p *parser) ifStmt() (Stmt, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &IfStmt{Cond: cond, Then: thenBlk, Else: []Stmt{nested}, Line: t.Line}, nil
+		return p.ifStmtNode(cond, thenBlk, p.lists.clone([]Stmt{nested}), t.Line), nil
 	}
 	if err := p.endOfStmt(); err != nil {
 		return nil, err
 	}
-	return &IfStmt{Cond: cond, Then: thenBlk, Else: elseBlk, Line: t.Line}, nil
+	return p.ifStmtNode(cond, thenBlk, elseBlk, t.Line), nil
 }
 
 // elseifStmt parses the remainder of an ELSEIF (cond) THEN … chain; the
@@ -382,7 +578,7 @@ func (p *parser) elseifStmt() (Stmt, error) {
 			if err != nil {
 				return nil, err
 			}
-			return &IfStmt{Cond: cond, Then: thenBlk, Else: []Stmt{nested}, Line: t.Line}, nil
+			return p.ifStmtNode(cond, thenBlk, p.lists.clone([]Stmt{nested}), t.Line), nil
 		}
 		if err := p.endOfStmt(); err != nil {
 			return nil, err
@@ -396,12 +592,12 @@ func (p *parser) elseifStmt() (Stmt, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &IfStmt{Cond: cond, Then: thenBlk, Else: []Stmt{nested}, Line: t.Line}, nil
+		return p.ifStmtNode(cond, thenBlk, p.lists.clone([]Stmt{nested}), t.Line), nil
 	}
 	if err := p.endOfStmt(); err != nil {
 		return nil, err
 	}
-	return &IfStmt{Cond: cond, Then: thenBlk, Else: elseBlk, Line: t.Line}, nil
+	return p.ifStmtNode(cond, thenBlk, elseBlk, t.Line), nil
 }
 
 // Expression grammar, loosest first:
@@ -421,13 +617,13 @@ func (p *parser) orExpr() (Expr, error) {
 	if err != nil {
 		return nil, err
 	}
-	for p.cur().Kind == TokOr {
+	for p.kind() == TokOr {
 		t := p.next()
 		r, err := p.andExpr()
 		if err != nil {
 			return nil, err
 		}
-		l = &BinExpr{Op: "||", L: l, R: r, Line: t.Line}
+		l = p.binary("||", l, r, t.Line)
 	}
 	return l, nil
 }
@@ -437,25 +633,25 @@ func (p *parser) andExpr() (Expr, error) {
 	if err != nil {
 		return nil, err
 	}
-	for p.cur().Kind == TokAnd {
+	for p.kind() == TokAnd {
 		t := p.next()
 		r, err := p.notExpr()
 		if err != nil {
 			return nil, err
 		}
-		l = &BinExpr{Op: "&&", L: l, R: r, Line: t.Line}
+		l = p.binary("&&", l, r, t.Line)
 	}
 	return l, nil
 }
 
 func (p *parser) notExpr() (Expr, error) {
-	if p.cur().Kind == TokNot {
+	if p.kind() == TokNot {
 		t := p.next()
 		x, err := p.notExpr()
 		if err != nil {
 			return nil, err
 		}
-		return &UnExpr{Op: "!", X: x, Line: t.Line}, nil
+		return p.unaryOp("!", x, t.Line), nil
 	}
 	return p.relExpr()
 }
@@ -465,13 +661,13 @@ func (p *parser) relExpr() (Expr, error) {
 	if err != nil {
 		return nil, err
 	}
-	if p.cur().Kind == TokRelop {
+	if p.kind() == TokRelop {
 		t := p.next()
 		r, err := p.addExpr()
 		if err != nil {
 			return nil, err
 		}
-		return &BinExpr{Op: t.Text, L: l, R: r, Line: t.Line}, nil
+		return p.binary(t.Text, l, r, t.Line), nil
 	}
 	return l, nil
 }
@@ -481,7 +677,7 @@ func (p *parser) addExpr() (Expr, error) {
 	if err != nil {
 		return nil, err
 	}
-	for p.cur().Kind == TokPlus || p.cur().Kind == TokMinus {
+	for p.kind() == TokPlus || p.kind() == TokMinus {
 		t := p.next()
 		r, err := p.mulExpr()
 		if err != nil {
@@ -491,7 +687,7 @@ func (p *parser) addExpr() (Expr, error) {
 		if t.Kind == TokMinus {
 			op = "-"
 		}
-		l = &BinExpr{Op: op, L: l, R: r, Line: t.Line}
+		l = p.binary(op, l, r, t.Line)
 	}
 	return l, nil
 }
@@ -501,7 +697,7 @@ func (p *parser) mulExpr() (Expr, error) {
 	if err != nil {
 		return nil, err
 	}
-	for p.cur().Kind == TokStar || p.cur().Kind == TokSlash {
+	for p.kind() == TokStar || p.kind() == TokSlash {
 		t := p.next()
 		r, err := p.unary()
 		if err != nil {
@@ -511,21 +707,21 @@ func (p *parser) mulExpr() (Expr, error) {
 		if t.Kind == TokSlash {
 			op = "/"
 		}
-		l = &BinExpr{Op: op, L: l, R: r, Line: t.Line}
+		l = p.binary(op, l, r, t.Line)
 	}
 	return l, nil
 }
 
 func (p *parser) unary() (Expr, error) {
-	if p.cur().Kind == TokMinus {
+	if p.kind() == TokMinus {
 		t := p.next()
 		x, err := p.unary()
 		if err != nil {
 			return nil, err
 		}
-		return &UnExpr{Op: "-", X: x, Line: t.Line}, nil
+		return p.unaryOp("-", x, t.Line), nil
 	}
-	if p.cur().Kind == TokPlus {
+	if p.kind() == TokPlus {
 		p.pos++
 		return p.unary()
 	}
@@ -550,7 +746,7 @@ func (p *parser) primary() (Expr, error) {
 		if _, err := p.expect(TokRParen, ")"); err != nil {
 			return nil, err
 		}
-		return &CallExpr{Name: "real", Args: []Expr{arg}, Line: t.Line}, nil
+		return p.call("real", p.exprs.clone([]Expr{arg}), t.Line), nil
 	}
 	switch t.Kind {
 	case TokInt:
@@ -559,14 +755,18 @@ func (p *parser) primary() (Expr, error) {
 		if err != nil {
 			return nil, errf(t.Line, "bad integer literal %q", t.Text)
 		}
-		return &IntLit{Val: v, Line: t.Line}, nil
+		e := p.ints.new()
+		e.Val, e.Line = v, t.Line
+		return e, nil
 	case TokReal:
 		p.pos++
 		v, err := strconv.ParseFloat(t.Text, 64)
 		if err != nil {
 			return nil, errf(t.Line, "bad real literal %q", t.Text)
 		}
-		return &RealLit{Val: v, Line: t.Line}, nil
+		e := p.reals.new()
+		e.Val, e.Line = v, t.Line
+		return e, nil
 	case TokLParen:
 		p.pos++
 		e, err := p.expr()
@@ -579,19 +779,21 @@ func (p *parser) primary() (Expr, error) {
 		return e, nil
 	case TokIdent:
 		p.pos++
-		if p.cur().Kind != TokLParen {
-			return &VarRef{Name: t.Text, Line: t.Line}, nil
+		if p.kind() != TokLParen {
+			e := p.vars.new()
+			e.Name, e.Line = t.Text, t.Line
+			return e, nil
 		}
 		p.pos++
 		if arity, ok := intrinsics[t.Text]; ok {
-			var args []Expr
+			args := p.exprs.make(arity)[:0]
 			for {
 				a, err := p.expr()
 				if err != nil {
 					return nil, err
 				}
 				args = append(args, a)
-				if p.cur().Kind != TokComma {
+				if p.kind() != TokComma {
 					break
 				}
 				p.pos++
@@ -602,7 +804,7 @@ func (p *parser) primary() (Expr, error) {
 			if len(args) != arity {
 				return nil, errf(t.Line, "%s takes %d argument(s), got %d", t.Text, arity, len(args))
 			}
-			return &CallExpr{Name: t.Text, Args: args, Line: t.Line}, nil
+			return p.call(t.Text, args, t.Line), nil
 		}
 		idx, err := p.expr()
 		if err != nil {
@@ -611,7 +813,9 @@ func (p *parser) primary() (Expr, error) {
 		if _, err := p.expect(TokRParen, ")"); err != nil {
 			return nil, err
 		}
-		return &ArrayRef{Name: t.Text, Index: idx, Line: t.Line}, nil
+		e := p.arrays.new()
+		e.Name, e.Index, e.Line = t.Text, idx, t.Line
+		return e, nil
 	}
 	return nil, errf(t.Line, "unexpected %s in expression", t)
 }

@@ -19,8 +19,10 @@ package ir
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
+	"sync"
 
 	"repro/internal/machine"
 )
@@ -109,13 +111,13 @@ type Value struct {
 	// must execute under mutually exclusive predicates.
 	Defs []OpID
 
-	// LiveOut records that the value is needed after the loop exits.
-	LiveOut bool
-
 	// Const holds a compile-time constant for def-less GPR values used as
 	// literals; Valid distinguishes "constant zero" from "not a constant".
 	Const      Scalar
 	ConstValid bool
+
+	// LiveOut records that the value is needed after the loop exits.
+	LiveOut bool
 }
 
 // IsVariant reports whether the value is computed inside the loop.
@@ -146,17 +148,17 @@ type Op struct {
 	// Result is the defined value, or None (stores, brtop).
 	Result ValueID
 
-	// Pred is the guarding predicate operand; nil means always execute.
-	// PredNeg executes the op when the predicate is false (this lets
-	// if-conversion guard an else-branch without waiting for a PNot).
-	Pred    *Operand
-	PredNeg bool
-
 	// FU is the functional-unit instance (within the opcode's class) the
 	// op was assigned to before scheduling. The paper's compiler performs
 	// this pre-scheduling assignment, restricting each op to one issue
 	// slot per cycle (Section 4.3).
 	FU int
+
+	// Pred is the guarding predicate operand; nil means always execute.
+	// PredNeg executes the op when the predicate is false (this lets
+	// if-conversion guard an else-branch without waiting for a PNot).
+	Pred    *Operand
+	PredNeg bool
 
 	// OnRecurrence marks ops that lie on a non-trivial recurrence
 	// circuit; filled in by analysis (Table 2 reports the count).
@@ -236,6 +238,13 @@ type Loop struct {
 
 	finalized bool
 	gprCount  int // memoized by Finalize; see GPRCount
+
+	// NewValue and NewOp cut values, ops and single-def lists from
+	// these chunks; a chunk is never reallocated, so the pointers
+	// handed out stay valid.
+	valueSlab []Value
+	opSlab    []Op
+	defSlab   []OpID
 }
 
 // NewLoop returns an empty loop body for the given machine.
@@ -243,9 +252,42 @@ func NewLoop(name string, m *machine.Desc) *Loop {
 	return &Loop{Name: name, Mach: m, NumBB: 1}
 }
 
+// Grow reserves room for at least values more values and ops more
+// ops, so a loop whose size is known up front allocates them in one
+// chunk each.
+func (l *Loop) Grow(values, ops int) {
+	l.Values = slices.Grow(l.Values, values)
+	l.Ops = slices.Grow(l.Ops, ops)
+	if cap(l.valueSlab)-len(l.valueSlab) < values {
+		l.valueSlab = make([]Value, 0, values)
+	}
+	if cap(l.opSlab)-len(l.opSlab) < ops {
+		l.opSlab = make([]Op, 0, ops)
+	}
+	if cap(l.defSlab)-len(l.defSlab) < ops {
+		l.defSlab = make([]OpID, 0, ops)
+	}
+}
+
+// grow extends the chunk *s by one zeroed element and returns it. A
+// full chunk is replaced by a new one a quarter the size of the loop so
+// far (at least four): the elements handed out never move, a loop that
+// outgrows its Grow estimate keeps little slack, and one built without
+// an estimate still allocates geometrically. Callers set fields one by
+// one: copying a whole struct in would cost a bulk write barrier while
+// the collector runs.
+func grow[T any](s *[]T, size int) *T {
+	if len(*s) == cap(*s) {
+		*s = make([]T, 0, max(4, size/4))
+	}
+	*s = (*s)[:len(*s)+1]
+	return &(*s)[len(*s)-1]
+}
+
 // NewValue appends a value and returns it.
 func (l *Loop) NewValue(name string, file RegFile, typ Type) *Value {
-	v := &Value{ID: ValueID(len(l.Values)), Name: name, File: file, Type: typ}
+	v := grow(&l.valueSlab, len(l.Values))
+	v.ID, v.Name, v.File, v.Type = ValueID(len(l.Values)), name, file, typ
 	l.Values = append(l.Values, v)
 	return v
 }
@@ -261,11 +303,20 @@ func (l *Loop) Const(name string, typ Type, s Scalar) *Value {
 // NewOp appends an operation defining result (which may be None) and
 // returns it. Flow dependence arcs are derived later, by Finalize.
 func (l *Loop) NewOp(code machine.Opcode, args []Operand, result ValueID) *Op {
-	op := &Op{ID: OpID(len(l.Ops)), Opcode: code, Args: args, Result: result}
+	op := grow(&l.opSlab, len(l.Ops))
+	op.ID, op.Opcode, op.Args, op.Result = OpID(len(l.Ops)), code, args, result
 	l.Ops = append(l.Ops, op)
 	if result != None {
 		v := l.Values[result]
-		v.Defs = append(v.Defs, op.ID)
+		if v.Defs == nil {
+			// Most values have one def: cut it from the def chunk,
+			// capped so a second def copies instead of overwriting.
+			*grow(&l.defSlab, len(l.Ops)) = op.ID
+			n := len(l.defSlab)
+			v.Defs = l.defSlab[n-1 : n : n]
+		} else {
+			v.Defs = append(v.Defs, op.ID)
+		}
 	}
 	return op
 }
@@ -286,19 +337,16 @@ func (l *Loop) Op(id OpID) *Op { return l.Ops[id] }
 // Value returns the value with the given id.
 func (l *Loop) Value(id ValueID) *Value { return l.Values[id] }
 
-// reads returns every operand read by op, including its predicate.
-func (op *Op) reads() []Operand {
+// Reads returns every operand read by op, including its predicate guard.
+// A guarded op's operands are copied into a new slice.
+func (op *Op) Reads() []Operand {
 	if op.Pred == nil {
 		return op.Args
 	}
 	r := make([]Operand, 0, len(op.Args)+1)
 	r = append(r, op.Args...)
-	r = append(r, *op.Pred)
-	return r
+	return append(r, *op.Pred)
 }
-
-// Reads returns every operand read by op, including its predicate guard.
-func (op *Op) Reads() []Operand { return op.reads() }
 
 // Finalize derives flow dependence arcs from operands, assigns functional
 // -unit instances round-robin within each class, marks recurrence
@@ -308,19 +356,24 @@ func (l *Loop) Finalize() error {
 	if err := l.validate(); err != nil {
 		return err
 	}
-	l.Deps = l.Deps[:0]
-	// Flow arcs: def → use with the def's latency and the operand's omega.
+	// Flow arcs: def → use with the def's latency and the operand's
+	// omega, in op order, each op's arguments before its guard.
+	n := len(l.extraDeps)
 	for _, op := range l.Ops {
-		for _, rd := range op.reads() {
-			v := l.Values[rd.Val]
-			for _, def := range v.Defs {
-				lat := l.Mach.Latency(l.Ops[def].Opcode)
-				l.Deps = append(l.Deps, Dep{
-					From: def, To: op.ID,
-					Latency: lat, Omega: rd.Omega,
-					Kind: DepFlow, Val: v.ID,
-				})
-			}
+		for _, rd := range op.Args {
+			n += len(l.Values[rd.Val].Defs)
+		}
+		if op.Pred != nil {
+			n += len(l.Values[op.Pred.Val].Defs)
+		}
+	}
+	l.Deps = slices.Grow(l.Deps[:0], n)
+	for _, op := range l.Ops {
+		for _, rd := range op.Args {
+			l.addFlowArcs(op.ID, rd)
+		}
+		if op.Pred != nil {
+			l.addFlowArcs(op.ID, *op.Pred)
 		}
 	}
 	l.Deps = append(l.Deps, l.extraDeps...)
@@ -330,6 +383,18 @@ func (l *Loop) Finalize() error {
 	l.gprCount = l.computeGPRCount()
 	l.finalized = true
 	return nil
+}
+
+// addFlowArcs appends a flow arc from every def of rd's value to op.
+func (l *Loop) addFlowArcs(op OpID, rd Operand) {
+	v := l.Values[rd.Val]
+	for _, def := range v.Defs {
+		l.Deps = append(l.Deps, Dep{
+			From: def, To: op,
+			Latency: l.Mach.Latency(l.Ops[def].Opcode), Omega: rd.Omega,
+			Kind: DepFlow, Val: v.ID,
+		})
+	}
 }
 
 // MustFinalize is Finalize for construction sites where an error is a
@@ -346,7 +411,13 @@ func (l *Loop) Finalized() bool { return l.finalized }
 // assignFUs distributes ops round-robin over the instances of their unit
 // class, mirroring the paper's pre-scheduling functional-unit assignment.
 func (l *Loop) assignFUs() {
-	next := make([]int, l.Mach.NumKinds())
+	var buf [16]int
+	next := buf[:0]
+	if nk := l.Mach.NumKinds(); nk <= len(buf) {
+		next = buf[:nk]
+	} else {
+		next = make([]int, nk)
+	}
 	for _, op := range l.Ops {
 		info := l.Mach.Info(op.Opcode)
 		n := l.Mach.Count(info.Kind)
@@ -359,89 +430,124 @@ func (l *Loop) assignFUs() {
 // non-trivial dependence circuit (a circuit through at least two ops).
 // An op is on such a circuit exactly when, in the dependence graph minus
 // self-arcs, some strongly connected component of size ≥ 2 contains it.
+//
+// The components come from an iterative Tarjan over a compressed
+// adjacency (targets in Deps order, offsets per op); every array it
+// needs is cut from one pooled scratch.
 func (l *Loop) markRecurrences() {
 	n := len(l.Ops)
-	adj := make([][]int, n)
+	m := 0
 	for _, d := range l.Deps {
 		if d.From != d.To {
-			adj[d.From] = append(adj[d.From], int(d.To))
+			m++
 		}
 	}
-	comp := sccs(n, adj)
-	size := map[int]int{}
-	for _, c := range comp {
-		size[c]++
+	sp := getScratch(7*n + 1 + m)
+	defer putScratch(sp)
+	buf := *sp
+	cut := func(k int) []int32 {
+		s := buf[:k:k]
+		buf = buf[k:]
+		return s
 	}
-	for i, op := range l.Ops {
-		op.OnRecurrence = size[comp[i]] >= 2
-	}
-}
+	off, adj := cut(n+1), cut(m)
+	// index and low are Tarjan's DFS numbers, done marks ops whose
+	// component is complete, stack is Tarjan's stack, and call/next the
+	// DFS path with each op's next arc.
+	index, low, done := cut(n), cut(n), cut(n)
+	stack, call, next := cut(n), cut(n), cut(n)
 
-// sccs computes strongly connected components with Tarjan's algorithm
-// (iterative), returning the component index of each node.
-func sccs(n int, adj [][]int) []int {
+	for _, d := range l.Deps {
+		if d.From != d.To {
+			off[d.From+1]++
+		}
+	}
+	for i := 0; i < n; i++ {
+		off[i+1] += off[i]
+	}
+	copy(next, off[:n])
+	for _, d := range l.Deps {
+		if d.From != d.To {
+			adj[next[d.From]] = int32(d.To)
+			next[d.From]++
+		}
+	}
+
 	const unvisited = -1
-	index := make([]int, n)
-	low := make([]int, n)
-	comp := make([]int, n)
-	onStack := make([]bool, n)
 	for i := range index {
 		index[i] = unvisited
-		comp[i] = unvisited
 	}
-	var stack []int
-	next := 0
-	ncomp := 0
-
-	type frame struct{ v, ai int }
-	for root := 0; root < n; root++ {
+	var counter int32
+	top := 0
+	for root := int32(0); int(root) < n; root++ {
 		if index[root] != unvisited {
 			continue
 		}
-		frames := []frame{{root, 0}}
-		index[root], low[root] = next, next
-		next++
-		stack = append(stack, root)
-		onStack[root] = true
-		for len(frames) > 0 {
-			f := &frames[len(frames)-1]
-			if f.ai < len(adj[f.v]) {
-				w := adj[f.v][f.ai]
-				f.ai++
+		depth := 0
+		visit := func(v int32) {
+			index[v], low[v] = counter, counter
+			counter++
+			stack[top] = v
+			top++
+			call[depth] = v
+			depth++
+			next[v] = off[v]
+		}
+		visit(root)
+		for depth > 0 {
+			v := call[depth-1]
+			if next[v] < off[v+1] {
+				w := adj[next[v]]
+				next[v]++
 				if index[w] == unvisited {
-					index[w], low[w] = next, next
-					next++
-					stack = append(stack, w)
-					onStack[w] = true
-					frames = append(frames, frame{w, 0})
-				} else if onStack[w] && index[w] < low[f.v] {
-					low[f.v] = index[w]
+					visit(w)
+				} else if done[w] == 0 && index[w] < low[v] {
+					low[v] = index[w]
 				}
 				continue
 			}
-			v := f.v
-			frames = frames[:len(frames)-1]
-			if len(frames) > 0 {
-				p := frames[len(frames)-1].v
-				if low[v] < low[p] {
+			depth--
+			if depth > 0 {
+				if p := call[depth-1]; low[v] < low[p] {
 					low[p] = low[v]
 				}
 			}
 			if low[v] == index[v] {
-				for {
-					w := stack[len(stack)-1]
-					stack = stack[:len(stack)-1]
-					onStack[w] = false
-					comp[w] = ncomp
-					if w == v {
-						break
-					}
+				// v roots a component: the stack down to v.
+				k := top - 1
+				for stack[k] != v {
+					k--
 				}
-				ncomp++
+				onRec := top-k >= 2
+				for _, w := range stack[k:top] {
+					done[w] = 1
+					l.Ops[w].OnRecurrence = onRec
+				}
+				top = k
 			}
 		}
 	}
-	return comp
+}
+
+// scratchPool recycles the zeroed int32 scratch of markRecurrences and
+// computeGPRCount; slices past maxPooledScratch are left to the
+// collector.
+var scratchPool = sync.Pool{New: func() any { return new([]int32) }}
+
+const maxPooledScratch = 1 << 16
+
+// getScratch returns a pooled scratch of n zeroed entries.
+func getScratch(n int) *[]int32 {
+	sp := scratchPool.Get().(*[]int32)
+	*sp = slices.Grow((*sp)[:0], n)[:n]
+	clear(*sp)
+	return sp
+}
+
+func putScratch(sp *[]int32) {
+	if cap(*sp) <= maxPooledScratch {
+		scratchPool.Put(sp)
+	}
 }
 
 // validate checks structural invariants; scheduling code relies on them.
@@ -463,19 +569,14 @@ func (l *Loop) validate() error {
 		if op.Opcode == machine.BrTop {
 			brtops++
 		}
-		for _, rd := range op.reads() {
-			if rd.Val < 0 || int(rd.Val) >= len(l.Values) {
-				return fmt.Errorf("loop %s: op %v reads undefined value %d", l.Name, op.ID, rd.Val)
+		for _, rd := range op.Args {
+			if err := l.validateRead(op, rd); err != nil {
+				return err
 			}
-			if rd.Omega < 0 {
-				return fmt.Errorf("loop %s: op %v has negative omega", l.Name, op.ID)
-			}
-			v := l.Values[rd.Val]
-			if rd.Omega > 0 && v.File == GPR {
-				return fmt.Errorf("loop %s: op %v reads invariant %s with omega %d", l.Name, op.ID, v.Name, rd.Omega)
-			}
-			if len(v.Defs) == 0 && v.File != GPR {
-				return fmt.Errorf("loop %s: op %v reads %s-file value %s that is never defined in the loop (loop-variant live-ins are recurrence values with preheader instances)", l.Name, op.ID, v.File, v.Name)
+		}
+		if op.Pred != nil {
+			if err := l.validateRead(op, *op.Pred); err != nil {
+				return err
 			}
 		}
 		if op.Pred != nil && l.Values[op.Pred.Val].Type != Pred {
@@ -520,6 +621,24 @@ func (l *Loop) validate() error {
 		if d.Omega < 0 {
 			return fmt.Errorf("loop %s: dep arc with negative omega", l.Name)
 		}
+	}
+	return nil
+}
+
+// validateRead checks one operand op reads.
+func (l *Loop) validateRead(op *Op, rd Operand) error {
+	if rd.Val < 0 || int(rd.Val) >= len(l.Values) {
+		return fmt.Errorf("loop %s: op %v reads undefined value %d", l.Name, op.ID, rd.Val)
+	}
+	if rd.Omega < 0 {
+		return fmt.Errorf("loop %s: op %v has negative omega", l.Name, op.ID)
+	}
+	v := l.Values[rd.Val]
+	if rd.Omega > 0 && v.File == GPR {
+		return fmt.Errorf("loop %s: op %v reads invariant %s with omega %d", l.Name, op.ID, v.Name, rd.Omega)
+	}
+	if len(v.Defs) == 0 && v.File != GPR {
+		return fmt.Errorf("loop %s: op %v reads %s-file value %s that is never defined in the loop (loop-variant live-ins are recurrence values with preheader instances)", l.Name, op.ID, v.File, v.Name)
 	}
 	return nil
 }
@@ -569,18 +688,20 @@ func (l *Loop) GPRCount() int {
 }
 
 func (l *Loop) computeGPRCount() int {
-	used := make([]bool, len(l.Values))
+	sp := getScratch(len(l.Values))
+	defer putScratch(sp)
+	used := *sp
 	for _, op := range l.Ops {
 		for _, rd := range op.Args {
-			used[rd.Val] = true
+			used[rd.Val] = 1
 		}
 		if op.Pred != nil {
-			used[op.Pred.Val] = true
+			used[op.Pred.Val] = 1
 		}
 	}
 	n := 0
 	for i, v := range l.Values {
-		if v.File == GPR && used[i] {
+		if v.File == GPR && used[i] != 0 {
 			n++
 		}
 	}

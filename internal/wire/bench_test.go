@@ -1,6 +1,13 @@
 package wire
 
-import "testing"
+import (
+	"testing"
+
+	"repro/internal/frontend"
+	"repro/internal/ir"
+	"repro/internal/loopgen"
+	"repro/internal/machine"
+)
 
 // The wire-layer benchmarks time the three calls lsmsd makes on every
 // request body — DecodeRequest, Normalize, Hash of the normalized
@@ -84,6 +91,69 @@ func BenchmarkWireHash(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; b.Loop(); i++ {
 				if _, err := norms[i%len(norms)].Hash(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkFrontend splits source-form Normalize into its layers, over
+// the sources of the same 120-loop corpus; one op is one loop. Each
+// layer runs on the previous layers' output, prepared outside the
+// timing, except that parse includes lexing (Parse lexes its input):
+// parse alone is parse minus lex. lower includes ir.Finalize. Parse and
+// Analyze allocate a new AST and unit each time; compile-index is lex
+// through lower as Normalize runs them, with that memory recycled.
+//
+//	go test -run '^$' -bench 'BenchmarkFrontend' -benchmem ./internal/wire
+func BenchmarkFrontend(b *testing.B) {
+	s, err := loopgen.Build(loopgen.Options{Size: 120, Seed: 1993})
+	if err != nil {
+		b.Fatal(err)
+	}
+	m := machine.Cydra()
+	n := len(s.Loops)
+	progs := make([]*frontend.Program, n)
+	units := make([]*frontend.Unit, n)
+	dos := make([]*frontend.DoStmt, n)
+	idxs := make([]int, n)
+	loops := make([]*ir.Loop, n)
+	idx := 0
+	for i, l := range s.Loops {
+		if i > 0 && s.Loops[i-1].Source == l.Source {
+			idx++
+		} else {
+			idx = 0
+		}
+		if progs[i], err = frontend.Parse(l.Source); err != nil {
+			b.Fatal(err)
+		}
+		if units[i], err = frontend.Analyze(progs[i]); err != nil {
+			b.Fatal(err)
+		}
+		dos[i], idxs[i] = units[i].InnermostLoops()[idx], idx
+		loops[i] = l.CL.Loop
+	}
+	layers := []struct {
+		name string
+		run  func(i int) error
+	}{
+		{"lex", func(i int) error { _, err := frontend.Lex(s.Loops[i].Source); return err }},
+		{"parse", func(i int) error { _, err := frontend.Parse(s.Loops[i].Source); return err }},
+		{"analyze", func(i int) error { _, err := frontend.Analyze(progs[i]); return err }},
+		{"lower", func(i int) error { return frontend.Lower(units[i], dos[i], m).Ineligible }},
+		{"encode", func(i int) error { _, err := EncodeLoop(loops[i]); return err }},
+		{"compile-index", func(i int) error {
+			_, _, err := frontend.CompileIndex(s.Loops[i].Source, idxs[i], m)
+			return err
+		}},
+	}
+	for _, layer := range layers {
+		b.Run(layer.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; b.Loop(); i++ {
+				if err := layer.run(i % n); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -514,3 +514,30 @@ func TestHashNormalizedAllocs(t *testing.T) {
 		t.Errorf("Hash on a normalized request made %.0f allocations, want ≤ 8", allocs)
 	}
 }
+
+// TestNormalizeSourceAllocs bounds source-form Normalize on the daxpy
+// loop. With the token slice, the AST and unit memory and the lowering
+// tables recycled, and values, ops and encoded slices cut from slabs of
+// known size, it takes 23 allocations. The slack is
+// TestHashNormalizedAllocs's. Under the race detector, whose pools drop
+// a quarter of what they are given, re-making the recycled memory adds
+// about 20 on average; the allowance for it is half again as much.
+func TestNormalizeSourceAllocs(t *testing.T) {
+	src, err := os.ReadFile("../../testdata/loops/daxpy.f")
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := &Request{Version: Version, Machine: machine.PaperMachine, Source: string(src)}
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, _, err := r.Normalize(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	limit := 23.0 + 7
+	if raceEnabled {
+		limit += 30
+	}
+	if allocs > limit {
+		t.Errorf("source-form Normalize made %.0f allocations, want ≤ %.0f", allocs, limit)
+	}
+}

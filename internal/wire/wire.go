@@ -197,7 +197,9 @@ var depKindByName = map[string]ir.DepKind{
 	ir.DepMem.String(): ir.DepMem, ir.DepOrder.String(): ir.DepOrder,
 }
 
-// EncodeLoop converts a finalized ir.Loop to its wire form.
+// EncodeLoop converts a finalized ir.Loop to its wire form. Every
+// slice is allocated at its exact size, and the operands of all ops
+// share one array.
 func EncodeLoop(l *ir.Loop) (*Loop, error) {
 	if !l.Finalized() {
 		return nil, fmt.Errorf("wire: loop %s not finalized", l.Name)
@@ -208,31 +210,59 @@ func EncodeLoop(l *ir.Loop) (*Loop, error) {
 		TripCount:      l.TripCount,
 		HasConditional: l.HasConditional,
 	}
+	nconst := 0
 	for _, v := range l.Values {
-		wv := Value{
-			Name:    v.Name,
-			File:    v.File.String(),
-			Type:    v.Type.String(),
-			LiveOut: v.LiveOut,
-		}
 		if v.ConstValid {
-			wv.Const = &Const{I: v.Const.I, F: v.Const.F, B: v.Const.B}
+			nconst++
 		}
-		w.Values = append(w.Values, wv)
 	}
+	nargs, ndeps := 0, 0
 	for _, op := range l.Ops {
-		wo := Op{
-			Opcode:  op.Opcode.String(),
-			Result:  int(op.Result),
-			PredNeg: op.PredNeg,
+		nargs += len(op.Args)
+		if op.Pred != nil {
+			nargs++
 		}
-		for _, a := range op.Args {
-			wo.Args = append(wo.Args, Operand{Val: int(a.Val), Omega: a.Omega})
+	}
+	for _, d := range l.Deps {
+		if d.Kind != ir.DepFlow {
+			ndeps++
+		}
+	}
+	consts := make([]Const, 0, nconst)
+	if len(l.Values) > 0 {
+		w.Values = make([]Value, len(l.Values))
+	}
+	// Fields are set one by one: copying whole structs in would cost a
+	// bulk write barrier while the collector runs.
+	for i, v := range l.Values {
+		wv := &w.Values[i]
+		wv.Name, wv.File, wv.Type, wv.LiveOut = v.Name, v.File.String(), v.Type.String(), v.LiveOut
+		if v.ConstValid {
+			consts = append(consts, Const{I: v.Const.I, F: v.Const.F, B: v.Const.B})
+			wv.Const = &consts[len(consts)-1]
+		}
+	}
+	operands := make([]Operand, 0, nargs)
+	if len(l.Ops) > 0 {
+		w.Ops = make([]Op, len(l.Ops))
+	}
+	for i, op := range l.Ops {
+		wo := &w.Ops[i]
+		wo.Opcode, wo.Result, wo.PredNeg = op.Opcode.String(), int(op.Result), op.PredNeg
+		if len(op.Args) > 0 {
+			n := len(operands)
+			for _, a := range op.Args {
+				operands = append(operands, Operand{Val: int(a.Val), Omega: a.Omega})
+			}
+			wo.Args = operands[n:len(operands):len(operands)]
 		}
 		if op.Pred != nil {
-			wo.Pred = &Operand{Val: int(op.Pred.Val), Omega: op.Pred.Omega}
+			operands = append(operands, Operand{Val: int(op.Pred.Val), Omega: op.Pred.Omega})
+			wo.Pred = &operands[len(operands)-1]
 		}
-		w.Ops = append(w.Ops, wo)
+	}
+	if ndeps > 0 {
+		w.Deps = make([]Dep, 0, ndeps)
 	}
 	for _, d := range l.Deps {
 		if d.Kind == ir.DepFlow {
@@ -261,6 +291,7 @@ func (w *Loop) DecodeLoop(m *machine.Desc) (*ir.Loop, error) {
 	}
 	l.TripCount = w.TripCount
 	l.HasConditional = w.HasConditional
+	l.Grow(len(w.Values), len(w.Ops))
 	for i, wv := range w.Values {
 		file, ok := fileByName[wv.File]
 		if !ok {
@@ -284,6 +315,15 @@ func (w *Loop) DecodeLoop(m *machine.Desc) (*ir.Loop, error) {
 		}
 		return nil
 	}
+	// Every op's operands and guard share one array.
+	nargs := 0
+	for i := range w.Ops {
+		nargs += len(w.Ops[i].Args)
+		if w.Ops[i].Pred != nil {
+			nargs++
+		}
+	}
+	operands := make([]ir.Operand, 0, nargs)
 	for i, wo := range w.Ops {
 		code, ok := machine.OpcodeByName(wo.Opcode)
 		if !ok || code == machine.Nop {
@@ -295,13 +335,14 @@ func (w *Loop) DecodeLoop(m *machine.Desc) (*ir.Loop, error) {
 			// answer 422 instead of treating it as an internal failure.
 			return nil, &machine.UnsupportedOpError{Machine: m.Name, Op: code}
 		}
-		args := make([]ir.Operand, 0, len(wo.Args))
+		n := len(operands)
 		for _, a := range wo.Args {
 			if err := checkOperand(i, a); err != nil {
 				return nil, err
 			}
-			args = append(args, ir.Operand{Val: ir.ValueID(a.Val), Omega: a.Omega})
+			operands = append(operands, ir.Operand{Val: ir.ValueID(a.Val), Omega: a.Omega})
 		}
+		args := operands[n:len(operands):len(operands)]
 		result := ir.ValueID(wo.Result)
 		if wo.Result != int(ir.None) && (wo.Result < 0 || wo.Result >= nv) {
 			return nil, fmt.Errorf("wire: op %d defines out-of-range value %d", i, wo.Result)
@@ -311,7 +352,8 @@ func (w *Loop) DecodeLoop(m *machine.Desc) (*ir.Loop, error) {
 			if err := checkOperand(i, *wo.Pred); err != nil {
 				return nil, err
 			}
-			op.Pred = &ir.Operand{Val: ir.ValueID(wo.Pred.Val), Omega: wo.Pred.Omega}
+			operands = append(operands, ir.Operand{Val: ir.ValueID(wo.Pred.Val), Omega: wo.Pred.Omega})
+			op.Pred = &operands[len(operands)-1]
 			op.PredNeg = wo.PredNeg
 		}
 	}
@@ -422,14 +464,13 @@ func (r *Request) Normalize() (*Request, *ir.Loop, error) {
 	n.Machine = m.Name
 	n.normalized = true
 	if r.Source != "" {
-		_, loops, err := frontend.Compile(r.Source, m)
+		cl, loops, err := frontend.CompileIndex(r.Source, r.LoopIndex, m)
 		if err != nil {
 			return nil, nil, fmt.Errorf("wire: compiling source: %w", err)
 		}
-		if r.LoopIndex < 0 || r.LoopIndex >= len(loops) {
-			return nil, nil, fmt.Errorf("wire: loop_index %d out of range (%d innermost loops)", r.LoopIndex, len(loops))
+		if cl == nil {
+			return nil, nil, fmt.Errorf("wire: loop_index %d out of range (%d innermost loops)", r.LoopIndex, loops)
 		}
-		cl := loops[r.LoopIndex]
 		if cl.Ineligible != nil {
 			return nil, nil, fmt.Errorf("wire: loop %d not modulo-schedulable: %w", r.LoopIndex, cl.Ineligible)
 		}

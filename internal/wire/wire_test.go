@@ -7,6 +7,7 @@ import (
 	"errors"
 	"os"
 	"reflect"
+	"sync"
 	"testing"
 
 	"repro/internal/core"
@@ -158,6 +159,44 @@ func TestSourceAndIRFormsHashIdentically(t *testing.T) {
 	if hs != hi {
 		t.Errorf("source form hashes %s but IR form hashes %s", hs, hi)
 	}
+}
+
+// TestNormalizeConcurrent: source-form Normalize recycles its token
+// slice, AST, unit and lowering tables through pools, so requests
+// normalized at once must hash exactly as they do one at a time.
+func TestNormalizeConcurrent(t *testing.T) {
+	irDocs, srcDocs := corpusDocs(t, 120, 1993)
+	docs := append(srcDocs, irDocs...)
+	want := make([]string, len(docs))
+	for i, doc := range docs {
+		var r Request
+		if err := json.Unmarshal(doc, &r); err != nil {
+			t.Fatal(err)
+		}
+		var err error
+		if want[i], err = r.Hash(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for k := range docs {
+				i := (k + g*len(docs)/4) % len(docs)
+				var r Request
+				if err := json.Unmarshal(docs[i], &r); err != nil {
+					t.Error(err)
+					return
+				}
+				if got, err := r.Hash(); err != nil || got != want[i] {
+					t.Errorf("doc %d: concurrent hash %s (%v), sequential %s", i, got, err, want[i])
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }
 
 func TestValidateRejectsBadEnvelopes(t *testing.T) {
