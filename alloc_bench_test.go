@@ -1,7 +1,8 @@
 // Per-compile hot-path benchmarks: one op is one core.Compile of one
 // workload loop (round-robin over the corpus, scheduling + pressure, no
-// codegen — the lsmsd serving shape). These are the benchmarks whose
-// ns/op, B/op, and allocs/op feed BENCH_history.jsonl; run with
+// codegen — the lsmsd serving shape). TestCompileAllocCeilings
+// (alloc_ceiling_test.go) holds the same compiles' allocs/op and B/op
+// to committed ceilings; run the benchmarks with
 //
 //	go test -bench 'BenchmarkCompile' -benchmem
 //

@@ -28,26 +28,6 @@
 // sweeps the corpus on every registered target instead (-targets picks
 // a subset) and prints both console and Markdown tables — the latter
 // is what EXPERIMENTS.md publishes.
-//
-// With -server it instead becomes a load generator for a running lsmsd:
-// the corpus is wire-encoded and replayed over -concurrency workers,
-// reporting throughput, latency quantiles, and the cache/dedup split.
-//
-//	lsms-bench -server http://localhost:8577 [-requests N]
-//	           [-concurrency 8] [-scheduler slack] [-deadline 0]
-//	           [-size 200] [-seed 1993]
-//
-// With -history it instead measures the per-compile hot path (ns/op,
-// B/op, allocs/op per policy plus the deterministic effort counters)
-// and appends one trajectory record to the given JSONL file — the
-// BENCH_history.jsonl format cmd/benchdiff consumes:
-//
-//	lsms-bench -history BENCH_history.jsonl [-sha $(git rev-parse --short HEAD)]
-//	           [-note "arena pooling"] [-size 120] [-seed 1993] [-nopool]
-//
-// -nopool bypasses the scratch-arena pool everywhere (every compile on
-// virgin memory) — the escape hatch mirroring -nofastpaths, and the
-// differential baseline for allocation accounting.
 package main
 
 import (
@@ -75,17 +55,8 @@ func main() {
 	metricsjson := flag.String("metricsjson", "", "write the merged event-stream metrics JSON here (implies -exp metrics)")
 	tracedir := flag.String("tracedir", "", "write one Chrome trace_event file per policy into this directory")
 	noFast := flag.Bool("nofastpaths", false, "disable parametric MinDist reuse and incremental bounds (perf attribution baseline)")
-	noPool := flag.Bool("nopool", false, "bypass the scratch-arena pool: every compile on virgin memory (allocation-accounting baseline)")
-	history := flag.String("history", "", "append one per-compile benchmark record to this JSONL trajectory file and exit")
-	sha := flag.String("sha", "unknown", "git commit the -history record describes")
-	note := flag.String("note", "", "free-form annotation for the -history record")
 	deadline := flag.Duration("deadline", 0, "per-loop scheduling deadline (0 = unbudgeted)")
 	degrade := flag.Bool("degrade", false, "fall back to the list scheduler when a loop exhausts its deadline")
-	serverURL := flag.String("server", "", "lsmsd base URL; switches to load-generator mode")
-	requests := flag.Int("requests", 0, "load mode: total requests to issue (0 = one per corpus loop)")
-	concurrency := flag.Int("concurrency", 8, "load mode: concurrent client workers")
-	scheduler := flag.String("scheduler", "slack", "load mode: scheduling policy to request")
-	trace := flag.Bool("trace", false, "load mode: send a sampled W3C traceparent per request and report the server's per-stage Server-Timing breakdown")
 	machName := flag.String("machine", "", "target machine: a registered name or a spec file (default: the paper machine)")
 	targets := flag.String("targets", "", "targets/gap experiments: comma-separated machine names (default: every registered target)")
 	gapDeadline := flag.Duration("gap-deadline", 2*time.Second, "gap experiment: per-loop exact-search wall-clock budget")
@@ -100,39 +71,6 @@ func main() {
 	want := func(id string) bool { return wants["all"] || wants[id] }
 	mach := resolveMachine(*machName)
 
-	if *history != "" {
-		benches, err := bench.CompileBench(*size, *seed, sched.Config{NoPool: *noPool}, mach)
-		check(err)
-		machRec := ""
-		if mach != nil {
-			machRec = mach.Name
-		}
-		rec := bench.NewHistoryRecord(*sha, time.Now().UTC().Format("2006-01-02"), *note,
-			*size, *seed, machRec, *noPool, benches)
-		check(bench.AppendHistory(*history, rec))
-		fmt.Println(rec)
-		fmt.Printf("history record appended to %s\n", *history)
-		return
-	}
-
-	if *serverURL != "" {
-		n := *size
-		if n == 1525 {
-			n = 200 // load mode defaults to a lighter corpus than the paper sweep
-		}
-		check(runLoad(loadOptions{
-			Server:      *serverURL,
-			Requests:    *requests,
-			Concurrency: *concurrency,
-			Scheduler:   *scheduler,
-			Deadline:    *deadline,
-			Size:        n,
-			Seed:        *seed,
-			Trace:       *trace,
-		}))
-		return
-	}
-
 	var s *bench.Suite
 	suite := func() *bench.Suite {
 		if s == nil {
@@ -144,10 +82,9 @@ func main() {
 			s.Parallel = *par
 			s.Degrade = *degrade
 			s.Trace = *tracedir != ""
-			if *noFast || *noPool || *deadline > 0 {
+			if *noFast || *deadline > 0 {
 				cfg := sched.Config{
 					NoFastPaths: *noFast,
-					NoPool:      *noPool,
 					Budget:      sched.Budget{Deadline: *deadline},
 				}
 				for _, n := range core.Schedulers() {

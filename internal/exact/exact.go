@@ -113,6 +113,11 @@ func (s *Scheduler) ScheduleInto(ctx context.Context, l *ir.Loop, dst *sched.Res
 // (II, MaxLive) found and the proof bit.
 func (s *Scheduler) Search(ctx context.Context, l *ir.Loop) (*Outcome, error) {
 	sp := obs.FromContext(ctx).Start("exact")
+	if sp == nil {
+		// Untraced: return before errors.As, whose target escapes and
+		// would cost every compile an allocation.
+		return s.search(ctx, l)
+	}
 	o, err := s.search(ctx, l)
 	outcome, proven := obs.OutcomeOK, int64(0)
 	var be *sched.BudgetError

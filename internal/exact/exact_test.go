@@ -122,8 +122,8 @@ func TestExactAnytime(t *testing.T) {
 }
 
 // TestExactDeterminism: two identical runs agree on the schedule and
-// every deterministic effort counter (the property benchdiff and the
-// wire cache rely on).
+// every deterministic effort counter (the property the golden
+// fingerprints and the wire cache rely on).
 func TestExactDeterminism(t *testing.T) {
 	m := machine.Cydra()
 	for _, l := range fixture.All(m) {

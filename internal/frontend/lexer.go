@@ -169,21 +169,11 @@ func lexInto(toks []Token, src string) ([]Token, error) {
 					j++
 				}
 			}
-			if j < n && (src[j] == 'e' || src[j] == 'E' || src[j] == 'd' || src[j] == 'D') {
-				k := j + 1
-				if k < n && (src[k] == '+' || src[k] == '-') {
-					k++
-				}
-				if k < n && isDigit(src[k]) {
-					isReal = true
-					j = k
-					for j < n && isDigit(src[j]) {
-						j++
-					}
-				}
+			if k := scanExponent(src, j); k > j {
+				isReal, j = true, k
 			}
 			if isReal {
-				emit(TokReal, strings.ToLower(strings.ReplaceAll(src[i:j], "d", "e")))
+				emit(TokReal, realText(src[i:j]))
 			} else {
 				emit(TokInt, src[i:j])
 			}
@@ -201,7 +191,8 @@ func lexInto(toks []Token, src string) ([]Token, error) {
 				for j < n && isDigit(src[j]) {
 					j++
 				}
-				emit(TokReal, src[i:j])
+				j = scanExponent(src, j)
+				emit(TokReal, realText(src[i:j]))
 				i = j
 				continue
 			}
@@ -275,6 +266,37 @@ func isAlnum(c byte) bool {
 }
 
 func isDigit(c byte) bool { return '0' <= c && c <= '9' }
+
+// scanExponent returns the end of the exponent that starts at src[j]
+// (e, E, d or D, an optional sign, and at least one digit), or j if
+// none does.
+func scanExponent(src string, j int) int {
+	if j >= len(src) {
+		return j
+	}
+	switch src[j] {
+	case 'e', 'E', 'd', 'D':
+	default:
+		return j
+	}
+	k := j + 1
+	if k < len(src) && (src[k] == '+' || src[k] == '-') {
+		k++
+	}
+	if k >= len(src) || !isDigit(src[k]) {
+		return j
+	}
+	for k < len(src) && isDigit(src[k]) {
+		k++
+	}
+	return k
+}
+
+// realText spells a real literal as strconv.ParseFloat reads it:
+// lower-cased, with a double-precision d exponent written as e.
+func realText(s string) string {
+	return strings.ReplaceAll(strings.ToLower(s), "d", "e")
+}
 
 // dotOps are the dotted FORTRAN operators and the token each becomes.
 var dotOps = [...]struct {

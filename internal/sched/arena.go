@@ -79,7 +79,7 @@ func AcquireArena() *Arena {
 }
 
 // NewArena returns a fresh arena that Release never returns to the pool
-// — the -nopool escape hatch: the same code path as pooled compiles, but
+// — the Config.NoPool escape hatch: the same code path as pooled compiles, but
 // every compile starts from virgin memory.
 func NewArena() *Arena {
 	a := new(Arena)
