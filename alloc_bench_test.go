@@ -13,14 +13,30 @@ package repro
 import (
 	"context"
 	"errors"
+	"sync"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/loopgen"
 	"repro/internal/sched"
 )
 
+var corpusOnce = sync.OnceValues(func() (*loopgen.Suite, error) {
+	return loopgen.Build(loopgen.Options{Size: 1525, Seed: 1993})
+})
+
+// corpus is the paper-size workload (seed 1993), built once.
+func corpus(b *testing.B) *loopgen.Suite {
+	b.Helper()
+	s, err := corpusOnce()
+	if err != nil {
+		b.Fatal(err)
+	}
+	return s
+}
+
 func benchCompile(b *testing.B, cfg sched.Config) {
-	s := suite(b)
+	s := corpus(b)
 	for _, name := range core.Schedulers() {
 		b.Run(string(name), func(b *testing.B) {
 			opt := core.Options{Scheduler: name, Config: cfg, SkipCodegen: true}
@@ -54,7 +70,7 @@ func BenchmarkCompileNoPool(b *testing.B) {
 // Schedule.Time, the MinDist clone — cost nothing after warm-up. What
 // remains per op is the pipeline's allocation floor.
 func BenchmarkCompileInto(b *testing.B) {
-	s := suite(b)
+	s := corpus(b)
 	ctx := context.Background()
 	for _, name := range core.Schedulers() {
 		b.Run(string(name), func(b *testing.B) {

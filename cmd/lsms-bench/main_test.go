@@ -21,7 +21,7 @@ func TestParseExps(t *testing.T) {
 	if _, err := parseExps("all"); err != nil {
 		t.Errorf("all: %v", err)
 	}
-	for _, bad := range []string{"tabel2", "table2,perf"} {
+	for _, bad := range []string{"tabel2", "table2,perf", "latencies"} {
 		_, err := parseExps(bad)
 		if err == nil || !strings.Contains(err.Error(), "valid: all table1") {
 			t.Errorf("%q: err = %v, want an unknown-experiment error listing the valid ids", bad, err)
@@ -30,21 +30,27 @@ func TestParseExps(t *testing.T) {
 }
 
 // TestUnknownExperimentExitStatus runs main in a child process: an
-// unknown -exp id must exit 2 before any workload is built.
+// unknown -exp id or flag (retired ones included) must exit 2 before
+// any workload is built.
 func TestUnknownExperimentExitStatus(t *testing.T) {
-	if os.Getenv("LSMS_BENCH_RUN_MAIN") == "1" {
-		os.Args = []string{"lsms-bench", "-exp", "tabel2"}
+	if args := os.Getenv("LSMS_BENCH_ARGS"); args != "" {
+		os.Args = append([]string{"lsms-bench"}, strings.Fields(args)...)
 		main()
 		return
 	}
-	cmd := exec.Command(os.Args[0], "-test.run=^TestUnknownExperimentExitStatus$")
-	cmd.Env = append(os.Environ(), "LSMS_BENCH_RUN_MAIN=1")
-	out, err := cmd.CombinedOutput()
-	var ee *exec.ExitError
-	if !errors.As(err, &ee) || ee.ExitCode() != 2 {
-		t.Fatalf("exit = %v, want status 2; output:\n%s", err, out)
-	}
-	if !strings.Contains(string(out), `unknown experiment "tabel2"`) {
-		t.Fatalf("output does not name the bad id:\n%s", out)
+	for _, c := range []struct{ args, msg string }{
+		{"-exp tabel2", `unknown experiment "tabel2"`},
+		{"-exp latencies", `unknown experiment "latencies"`},
+		{"-nofastpaths -exp table1", "flag provided but not defined: -nofastpaths"},
+	} {
+		cmd := exec.Command(os.Args[0], "-test.run=^TestUnknownExperimentExitStatus$")
+		cmd.Env = append(os.Environ(), "LSMS_BENCH_ARGS="+c.args)
+		out, err := cmd.CombinedOutput()
+		var ee *exec.ExitError
+		if !errors.As(err, &ee) || ee.ExitCode() != 2 {
+			t.Errorf("%s: exit = %v, want status 2; output:\n%s", c.args, err, out)
+		} else if !strings.Contains(string(out), c.msg) {
+			t.Errorf("%s: output does not say %q:\n%s", c.args, c.msg, out)
+		}
 	}
 }

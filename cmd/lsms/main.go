@@ -117,20 +117,12 @@ func main() {
 	// argument loads a declarative spec document. File-loaded machines
 	// are deliberately NOT registered: wire.NewRequest then embeds the
 	// spec in emitted requests, so -emit json output is self-contained.
-	m, ok := machine.Lookup(*machName)
-	if !ok {
-		if strings.ContainsAny(*machName, "/\\") || strings.HasSuffix(*machName, ".json") {
-			var err error
-			if m, err = machine.LoadFile(*machName); err != nil {
-				fatalf("%v", err)
-			}
-		} else {
-			fatalf("unknown machine %q (registered: %v; or pass a spec file)", *machName, machine.Names())
-		}
+	m, err := machine.Resolve(*machName)
+	if err != nil {
+		fatalf("%v", err)
 	}
 
 	var src []byte
-	var err error
 	switch flag.NArg() {
 	case 0:
 		src, err = io.ReadAll(os.Stdin)

@@ -10,37 +10,46 @@ import (
 	"repro/internal/core"
 	"repro/internal/ir"
 	"repro/internal/lifetime"
-	"repro/internal/loopgen"
 	"repro/internal/machine"
 	"repro/internal/regalloc"
 	"repro/internal/sched"
 	"repro/internal/stats"
 )
 
-// Table1 echoes the machine model (the paper's Table 1 is an input, not
-// a result; printing it documents what the experiments ran on).
+// table1Groups are the opcode groups Table 1 lists, in its row order.
+var table1Groups = []struct {
+	ops  []machine.Opcode
+	desc string
+}{
+	{[]machine.Opcode{machine.Load, machine.Store}, "load/store"},
+	{[]machine.Opcode{machine.AAdd}, "addr add/sub/mult"},
+	{[]machine.Opcode{machine.IAdd, machine.FAdd}, "int/float add,sub,logical"},
+	{[]machine.Opcode{machine.IMul}, "int/float multiply"},
+	{[]machine.Opcode{machine.FDiv, machine.FSqrt}, "div/mod | sqrt"},
+	{[]machine.Opcode{machine.BrTop}, "brtop"},
+}
+
+// Table1 echoes the machine model, one row per unit class with the
+// opcode groups it executes (the paper's Table 1 is an input, not a
+// result; printing it documents what the experiments ran on).
 func Table1(m *machine.Desc) string {
 	t := stats.NewTable("Pipeline", "No.", "Operations", "Latency", "Busy")
-	rows := []struct {
-		kind machine.FUKind
-		ops  []machine.Opcode
-		desc string
-	}{
-		{machine.MemPort, []machine.Opcode{machine.Load, machine.Store}, "load/store"},
-		{machine.AddrALU, []machine.Opcode{machine.AAdd}, "addr add/sub/mult"},
-		{machine.Adder, []machine.Opcode{machine.IAdd, machine.FAdd}, "int/float add,sub,logical"},
-		{machine.Multiplier, []machine.Opcode{machine.IMul}, "int/float multiply"},
-		{machine.Divider, []machine.Opcode{machine.FDiv, machine.FSqrt}, "div/mod | sqrt"},
-		{machine.Branch, []machine.Opcode{machine.BrTop}, "brtop"},
-	}
-	for _, r := range rows {
-		var lat, busy []string
-		for _, o := range r.ops {
-			in := m.Info(o)
-			lat = append(lat, fmt.Sprint(in.Latency))
-			busy = append(busy, fmt.Sprint(in.Busy))
+	for k := machine.FUKind(0); int(k) < m.NumKinds(); k++ {
+		var descs, lat, busy []string
+		for _, g := range table1Groups {
+			in := false
+			for _, o := range g.ops {
+				if info, ok := m.Lookup(o); ok && info.Kind == k {
+					lat = append(lat, fmt.Sprint(info.Latency))
+					busy = append(busy, fmt.Sprint(info.Busy))
+					in = true
+				}
+			}
+			if in {
+				descs = append(descs, g.desc)
+			}
 		}
-		t.Row(r.kind, m.Count(r.kind), r.desc, strings.Join(lat, "/"), strings.Join(busy, "/"))
+		t.Row(m.KindName(k), m.Count(k), strings.Join(descs, "; "), strings.Join(lat, "/"), strings.Join(busy, "/"))
 	}
 	return fmt.Sprintf("Table 1 — functional units of machine %q\n%s", m.Name, t)
 }
@@ -187,20 +196,20 @@ func (f *FigureResult) String() string {
 	return stats.Histogram(f.Title, f.Thresholds, f.Series, f.Order)
 }
 
-// Pct returns the percentage of the named series at or below the
-// threshold.
-func (f *FigureResult) Pct(series string, th int) float64 {
-	return stats.PctAt(f.Series[series], th)
+// newOld returns the slack ("new") and cydrome ("old") sweeps the
+// paper's figures compare.
+func newOld(s *Suite) (newRuns, oldRuns []Run, err error) {
+	if newRuns, err = s.Runs(core.SchedSlack); err != nil {
+		return nil, nil, err
+	}
+	oldRuns, err = s.Runs(core.SchedCydrome)
+	return newRuns, oldRuns, err
 }
 
 // Figure5 measures MaxLive − MinAvg, the distance from the
 // schedule-independent pressure bound, for the new and old schedulers.
 func Figure5(s *Suite) (*FigureResult, error) {
-	newRuns, err := s.Runs(core.SchedSlack)
-	if err != nil {
-		return nil, err
-	}
-	oldRuns, err := s.Runs(core.SchedCydrome)
+	newRuns, oldRuns, err := newOld(s)
 	if err != nil {
 		return nil, err
 	}
@@ -226,11 +235,7 @@ func Figure5(s *Suite) (*FigureResult, error) {
 
 // Figure6 measures MaxLive (RR pressure) distributions.
 func Figure6(s *Suite) (*FigureResult, error) {
-	newRuns, err := s.Runs(core.SchedSlack)
-	if err != nil {
-		return nil, err
-	}
-	oldRuns, err := s.Runs(core.SchedCydrome)
+	newRuns, oldRuns, err := newOld(s)
 	if err != nil {
 		return nil, err
 	}
@@ -247,11 +252,7 @@ func Figure6(s *Suite) (*FigureResult, error) {
 
 // Figure7 measures GPR usage and combined GPR + MaxLive pressure.
 func Figure7(s *Suite) (*FigureResult, error) {
-	newRuns, err := s.Runs(core.SchedSlack)
-	if err != nil {
-		return nil, err
-	}
-	oldRuns, err := s.Runs(core.SchedCydrome)
+	newRuns, oldRuns, err := newOld(s)
 	if err != nil {
 		return nil, err
 	}
@@ -364,11 +365,7 @@ type HeadlineResult struct {
 
 // Headline computes the paper's summary claims.
 func Headline(s *Suite) (*HeadlineResult, error) {
-	newRuns, err := s.Runs(core.SchedSlack)
-	if err != nil {
-		return nil, err
-	}
-	oldRuns, err := s.Runs(core.SchedCydrome)
+	newRuns, oldRuns, err := newOld(s)
 	if err != nil {
 		return nil, err
 	}
@@ -437,15 +434,11 @@ type AblationResult struct {
 // heuristics the slack scheduler generates nearly the same register
 // pressure as Cydrome's. Totals cover loops all three scheduled.
 func Ablation(s *Suite) (*AblationResult, error) {
-	a, err := s.Runs(core.SchedSlack)
+	a, c, err := newOld(s)
 	if err != nil {
 		return nil, err
 	}
 	b, err := s.Runs(core.SchedSlackUni)
-	if err != nil {
-		return nil, err
-	}
-	c, err := s.Runs(core.SchedCydrome)
 	if err != nil {
 		return nil, err
 	}
@@ -478,8 +471,12 @@ type RegallocResult struct {
 	Deltas   []int // allocated N − MaxLive per loop
 }
 
+// RegallocResults is the allocation-quality experiment, one entry per
+// strategy.
+type RegallocResults []RegallocResult
+
 // Regalloc allocates every slack schedule with each strategy/order pair.
-func Regalloc(s *Suite) ([]RegallocResult, error) {
+func Regalloc(s *Suite) (RegallocResults, error) {
 	infos, err := s.Infos()
 	if err != nil {
 		return nil, err
@@ -494,7 +491,7 @@ func Regalloc(s *Suite) ([]RegallocResult, error) {
 		{regalloc.EndFit, regalloc.Adjacency},
 		{regalloc.BestFit, regalloc.StartTime},
 	}
-	out := make([]RegallocResult, len(combos))
+	out := make(RegallocResults, len(combos))
 	for i, c := range combos {
 		out[i].Strategy = fmt.Sprintf("%v/%v", c.strat, c.ord)
 	}
@@ -520,8 +517,7 @@ func Regalloc(s *Suite) ([]RegallocResult, error) {
 	return out, nil
 }
 
-// RenderRegalloc formats the allocation-quality experiment.
-func RenderRegalloc(rs []RegallocResult) string {
+func (rs RegallocResults) String() string {
 	t := stats.NewTable("Strategy", "=bound", "≤+1", "≤+5", "max Δ")
 	for _, r := range rs {
 		q := stats.Quants(r.Deltas)
@@ -537,20 +533,23 @@ func RenderRegalloc(rs []RegallocResult) string {
 // IIStepResult compares the paper's II increment (4%) with increment-by-1
 // (footnote 6).
 type IIStepResult struct {
+	Machine                string
 	SumIIPct, SumIIOne     int
 	CentralPct, CentralOne int64
 }
 
-// IIStep runs the slack scheduler under both increment policies.
-func IIStep(opt loopgen.Options) (*IIStepResult, error) {
-	s1, err := NewSuite(opt)
+// IIStep runs the slack scheduler under both increment policies on an
+// opt.Size-loop corpus on opt.Mach.
+func IIStep(opt Options) (*IIStepResult, error) {
+	s1, err := NewSuite(opt.corpus(opt.Size, opt.Mach))
 	if err != nil {
 		return nil, err
 	}
-	s2, err := NewSuite(opt)
+	s2, err := NewSuite(opt.corpus(opt.Size, opt.Mach))
 	if err != nil {
 		return nil, err
 	}
+	s1.Parallel, s2.Parallel = opt.Parallel, opt.Parallel
 	s2.Configure(core.SchedSlack, sched.Config{IncrementByOne: true})
 	a, err := s1.Runs(core.SchedSlack)
 	if err != nil {
@@ -560,7 +559,7 @@ func IIStep(opt loopgen.Options) (*IIStepResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	res := &IIStepResult{}
+	res := &IIStepResult{Machine: s1.Mach.Name}
 	for i := range a {
 		res.SumIIPct += a[i].II
 		res.SumIIOne += b[i].II
@@ -571,12 +570,16 @@ func IIStep(opt loopgen.Options) (*IIStepResult, error) {
 }
 
 func (r *IIStepResult) String() string {
+	title := "II increment policy (footnote 6)"
+	if r.Machine != machine.PaperMachine {
+		title += fmt.Sprintf(" on machine %q", r.Machine)
+	}
 	return fmt.Sprintf(
-		"II increment policy (footnote 6)\n"+
+		"%s\n"+
 			"  ΣII with max(⌊0.04·II⌋,1): %d (central iters %d)\n"+
 			"  ΣII with increment-by-1:   %d (central iters %d)\n"+
 			"  ΔΣII = %d, extra effort = %.1f%%\n",
-		r.SumIIPct, r.CentralPct, r.SumIIOne, r.CentralOne,
+		title, r.SumIIPct, r.CentralPct, r.SumIIOne, r.CentralOne,
 		r.SumIIPct-r.SumIIOne,
 		100*(float64(r.CentralOne)/float64(max64(r.CentralPct, 1))-1))
 }
@@ -599,57 +602,6 @@ func max64(a, b int64) int64 {
 	return b
 }
 
-// LatencyRow is one machine variant's summary (Section 8 robustness).
-type LatencyRow struct {
-	Machine    string
-	PctOptimal float64
-	Ratio      float64
-	AvgMaxLive float64
-}
-
-// Latencies re-runs the headline on every machine variant.
-func Latencies(size int, seed int64) ([]LatencyRow, error) {
-	var out []LatencyRow
-	for _, m := range machine.Variants() {
-		s, err := NewSuite(loopgen.Options{Size: size, Seed: seed, Mach: m})
-		if err != nil {
-			return nil, err
-		}
-		runs, err := s.Runs(core.SchedSlack)
-		if err != nil {
-			return nil, err
-		}
-		opt, sumII, sumMII, sumML, okCount := 0, 0, 0, 0, 0
-		for _, r := range runs {
-			if r.OK && r.II == r.Info.Bounds.MII {
-				opt++
-			}
-			sumII += r.II
-			sumMII += r.Info.Bounds.MII
-			if r.OK {
-				sumML += r.MaxLive
-				okCount++
-			}
-		}
-		out = append(out, LatencyRow{
-			Machine:    m.Name,
-			PctOptimal: 100 * float64(opt) / float64(len(runs)),
-			Ratio:      float64(sumII) / float64(sumMII),
-			AvgMaxLive: float64(sumML) / float64(okCount),
-		})
-	}
-	return out, nil
-}
-
-// RenderLatencies formats the robustness experiment.
-func RenderLatencies(rows []LatencyRow) string {
-	t := stats.NewTable("Machine", "% at MII", "ΣII/ΣMII", "avg MaxLive")
-	for _, r := range rows {
-		t.Row(r.Machine, fmt.Sprintf("%.1f", r.PctOptimal), r.Ratio, r.AvgMaxLive)
-	}
-	return "Latency robustness (Section 8: results should be similar across variants)\n" + t.String()
-}
-
 // TargetRow is one target's corpus summary in the multi-target sweep.
 type TargetRow struct {
 	Machine    string
@@ -661,30 +613,31 @@ type TargetRow struct {
 	MaxMaxLive int
 }
 
-// TargetSweep runs the slack scheduler's corpus sweep on every named
-// registered target — the experiment the declarative machine model
-// exists for. Where Latencies varies only the paper machine's
-// latencies, this varies the machine itself: unit mixes, pipelining,
-// even the number of unit classes. The corpus is regenerated per
-// target (functional-unit pre-assignment depends on the machine), so
-// the same source loops are scheduled against each.
-func TargetSweep(size int, seed int64, parallel int, names []string) ([]TargetRow, error) {
+// TargetSweep runs the slack scheduler's corpus sweep on every target
+// of opt.Targets — the experiment the declarative machine model exists
+// for: unit mixes, pipelining, even the number of unit classes vary.
+// Its cydra, shortmem, longops and pipediv rows are the paper's
+// Section 8 latency variants.
+// The corpus is regenerated per target (functional-unit pre-assignment
+// depends on the machine), so the same source loops are scheduled
+// against each.
+func TargetSweep(opt Options) ([]TargetRow, error) {
+	ms, err := opt.targets()
+	if err != nil {
+		return nil, err
+	}
 	var out []TargetRow
-	for _, name := range names {
-		m, ok := machine.Lookup(name)
-		if !ok {
-			return nil, fmt.Errorf("bench: unknown machine %q (registered: %v)", name, machine.Names())
-		}
-		s, err := NewSuite(loopgen.Options{Size: size, Seed: seed, Mach: m})
+	for _, m := range ms {
+		s, err := NewSuite(opt.corpus(opt.Size, m))
 		if err != nil {
 			return nil, err
 		}
-		s.Parallel = parallel
+		s.Parallel = opt.Parallel
 		runs, err := s.Runs(core.SchedSlack)
 		if err != nil {
 			return nil, err
 		}
-		row := TargetRow{Machine: name, Loops: len(runs)}
+		row := TargetRow{Machine: m.Name, Loops: len(runs)}
 		atMII, sumII, sumMII, sumML := 0, 0, 0, 0
 		for _, r := range runs {
 			if !r.OK {

@@ -8,26 +8,9 @@ import (
 	"time"
 
 	"repro/internal/exact"
-	"repro/internal/loopgen"
-	"repro/internal/machine"
 	"repro/internal/sched"
 	"repro/internal/stats"
 )
-
-// GapOptions configures the optimality-gap sweep: how large a corpus,
-// which registered targets, and how much budget each exact search gets.
-type GapOptions struct {
-	Size     int
-	Seed     int64
-	Parallel int
-	// Targets names the registered machines to sweep; empty means all.
-	Targets []string
-	// Deadline bounds one loop's exact search wall clock; default 2s.
-	Deadline time.Duration
-	// Nodes bounds one loop's search nodes
-	// (sched.Budget.MaxCentralIters); default 1<<20.
-	Nodes int64
-}
 
 // GapRow summarizes one target's slack-vs-exact comparison. Every
 // corpus loop lands in exactly one of Solved, Exhausted, or Failed;
@@ -90,29 +73,25 @@ func (r *GapRow) IIRatio() float64 {
 // compares a heuristic answer and an exact answer produced under the
 // same configuration. The corpus is regenerated per target, as in
 // TargetSweep.
-func GapSweep(opt GapOptions) ([]GapRow, error) {
-	if opt.Deadline <= 0 {
-		opt.Deadline = 2 * time.Second
+func GapSweep(opt Options) ([]GapRow, error) {
+	if opt.GapDeadline <= 0 {
+		opt.GapDeadline = 2 * time.Second
 	}
-	if opt.Nodes <= 0 {
-		opt.Nodes = 1 << 20
+	if opt.GapNodes <= 0 {
+		opt.GapNodes = 1 << 20
 	}
-	names := opt.Targets
-	if len(names) == 0 {
-		names = machine.Names()
+	ms, err := opt.targets()
+	if err != nil {
+		return nil, err
 	}
 	var out []GapRow
-	for _, name := range names {
-		m, ok := machine.Lookup(name)
-		if !ok {
-			return nil, fmt.Errorf("bench: unknown machine %q (registered: %v)", name, machine.Names())
-		}
-		s, err := NewSuite(loopgen.Options{Size: opt.Size, Seed: opt.Seed, Mach: m})
+	for _, m := range ms {
+		s, err := NewSuite(opt.corpus(opt.Size, m))
 		if err != nil {
 			return nil, err
 		}
 		s.Parallel = opt.Parallel
-		row := GapRow{Machine: name, Loops: len(s.Loops)}
+		row := GapRow{Machine: m.Name, Loops: len(s.Loops)}
 		type verdict struct {
 			solved, proven, exhausted, failed bool
 			slackII, exactII                  int
@@ -123,8 +102,8 @@ func GapSweep(opt GapOptions) ([]GapRow, error) {
 		err = s.forEach(len(s.Loops), func(i int) error {
 			l := s.Loops[i].CL.Loop
 			cfg := sched.Config{Budget: sched.Budget{
-				Deadline:        opt.Deadline,
-				MaxCentralIters: opt.Nodes,
+				Deadline:        opt.GapDeadline,
+				MaxCentralIters: opt.GapNodes,
 			}}
 			res, err := exact.New(cfg).Search(context.Background(), l)
 			v := &vs[i]

@@ -10,12 +10,12 @@ import (
 // exactly once, and the exact backend's warm start makes "never worse
 // than slack" a hard invariant of the row sums.
 func TestGapSweepInvariants(t *testing.T) {
-	rows, err := GapSweep(GapOptions{
-		Size:     16,
-		Seed:     7,
-		Targets:  []string{"cydra"},
-		Deadline: 10 * time.Second,
-		Nodes:    1 << 18,
+	rows, err := GapSweep(Options{
+		Size:        16,
+		Seed:        7,
+		Targets:     []string{"cydra"},
+		GapDeadline: 10 * time.Second,
+		GapNodes:    1 << 18,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -62,7 +62,7 @@ func TestGapSweepInvariants(t *testing.T) {
 // TestGapSweepUnknownTarget: a bad target name is a loud error, not an
 // empty row.
 func TestGapSweepUnknownTarget(t *testing.T) {
-	if _, err := GapSweep(GapOptions{Size: 1, Targets: []string{"nonesuch"}}); err == nil {
+	if _, err := GapSweep(Options{Size: 1, Targets: []string{"nonesuch"}}); err == nil {
 		t.Fatal("no error for unknown machine")
 	}
 }

@@ -376,25 +376,3 @@ func New(name string, lat Latencies) *Desc {
 // refactor it is the registered, spec-built instance (bit-identical to
 // New("cydra", CydraLatencies()); the differential test pins this).
 func Cydra() *Desc { return mustLookup(PaperMachine) }
-
-// ShortMemory returns a variant with a 6-cycle load (first-level-cache
-// hit), used by the latency-robustness experiment (Section 8).
-func ShortMemory() *Desc { return mustLookup("shortmem") }
-
-// LongOps returns a variant with uniformly longer arithmetic latencies,
-// used by the latency-robustness experiment (Section 8).
-func LongOps() *Desc { return mustLookup("longops") }
-
-// PipelinedDivide returns a variant whose divider is fully pipelined, an
-// ablation showing how the complex non-pipelined reservation pattern
-// stresses the scheduler.
-func PipelinedDivide() *Desc { return mustLookup("pipediv") }
-
-// Variants returns the machine descriptions exercised by the
-// latency-robustness experiment (Section 8), the paper's machine
-// first. The wider registered target family — including the clustered
-// VLIW, wide-SIMD, and CGRA-grid profiles — is listed by Names and
-// Machines.
-func Variants() []*Desc {
-	return []*Desc{Cydra(), ShortMemory(), LongOps(), PipelinedDivide()}
-}

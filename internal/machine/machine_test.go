@@ -1,6 +1,9 @@
 package machine
 
-import "testing"
+import (
+	"slices"
+	"testing"
+)
 
 func TestCydraTable1(t *testing.T) {
 	m := Cydra()
@@ -50,7 +53,7 @@ func TestDividerNotPipelined(t *testing.T) {
 	if got := m.Info(FDiv); got.Busy != got.Latency {
 		t.Errorf("divider should reserve its full latency; got busy=%d lat=%d", got.Busy, got.Latency)
 	}
-	p := PipelinedDivide()
+	p := mustLookup("pipediv")
 	if got := p.Info(FDiv); got.Busy != 1 {
 		t.Errorf("pipelined-divider variant should reserve 1 cycle; got %d", got.Busy)
 	}
@@ -68,20 +71,16 @@ func TestInfoPanicsOnNop(t *testing.T) {
 	Cydra().Info(Nop)
 }
 
+// TestVariantsDistinct: the paper's Section 8 latency variants differ
+// from its machine.
 func TestVariantsDistinct(t *testing.T) {
-	vs := Variants()
-	if len(vs) < 3 {
-		t.Fatalf("want several machine variants, got %d", len(vs))
-	}
-	names := map[string]bool{}
-	for _, v := range vs {
-		if names[v.Name] {
-			t.Errorf("duplicate variant name %q", v.Name)
+	for _, name := range []string{"shortmem", "longops", "pipediv"} {
+		if v := mustLookup(name); slices.Equal(v.info, Cydra().info) {
+			t.Errorf("%s has the paper machine's execution profiles", name)
 		}
-		names[v.Name] = true
 	}
-	if Cydra().Info(Load).Latency == ShortMemory().Info(Load).Latency {
-		t.Error("ShortMemory should change the load latency")
+	if Cydra().Info(Load).Latency == mustLookup("shortmem").Info(Load).Latency {
+		t.Error("shortmem should change the load latency")
 	}
 }
 

@@ -12,6 +12,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"strings"
 )
 
 // UnitSpec declares one functional-unit class.
@@ -230,6 +231,20 @@ func ParseSpec(data []byte) (*Spec, error) {
 		return nil, err
 	}
 	return &s, nil
+}
+
+// Resolve turns a -machine argument into a description: a registered
+// name, or, when the argument looks like a path (it contains a path
+// separator or ends in .json), a spec document, which it does not
+// register.
+func Resolve(arg string) (*Desc, error) {
+	if m, ok := Lookup(arg); ok {
+		return m, nil
+	}
+	if strings.ContainsAny(arg, "/\\") || strings.HasSuffix(arg, ".json") {
+		return LoadFile(arg)
+	}
+	return nil, fmt.Errorf("unknown machine %q (registered: %v; or pass a spec file)", arg, Names())
 }
 
 // LoadFile reads a JSON spec document and builds its machine.

@@ -36,7 +36,8 @@ func TestDividerResMII(t *testing.T) {
 		t.Errorf("ResMII = %d, want 38", got)
 	}
 	// With a pipelined divider the same loop is memory/adder bound.
-	lp := fixture.Divide(machine.PipelinedDivide())
+	pipediv, _ := machine.Lookup("pipediv")
+	lp := fixture.Divide(pipediv)
 	if got := ResMII(lp); got >= 38 {
 		t.Errorf("pipelined-divider ResMII = %d, want small", got)
 	}
