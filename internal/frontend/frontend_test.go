@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -349,6 +350,47 @@ func TestEligibilityRejections(t *testing.T) {
 	}
 	if loops[0].Ineligible == nil || !strings.Contains(loops[0].Ineligible.Error(), "basic blocks") {
 		t.Errorf("33 basic blocks must be rejected, got %v", loops[0].Ineligible)
+	}
+}
+
+// storeBlowup is a loop of n stores to one array, x(i+7k) = y(i): every
+// store pair needs a memory-ordering arc, so the arcs grow with n².
+func storeBlowup(n int) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "      subroutine blowup(n, x, y)\n      real x(%d), y(n)\n      integer n, i\n      do i = 1, n\n", 7*n+100)
+	for k := 0; k < n; k++ {
+		fmt.Fprintf(&b, "        x(i+%d) = y(i)\n", 7*k)
+	}
+	b.WriteString("      end do\n      end\n")
+	return b.String()
+}
+
+// TestMemArcCeiling: a loop whose memory arcs would exceed MaxMemArcs is
+// ineligible before the dependence pass builds them, so lowering
+// allocates per store, not per store pair.
+func TestMemArcCeiling(t *testing.T) {
+	compile := func(n int) (*CompiledLoop, uint64) {
+		src := storeBlowup(n)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, loops, err := Compile(src, machine.Cydra())
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return loops[0], after.TotalAlloc - before.TotalAlloc
+	}
+	// 90 stores need 8,010 arcs at most: under the ceiling.
+	if cl, _ := compile(90); cl.Ineligible != nil {
+		t.Fatalf("90 stores: %v", cl.Ineligible)
+	}
+	cl, small := compile(1000)
+	if cl.Ineligible == nil || !strings.Contains(cl.Ineligible.Error(), fmt.Sprintf("> %d", MaxMemArcs)) {
+		t.Fatalf("1,000 stores: Ineligible = %v, want the memory-arc limit", cl.Ineligible)
+	}
+	_, large := compile(10000)
+	if perSmall, perLarge := small/1000, large/10000; perLarge > 2*perSmall {
+		t.Errorf("allocation per store grew from %d B (1,000 stores) to %d B (10,000 stores)", perSmall, perLarge)
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/frontend"
+	"repro/internal/ir"
 	"repro/internal/machine"
 	"repro/internal/wire"
 )
@@ -28,9 +29,9 @@ func TestParseErrors(t *testing.T) {
 
 // FuzzFrontendCompile feeds untrusted mini-FORTRAN, as a source-form
 // request carries it, through the whole frontend. Properties: no
-// panic, and every loop the frontend lowers survives the wire round
-// trip EncodeLoop → DecodeLoop → EncodeLoop with identical canonical
-// bytes. Seeded from testdata/loops and the parse-error cases:
+// panic, every loop the frontend lowers has at most MaxMemArcs memory
+// arcs, and it survives the wire round trip EncodeLoop → DecodeLoop →
+// EncodeLoop with identical canonical bytes. Seeded from testdata/loops and the parse-error cases:
 //
 //	go test -run '^$' -fuzz '^FuzzFrontendCompile$' -fuzztime 10s ./internal/frontend
 func FuzzFrontendCompile(f *testing.F) {
@@ -57,6 +58,15 @@ func FuzzFrontendCompile(f *testing.F) {
 		for i, cl := range loops {
 			if cl.Ineligible != nil {
 				continue
+			}
+			mem := 0
+			for _, d := range cl.Loop.Deps {
+				if d.Kind == ir.DepMem {
+					mem++
+				}
+			}
+			if mem > frontend.MaxMemArcs {
+				t.Fatalf("loop %d: %d memory arcs > %d", i, mem, frontend.MaxMemArcs)
 			}
 			w, err := wire.EncodeLoop(cl.Loop)
 			if err != nil {

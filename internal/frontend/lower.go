@@ -43,6 +43,12 @@ const (
 // lifetimes, and the preheader must materialize ω initial instances.
 const MaxForwardOmega = 6
 
+// MaxMemArcs bounds the memory-ordering arcs a loop may need. The
+// dependence pass adds up to two arcs for every pair of same-array
+// accesses that includes a store, so the count grows with the square
+// of the stores; the loopgen corpus needs at most 10.
+const MaxMemArcs = 1 << 14
+
 // CompiledLoop is one innermost DO loop lowered to schedulable IR.
 type CompiledLoop struct {
 	Loop *ir.Loop
@@ -329,6 +335,9 @@ type symState struct {
 	placeholder   ir.ValueID
 	storeVal      ir.Operand
 	hasStoreVal   bool
+	// accesses and stores count an array's emitted accesses, for
+	// memArcBound.
+	accesses, stores int
 }
 
 // elemKey names the elements one subscript form reaches: a(i + c) when
@@ -439,6 +448,9 @@ func (lo *lowerer) run() error {
 	}
 	if err := lo.patchStoreForwards(); err != nil {
 		return err
+	}
+	if n := lo.memArcBound(); n > MaxMemArcs {
+		return errf(do.Pos(), "up to %d memory dependence arcs > %d: not worth pipelining", n, MaxMemArcs)
 	}
 	lo.memDeps()
 	lo.l.NewOp(machine.BrTop, nil, ir.None)

@@ -823,6 +823,30 @@ func (lo *lowerer) patchStoreForwards() error {
 	return nil
 }
 
+// memArcBound is the most arcs memDeps can add: two for every pair of
+// same-array emitted accesses that includes a store. It counts in the
+// symbol table, so it is linear in the accesses and allocates nothing.
+func (lo *lowerer) memArcBound() int {
+	for _, a := range lo.emitted {
+		st := &lo.syms[a.sym]
+		st.accesses++
+		if a.isStore {
+			st.stores++
+		}
+	}
+	n := 0
+	for _, a := range lo.emitted {
+		st := &lo.syms[a.sym]
+		if st.accesses == 0 {
+			continue // counted
+		}
+		loads := st.accesses - st.stores
+		n += st.accesses*(st.accesses-1) - loads*(loads-1)
+		st.accesses, st.stores = 0, 0
+	}
+	return n
+}
+
 // memDeps adds memory ordering arcs between the surviving accesses
 // (Section 3.1: exact ω where dependence analysis can prove it,
 // conservative lower bounds elsewhere). Accesses guarded by
@@ -892,13 +916,6 @@ func (lo *lowerer) memDeps() {
 					lo.l.AddDep(ir.Dep{From: b.op, To: a.op, Latency: latBA, Omega: 1, Kind: ir.DepMem})
 				}
 				continue
-			}
-			if a.aff.ok && b.aff.ok && a.aff.hasI == b.aff.hasI && !lo.stepKnown && a.aff.c != b.aff.c {
-				// Same-shape affine subscripts with unknown step never
-				// alias at distance 0, but may at unknown distances:
-				// conservative both ways at ω ≥ 1... and the distance-0
-				// case is excluded, so program order is free. Keep the
-				// conservative arcs anyway: cheap and safe.
 			}
 			// Conservative: textual order now, and the reverse one
 			// iteration later.

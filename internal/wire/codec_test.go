@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"fmt"
 	"math"
 	"os"
 	"reflect"
@@ -13,6 +14,7 @@ import (
 	"testing"
 
 	"repro/internal/fixture"
+	"repro/internal/frontend"
 	"repro/internal/loopgen"
 	"repro/internal/machine"
 )
@@ -539,5 +541,23 @@ func TestNormalizeSourceAllocs(t *testing.T) {
 	}
 	if allocs > limit {
 		t.Errorf("source-form Normalize made %.0f allocations, want ≤ %.0f", allocs, limit)
+	}
+}
+
+// TestNormalizeRejectsMemArcBlowup: a source loop whose memory arcs
+// grow with the square of its stores is refused as ineligible, the
+// same client error an oversized ResMII gets, before its arcs are built.
+func TestNormalizeRejectsMemArcBlowup(t *testing.T) {
+	var b strings.Builder
+	b.WriteString("      subroutine blowup(n, x, y)\n      real x(8000), y(n)\n      integer n, i\n      do i = 1, n\n")
+	for k := 0; k < 1000; k++ {
+		fmt.Fprintf(&b, "        x(i+%d) = y(i)\n", 7*k)
+	}
+	b.WriteString("      end do\n      end\n")
+	r := &Request{Version: Version, Machine: machine.PaperMachine, Source: b.String()}
+	_, _, err := r.Normalize()
+	if err == nil || !strings.Contains(err.Error(), "not modulo-schedulable") ||
+		!strings.Contains(err.Error(), fmt.Sprintf("memory dependence arcs > %d", frontend.MaxMemArcs)) {
+		t.Fatalf("Normalize = %v, want the memory-arc limit", err)
 	}
 }
