@@ -541,15 +541,14 @@ type IIStepResult struct {
 // IIStep runs the slack scheduler under both increment policies on an
 // opt.Size-loop corpus on opt.Mach.
 func IIStep(opt Options) (*IIStepResult, error) {
-	s1, err := NewSuite(opt.corpus(opt.Size, opt.Mach))
+	s1, err := opt.newSuite(opt.Mach)
 	if err != nil {
 		return nil, err
 	}
-	s2, err := NewSuite(opt.corpus(opt.Size, opt.Mach))
+	s2, err := opt.newSuite(opt.Mach)
 	if err != nil {
 		return nil, err
 	}
-	s1.Parallel, s2.Parallel = opt.Parallel, opt.Parallel
 	s2.Configure(core.SchedSlack, sched.Config{IncrementByOne: true})
 	a, err := s1.Runs(core.SchedSlack)
 	if err != nil {
@@ -628,11 +627,10 @@ func TargetSweep(opt Options) ([]TargetRow, error) {
 	}
 	var out []TargetRow
 	for _, m := range ms {
-		s, err := NewSuite(opt.corpus(opt.Size, m))
+		s, err := opt.newSuite(m)
 		if err != nil {
 			return nil, err
 		}
-		s.Parallel = opt.Parallel
 		runs, err := s.Runs(core.SchedSlack)
 		if err != nil {
 			return nil, err

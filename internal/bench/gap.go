@@ -86,11 +86,10 @@ func GapSweep(opt Options) ([]GapRow, error) {
 	}
 	var out []GapRow
 	for _, m := range ms {
-		s, err := NewSuite(opt.corpus(opt.Size, m))
+		s, err := opt.newSuite(m)
 		if err != nil {
 			return nil, err
 		}
-		s.Parallel = opt.Parallel
 		row := GapRow{Machine: m.Name, Loops: len(s.Loops)}
 		type verdict struct {
 			solved, proven, exhausted, failed bool

@@ -39,9 +39,14 @@ type Options struct {
 	MetricsJSON string
 }
 
-// corpus is the loopgen configuration of an n-loop corpus on m.
-func (o Options) corpus(n int, m *machine.Desc) loopgen.Options {
-	return loopgen.Options{Size: n, Seed: o.Seed, Mach: m}
+// newSuite builds the o.Size-loop corpus on m, swept by o's worker pool.
+func (o Options) newSuite(m *machine.Desc) (*Suite, error) {
+	s, err := NewSuite(loopgen.Options{Size: o.Size, Seed: o.Seed, Mach: m})
+	if err != nil {
+		return nil, err
+	}
+	s.Parallel = o.Parallel
+	return s, nil
 }
 
 // targets resolves Targets, defaulting to every registered machine.
@@ -74,11 +79,10 @@ func (e *Env) Suite() (*Suite, error) {
 	if e.suite != nil {
 		return e.suite, nil
 	}
-	s, err := NewSuite(e.corpus(e.Size, e.Mach))
+	s, err := e.newSuite(e.Mach)
 	if err != nil {
 		return nil, fmt.Errorf("building workload: %w", err)
 	}
-	s.Parallel = e.Parallel
 	s.Degrade = e.Degrade
 	s.Trace = e.Trace
 	if e.Deadline > 0 {
