@@ -30,12 +30,13 @@ type allocCeiling struct {
 
 // allocCeilings are measured on the 48-loop, seed-1993 corpus on the
 // paper machine, and are those of BENCH_history.jsonl's row "central
-// loop index sets" (9d33e37+).
+// loop index sets" (9d33e37+), except list's, measured since its
+// height sort stopped allocating.
 var allocCeilings = map[core.SchedulerName]allocCeiling{
 	core.SchedSlack:    {9, 3, 3403.1666666666665, 209, effort{53, 2495, 2495, 701, 1757, 5}},
 	core.SchedSlackUni: {9, 3, 3403.1666666666665, 209, effort{52, 2288, 2288, 554, 1560, 4}},
 	core.SchedCydrome:  {9, 3, 3426.1666666666665, 232, effort{52, 2398, 2398, 595, 1682, 4}},
-	core.SchedList:     {12, 6, 3500.5, 306.3333333333333, effort{98, 1093, 1043, 0, 0, 0}},
+	core.SchedList:     {8, 2, 3402, 208, effort{98, 1093, 1043, 0, 0, 0}},
 	core.SchedExact:    {91, 89, 12855.666666666666, 12647.666666666666, effort{104, 1738106, 2665386, 701, 1757, 5}},
 }
 

@@ -92,6 +92,9 @@ type Run struct {
 	MinAvg  int // at the achieved II
 	ICR     int
 	Stats   sched.Stats
+	// Schedule is the achieved schedule (nil on failure), for the
+	// experiments that measure a policy's schedules further.
+	Schedule *ir.Schedule
 
 	// Degraded reports a budget-exhausted run rescued by the list
 	// scheduler (Suite.Degrade).
@@ -365,6 +368,7 @@ func (s *Suite) runOne(ctx context.Context, name core.SchedulerName, cfg sched.C
 	run.Stats = c.Result.Stats
 	run.Degraded = c.Degraded
 	if c.OK() {
+		run.Schedule = c.Result.Schedule
 		run.MaxLive = c.RR.MaxLive
 		run.MinAvg = c.MinAvg
 		run.ICR = c.ICR

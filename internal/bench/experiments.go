@@ -477,7 +477,7 @@ type RegallocResults []RegallocResult
 
 // Regalloc allocates every slack schedule with each strategy/order pair.
 func Regalloc(s *Suite) (RegallocResults, error) {
-	infos, err := s.Infos()
+	runs, err := slackSchedules(s)
 	if err != nil {
 		return nil, err
 	}
@@ -495,13 +495,9 @@ func Regalloc(s *Suite) (RegallocResults, error) {
 	for i, c := range combos {
 		out[i].Strategy = fmt.Sprintf("%v/%v", c.strat, c.ord)
 	}
-	for _, info := range infos {
-		res, err := sched.Slack(sched.Config{}).Schedule(context.Background(), info.Loop)
-		if err != nil || !res.OK() {
-			continue
-		}
-		ranges := lifetime.Ranges(info.Loop, res.Schedule, ir.RR)
-		bound := regalloc.LowerBound(ranges, res.Schedule.II)
+	for _, r := range runs {
+		ranges := lifetime.Ranges(r.Info.Loop, r.Schedule, ir.RR)
+		bound := regalloc.LowerBound(ranges, r.Schedule.II)
 		for i, c := range combos {
 			// The probing strategies are compared on loops of at
 			// most 60 values, the population of the table in
@@ -510,8 +506,25 @@ func Regalloc(s *Suite) (RegallocResults, error) {
 			if c.strat != regalloc.FirstFit && len(ranges) > 60 {
 				continue
 			}
-			a := regalloc.Allocate(ranges, res.Schedule.II, c.strat, c.ord)
+			a := regalloc.Allocate(ranges, r.Schedule.II, c.strat, c.ord)
 			out[i].Deltas = append(out[i].Deltas, a.N-bound)
+		}
+	}
+	return out, nil
+}
+
+// slackSchedules returns the suite's slack runs that produced a slack
+// schedule, in loop order: infeasible loops, per-loop errors and list
+// rescues (Suite.Degrade) are left out.
+func slackSchedules(s *Suite) ([]Run, error) {
+	rs, err := s.Runs(core.SchedSlack)
+	if err != nil {
+		return nil, err
+	}
+	var out []Run
+	for _, r := range rs {
+		if r.OK && !r.Degraded {
+			out = append(out, r)
 		}
 	}
 	return out, nil
@@ -697,21 +710,17 @@ type ExpansionResult struct {
 // CodeExpansion compares kernel-only rotating code against modulo
 // variable expansion over the slack schedules.
 func CodeExpansion(s *Suite) (*ExpansionResult, error) {
-	infos, err := s.Infos()
+	runs, err := slackSchedules(s)
 	if err != nil {
 		return nil, err
 	}
 	res := &ExpansionResult{}
-	for _, info := range infos {
-		sr, err := sched.Slack(sched.Config{}).Schedule(context.Background(), info.Loop)
-		if err != nil || !sr.OK() {
-			continue
-		}
-		rot, err := codegen.Generate(info.Loop, sr.Schedule)
+	for _, r := range runs {
+		rot, err := codegen.Generate(r.Info.Loop, r.Schedule)
 		if err != nil {
 			return nil, err
 		}
-		mve, err := codegen.GenerateMVE(info.Loop, sr.Schedule)
+		mve, err := codegen.GenerateMVE(r.Info.Loop, r.Schedule)
 		if err != nil {
 			res.Overflowed++
 			continue
@@ -763,29 +772,47 @@ func Straightline(s *Suite) (*StraightlineResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	res := &StraightlineResult{}
-	for _, info := range infos {
+	// Per-loop peak pressures, bidirectional and early-only; ok is false
+	// for a block either policy failed to schedule.
+	type block struct {
+		ok           bool
+		bidir, early int
+	}
+	blocks := make([]block, len(infos))
+	err = s.forEach(len(infos), func(i int) error {
+		l := infos[i].Loop
 		big := 16
-		for _, op := range info.Loop.Ops {
-			big += info.Loop.Mach.Info(op.Opcode).Busy + info.Loop.Mach.Latency(op.Opcode)
+		for _, op := range l.Ops {
+			big += l.Mach.Info(op.Opcode).Busy + l.Mach.Latency(op.Opcode)
 		}
 		cfg := sched.Config{StartII: big, MaxII: big}
-		a, err := sched.Slack(cfg).Schedule(context.Background(), info.Loop)
+		a, err := sched.Slack(cfg).Schedule(context.Background(), l)
 		if err != nil || !a.OK() {
-			continue
+			return nil
 		}
-		b, err := sched.SlackUnidirectional(cfg).Schedule(context.Background(), info.Loop)
+		b, err := sched.SlackUnidirectional(cfg).Schedule(context.Background(), l)
 		if err != nil || !b.OK() {
+			return nil
+		}
+		blocks[i] = block{true,
+			lifetime.Measure(l, a.Schedule, ir.RR).MaxLive,
+			lifetime.Measure(l, b.Schedule, ir.RR).MaxLive}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	res := &StraightlineResult{}
+	for _, bl := range blocks {
+		if !bl.ok {
 			continue
 		}
-		pa := lifetime.Measure(info.Loop, a.Schedule, ir.RR).MaxLive
-		pb := lifetime.Measure(info.Loop, b.Schedule, ir.RR).MaxLive
 		res.N++
-		res.SumBidir += pa
-		res.SumEarly += pb
-		if pa < pb {
+		res.SumBidir += bl.bidir
+		res.SumEarly += bl.early
+		if bl.bidir < bl.early {
 			res.BidirWins++
-		} else if pb < pa {
+		} else if bl.early < bl.bidir {
 			res.EarlyWins++
 		}
 	}
@@ -815,21 +842,18 @@ type PredShareResult struct {
 // PredicateSharing measures plain vs predicate-aware MaxLive over the
 // workload's conditional loops under slack schedules.
 func PredicateSharing(s *Suite) (*PredShareResult, error) {
-	infos, err := s.Infos()
+	runs, err := slackSchedules(s)
 	if err != nil {
 		return nil, err
 	}
 	res := &PredShareResult{}
-	for _, info := range infos {
-		if !info.Loop.HasConditional {
+	for _, r := range runs {
+		l := r.Info.Loop
+		if !l.HasConditional {
 			continue
 		}
-		sr, err := sched.Slack(sched.Config{}).Schedule(context.Background(), info.Loop)
-		if err != nil || !sr.OK() {
-			continue
-		}
-		plain := lifetime.Measure(info.Loop, sr.Schedule, ir.RR).MaxLive
-		aware := lifetime.MeasurePredAware(info.Loop, sr.Schedule, ir.RR).MaxLive
+		plain := lifetime.Measure(l, r.Schedule, ir.RR).MaxLive
+		aware := lifetime.MeasurePredAware(l, r.Schedule, ir.RR).MaxLive
 		res.CondLoops++
 		res.SumPlain += plain
 		res.SumAware += aware

@@ -45,13 +45,15 @@ type MetricsReport struct {
 
 // CollectMetrics sweeps every registered policy with a per-loop
 // sched.Metrics observer attached and folds each policy's streams
-// deterministically. It enables Suite.Metrics and re-runs any cached
-// sweeps so every run carries its aggregate.
+// deterministically. It enables Suite.Metrics and re-runs the cached
+// sweeps that ran without it, so every run carries its aggregate.
 func CollectMetrics(s *Suite) (*MetricsReport, error) {
 	s.Metrics = true
 	r := &MetricsReport{Size: s.Size(), Seed: s.Seed, Parallel: s.workers(s.Size())}
 	for _, name := range core.Schedulers() {
-		delete(s.runs, name)
+		if rs := s.runs[name]; len(rs) > 0 && rs[0].Metrics == nil {
+			delete(s.runs, name)
+		}
 		rs, err := s.Runs(name)
 		if err != nil {
 			return nil, err

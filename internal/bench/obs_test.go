@@ -7,48 +7,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/obs"
-	"repro/internal/sched"
 )
-
-// The -metricsjson record must be byte-deterministic: same corpus, same
-// JSON bytes, regardless of the worker pool. Map keys marshal sorted,
-// policies in registry order, counters folded in loop order.
-func TestMetricsJSONByteDeterministic(t *testing.T) {
-	seq := suite(t, 60)
-	seq.Parallel = 1
-	par := suite(t, 60)
-	par.Parallel = 8
-
-	mr1, err := CollectMetrics(seq)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mr2, err := CollectMetrics(par)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mr1.Parallel, mr2.Parallel = 0, 0 // the pool size is the one legitimate difference
-	b1, err := json.MarshalIndent(mr1, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	b2, err := json.MarshalIndent(mr2, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(b1, b2) {
-		t.Fatalf("metrics JSON differs between pool sizes:\nserial:\n%s\nparallel:\n%s", b1, b2)
-	}
-	for _, p := range mr1.Policies {
-		var total int64
-		for _, n := range p.Outcomes {
-			total += n
-		}
-		if attempts := p.Events[sched.EvAttemptStart.String()]; total != attempts {
-			t.Fatalf("%s: outcome total %d != attempts %d", p.Policy, total, attempts)
-		}
-	}
-}
 
 // A traced sweep attaches a finished span trace to every run, and the
 // collected traces export as one valid Chrome trace_event document.

@@ -3,7 +3,6 @@ package bench
 import (
 	"context"
 	"errors"
-	"reflect"
 	"testing"
 	"time"
 
@@ -117,37 +116,6 @@ func TestSweepCancellation(t *testing.T) {
 	for _, r := range rs {
 		if !errors.Is(r.Err, context.Canceled) {
 			t.Fatalf("%s: Err = %v, want context.Canceled", r.Info.Name, r.Err)
-		}
-	}
-}
-
-// The merged metrics report is identical for serial and wide-pool
-// sweeps: per-loop observers are folded in loop order, so worker
-// interleaving cannot show through.
-func TestMetricsReportDeterministicAcrossPools(t *testing.T) {
-	seq := suite(t, 60)
-	seq.Parallel = 1
-	par := suite(t, 60)
-	par.Parallel = 8
-
-	mr1, err := CollectMetrics(seq)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mr2, err := CollectMetrics(par)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mr1.Parallel, mr2.Parallel = 0, 0 // the pool size is the one legitimate difference
-	if !reflect.DeepEqual(mr1, mr2) {
-		t.Fatalf("metrics differ between pool sizes:\nserial   %+v\nparallel %+v", mr1, mr2)
-	}
-	if len(mr1.Policies) != len(core.Schedulers()) {
-		t.Fatalf("got %d policies, want %d", len(mr1.Policies), len(core.Schedulers()))
-	}
-	for _, p := range mr1.Policies {
-		if p.Events[sched.EvAttemptStart.String()] == 0 || p.Events[sched.EvPlace.String()] == 0 {
-			t.Fatalf("%s: metrics counted nothing: %+v", p.Policy, p)
 		}
 	}
 }

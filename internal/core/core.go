@@ -12,7 +12,7 @@
 // The stable entry points are Compile and its caller-owned-buffer form
 // CompileInto, the scheduler registry (Register, Lookup, Schedulers),
 // and VerifyExecution. Scheduling policies are looked up by
-// SchedulerName in a registry the four built-ins populate at init time,
+// SchedulerName in a registry the five built-ins populate at init time,
 // so new policies plug in without core edits. Failures are typed and
 // matchable with errors.Is / errors.As:
 //
@@ -261,7 +261,7 @@ func degrade(ctx context.Context, l *ir.Loop, opt Options, be *sched.BudgetError
 		})
 	}
 	sp := obs.FromContext(ctx).Start("degrade").Str("from", be.Policy).Str("reason", be.Reason)
-	res, err := sched.ListSchedule(ctx, l, cfg)
+	res, err := sched.List(cfg).Schedule(ctx, l)
 	if err != nil && !errors.Is(err, sched.ErrInfeasible) {
 		sp.End(obs.OutcomeError)
 		return res, err

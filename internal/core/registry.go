@@ -54,7 +54,7 @@ var registry = struct {
 }{m: map[SchedulerName]Factory{}}
 
 // Register makes a scheduling policy available to Compile under the
-// given name, replacing any previous registration. The four built-in
+// given name, replacing any previous registration. The five built-in
 // policies self-register; external packages can add their own without
 // touching core. Register panics on an empty name or nil factory.
 func Register(name SchedulerName, f Factory) {
@@ -99,10 +99,6 @@ func init() {
 	Register(SchedSlack, func(cfg sched.Config) Runner { return sched.Slack(cfg) })
 	Register(SchedSlackUni, func(cfg sched.Config) Runner { return sched.SlackUnidirectional(cfg) })
 	Register(SchedCydrome, func(cfg sched.Config) Runner { return sched.Cydrome(cfg) })
-	Register(SchedList, func(cfg sched.Config) Runner {
-		return RunnerFunc(func(ctx context.Context, l *ir.Loop, dst *sched.Result) error {
-			return sched.ListScheduleInto(ctx, l, cfg, dst)
-		})
-	})
+	Register(SchedList, func(cfg sched.Config) Runner { return sched.List(cfg) })
 	Register(SchedExact, func(cfg sched.Config) Runner { return exact.New(cfg) })
 }

@@ -49,7 +49,7 @@ func TestRegisterCustomPolicy(t *testing.T) {
 	Register(name, func(cfg sched.Config) Runner {
 		return RunnerFunc(func(ctx context.Context, l *ir.Loop, dst *sched.Result) error {
 			calls++
-			return sched.ListScheduleInto(ctx, l, cfg, dst)
+			return sched.List(cfg).ScheduleInto(ctx, l, dst)
 		})
 	})
 	unregisterAtCleanup(t, name)

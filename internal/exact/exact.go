@@ -155,7 +155,7 @@ func (s *Scheduler) search(ctx context.Context, l *ir.Loop) (*Outcome, error) {
 		obs:    s.cfg.Observer,
 		bounds: bounds,
 	}
-	e.guard = newGuard(ctx, s.cfg.Budget)
+	e.guard = sched.NewGuard(ctx, s.cfg.Budget)
 	e.nodeBudget = s.cfg.Budget.MaxCentralIters
 	if e.nodeBudget <= 0 {
 		e.nodeBudget = DefaultNodeBudget
@@ -206,11 +206,7 @@ func (s *Scheduler) search(ctx context.Context, l *ir.Loop) (*Outcome, error) {
 
 	for ii := startII; ii <= ceiling; ii++ {
 		lastII = ii
-		if s.cfg.Budget.MaxIIAttempts > 0 && e.stats.IIAttempts >= s.cfg.Budget.MaxIIAttempts {
-			stopReason, proven = sched.ReasonIIAttempts, false
-			break
-		}
-		if r := e.guard.exceeded(); r != "" {
+		if r := e.guard.AttemptExceeded(&e.stats); r != "" {
 			stopReason, proven = r, false
 			break
 		}
@@ -302,40 +298,6 @@ func (s *Scheduler) search(ctx context.Context, l *ir.Loop) (*Outcome, error) {
 	}
 }
 
-// guard is the search's budget state: wall clock and cancellation
-// (node caps are counted by the searcher itself). It mirrors the
-// engine's budgetGuard semantics.
-type guard struct {
-	ctx      context.Context
-	deadline time.Time
-	active   bool
-}
-
-func newGuard(ctx context.Context, b sched.Budget) guard {
-	g := guard{ctx: ctx}
-	if b.Deadline > 0 {
-		g.deadline = time.Now().Add(b.Deadline)
-	}
-	if d, ok := ctx.Deadline(); ok && (g.deadline.IsZero() || d.Before(g.deadline)) {
-		g.deadline = d
-	}
-	g.active = ctx.Done() != nil || !g.deadline.IsZero()
-	return g
-}
-
-func (g *guard) exceeded() string {
-	if !g.active {
-		return ""
-	}
-	if g.ctx.Err() != nil {
-		return sched.ReasonCanceled
-	}
-	if !g.deadline.IsZero() && !time.Now().Before(g.deadline) {
-		return sched.ReasonDeadline
-	}
-	return ""
-}
-
 // valState tracks one RR value's contribution to the pressure lower
 // bound during the search.
 type valState struct {
@@ -357,7 +319,7 @@ type searcher struct {
 	cfg    sched.Config
 	obs    sched.Observer
 	bounds mii.Bounds
-	guard  guard
+	guard  sched.Guard
 	stats  sched.Stats
 
 	nodeBudget int64
@@ -570,7 +532,7 @@ func (e *searcher) dfs(k int) {
 		return
 	}
 	if e.stats.CentralIters%nodeCheckStride == 0 {
-		if r := e.guard.exceeded(); r != "" {
+		if r := e.guard.Exceeded(&e.stats); r != "" {
 			e.stop = true
 			e.stopReason = r
 			return

@@ -88,14 +88,6 @@ func NewArena() *Arena {
 	return a
 }
 
-// acquireArena picks the pool unless nopool.
-func acquireArena(nopool bool) *Arena {
-	if nopool {
-		return NewArena()
-	}
-	return AcquireArena()
-}
-
 // Release ends the arena's compile: it drops every reference to
 // per-request data — the loop, the MinDist cache's loop/poll/trace, the
 // MRT's loop, the attempt state's observer and event strings, the span
@@ -357,9 +349,6 @@ func (a *Arena) distInto(md *mindist.Table) {
 		}
 	}
 }
-
-// mrtScratch exposes the arena's MRT storage to the list scheduler.
-func (a *Arena) mrtScratch() *mrt.Scratch { return &a.mrt }
 
 // listScratch returns the list scheduler's order/times buffers, sized n.
 func (a *Arena) listScratch(n int) (order, times []int) {

@@ -44,22 +44,22 @@ const (
 	ReasonCanceled     = "canceled"
 )
 
-// budgetGuard is the engine's per-call budget state. active is false
-// for unbudgeted, uncancellable calls, which then pay one branch per
-// stride and nothing else.
-type budgetGuard struct {
+// Guard is one call's budget state: the sched engine's, and the exact
+// backend's around its branch-and-bound. active is false for
+// unbudgeted, uncancellable calls, which then pay one branch per stride
+// and nothing else.
+type Guard struct {
 	ctx      context.Context
 	budget   Budget
 	deadline time.Time // zero when no wall-clock bound applies
 	active   bool
 }
 
-func newBudgetGuard(ctx context.Context, b Budget) budgetGuard {
-	g := budgetGuard{ctx: ctx, budget: b}
-	now := time.Time{}
+// NewGuard starts b's wall clock now; ctx's deadline, if earlier, wins.
+func NewGuard(ctx context.Context, b Budget) Guard {
+	g := Guard{ctx: ctx, budget: b}
 	if b.Deadline > 0 {
-		now = time.Now()
-		g.deadline = now.Add(b.Deadline)
+		g.deadline = time.Now().Add(b.Deadline)
 	}
 	if d, ok := ctx.Deadline(); ok && (g.deadline.IsZero() || d.Before(g.deadline)) {
 		g.deadline = d
@@ -68,9 +68,9 @@ func newBudgetGuard(ctx context.Context, b Budget) budgetGuard {
 	return g
 }
 
-// exceeded reports why the budget is exhausted ("" if it is not),
+// Exceeded reports why the budget is exhausted ("" if it is not),
 // checking cancellation, the wall clock, and the central-iteration cap.
-func (g *budgetGuard) exceeded(stats *Stats) string {
+func (g *Guard) Exceeded(stats *Stats) string {
 	if !g.active {
 		return ""
 	}
@@ -86,24 +86,24 @@ func (g *budgetGuard) exceeded(stats *Stats) string {
 	return ""
 }
 
-// attemptExceeded runs the boundary check before an II attempt: the
-// stride checks plus the attempt cap (attempted is the number already
-// finished).
-func (g *budgetGuard) attemptExceeded(stats *Stats, attempted int) string {
+// AttemptExceeded runs the boundary check before an II attempt: the
+// attempt cap (stats.IIAttempts is the number already finished), then
+// Exceeded.
+func (g *Guard) AttemptExceeded(stats *Stats) string {
 	if !g.active {
 		return ""
 	}
-	if g.budget.MaxIIAttempts > 0 && attempted >= g.budget.MaxIIAttempts {
+	if g.budget.MaxIIAttempts > 0 && stats.IIAttempts >= g.budget.MaxIIAttempts {
 		return ReasonIIAttempts
 	}
-	return g.exceeded(stats)
+	return g.Exceeded(stats)
 }
 
 // stop returns a poll function for long analyses (the MinDist cache),
 // or nil when the guard is inactive.
-func (g *budgetGuard) stop() func() bool {
+func (g *Guard) stop() func() bool {
 	if !g.active {
 		return nil
 	}
-	return func() bool { return g.exceeded(&Stats{}) != "" }
+	return func() bool { return g.Exceeded(&Stats{}) != "" }
 }

@@ -21,7 +21,7 @@ func TestDeadlineExhaustsPromptly(t *testing.T) {
 		"slack":    func(l *ir.Loop) (*Result, error) { return Slack(cfg).Schedule(ctx, l) },
 		"slack-1d": func(l *ir.Loop) (*Result, error) { return SlackUnidirectional(cfg).Schedule(ctx, l) },
 		"cydrome":  func(l *ir.Loop) (*Result, error) { return Cydrome(cfg).Schedule(ctx, l) },
-		"list":     func(l *ir.Loop) (*Result, error) { return ListSchedule(ctx, l, cfg) },
+		"list":     func(l *ir.Loop) (*Result, error) { return List(cfg).Schedule(ctx, l) },
 	}
 	for name, run := range runs {
 		for _, l := range fixture.All(m) {

@@ -9,6 +9,7 @@ import (
 	"repro/internal/ir"
 	"repro/internal/mii"
 	"repro/internal/mindist"
+	"repro/internal/mrt"
 	"repro/internal/obs"
 )
 
@@ -119,15 +120,25 @@ func (r *Result) II() int {
 	return r.FailedII
 }
 
-// Scheduler runs the operation-driven framework under one policy.
+// Scheduler runs the II search of Section 4.2 around one per-II
+// attempt: the operation-driven central loop under a Policy, or, for
+// List, the no-backtracking list pass.
 type Scheduler struct {
-	policy Policy
+	policy Policy // nil for the list scheduler
 	cfg    Config
 }
 
 // New returns a scheduler with the given policy and configuration.
 func New(policy Policy, cfg Config) *Scheduler {
 	return &Scheduler{policy: policy, cfg: cfg.withDefaults()}
+}
+
+// name identifies the scheduler in results, events and errors.
+func (s *Scheduler) name() string {
+	if s.policy == nil {
+		return "list"
+	}
+	return s.policy.Name()
 }
 
 // Schedule modulo schedules the loop: it tries II = MII first and,
@@ -176,7 +187,8 @@ func (s *Scheduler) ScheduleInto(ctx context.Context, l *ir.Loop, dst *Result) e
 		return fmt.Errorf("sched: loop %s: %w", l.Name, err)
 	}
 	res := dst
-	*res = Result{Loop: l, Policy: s.policy.Name(), Bounds: bounds}
+	name := s.name()
+	*res = Result{Loop: l, Policy: name, Bounds: bounds}
 
 	ii := bounds.MII
 	if s.cfg.StartII > ii {
@@ -187,7 +199,7 @@ func (s *Scheduler) ScheduleInto(ctx context.Context, l *ir.Loop, dst *Result) e
 		maxII = s.autoMaxII(l, bounds)
 	}
 
-	guard := newBudgetGuard(ctx, s.cfg.Budget)
+	guard := NewGuard(ctx, s.cfg.Budget)
 
 	// Pooled scratch: everything per-attempt lives in the arena. When
 	// the caller did not supply one, acquire here and release on every
@@ -196,7 +208,11 @@ func (s *Scheduler) ScheduleInto(ctx context.Context, l *ir.Loop, dst *Result) e
 	// partial state into the next compile).
 	a := s.cfg.Arena
 	if a == nil {
-		a = acquireArena(s.cfg.NoPool)
+		if s.cfg.NoPool {
+			a = NewArena()
+		} else {
+			a = AcquireArena()
+		}
 		defer a.Release()
 	}
 	// MinDist tables alias arena storage that the next compile
@@ -217,7 +233,7 @@ func (s *Scheduler) ScheduleInto(ctx context.Context, l *ir.Loop, dst *Result) e
 	// under NoFastPaths it computes every II directly.
 	cache := a.cacheFor(l, guard.stop(), tr, s.cfg.NoFastPaths)
 	for ii <= maxII {
-		if reason := guard.attemptExceeded(&res.Stats, res.Stats.IIAttempts); reason != "" {
+		if reason := guard.AttemptExceeded(&res.Stats); reason != "" {
 			res.Stats.Elapsed = time.Since(started)
 			return s.budgetError(ctx, l, reason, bounds, ii, res.Stats)
 		}
@@ -225,7 +241,7 @@ func (s *Scheduler) ScheduleInto(ctx context.Context, l *ir.Loop, dst *Result) e
 		md, err := cache.At(ii)
 		if err != nil {
 			if errors.Is(err, mindist.ErrStopped) {
-				reason := guard.exceeded(&res.Stats)
+				reason := guard.Exceeded(&res.Stats)
 				if reason == "" {
 					reason = ReasonDeadline
 				}
@@ -238,22 +254,33 @@ func (s *Scheduler) ScheduleInto(ctx context.Context, l *ir.Loop, dst *Result) e
 			continue
 		}
 		res.MinDist = md
-		evt := Event{Loop: l.Name, Policy: s.policy.Name(), II: ii, Op: -1}
+		evt := Event{Loop: l.Name, Policy: name, II: ii, Op: -1}
 		if sink != nil {
 			e := evt
 			e.Kind = EvAttemptStart
 			sink.Event(e)
 		}
-		st := a.newState(l, ii, md)
-		st.noIncremental = s.cfg.NoFastPaths
-		st.obs, st.evt = sink, evt
-		ok, reason := s.attempt(st, &res.Stats, &guard, sink)
+		var (
+			table     *mrt.Table
+			ok        bool
+			reason    string
+			ejections int
+		)
+		if s.policy == nil {
+			table, ok, reason = listAttempt(l, ii, md, a, &res.Stats, &guard, sink, evt)
+		} else {
+			st := a.newState(l, ii, md)
+			st.noIncremental = s.cfg.NoFastPaths
+			st.obs, st.evt = sink, evt
+			ok, reason = s.attempt(st, &res.Stats, &guard, sink)
+			table, ejections = st.mrt, st.ejections
+		}
 		if sink != nil {
 			e := evt
 			e.Kind = EvAttemptEnd
 			e.OK = ok
 			e.Outcome = attemptOutcome(ok, reason)
-			e.Ejections = st.ejections
+			e.Ejections = ejections
 			sink.Event(e)
 		}
 		if reason != "" {
@@ -262,16 +289,15 @@ func (s *Scheduler) ScheduleInto(ctx context.Context, l *ir.Loop, dst *Result) e
 			return s.budgetError(ctx, l, reason, bounds, ii, res.Stats)
 		}
 		if ok {
-			res.Schedule = st.mrt.ScheduleInto(prevSched)
+			res.Schedule = table.ScheduleInto(prevSched)
 			res.Stats.Elapsed = time.Since(started)
 			return nil
 		}
-		res.Stats.Restarts++
 		res.FailedII = ii
 		if sink != nil {
 			e := evt
 			e.Kind = EvRestart
-			e.Ejections = st.ejections
+			e.Ejections = ejections
 			sink.Event(e)
 		}
 		ii = s.nextII(ii)
@@ -279,7 +305,7 @@ func (s *Scheduler) ScheduleInto(ctx context.Context, l *ir.Loop, dst *Result) e
 	res.Stats.Elapsed = time.Since(started)
 	return &InfeasibleError{
 		Loop:   l.Name,
-		Policy: s.policy.Name(),
+		Policy: name,
 		MII:    bounds.MII,
 		MaxII:  maxII,
 		LastII: res.FailedII,
@@ -292,7 +318,7 @@ func (s *Scheduler) ScheduleInto(ctx context.Context, l *ir.Loop, dst *Result) e
 func (s *Scheduler) budgetError(ctx context.Context, l *ir.Loop, reason string, b mii.Bounds, ii int, stats Stats) *BudgetError {
 	e := &BudgetError{
 		Loop:   l.Name,
-		Policy: s.policy.Name(),
+		Policy: s.name(),
 		Reason: reason,
 		MII:    b.MII,
 		LastII: ii,
@@ -334,11 +360,12 @@ func (s *Scheduler) autoMaxII(l *ir.Loop, b mii.Bounds) int {
 }
 
 // attempt runs the central loop (Section 4.2) at one II. It returns
-// ok=true on a complete schedule and ok=false when the ejection budget
-// is exhausted (step 6) or, defensively, when the iteration cap trips;
+// ok=true on a complete schedule and ok=false, counting a restart, when
+// the ejection budget is exhausted (step 6) or, defensively, when the
+// iteration cap trips;
 // a non-empty stopReason aborts the attempt because the caller's
 // Budget or context ran out.
-func (s *Scheduler) attempt(st *State, stats *Stats, g *budgetGuard, sink Observer) (ok bool, stopReason string) {
+func (s *Scheduler) attempt(st *State, stats *Stats, g *Guard, sink Observer) (ok bool, stopReason string) {
 	budget := st.n * s.cfg.EjectBudgetPerOp
 	if budget < s.cfg.MinEjectBudget {
 		budget = s.cfg.MinEjectBudget
@@ -346,7 +373,12 @@ func (s *Scheduler) attempt(st *State, stats *Stats, g *budgetGuard, sink Observ
 	iterCap := 4*(st.n+budget) + 256
 
 	s.policy.BeginAttempt(st)
-	defer func() { stats.Ejections += int64(st.ejections) }()
+	defer func() {
+		stats.Ejections += int64(st.ejections)
+		if !ok && stopReason == "" {
+			stats.Restarts++ // step 6
+		}
+	}()
 	for iter := 0; ; iter++ {
 		if st.allPlaced() {
 			return true, ""
@@ -355,7 +387,7 @@ func (s *Scheduler) attempt(st *State, stats *Stats, g *budgetGuard, sink Observ
 			return false, ""
 		}
 		if g.active && iter%budgetCheckStride == 0 {
-			if reason := g.exceeded(stats); reason != "" {
+			if reason := g.Exceeded(stats); reason != "" {
 				return false, reason
 			}
 		}

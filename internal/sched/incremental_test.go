@@ -134,7 +134,7 @@ func TestResultMinDistAtFinalII(t *testing.T) {
 			func() (*Result, error) { return Slack(Config{}).Schedule(context.Background(), l) },
 			func() (*Result, error) { return SlackUnidirectional(Config{}).Schedule(context.Background(), l) },
 			func() (*Result, error) { return Cydrome(Config{}).Schedule(context.Background(), l) },
-			func() (*Result, error) { return ListSchedule(context.Background(), l, Config{}) },
+			func() (*Result, error) { return List(Config{}).Schedule(context.Background(), l) },
 		} {
 			res, err := mk()
 			if err != nil {
@@ -161,7 +161,7 @@ func TestNoFastPathsEquivalence(t *testing.T) {
 			func(c Config) (*Result, error) { return Slack(c).Schedule(context.Background(), l) },
 			func(c Config) (*Result, error) { return SlackUnidirectional(c).Schedule(context.Background(), l) },
 			func(c Config) (*Result, error) { return Cydrome(c).Schedule(context.Background(), l) },
-			func(c Config) (*Result, error) { return ListSchedule(context.Background(), l, c) },
+			func(c Config) (*Result, error) { return List(c).Schedule(context.Background(), l) },
 		} {
 			fast, err := mk(Config{})
 			if err != nil {

@@ -28,7 +28,7 @@ func observedSchedulers(cfg Config) map[string]func(*ir.Loop) (*Result, error) {
 		"slack":    func(l *ir.Loop) (*Result, error) { return Slack(cfg).Schedule(context.Background(), l) },
 		"slack-1d": func(l *ir.Loop) (*Result, error) { return SlackUnidirectional(cfg).Schedule(context.Background(), l) },
 		"cydrome":  func(l *ir.Loop) (*Result, error) { return Cydrome(cfg).Schedule(context.Background(), l) },
-		"list":     func(l *ir.Loop) (*Result, error) { return ListSchedule(context.Background(), l, cfg) },
+		"list":     func(l *ir.Loop) (*Result, error) { return List(cfg).Schedule(context.Background(), l) },
 	}
 }
 

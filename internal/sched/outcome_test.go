@@ -124,10 +124,10 @@ func TestAttemptOutcomeGiveUpAndOK(t *testing.T) {
 }
 
 // The list scheduler shares the outcome contract.
-func TestListSchedulerStampsOutcomes(t *testing.T) {
+func TestListStampsOutcomes(t *testing.T) {
 	l := fixture.Daxpy(machine.Cydra())
 	rec := &recorder{}
-	res, err := ListSchedule(context.Background(), l, Config{Observer: rec})
+	res, err := List(Config{Observer: rec}).Schedule(context.Background(), l)
 	if err != nil || !res.OK() {
 		t.Fatalf("list schedule failed: %v", err)
 	}
@@ -246,7 +246,9 @@ func TestAttemptSpansMatchStats(t *testing.T) {
 		"cydrome": func(ctx context.Context, l *ir.Loop, c Config) (*Result, error) {
 			return Cydrome(c).Schedule(ctx, l)
 		},
-		"list": ListSchedule,
+		"list": func(ctx context.Context, l *ir.Loop, c Config) (*Result, error) {
+			return List(c).Schedule(ctx, l)
+		},
 	}
 	for name, run := range runs {
 		for _, l := range fixture.All(machine.Cydra()) {

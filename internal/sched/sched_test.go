@@ -22,7 +22,7 @@ func schedulers() map[string]func(*ir.Loop) (*Result, error) {
 			return SlackUnidirectional(Config{}).Schedule(context.Background(), l)
 		},
 		"cydrome": func(l *ir.Loop) (*Result, error) { return Cydrome(Config{}).Schedule(context.Background(), l) },
-		"list":    func(l *ir.Loop) (*Result, error) { return ListSchedule(context.Background(), l, Config{}) },
+		"list":    func(l *ir.Loop) (*Result, error) { return List(Config{}).Schedule(context.Background(), l) },
 	}
 }
 

@@ -125,6 +125,23 @@ func metricValue(t *testing.T, url, name string) int64 {
 	return 0
 }
 
+// A list response that stepped II past a failed attempt still reports
+// "restarts": 0 on the wire: the list scheduler has no step-6 restart.
+func TestListResponseCountsNoRestarts(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 1})
+	resp, body := post(t, ts.URL, requestBody(t, kernelLoop(t, "smooth3"), "list", wire.Options{}))
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d, body %s", resp.StatusCode, body)
+	}
+	r := decodeResponse(t, body)
+	if !r.OK || r.Effort.IIAttempts < 2 {
+		t.Fatalf("want a list schedule found after a failed II, got %+v", r)
+	}
+	if !bytes.Contains(body, []byte(`"restarts":0`)) {
+		t.Fatalf("list response does not carry \"restarts\":0: %s", body)
+	}
+}
+
 // TestCompileCacheHit is the acceptance test of ISSUE 4: the same loop
 // compiled twice; the second response must be a byte-identical cache
 // replay — cache-hit counter incremented, no new scheduler events.
