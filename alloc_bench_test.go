@@ -1,6 +1,7 @@
 // Per-compile hot-path benchmarks: one op is one core.Compile of one
 // workload loop (round-robin over the corpus, scheduling + pressure, no
-// codegen — the lsmsd serving shape). TestCompileAllocCeilings
+// codegen — the lsmsd serving shape; BenchmarkCompileIntoCodegen adds
+// codegen). TestCompileAllocCeilings
 // (alloc_ceiling_test.go) holds the same compiles' allocs/op and B/op
 // to committed ceilings; run the benchmarks with
 //
@@ -70,11 +71,23 @@ func BenchmarkCompileNoPool(b *testing.B) {
 // Schedule.Time, the MinDist clone — cost nothing after warm-up. What
 // remains per op is the pipeline's allocation floor.
 func BenchmarkCompileInto(b *testing.B) {
+	benchCompileInto(b, true)
+}
+
+// BenchmarkCompileIntoCodegen is BenchmarkCompileInto with codegen on,
+// the library shape of lsms and perfbench's compile-corpus: the kernel,
+// its register allocations and its lifetime ranges are recycled too, so
+// the floor is the same.
+func BenchmarkCompileIntoCodegen(b *testing.B) {
+	benchCompileInto(b, false)
+}
+
+func benchCompileInto(b *testing.B, skipCodegen bool) {
 	s := corpus(b)
 	ctx := context.Background()
 	for _, name := range core.Schedulers() {
 		b.Run(string(name), func(b *testing.B) {
-			opt := core.Options{Scheduler: name, SkipCodegen: true}
+			opt := core.Options{Scheduler: name, SkipCodegen: skipCodegen}
 			loops := s.Loops
 			var c core.Compiled
 			b.ReportAllocs()

@@ -73,6 +73,8 @@ type Compiled struct {
 	GPRs   int               // loop invariants (Figure 7)
 
 	// Kernel is the generated code (nil when SkipCodegen or failure).
+	// CompileInto rebuilds a recycled dst's Kernel in place, so the next
+	// call overwrites it.
 	Kernel *codegen.Kernel
 
 	// Degraded reports that the configured scheduler exhausted its
@@ -109,11 +111,14 @@ func Compile(ctx context.Context, l *ir.Loop, opt Options) (*Compiled, error) {
 // CompileInto is Compile writing into a caller-owned Compiled: dst's
 // previous contents are destroyed, but the result buffers they
 // carry — dst.Result itself, its Schedule.Time slice, its MinDist
-// backing array — are recycled, so a caller that reuses one Compiled
-// across compilations (the lsmsd worker loop, the bench sweep) reaches
-// the pipeline's allocation floor: zero result-object allocations per
-// compile in steady state. The caller must not retain references into
-// dst across calls.
+// backing array, and dst.Kernel with its instructions, operands,
+// register allocations and lifetime ranges — are recycled, so a caller
+// that reuses one Compiled across compilations (the lsmsd worker loop,
+// the bench sweep, perfbench) reaches the pipeline's allocation floor:
+// zero result-object allocations per compile in steady state, codegen
+// included. The next call overwrites dst.Kernel in place, so the caller
+// must not retain dst.Kernel, or any other reference into dst, across
+// calls.
 //
 // The outcome contract mirrors Compile exactly: on unknown scheduler,
 // preflight failure, or a hard mindist/codegen error dst is zeroed
@@ -123,7 +128,7 @@ func Compile(ctx context.Context, l *ir.Loop, opt Options) (*Compiled, error) {
 func CompileInto(ctx context.Context, dst *Compiled, l *ir.Loop, opt Options) error {
 	// Recycle the result buffers the previous compilation left behind;
 	// everything else resets.
-	res := dst.Result
+	res, k := dst.Result, dst.Kernel
 	if res == nil {
 		res = &sched.Result{}
 	}
@@ -207,8 +212,10 @@ func CompileInto(ctx context.Context, dst *Compiled, l *ir.Loop, opt Options) er
 	spp.Int("maxlive", int64(dst.RR.MaxLive)).Int("minavg", int64(dst.MinAvg)).End(obs.OutcomeOK)
 	if !opt.SkipCodegen {
 		spc := tr.Start("codegen").Int("ii", int64(s.II))
-		k, err := codegen.GenerateContext(ctx, l, s)
-		if err != nil {
+		if k == nil {
+			k = &codegen.Kernel{}
+		}
+		if err := codegen.GenerateInto(ctx, k, l, s); err != nil {
 			spc.End(obs.OutcomeError)
 			*dst = Compiled{}
 			return err

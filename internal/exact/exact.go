@@ -155,6 +155,10 @@ func (s *Scheduler) search(ctx context.Context, l *ir.Loop) (*Outcome, error) {
 		obs:    s.cfg.Observer,
 		bounds: bounds,
 	}
+	e.scr = &lifetime.Scratch{}
+	if s.cfg.Arena != nil {
+		e.scr = s.cfg.Arena.Lifetime()
+	}
 	e.guard = sched.NewGuard(ctx, s.cfg.Budget)
 	e.nodeBudget = s.cfg.Budget.MaxCentralIters
 	if e.nodeBudget <= 0 {
@@ -171,7 +175,7 @@ func (s *Scheduler) search(ctx context.Context, l *ir.Loop) (*Outcome, error) {
 	incumbentML := 0
 	if seedErr == nil && seedRes != nil && seedRes.OK() {
 		incumbent = seedRes
-		incumbentML = lifetime.Measure(l, seedRes.Schedule, ir.RR).MaxLive
+		incumbentML = lifetime.MeasureIn(l, seedRes.Schedule, ir.RR, e.scr).MaxLive
 	}
 
 	ceiling := s.cfg.MaxII
@@ -340,7 +344,7 @@ type searcher struct {
 	best    []int
 	bestML  int
 	leaf    *ir.Schedule
-	scr     lifetime.Scratch
+	scr     *lifetime.Scratch // the arena's when the caller pooled one
 	trail   []trailEntry
 	stop    bool // budget tripped: unwind
 	atBest  bool // bound reached the floor: provably optimal, unwind
@@ -540,7 +544,7 @@ func (e *searcher) dfs(k int) {
 	}
 	if k == n {
 		copy(e.leaf.Time, e.times)
-		ml := lifetime.MeasureIn(e.l, e.leaf, ir.RR, &e.scr).MaxLive
+		ml := lifetime.MeasureIn(e.l, e.leaf, ir.RR, e.scr).MaxLive
 		if ml < e.bound {
 			e.bound = ml
 			e.bestML = ml

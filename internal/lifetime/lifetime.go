@@ -15,6 +15,7 @@ package lifetime
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/ir"
 )
@@ -35,49 +36,79 @@ func (r Range) Len() int { return r.End - r.Start }
 // its (earliest) def's issue cycle and ends at the latest use, counting a
 // use ω iterations later at its issue cycle plus ω·II; a value with no
 // in-loop reader is live for its defining latency (it still occupies a
-// register until written back).
+// register until written back). A value with an unplaced def has no
+// interval.
 func Ranges(l *ir.Loop, s *ir.Schedule, file ir.RegFile) []Range {
-	return rangesInto(l, s, file, nil)
+	return RangesIn(l, s, file, &Scratch{})
 }
 
-// rangesInto is Ranges appending into buf (pass nil to allocate).
-func rangesInto(l *ir.Loop, s *ir.Schedule, file ir.RegFile, buf []Range) []Range {
-	out := buf
+// Scratch is pooled measurement storage: the range list, the
+// value→range index and the live vector keep their capacity across
+// compiles. It holds no references to loop or schedule data, so pooled
+// reuse needs no reset.
+type Scratch struct {
+	ranges []Range
+	index  []int32 // index[v]: value v's position in ranges, or -1
+	vec    []int
+}
+
+// RangesIn is Ranges using pooled scratch buffers. The result aliases
+// scr: the next use of scr overwrites it.
+//
+// It makes one pass over the values, opening each interval at its
+// earliest def, and one over the placed ops, stretching the interval of
+// every operand they read: O(ops·operands + values).
+func RangesIn(l *ir.Loop, s *ir.Schedule, file ir.RegFile, scr *Scratch) []Range {
+	out := scr.ranges[:0]
+	index := slices.Grow(scr.index[:0], len(l.Values))[:len(l.Values)]
 	for _, v := range l.Values {
+		index[v.ID] = -1
 		if v.File != file || !v.IsVariant() {
 			continue
 		}
-		r, ok := rangeOf(l, s, v)
-		if ok {
-			out = append(out, r)
+		start, lat := -1, 0
+		for _, d := range v.Defs {
+			t := s.Time[d]
+			if t == ir.Unplaced {
+				start = -1
+				break
+			}
+			if start == -1 || t < start {
+				start = t
+			}
+			lat = max(lat, l.Mach.Latency(l.Op(d).Opcode))
+		}
+		if start != -1 {
+			index[v.ID] = int32(len(out))
+			out = append(out, Range{Val: v.ID, Start: start, End: start + lat})
 		}
 	}
+	use := func(rd ir.Operand, t int) {
+		if k := index[rd.Val]; k >= 0 {
+			out[k].End = max(out[k].End, t+rd.Omega*s.II)
+		}
+	}
+	for _, op := range l.Ops {
+		t := s.Time[op.ID]
+		if t == ir.Unplaced {
+			continue
+		}
+		// Args and the predicate directly: op.Reads() copies the operand
+		// slice of a predicated op.
+		for _, rd := range op.Args {
+			use(rd, t)
+		}
+		if op.Pred != nil {
+			use(*op.Pred, t)
+		}
+	}
+	scr.ranges, scr.index = out, index
 	return out
-}
-
-// Scratch is pooled measurement storage: the range list and the live
-// vector keep their capacity across compiles. It holds no references to
-// loop or schedule data, so pooled reuse needs no reset.
-type Scratch struct {
-	ranges []Range
-	vec    []int
 }
 
 // MeasureIn is Measure using pooled scratch buffers.
 func MeasureIn(l *ir.Loop, s *ir.Schedule, file ir.RegFile, scr *Scratch) Pressure {
-	if scr == nil {
-		return Measure(l, s, file)
-	}
-	scr.ranges = rangesInto(l, s, file, scr.ranges[:0])
-	if cap(scr.vec) >= s.II {
-		scr.vec = scr.vec[:s.II]
-		for i := range scr.vec {
-			scr.vec[i] = 0
-		}
-	} else {
-		scr.vec = make([]int, s.II)
-	}
-	liveVectorInto(scr.ranges, s.II, scr.vec)
+	scr.vec = LiveVectorInto(scr.vec, RangesIn(l, s, file, scr), s.II)
 	return pressureOf(scr.vec, s.II)
 }
 
@@ -86,57 +117,17 @@ func ICRUsageIn(l *ir.Loop, s *ir.Schedule, scr *Scratch) int {
 	return MeasureIn(l, s, ir.ICR, scr).MaxLive + s.Stages()
 }
 
-func rangeOf(l *ir.Loop, s *ir.Schedule, v *ir.Value) (Range, bool) {
-	start := -1
-	lat := 0
-	for _, d := range v.Defs {
-		t := s.Time[d]
-		if t == ir.Unplaced {
-			return Range{}, false
-		}
-		if start == -1 || t < start {
-			start = t
-		}
-		if dl := l.Mach.Latency(l.Op(d).Opcode); dl > lat {
-			lat = dl
-		}
-	}
-	end := start + lat
-	for _, op := range l.Ops {
-		t := s.Time[op.ID]
-		if t == ir.Unplaced {
-			continue
-		}
-		// Walk Args and the predicate directly rather than through
-		// op.Reads(), which copies the operand slice for predicated ops
-		// — this loop runs per (value, op) pair on the compile hot path.
-		for _, rd := range op.Args {
-			if rd.Val != v.ID {
-				continue
-			}
-			if u := t + rd.Omega*s.II; u > end {
-				end = u
-			}
-		}
-		if rd := op.Pred; rd != nil && rd.Val == v.ID {
-			if u := t + rd.Omega*s.II; u > end {
-				end = u
-			}
-		}
-	}
-	return Range{Val: v.ID, Start: start, End: end}, true
-}
-
 // LiveVector wraps the lifetimes around a vector of II columns: entry c
 // counts the values live at cycles congruent to c modulo II (Figure 4).
 func LiveVector(ranges []Range, ii int) []int {
-	vec := make([]int, ii)
-	liveVectorInto(ranges, ii, vec)
-	return vec
+	return LiveVectorInto(nil, ranges, ii)
 }
 
-// liveVectorInto accumulates the live vector into a zeroed vec of len ii.
-func liveVectorInto(ranges []Range, ii int, vec []int) {
+// LiveVectorInto is LiveVector written over vec's storage, which it
+// grows to ii entries if it must.
+func LiveVectorInto(vec []int, ranges []Range, ii int) []int {
+	vec = slices.Grow(vec[:0], ii)[:ii]
+	clear(vec)
 	for _, r := range ranges {
 		n := r.Len()
 		if n <= 0 {
@@ -150,6 +141,7 @@ func liveVectorInto(ranges []Range, ii int, vec []int) {
 			vec[(r.Start+full*ii+i)%ii]++
 		}
 	}
+	return vec
 }
 
 // Pressure summarizes a schedule's register pressure for one file.
@@ -160,9 +152,7 @@ type Pressure struct {
 
 // Measure computes MaxLive and AvgLive for the given file.
 func Measure(l *ir.Loop, s *ir.Schedule, file ir.RegFile) Pressure {
-	ranges := Ranges(l, s, file)
-	vec := LiveVector(ranges, s.II)
-	return pressureOf(vec, s.II)
+	return MeasureIn(l, s, file, &Scratch{})
 }
 
 func pressureOf(vec []int, ii int) Pressure {

@@ -18,21 +18,26 @@
 // feasible offsets come from one forbidden-offset mask built from the
 // placed values' bad multiples, so a pass at one N costs O(V²·span)
 // for span the typical ⌈len/II⌉; best-fit adds at most 24 probes per
-// value, each costing the value's own span.
+// value, each costing the value's own span. The buffers of that search
+// — the ordered copy, the offsets, the mask, the lower bound's live
+// vector — live in a Scratch, and the result's Offset map is the
+// caller's, so Allocate through a recycled Scratch and Allocation (the
+// code generator's) allocates nothing in steady state.
 //
 // Verify re-checks the result without that arithmetic: it enumerates
 // every (value, iteration) instance over enough iterations for every
 // residue pattern to repeat, groups the instances by physical register,
 // and sweeps each register's instances in start order for an overlap —
-// O(V·iters) in place of a cycle-by-cycle simulation.
+// O(V·iters) in place of a cycle-by-cycle simulation, on the same
+// Scratch.
 package regalloc
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 
 	"repro/internal/ir"
 	"repro/internal/lifetime"
@@ -93,21 +98,32 @@ type Allocation struct {
 	Offset map[ir.ValueID]int
 }
 
+// Scratch is the reusable storage of Allocate and Verify: the packer
+// with its ordered copy, offsets and forbid mask, the lower bound's live
+// vector, and the verifier's per-value tables. A zero Scratch is ready;
+// it serves one goroutine at a time, and any range set after any other.
+type Scratch struct {
+	p                 packer
+	vec               []int
+	offs, rem0, order []int
+	lanes             []lane
+}
+
 // LowerBound returns the schedule-dependent lower bound on the rotating
 // registers needed: MaxLive, but never less than any single value's
 // ⌈lifetime/II⌉ span.
 func LowerBound(ranges []lifetime.Range, ii int) int {
-	vec := lifetime.LiveVector(ranges, ii)
+	return new(Scratch).lowerBound(ranges, ii)
+}
+
+func (scr *Scratch) lowerBound(ranges []lifetime.Range, ii int) int {
+	scr.vec = lifetime.LiveVectorInto(scr.vec, ranges, ii)
 	n := 0
-	for _, c := range vec {
-		if c > n {
-			n = c
-		}
+	for _, c := range scr.vec {
+		n = max(n, c)
 	}
 	for _, r := range ranges {
-		if span := (r.Len() + ii - 1) / ii; span > n {
-			n = span
-		}
+		n = max(n, (r.Len()+ii-1)/ii)
 	}
 	return n
 }
@@ -119,69 +135,72 @@ func LowerBound(ranges []lifetime.Range, ii int) int {
 // nonsensical input (ii < 1); any range set gets some allocation since
 // N can grow.
 func Allocate(ranges []lifetime.Range, ii int, strat Strategy, order Order) Allocation {
+	var a Allocation
+	new(Scratch).Allocate(context.Background(), &a, ranges, ii, strat, order)
+	return a
+}
+
+// Allocate is the package-level Allocate writing into dst: dst.Offset
+// is cleared and refilled (made if nil), and every buffer of the search
+// is scr's, so a recycled dst and Scratch allocate nothing in steady
+// state. When ctx carries an obs.Trace it records a "regalloc" span with
+// the value count, the II, the strategy, and the resulting file size.
+func (scr *Scratch) Allocate(ctx context.Context, dst *Allocation, ranges []lifetime.Range, ii int, strat Strategy, order Order) {
 	if ii < 1 {
 		panic("regalloc: II must be positive")
 	}
-	if len(ranges) == 0 {
-		return Allocation{N: 0, Offset: map[ir.ValueID]int{}}
-	}
-	p := packer{ordered: orderValues(ranges, order), ii: ii, offs: make([]int, len(ranges))}
-	for n := max(LowerBound(ranges, ii), 1); ; n++ {
-		if p.fit(n, strat) {
-			off := make(map[ir.ValueID]int, len(p.ordered))
-			for j, v := range p.ordered {
-				off[v.Val] = p.offs[j]
-			}
-			return Allocation{N: n, Offset: off}
-		}
-	}
-}
-
-// AllocateContext is Allocate under a context: when the context carries
-// an obs.Trace it records a "regalloc" span with the value count, the
-// strategy, and the resulting file size.
-func AllocateContext(ctx context.Context, ranges []lifetime.Range, ii int, strat Strategy, order Order) Allocation {
 	sp := obs.FromContext(ctx).Start("regalloc").
 		Int("values", int64(len(ranges))).
 		Int("ii", int64(ii)).
 		Str("strategy", strat.String())
-	a := Allocate(ranges, ii, strat, order)
-	sp.Int("registers", int64(a.N)).End(obs.OutcomeOK)
-	return a
+	if dst.Offset == nil {
+		dst.Offset = make(map[ir.ValueID]int, len(ranges))
+	}
+	clear(dst.Offset)
+	dst.N = 0
+	if len(ranges) > 0 {
+		p := &scr.p
+		p.ordered = orderValues(p.ordered, ranges, order)
+		p.ii = ii
+		p.offs = slices.Grow(p.offs[:0], len(ranges))[:len(ranges)]
+		n := max(scr.lowerBound(ranges, ii), 1)
+		for !p.fit(n, strat) {
+			n++
+		}
+		dst.N = n
+		for j, v := range p.ordered {
+			dst.Offset[v.Val] = p.offs[j]
+		}
+	}
+	sp.Int("registers", int64(dst.N)).End(obs.OutcomeOK)
 }
 
-func orderValues(ranges []lifetime.Range, order Order) []lifetime.Range {
-	out := append([]lifetime.Range(nil), ranges...)
-	sort.SliceStable(out, func(i, j int) bool {
-		if out[i].Start != out[j].Start {
-			return out[i].Start < out[j].Start
-		}
-		return out[i].Val < out[j].Val
+// orderValues writes ranges into dst's storage in allocation order.
+func orderValues(dst, ranges []lifetime.Range, order Order) []lifetime.Range {
+	out := append(dst[:0], ranges...)
+	slices.SortStableFunc(out, func(a, b lifetime.Range) int {
+		return cmp.Or(cmp.Compare(a.Start, b.Start), cmp.Compare(a.Val, b.Val))
 	})
 	if order == Adjacency {
-		// Greedy chaining: repeatedly pick the unplaced value whose start
-		// is nearest at-or-after the previous pick's end.
-		rem := out
-		chained := make([]lifetime.Range, 0, len(rem))
-		cur := rem[0]
-		chained = append(chained, cur)
-		rem = rem[1:]
-		for len(rem) > 0 {
-			best, bestGap := -1, 0
-			for i, r := range rem {
-				gap := r.Start - cur.End
+		// Greedy chaining, in place: out[:i] is the chain, out[i:] the
+		// unplaced values in start order; move the one whose start is
+		// nearest at-or-after the chain's end to out[i].
+		for i := 1; i < len(out); i++ {
+			end := out[i-1].End
+			best, bestGap := i, 0
+			for j := i; j < len(out); j++ {
+				gap := out[j].Start - end
 				if gap < 0 {
 					gap += 1 << 20 // prefer starts after the current end
 				}
-				if best == -1 || gap < bestGap {
-					best, bestGap = i, gap
+				if j == i || gap < bestGap {
+					best, bestGap = j, gap
 				}
 			}
-			cur = rem[best]
-			chained = append(chained, cur)
-			rem = append(rem[:best], rem[best+1:]...)
+			r := out[best]
+			copy(out[i+1:best+1], out[i:best])
+			out[i] = r
 		}
-		out = chained
 	}
 	return out
 }
@@ -338,6 +357,11 @@ type lane struct {
 // the cost is O(V·iters) after one O(V log V) sort, rather than a
 // per-cycle simulation. It returns nil if the allocation is sound.
 func Verify(ranges []lifetime.Range, ii int, alloc Allocation) error {
+	return new(Scratch).Verify(ranges, ii, alloc)
+}
+
+// Verify is the package-level Verify on scr's buffers.
+func (scr *Scratch) Verify(ranges []lifetime.Range, ii int, alloc Allocation) error {
 	if len(ranges) == 0 {
 		return nil
 	}
@@ -348,7 +372,12 @@ func Verify(ranges []lifetime.Range, ii int, alloc Allocation) error {
 	if n < 0 {
 		return fmt.Errorf("regalloc: negative register count %d", n)
 	}
-	offs := make([]int, len(ranges))
+	nv := len(ranges)
+	scr.offs = slices.Grow(scr.offs[:0], nv)[:nv]
+	scr.rem0 = slices.Grow(scr.rem0[:0], nv)[:nv]
+	scr.order = slices.Grow(scr.order[:0], nv)[:nv]
+	scr.lanes = slices.Grow(scr.lanes[:0], nv)[:nv] // reused across registers
+	offs, rem0, order, lanes := scr.offs, scr.rem0, scr.order, scr.lanes
 	maxEnd := 0
 	for k, r := range ranges {
 		off, ok := alloc.Offset[r.Val]
@@ -371,14 +400,11 @@ func Verify(ranges []lifetime.Range, ii int, alloc Allocation) error {
 	// is the same in every register: sort it once for register 0, and
 	// register phys starts the cycle at the first rem ≥ phys·II.
 	period := n * ii
-	rem0 := make([]int, len(ranges))
-	order := make([]int, len(ranges))
 	for k, r := range ranges {
 		rem0[k] = mod(r.Start+mod(offs[k], n)*ii, period)
 		order[k] = k
 	}
 	slices.SortFunc(order, func(x, y int) int { return rem0[x] - rem0[y] })
-	lanes := make([]lane, len(ranges)) // reused across registers
 	for phys := 0; phys < n; phys++ {
 		cut, _ := slices.BinarySearchFunc(order, phys*ii, func(k, t int) int { return rem0[k] - t })
 		first, final := math.MaxInt, math.MinInt

@@ -131,6 +131,46 @@ func TestVerifyCatchesCollision(t *testing.T) {
 	if err := Verify(ranges, 4, bad); err == nil {
 		t.Error("two identical lifetimes in one register must collide")
 	}
+	// The same through a scratch last used on a larger, sound set.
+	big := randomRanges(rand.New(rand.NewSource(5)), 12, 4, 6)
+	var a Allocation
+	dirty.Allocate(context.Background(), &a, big, 4, FirstFit, StartTime)
+	if err := dirty.Verify(big, 4, a); err != nil {
+		t.Fatal(err)
+	}
+	if err := dirty.Verify(ranges, 4, bad); err == nil {
+		t.Error("two identical lifetimes in one register must collide through a reused scratch")
+	}
+}
+
+// dirty is the one Scratch, with its one Allocation, that the oracle
+// tests run every trial through, so each trial meets buffers and an
+// offset map sized and filled by an earlier one: a stale forbid mask,
+// offset or lane shows up as a divergence from the oracles.
+var (
+	dirty      Scratch
+	dirtyAlloc Allocation
+)
+
+// allocateDirty is Allocate through dirty into dirtyAlloc. It also
+// holds the package-level Allocate, a fresh scratch, to the same result.
+func allocateDirty(t *testing.T, ranges []lifetime.Range, ii int, strat Strategy, ord Order) Allocation {
+	t.Helper()
+	dirty.Allocate(context.Background(), &dirtyAlloc, ranges, ii, strat, ord)
+	if fresh := Allocate(ranges, ii, strat, ord); !sameAllocation(fresh, dirtyAlloc) {
+		t.Fatalf("%v/%v: reused scratch gives %+v, fresh %+v", strat, ord, dirtyAlloc, fresh)
+	}
+	return dirtyAlloc
+}
+
+// verifyDirty is Verify through dirty, held to the package-level Verify.
+func verifyDirty(t *testing.T, ranges []lifetime.Range, ii int, a Allocation) error {
+	t.Helper()
+	err := dirty.Verify(ranges, ii, a)
+	if fresh := Verify(ranges, ii, a); (err == nil) != (fresh == nil) {
+		t.Fatalf("reused scratch gives %v, fresh %v", err, fresh)
+	}
+	return err
 }
 
 func TestZeroValues(t *testing.T) {
@@ -154,7 +194,7 @@ func allocateOracle(ranges []lifetime.Range, ii int, strat Strategy, order Order
 	if len(ranges) == 0 {
 		return Allocation{N: 0, Offset: map[ir.ValueID]int{}}
 	}
-	ordered := orderValues(ranges, order)
+	ordered := orderValues(nil, ranges, order)
 	for n := max(LowerBound(ranges, ii), 1); ; n++ {
 		if alloc, ok := tryFitOracle(ordered, ii, n, strat); ok {
 			alloc.N = n
@@ -390,7 +430,7 @@ func TestAllocateMatchesOracleRandom(t *testing.T) {
 		ranges := randomRanges(rng, nv, ii, 1+rng.Intn(nv))
 		for _, strat := range strategies() {
 			for _, ord := range orders() {
-				got, want := Allocate(ranges, ii, strat, ord), allocateOracle(ranges, ii, strat, ord)
+				got, want := allocateDirty(t, ranges, ii, strat, ord), allocateOracle(ranges, ii, strat, ord)
 				if !sameAllocation(got, want) {
 					t.Fatalf("trial %d %v/%v (II %d, %v):\ngot  %+v\nwant %+v", trial, strat, ord, ii, ranges, got, want)
 				}
@@ -409,7 +449,7 @@ func TestAllocateMatchesOracleCorpus(t *testing.T) {
 				continue
 			}
 			for _, ord := range orders() {
-				got, want := Allocate(f.ranges, f.ii, strat, ord), allocateOracle(f.ranges, f.ii, strat, ord)
+				got, want := allocateDirty(t, f.ranges, f.ii, strat, ord), allocateOracle(f.ranges, f.ii, strat, ord)
 				if !sameAllocation(got, want) {
 					t.Fatalf("%s %v/%v: got N=%d %v, want N=%d %v", f.name, strat, ord, got.N, got.Offset, want.N, want.Offset)
 				}
@@ -451,12 +491,12 @@ func TestVerifyMatchesOracleRandom(t *testing.T) {
 				ranges[k].End -= shift
 			}
 		case 2:
-			a = Allocate(ranges, ii, strategies()[rng.Intn(3)], orders()[rng.Intn(2)])
+			a = allocateDirty(t, ranges, ii, strategies()[rng.Intn(3)], orders()[rng.Intn(2)])
 			if rng.Intn(2) == 0 {
 				a.Offset[ranges[rng.Intn(len(ranges))].Val] += 1 + rng.Intn(a.N)
 			}
 		}
-		got, want := Verify(ranges, ii, a), verifyOracle(ranges, ii, a)
+		got, want := verifyDirty(t, ranges, ii, a), verifyOracle(ranges, ii, a)
 		if (got == nil) != (want == nil) {
 			t.Fatalf("trial %d (II %d, N %d, %v, %v): Verify = %v, oracle = %v", trial, ii, a.N, ranges, a.Offset, got, want)
 		}
@@ -480,15 +520,15 @@ func TestVerifyMatchesOracleCorpus(t *testing.T) {
 		}
 		for _, strat := range strategies() {
 			for _, ord := range orders() {
-				a := Allocate(f.ranges, f.ii, strat, ord)
-				if err := Verify(f.ranges, f.ii, a); err != nil {
+				a := allocateDirty(t, f.ranges, f.ii, strat, ord)
+				if err := verifyDirty(t, f.ranges, f.ii, a); err != nil {
 					t.Errorf("%s %v/%v: %v", f.name, strat, ord, err)
 				}
 				if err := verifyOracle(f.ranges, f.ii, a); err != nil {
 					t.Errorf("%s %v/%v: oracle: %v", f.name, strat, ord, err)
 				}
 				a.Offset[f.ranges[rng.Intn(len(f.ranges))].Val] += 1 + rng.Intn(a.N)
-				got, want := Verify(f.ranges, f.ii, a), verifyOracle(f.ranges, f.ii, a)
+				got, want := verifyDirty(t, f.ranges, f.ii, a), verifyOracle(f.ranges, f.ii, a)
 				if (got == nil) != (want == nil) {
 					t.Errorf("%s %v/%v shifted: Verify = %v, oracle = %v", f.name, strat, ord, got, want)
 				}
