@@ -7,8 +7,9 @@
 //
 //	go test -bench 'BenchmarkCompile' -benchmem
 //
-// The NoPool variant runs the identical code path on virgin memory per
-// compile, so the pair quantifies exactly what arena pooling saves.
+// BenchmarkCompileNoPool runs the identical code path on a fresh arena
+// (sched.NewArena) per compile, so the pair quantifies exactly what
+// arena pooling saves.
 package repro
 
 import (
@@ -36,16 +37,22 @@ func corpus(b *testing.B) *loopgen.Suite {
 	return s
 }
 
-func benchCompile(b *testing.B, cfg sched.Config) {
+func benchCompile(b *testing.B, fresh bool) {
 	s := corpus(b)
 	for _, name := range core.Schedulers() {
 		b.Run(string(name), func(b *testing.B) {
-			opt := core.Options{Scheduler: name, Config: cfg, SkipCodegen: true}
+			opt := core.Options{Scheduler: name, SkipCodegen: true}
 			loops := s.Loops
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
+				if fresh {
+					opt.Config.Arena = sched.NewArena()
+				}
 				_, err := core.Compile(context.Background(), loops[i%len(loops)].CL.Loop, opt)
+				if fresh {
+					opt.Config.Arena.Release()
+				}
 				if err != nil && !errors.Is(err, sched.ErrInfeasible) {
 					b.Fatal(err)
 				}
@@ -56,13 +63,13 @@ func benchCompile(b *testing.B, cfg sched.Config) {
 
 // BenchmarkCompile measures one pooled compilation per op, per policy.
 func BenchmarkCompile(b *testing.B) {
-	benchCompile(b, sched.Config{})
+	benchCompile(b, false)
 }
 
 // BenchmarkCompileNoPool is BenchmarkCompile with the arena pool
 // bypassed — the differential baseline for allocation accounting.
 func BenchmarkCompileNoPool(b *testing.B) {
-	benchCompile(b, sched.Config{NoPool: true})
+	benchCompile(b, true)
 }
 
 // BenchmarkCompileInto measures the caller-owned-buffer entry point:

@@ -11,6 +11,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/ir"
 	"repro/internal/loopgen"
+	"repro/internal/mii"
 	"repro/internal/sched"
 )
 
@@ -149,4 +150,50 @@ func allocsPerCompile(pass func(), n int) (allocs, bytes float64) {
 	allocs = math.Round(float64(after.Mallocs-before.Mallocs) / float64(n))
 	bytes = float64(after.TotalAlloc-before.TotalAlloc) / float64(n)
 	return allocs, bytes
+}
+
+// TestCompileIntoKeepsKernelAcrossFailure holds a recycled Compiled's
+// kernel across a failed compile: an infeasible compile (MaxII below
+// MII) leaves Kernel nil but keeps its buffers, so a failed compile
+// followed by a successful one costs no more allocations than the two
+// measured apart.
+func TestCompileIntoKeepsKernelAcrossFailure(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's sync.Pool drops items, so pooled state is re-made and counted")
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	w, err := loopgen.Build(loopgen.Options{Size: 48, Seed: 1993})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var l *ir.Loop
+	for _, wl := range w.Loops {
+		if b, err := mii.Compute(wl.CL.Loop); err == nil && b.MII > 1 {
+			l = wl.CL.Loop
+			break
+		}
+	}
+	if l == nil {
+		t.Fatal("no corpus loop with MII > 1")
+	}
+	ctx := context.Background()
+	var c core.Compiled
+	fail := func() {
+		err := core.CompileInto(ctx, &c, l, core.Options{Config: sched.Config{MaxII: 1}})
+		if !errors.Is(err, sched.ErrInfeasible) || c.Kernel != nil {
+			t.Fatalf("MaxII 1: err %v, kernel %v; want ErrInfeasible and no kernel", err, c.Kernel)
+		}
+	}
+	succeed := func() {
+		if err := core.CompileInto(ctx, &c, l, core.Options{}); err != nil || c.Kernel == nil {
+			t.Fatalf("err %v, kernel %v; want a kernel", err, c.Kernel)
+		}
+	}
+	failed := testing.AllocsPerRun(20, fail)
+	succeeded := testing.AllocsPerRun(20, succeed)
+	pair := testing.AllocsPerRun(20, func() { fail(); succeed() })
+	t.Logf("failed %.0f, succeeded %.0f, pair %.0f allocs/run", failed, succeeded, pair)
+	if pair > failed+succeeded {
+		t.Errorf("failed-then-successful pair: %.0f allocs, the two apart %.0f + %.0f", pair, failed, succeeded)
+	}
 }

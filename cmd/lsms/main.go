@@ -182,7 +182,7 @@ func main() {
 		}
 		compiled[i], cerrs[i] = core.Compile(ctx, loops[i].Loop, opt)
 		if spans[i] != nil {
-			spans[i].Finish(compileOutcome(compiled[i], cerrs[i]))
+			spans[i].Finish(core.Outcome(compiled[i], cerrs[i]))
 		}
 	})
 
@@ -295,28 +295,6 @@ func main() {
 	if exit != exitOK {
 		os.Exit(exit)
 	}
-}
-
-// compileOutcome names a finished compilation for its trace, matching
-// the vocabulary the lsmsd flight recorder uses.
-func compileOutcome(c *core.Compiled, err error) string {
-	var be *sched.BudgetError
-	switch {
-	case errors.As(err, &be):
-		if be.Reason != "" {
-			return be.Reason
-		}
-		return obs.OutcomeBudgetExhausted
-	case errors.Is(err, sched.ErrInfeasible):
-		return obs.OutcomeInfeasible
-	case err != nil:
-		return obs.OutcomeError
-	case c != nil && c.Degraded:
-		return obs.OutcomeDegraded
-	case c != nil && !c.OK():
-		return obs.OutcomeInfeasible
-	}
-	return obs.OutcomeOK
 }
 
 // emitWire prints each eligible loop's canonical wire request as one

@@ -10,7 +10,6 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"runtime/debug"
 	"sync"
 	"sync/atomic"
 
@@ -23,19 +22,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/sched"
 )
-
-// LoopPanicError isolates a panic raised while processing one loop: the
-// worker recovers it, captures the stack, and records it against that
-// loop alone, so one bad loop cannot kill a 1,525-loop sweep.
-type LoopPanicError struct {
-	Loop      string
-	Recovered any
-	Stack     []byte
-}
-
-func (e *LoopPanicError) Error() string {
-	return fmt.Sprintf("bench: %s: panic: %v", e.Loop, e.Recovered)
-}
 
 // Class is the paper's loop classification (Tables 3 and 4). A loop
 // "has a recurrence" when a recurrence circuit actually constrains its
@@ -100,7 +86,7 @@ type Run struct {
 	// scheduler (Suite.Degrade).
 	Degraded bool
 	// Err is non-nil when this loop's compilation failed outright: a
-	// *sched.BudgetError, a *LoopPanicError, or an internal error. An
+	// *sched.BudgetError, a *core.PanicError, or an internal error. An
 	// infeasible loop (II ceiling exhausted) is not an Err — it is the
 	// OK=false data the paper's Table 4 tabulates.
 	Err error
@@ -173,7 +159,7 @@ func (s *Suite) workers(n int) int {
 // suite's worker pool. Each fn writes only into its own index slot, so
 // results are deterministic regardless of pool size; on failure the
 // lowest-index error is reported, matching the sequential order. A
-// panic escaping fn is recovered into a *LoopPanicError for its index —
+// panic escaping fn is recovered into a *core.PanicError for its index —
 // the worker (and the sweep) survives it.
 func (s *Suite) forEach(n int, fn func(i int) error) error {
 	w := s.workers(n)
@@ -210,16 +196,12 @@ func (s *Suite) forEach(n int, fn func(i int) error) error {
 	return nil
 }
 
-// guarded runs fn(i), converting a panic into a *LoopPanicError so a
+// guarded runs fn(i), converting a panic into a *core.PanicError so a
 // worker goroutine never dies.
 func guarded(fn func(i int) error, i int) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			err = &LoopPanicError{
-				Loop:      fmt.Sprintf("index %d", i),
-				Recovered: r,
-				Stack:     debug.Stack(),
-			}
+			err = core.Recovered("bench", fmt.Sprintf("index %d", i), r)
 		}
 	}()
 	return fn(i)
@@ -326,12 +308,13 @@ func (s *Suite) RunsContext(ctx context.Context, name core.SchedulerName) ([]Run
 // recording failures in the Run rather than propagating them.
 func (s *Suite) runOne(ctx context.Context, name core.SchedulerName, cfg sched.Config, info *LoopInfo) (run Run) {
 	run = Run{Info: info}
+	var c *core.Compiled
 	defer func() {
 		if r := recover(); r != nil {
 			run.OK = false
-			run.Err = &LoopPanicError{Loop: info.Name, Recovered: r, Stack: debug.Stack()}
+			run.Err = core.Recovered("bench", info.Name, r)
 		}
-		run.Trace.Finish(runOutcome(run)) // nil-safe no-op unless Suite.Trace
+		run.Trace.Finish(core.Outcome(c, run.Err)) // nil-safe no-op unless Suite.Trace
 	}()
 	if s.Metrics {
 		m := &sched.Metrics{}
@@ -374,30 +357,6 @@ func (s *Suite) runOne(ctx context.Context, name core.SchedulerName, cfg sched.C
 		run.ICR = c.ICR
 	}
 	return run
-}
-
-// runOutcome names a finished run for its trace, reusing the budget
-// Reason vocabulary so bench traces read like server flight-recorder
-// entries.
-func runOutcome(run Run) string {
-	var be *sched.BudgetError
-	var pe *LoopPanicError
-	switch {
-	case errors.As(run.Err, &pe):
-		return obs.OutcomePanic
-	case errors.As(run.Err, &be):
-		if be.Reason != "" {
-			return be.Reason
-		}
-		return obs.OutcomeBudgetExhausted
-	case run.Err != nil:
-		return obs.OutcomeError
-	case run.Degraded:
-		return obs.OutcomeDegraded
-	case !run.OK:
-		return obs.OutcomeInfeasible
-	}
-	return obs.OutcomeOK
 }
 
 // MergeMetrics folds the per-loop metrics of a sweep in loop order —

@@ -43,9 +43,9 @@ func TestPanicIsolatedToOneLoop(t *testing.T) {
 		}
 		for _, r := range rs {
 			if r.Info.Name == victim {
-				var pe *LoopPanicError
+				var pe *core.PanicError
 				if !errors.As(r.Err, &pe) {
-					t.Fatalf("victim %s: Err = %v, want *LoopPanicError", victim, r.Err)
+					t.Fatalf("victim %s: Err = %v, want *core.PanicError", victim, r.Err)
 				}
 				if pe.Loop != victim || len(pe.Stack) == 0 {
 					t.Fatalf("panic record incomplete: loop=%q stack=%d bytes", pe.Loop, len(pe.Stack))

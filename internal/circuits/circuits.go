@@ -16,6 +16,7 @@ package circuits
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 
 	"repro/internal/ir"
@@ -58,153 +59,32 @@ type arc struct {
 
 // Enumerate lists the elementary circuits of the loop's dependence graph,
 // up to cap circuits (cap ≤ 0 means DefaultCap). Self-arcs (trivial
-// recurrences) are included as single-op circuits.
+// recurrences) are included as single-op circuits. On ErrTooMany the
+// circuits found within the cap are returned with it.
 func Enumerate(l *ir.Loop, cap int) ([]Circuit, error) {
-	if cap <= 0 {
-		cap = DefaultCap
-	}
-	n := len(l.Ops)
-	// Deduplicate parallel arcs keeping each (not merging: different
-	// (latency, omega) pairs along parallel arcs can both matter).
-	adj := make([][]arc, n)
-	for _, d := range l.Deps {
-		adj[d.From] = append(adj[d.From], arc{int(d.To), d.Latency, d.Omega})
-	}
-
 	var out []Circuit
-	// Trivial self-circuits first.
-	for v := 0; v < n; v++ {
-		for _, a := range adj[v] {
-			if a.to == v {
-				if a.omega == 0 {
-					return nil, ErrZeroOmega
-				}
-				out = append(out, Circuit{Ops: []ir.OpID{ir.OpID(v)}, Latency: a.latency, Omega: a.omega})
-			}
+	err := walk(l, cap, func(path []int, latency, omega int) {
+		ops := make([]ir.OpID, len(path))
+		for i, u := range path {
+			ops[i] = ir.OpID(u)
 		}
+		out = append(out, Circuit{Ops: ops, Latency: latency, Omega: omega})
+	})
+	if err == ErrZeroOmega {
+		return nil, err
 	}
-
-	// Johnson's algorithm over non-self arcs, rooted at increasing s;
-	// only vertices ≥ s participate, so each circuit is found once, at
-	// its smallest vertex.
-	blocked := make([]bool, n)
-	bsets := make([][]int, n)
-	var stack []int
-	var latSum, omgSum []int
-
-	var unblock func(v int)
-	unblock = func(v int) {
-		blocked[v] = false
-		for _, w := range bsets[v] {
-			if blocked[w] {
-				unblock(w)
-			}
-		}
-		bsets[v] = bsets[v][:0]
-	}
-
-	overflow := false
-	var circuit func(v, s int) bool
-	circuit = func(v, s int) bool {
-		found := false
-		stack = append(stack, v)
-		blocked[v] = true
-		for _, a := range adj[v] {
-			w := a.to
-			if w < s || w == v {
-				continue
-			}
-			if w == s {
-				if len(out) >= cap {
-					overflow = true
-					continue
-				}
-				ops := make([]ir.OpID, len(stack))
-				L, W := a.latency, a.omega
-				for i, u := range stack {
-					ops[i] = ir.OpID(u)
-					if i+1 < len(stack) {
-						// cost accumulated below via latSum
-					}
-				}
-				L += latSum[len(stack)-1]
-				W += omgSum[len(stack)-1]
-				if W == 0 {
-					// propagate a real error
-					out = append(out, Circuit{Ops: ops, Latency: L, Omega: 0})
-				} else {
-					out = append(out, Circuit{Ops: ops, Latency: L, Omega: W})
-				}
-				found = true
-			} else if !blocked[w] {
-				latSum = append(latSum, latSum[len(latSum)-1]+a.latency)
-				omgSum = append(omgSum, omgSum[len(omgSum)-1]+a.omega)
-				if circuit(w, s) {
-					found = true
-				}
-				latSum = latSum[:len(latSum)-1]
-				omgSum = omgSum[:len(omgSum)-1]
-			}
-		}
-		if found {
-			unblock(v)
-		} else {
-			for _, a := range adj[v] {
-				w := a.to
-				if w < s || w == v {
-					continue
-				}
-				dup := false
-				for _, x := range bsets[w] {
-					if x == v {
-						dup = true
-						break
-					}
-				}
-				if !dup {
-					bsets[w] = append(bsets[w], v)
-				}
-			}
-		}
-		stack = stack[:len(stack)-1]
-		return found
-	}
-
-	for s := 0; s < n && !overflow; s++ {
-		for v := s; v < n; v++ {
-			blocked[v] = false
-			bsets[v] = bsets[v][:0]
-		}
-		latSum = latSum[:0]
-		omgSum = omgSum[:0]
-		latSum = append(latSum, 0)
-		omgSum = append(omgSum, 0)
-		circuit(s, s)
-	}
-
-	for _, c := range out {
-		if c.Omega == 0 {
-			return nil, ErrZeroOmega
-		}
-	}
-	if overflow {
-		return out, ErrTooMany
-	}
-	return out, nil
+	return out, err
 }
 
 // RecMII computes the recurrence-constrained lower bound on II by
 // scanning elementary circuits, falling back to the cost-to-time-ratio
 // method if the census overflows. A loop with no circuits has RecMII 1.
 //
-// RecMII runs on every compile, so it uses a count-only variant of the
-// same Johnson traversal as Enumerate: circuits are folded into the
-// running maximum ratio as they close, never materialized, and the
-// traversal workspace comes from a package pool. The visit order, the
-// census cap, and the error semantics are identical to Enumerate's —
-// the differential tests compare the two directly.
+// RecMII runs on every compile, so it walks the circuits exactly as
+// Enumerate does but folds each one's ratio into the running maximum
+// as it closes, never materializing it, and allocates nothing.
 func RecMII(l *ir.Loop) (int, error) {
-	rec, err := recMIICounting(l, 0)
+	rec, err := foldRecMII(l, 0)
 	if errors.Is(err, ErrTooMany) {
 		return RecMIIByRatio(l)
 	}
@@ -214,7 +94,19 @@ func RecMII(l *ir.Loop) (int, error) {
 	return rec, nil
 }
 
-// recWS is the pooled traversal workspace of recMIICounting.
+// foldRecMII is RecMII's census without the fallback: the largest
+// ⌈L/Ω⌉ over the circuits walk reports within cap, and walk's error.
+func foldRecMII(l *ir.Loop, cap int) (int, error) {
+	rec := 1
+	err := walk(l, cap, func(_ []int, latency, omega int) {
+		if r := (latency + omega - 1) / omega; r > rec {
+			rec = r
+		}
+	})
+	return rec, err
+}
+
+// recWS is the pooled workspace of one circuit walk.
 type recWS struct {
 	adj     [][]arc
 	blocked []bool
@@ -222,16 +114,68 @@ type recWS struct {
 	stack   []int
 	latSum  []int
 	omgSum  []int
+
+	cap, count        int
+	overflow, sawZero bool
 }
 
 var recPool = sync.Pool{New: func() any { return new(recWS) }}
 
-func (w *recWS) sizeFor(n int) {
-	if cap(w.adj) >= n {
-		w.adj = w.adj[:n]
-		w.blocked = w.blocked[:n]
-		w.bsets = w.bsets[:n]
-	} else {
+// walk runs Johnson's algorithm over l's dependence graph on a pooled
+// workspace and calls visit for each elementary circuit as it closes,
+// with the circuit's ops in traversal order (smallest first; the slice
+// is only valid during the call) and its total latency and omega. The
+// self-arcs come first, as single-op circuits; then the circuits are
+// found rooted at increasing s, over vertices ≥ s only, so each is found
+// once, at its smallest vertex. The census stops at cap circuits (cap ≤
+// 0 means DefaultCap) with ErrTooMany. A zero-omega self-arc returns
+// ErrZeroOmega at once; any other zero-omega circuit found within the
+// cap is not visited but returns ErrZeroOmega at the end, over
+// ErrTooMany.
+func walk(l *ir.Loop, cap int, visit func(ops []int, latency, omega int)) error {
+	w := recPool.Get().(*recWS)
+	defer recPool.Put(w)
+	w.reset(l, cap)
+	n := len(l.Ops)
+	for v := 0; v < n; v++ {
+		for _, a := range w.adj[v] {
+			if a.to == v {
+				if a.omega == 0 {
+					return ErrZeroOmega
+				}
+				w.stack = append(w.stack[:0], v)
+				w.close(a.latency, a.omega, visit)
+			}
+		}
+	}
+	w.stack = w.stack[:0]
+	for s := 0; s < n && !w.overflow; s++ {
+		for v := s; v < n; v++ {
+			w.blocked[v] = false
+			w.bsets[v] = w.bsets[v][:0]
+		}
+		w.latSum = append(w.latSum[:0], 0)
+		w.omgSum = append(w.omgSum[:0], 0)
+		w.circuit(s, s, visit)
+	}
+	if w.sawZero {
+		return ErrZeroOmega
+	}
+	if w.overflow {
+		return ErrTooMany
+	}
+	return nil
+}
+
+// reset sizes the workspace for l, builds its adjacency lists (parallel
+// arcs kept apart: different (latency, omega) pairs can both matter)
+// and clears the census.
+func (w *recWS) reset(l *ir.Loop, cap int) {
+	n := len(l.Ops)
+	if cap <= 0 {
+		cap = DefaultCap
+	}
+	if len(w.adj) < n {
 		w.adj = make([][]arc, n)
 		w.blocked = make([]bool, n)
 		w.bsets = make([][]int, n)
@@ -241,131 +185,74 @@ func (w *recWS) sizeFor(n int) {
 		w.blocked[v] = false
 		w.bsets[v] = w.bsets[v][:0]
 	}
-	w.stack = w.stack[:0]
-	w.latSum = w.latSum[:0]
-	w.omgSum = w.omgSum[:0]
-}
-
-// recMIICounting mirrors Enumerate's traversal exactly but only counts
-// circuits and folds each one's ⌈L/Ω⌉ into the result. It reports
-// ErrZeroOmega and ErrTooMany under the same conditions Enumerate does
-// (a zero-omega circuit found within the cap wins over overflow).
-func recMIICounting(l *ir.Loop, cap_ int) (int, error) {
-	if cap_ <= 0 {
-		cap_ = DefaultCap
-	}
-	n := len(l.Ops)
-	w := recPool.Get().(*recWS)
-	defer recPool.Put(w)
-	w.sizeFor(n)
 	for _, d := range l.Deps {
 		w.adj[d.From] = append(w.adj[d.From], arc{int(d.To), d.Latency, d.Omega})
 	}
+	w.stack = w.stack[:0]
+	w.cap, w.count, w.overflow, w.sawZero = cap, 0, false, false
+}
 
-	rec := 1
-	count := 0
-	sawZero := false
-	fold := func(lat, omega int) {
-		count++
-		if omega == 0 {
-			sawZero = true
-			return
-		}
-		if r := (lat + omega - 1) / omega; r > rec {
-			rec = r
-		}
+// close counts the circuit on the stack and visits it unless its total
+// omega is zero.
+func (w *recWS) close(latency, omega int, visit func([]int, int, int)) {
+	w.count++
+	if omega == 0 {
+		w.sawZero = true
+		return
 	}
-	for v := 0; v < n; v++ {
-		for _, a := range w.adj[v] {
-			if a.to == v {
-				if a.omega == 0 {
-					return 0, ErrZeroOmega
-				}
-				fold(a.latency, a.omega)
-			}
-		}
-	}
+	visit(w.stack, latency, omega)
+}
 
-	var unblock func(v int)
-	unblock = func(v int) {
-		w.blocked[v] = false
-		for _, x := range w.bsets[v] {
-			if w.blocked[x] {
-				unblock(x)
-			}
+// circuit is Johnson's CIRCUIT(v) for the walk rooted at s.
+func (w *recWS) circuit(v, s int, visit func([]int, int, int)) bool {
+	found := false
+	w.stack = append(w.stack, v)
+	w.blocked[v] = true
+	for _, a := range w.adj[v] {
+		to := a.to
+		if to < s || to == v {
+			continue
 		}
-		w.bsets[v] = w.bsets[v][:0]
-	}
-
-	overflow := false
-	var circuit func(v, s int) bool
-	circuit = func(v, s int) bool {
-		found := false
-		w.stack = append(w.stack, v)
-		w.blocked[v] = true
-		for _, a := range w.adj[v] {
-			to := a.to
-			if to < s || to == v {
+		if to == s {
+			if w.count >= w.cap {
+				w.overflow = true
 				continue
 			}
-			if to == s {
-				if count >= cap_ {
-					overflow = true
-					continue
-				}
-				fold(a.latency+w.latSum[len(w.stack)-1], a.omega+w.omgSum[len(w.stack)-1])
+			w.close(a.latency+w.latSum[len(w.stack)-1], a.omega+w.omgSum[len(w.stack)-1], visit)
+			found = true
+		} else if !w.blocked[to] {
+			w.latSum = append(w.latSum, w.latSum[len(w.latSum)-1]+a.latency)
+			w.omgSum = append(w.omgSum, w.omgSum[len(w.omgSum)-1]+a.omega)
+			if w.circuit(to, s, visit) {
 				found = true
-			} else if !w.blocked[to] {
-				w.latSum = append(w.latSum, w.latSum[len(w.latSum)-1]+a.latency)
-				w.omgSum = append(w.omgSum, w.omgSum[len(w.omgSum)-1]+a.omega)
-				if circuit(to, s) {
-					found = true
-				}
-				w.latSum = w.latSum[:len(w.latSum)-1]
-				w.omgSum = w.omgSum[:len(w.omgSum)-1]
 			}
+			w.latSum = w.latSum[:len(w.latSum)-1]
+			w.omgSum = w.omgSum[:len(w.omgSum)-1]
 		}
-		if found {
-			unblock(v)
-		} else {
-			for _, a := range w.adj[v] {
-				to := a.to
-				if to < s || to == v {
-					continue
-				}
-				dup := false
-				for _, x := range w.bsets[to] {
-					if x == v {
-						dup = true
-						break
-					}
-				}
-				if !dup {
-					w.bsets[to] = append(w.bsets[to], v)
-				}
+	}
+	if found {
+		w.unblock(v)
+	} else {
+		for _, a := range w.adj[v] {
+			to := a.to
+			if to < s || to == v || slices.Contains(w.bsets[to], v) {
+				continue
 			}
+			w.bsets[to] = append(w.bsets[to], v)
 		}
-		w.stack = w.stack[:len(w.stack)-1]
-		return found
 	}
+	w.stack = w.stack[:len(w.stack)-1]
+	return found
+}
 
-	for s := 0; s < n && !overflow; s++ {
-		for v := s; v < n; v++ {
-			w.blocked[v] = false
-			w.bsets[v] = w.bsets[v][:0]
+func (w *recWS) unblock(v int) {
+	w.blocked[v] = false
+	for _, x := range w.bsets[v] {
+		if w.blocked[x] {
+			w.unblock(x)
 		}
-		w.latSum = append(w.latSum[:0], 0)
-		w.omgSum = append(w.omgSum[:0], 0)
-		circuit(s, s)
 	}
-
-	if sawZero {
-		return 0, ErrZeroOmega
-	}
-	if overflow {
-		return 0, ErrTooMany
-	}
-	return rec, nil
+	w.bsets[v] = w.bsets[v][:0]
 }
 
 // RecMIIByRatio computes RecMII as the smallest II ≥ 1 such that the

@@ -92,7 +92,7 @@ func TestRecMIICountingMatchesEnumerate(t *testing.T) {
 		l := randomCyclicLoop(rng)
 		for _, cap_ := range []int{0, 1, 2, 5} {
 			cs, err1 := Enumerate(l, cap_)
-			rec2, err2 := recMIICounting(l, cap_)
+			rec2, err2 := foldRecMII(l, cap_)
 			if (err1 == nil) != (err2 == nil) {
 				t.Fatalf("trial %d cap %d: error disagreement: %v vs %v", trial, cap_, err1, err2)
 			}

@@ -32,6 +32,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime/debug"
 
 	"repro/internal/codegen"
 	"repro/internal/interp"
@@ -76,6 +77,9 @@ type Compiled struct {
 	// CompileInto rebuilds a recycled dst's Kernel in place, so the next
 	// call overwrites it.
 	Kernel *codegen.Kernel
+	// spare keeps the recycled kernel across a compile that leaves
+	// Kernel nil, so a failure does not cost the next codegen its buffers.
+	spare *codegen.Kernel
 
 	// Degraded reports that the configured scheduler exhausted its
 	// budget and Result came from the list-scheduler fallback
@@ -118,10 +122,11 @@ func Compile(ctx context.Context, l *ir.Loop, opt Options) (*Compiled, error) {
 // zero result-object allocations per compile in steady state, codegen
 // included. The next call overwrites dst.Kernel in place, so the caller
 // must not retain dst.Kernel, or any other reference into dst, across
-// calls.
+// calls. A failed compile leaves dst.Kernel nil but keeps the kernel's
+// buffers for the next one.
 //
 // The outcome contract mirrors Compile exactly: on unknown scheduler,
-// preflight failure, or a hard mindist/codegen error dst is zeroed
+// preflight failure, or a hard mindist/codegen error dst is reset
 // (dst.Loop == nil) and the error returned; on scheduling failure dst
 // carries the partial evidence alongside the typed error; on success
 // (or a rescued Degrade) err is nil and dst is complete.
@@ -132,7 +137,10 @@ func CompileInto(ctx context.Context, dst *Compiled, l *ir.Loop, opt Options) er
 	if res == nil {
 		res = &sched.Result{}
 	}
-	*dst = Compiled{}
+	if k == nil {
+		k = dst.spare
+	}
+	*dst = Compiled{spare: k}
 
 	if opt.Scheduler == "" {
 		opt.Scheduler = SchedSlack
@@ -148,11 +156,7 @@ func CompileInto(ctx context.Context, dst *Compiled, l *ir.Loop, opt Options) er
 	// sweep's per-loop guard), so a crashing loop cannot strand scratch.
 	arena := opt.Config.Arena
 	if arena == nil {
-		if opt.Config.NoPool {
-			arena = sched.NewArena()
-		} else {
-			arena = sched.AcquireArena()
-		}
+		arena = sched.AcquireArena()
 		opt.Config.Arena = arena
 		defer arena.Release()
 	}
@@ -168,9 +172,9 @@ func CompileInto(ctx context.Context, dst *Compiled, l *ir.Loop, opt Options) er
 	if res != nil {
 		sp.Int("ii", int64(res.II())).Int("mii", int64(res.Bounds.MII))
 	}
-	sp.End(scheduleOutcome(err))
+	sp.End(sched.Outcome(err))
 	if res != nil {
-		*dst = Compiled{Loop: l, Result: res, GPRs: l.GPRCount()}
+		dst.Loop, dst.Result, dst.GPRs = l, res, l.GPRCount()
 	}
 	if err != nil {
 		var be *sched.BudgetError
@@ -185,7 +189,7 @@ func CompileInto(ctx context.Context, dst *Compiled, l *ir.Loop, opt Options) er
 			} else {
 				*res = *dres
 			}
-			*dst = Compiled{Loop: l, Result: res, GPRs: l.GPRCount(), Degraded: true, BudgetErr: be}
+			*dst = Compiled{Loop: l, Result: res, GPRs: l.GPRCount(), Degraded: true, BudgetErr: be, spare: k}
 		} else {
 			return err
 		}
@@ -204,7 +208,7 @@ func CompileInto(ctx context.Context, dst *Compiled, l *ir.Loop, opt Options) er
 	if md == nil || md.II != s.II {
 		md, err = mindist.Compute(l, s.II)
 		if err != nil {
-			*dst = Compiled{}
+			*dst = Compiled{spare: k}
 			return fmt.Errorf("core: recomputing MinDist: %w", err)
 		}
 	}
@@ -214,10 +218,11 @@ func CompileInto(ctx context.Context, dst *Compiled, l *ir.Loop, opt Options) er
 		spc := tr.Start("codegen").Int("ii", int64(s.II))
 		if k == nil {
 			k = &codegen.Kernel{}
+			dst.spare = k
 		}
 		if err := codegen.GenerateInto(ctx, k, l, s); err != nil {
 			spc.End(obs.OutcomeError)
-			*dst = Compiled{}
+			*dst = Compiled{spare: k}
 			return err
 		}
 		spc.Int("nrr", int64(k.NRR)).Int("nicr", int64(k.NICR)).End(obs.OutcomeOK)
@@ -226,26 +231,48 @@ func CompileInto(ctx context.Context, dst *Compiled, l *ir.Loop, opt Options) er
 	return nil
 }
 
-// scheduleOutcome classifies a scheduling error for the "schedule" span:
-// budget errors carry the exhausted bound (the Reason strings are the
-// obs outcome names), infeasibility and other failures map to their own
-// outcomes.
-func scheduleOutcome(err error) string {
-	if err == nil {
-		return obs.OutcomeOK // before declaring be: errors.As forces it to escape
-	}
-	var be *sched.BudgetError
-	switch {
-	case errors.As(err, &be):
-		if be.Reason != "" {
-			return be.Reason
+// Outcome names how a compile ended, in sched.Outcome's vocabulary
+// plus what only core knows: obs.OutcomePanic for a *PanicError, and,
+// when err is nil, obs.OutcomeInfeasible for a result without a
+// schedule and obs.OutcomeDegraded for a rescue by Options.Degrade.
+// Span and trace outcomes, lsmsd's compile labels and flight-recorder
+// entries all take their name from here (DESIGN §5b has the table).
+func Outcome(c *Compiled, err error) string {
+	if err != nil {
+		var pe *PanicError
+		if errors.As(err, &pe) {
+			return obs.OutcomePanic
 		}
-		return obs.OutcomeBudgetExhausted
-	case errors.Is(err, sched.ErrInfeasible):
-		return obs.OutcomeInfeasible
-	default:
-		return obs.OutcomeError
+		return sched.Outcome(err)
 	}
+	switch {
+	case c == nil:
+	case !c.OK():
+		return obs.OutcomeInfeasible
+	case c.Degraded:
+		return obs.OutcomeDegraded
+	}
+	return obs.OutcomeOK
+}
+
+// PanicError is a panic recovered at a panic barrier — bench's per-loop
+// guard, lsmsd's per-request compile — and recorded against that loop
+// alone, so one bad loop cannot kill a sweep or a server.
+type PanicError struct {
+	Barrier   string // the recovering package ("bench", "server"); prefixes Error
+	Loop      string
+	Recovered any
+	Stack     []byte
+}
+
+func (e *PanicError) Error() string {
+	return fmt.Sprintf("%s: %s: panic: %v", e.Barrier, e.Loop, e.Recovered)
+}
+
+// Recovered wraps r, a value recover returned in barrier's deferred
+// function, with the panicking goroutine's stack.
+func Recovered(barrier, loop string, r any) *PanicError {
+	return &PanicError{Barrier: barrier, Loop: loop, Recovered: r, Stack: debug.Stack()}
 }
 
 // degrade runs the no-backtracking list scheduler after be exhausted

@@ -20,8 +20,8 @@ import (
 // virgin memory — same schedule, same pressure numbers, same effort
 // counters, same serialized wire result. The pooled compiles run
 // sequentially, so each one inherits arena state ratcheted and dirtied
-// by a different loop; NoPool then rebuilds every result from fresh
-// allocations for comparison.
+// by a different loop; a fresh sched.NewArena per compile then rebuilds
+// every result from fresh allocations for comparison.
 func TestPooledEquivalence(t *testing.T) {
 	size := 120
 	if testing.Short() {
@@ -55,7 +55,9 @@ func testPooledEquivalence(t *testing.T, opts loopgen.Options) {
 	for _, name := range Schedulers() {
 		for _, wl := range w.Loops {
 			pooled := compileResultHash(t, name, wl.Name, wl.CL.Loop, sched.Config{})
-			virgin := compileResultHash(t, name, wl.Name, wl.CL.Loop, sched.Config{NoPool: true})
+			fresh := sched.NewArena()
+			virgin := compileResultHash(t, name, wl.Name, wl.CL.Loop, sched.Config{Arena: fresh})
+			fresh.Release()
 			if pooled != virgin {
 				t.Errorf("%s/%s: pooled result diverges from no-pool result: %s vs %s",
 					name, wl.Name, pooled, virgin)

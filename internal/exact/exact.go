@@ -34,7 +34,6 @@ package exact
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math"
 	"time"
@@ -71,8 +70,8 @@ type Scheduler struct {
 // New returns an exact scheduler with the given configuration. The
 // fields the backend honors: Budget (MaxCentralIters = search nodes,
 // MaxIIAttempts = II values branch-and-bounded, Deadline), StartII,
-// MaxII, Observer (attempt-level events), Arena/NoPool (passed to the
-// slack seed run).
+// MaxII, Observer (attempt-level events), Arena (passed to the slack
+// seed run).
 func New(cfg sched.Config) *Scheduler { return &Scheduler{cfg: cfg} }
 
 // Outcome is the full verdict of one exact search — ScheduleInto's result
@@ -114,28 +113,23 @@ func (s *Scheduler) ScheduleInto(ctx context.Context, l *ir.Loop, dst *sched.Res
 func (s *Scheduler) Search(ctx context.Context, l *ir.Loop) (*Outcome, error) {
 	sp := obs.FromContext(ctx).Start("exact")
 	if sp == nil {
-		// Untraced: return before errors.As, whose target escapes and
-		// would cost every compile an allocation.
+		// Untraced: return before sched.Outcome, whose errors.As target
+		// escapes and would cost every failed search an allocation.
 		return s.search(ctx, l)
 	}
 	o, err := s.search(ctx, l)
-	outcome, proven := obs.OutcomeOK, int64(0)
-	var be *sched.BudgetError
-	switch {
-	case o == nil:
+	if o == nil {
 		sp.End(obs.OutcomeError)
 		return o, err
-	case errors.As(err, &be):
-		outcome = be.Reason
-	case err != nil:
-		outcome = obs.OutcomeInfeasible
-	case o.Proven:
+	}
+	proven := int64(0)
+	if err == nil && o.Proven {
 		proven = 1
 	}
 	if o.Result.OK() {
 		sp.Int("ii", int64(o.Result.Schedule.II)).Int("maxlive", int64(o.MaxLive))
 	}
-	sp.Int("proven", proven).End(outcome)
+	sp.Int("proven", proven).End(sched.Outcome(err))
 	return o, err
 }
 
@@ -376,7 +370,7 @@ func (e *searcher) bbAtII(ii, bound int) (times []int, maxLive int, md *mindist.
 		case comp:
 			out = sched.AttemptGiveUp // proven: nothing below the bound here
 		default:
-			out = e.attemptOutcome()
+			out = sched.AttemptOutcomeOf(false, e.stopReason)
 		}
 		e.obs.Event(sched.Event{
 			Kind: sched.EvAttemptEnd, Loop: e.l.Name, Policy: PolicyName, II: ii, Op: -1,
@@ -384,20 +378,6 @@ func (e *searcher) bbAtII(ii, bound int) (times []int, maxLive int, md *mindist.
 		})
 	}
 	return found, ml, table, comp
-}
-
-// attemptOutcome maps the stop reason onto the observer's typed
-// attempt outcome.
-func (e *searcher) attemptOutcome() sched.AttemptOutcome {
-	switch e.stopReason {
-	case sched.ReasonDeadline:
-		return sched.AttemptDeadline
-	case sched.ReasonCanceled:
-		return sched.AttemptCanceled
-	case sched.ReasonCentralIters:
-		return sched.AttemptCentralIters
-	}
-	return sched.AttemptGiveUp
 }
 
 func (e *searcher) runAttempt(ii, bound int) (times []int, maxLive int, md *mindist.Table, complete bool) {

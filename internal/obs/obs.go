@@ -23,9 +23,10 @@ import (
 	"time"
 )
 
-// Outcome values stamped on spans and traces. Span outcomes reuse the
-// scheduler's budget-reason strings so a flight-recorder entry names
-// the exhaustion the same way the BudgetError does.
+// Outcome values stamped on spans and traces. A budget exhaustion is
+// named by its sched.BudgetError Reason (deadline, central-iterations,
+// ii-attempts, canceled), so a flight-recorder entry names it the same
+// way the error does; sched.Outcome and core.Outcome pick the name.
 const (
 	OutcomeOK              = "ok"
 	OutcomeInfeasible      = "infeasible"
@@ -33,10 +34,6 @@ const (
 	OutcomeDegraded        = "degraded"
 	OutcomeError           = "error"
 	OutcomePanic           = "panic"
-	OutcomeDeadline        = "deadline"
-	OutcomeCentralIters    = "central-iterations"
-	OutcomeIIAttempts      = "ii-attempts"
-	OutcomeCanceled        = "canceled"
 	OutcomeBudgetExhausted = "budget-exhausted"
 )
 

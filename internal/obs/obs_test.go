@@ -35,7 +35,7 @@ func TestTraceSpansAndContext(t *testing.T) {
 	a := tr.Start("mindist").Int("ii", 7)
 	a.End(OutcomeOK)
 	b := tr.Start("attempt").Int("ii", 7)
-	b.End(OutcomeDeadline)
+	b.End("deadline")
 	tr.Finish(OutcomeBudgetExhausted)
 	if len(tr.Spans) != 2 {
 		t.Fatalf("got %d spans, want 2", len(tr.Spans))
@@ -53,8 +53,8 @@ func TestTraceSpansAndContext(t *testing.T) {
 func TestCulpritElection(t *testing.T) {
 	tr := NewTrace("r", "l")
 	tr.Start("mindist").End(OutcomeOK)
-	tr.Start("attempt").End(OutcomeDeadline)
-	tr.Finish(OutcomeDeadline)
+	tr.Start("attempt").End("deadline")
+	tr.Finish("deadline")
 	if tr.Culprit != "attempt" {
 		t.Fatalf("culprit = %q, want attempt", tr.Culprit)
 	}

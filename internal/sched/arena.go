@@ -78,9 +78,9 @@ func AcquireArena() *Arena {
 	return a
 }
 
-// NewArena returns a fresh arena that Release never returns to the pool
-// — the Config.NoPool escape hatch: the same code path as pooled compiles, but
-// every compile starts from virgin memory.
+// NewArena returns a fresh arena that Release never returns to the
+// pool: set as Config.Arena, it runs a compile through the same code
+// path as pooled compiles, but on virgin memory.
 func NewArena() *Arena {
 	a := new(Arena)
 	a.held = true

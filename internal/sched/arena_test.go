@@ -70,7 +70,9 @@ func TestArenaPoolRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", l.Name, err)
 		}
-		want, err := Slack(Config{NoPool: true}).Schedule(context.Background(), l)
+		fresh := NewArena()
+		want, err := Slack(Config{Arena: fresh}).Schedule(context.Background(), l)
+		fresh.Release()
 		if err != nil {
 			t.Fatalf("%s: %v", l.Name, err)
 		}

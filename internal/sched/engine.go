@@ -58,19 +58,13 @@ type Config struct {
 	// for perf attribution.
 	NoFastPaths bool
 	// Arena supplies the pooled per-compile scratch. Nil (the default)
-	// makes each Schedule call acquire its own arena — from the
-	// process-wide pool, or fresh when NoPool is set — and release it on
-	// every exit path. A caller that sets Arena owns its lifecycle:
-	// core.CompileInto acquires one arena per compilation so the
-	// scheduler, the degrade fallback, and the pressure measurements
-	// share scratch.
+	// makes each Schedule call acquire its own arena from the
+	// process-wide pool and release it on every exit path. A caller
+	// that sets Arena owns its lifecycle: core.CompileInto acquires one
+	// arena per compilation so the scheduler, the degrade fallback, and
+	// the pressure measurements share scratch; Arena: NewArena() runs a
+	// compile on virgin memory through the same code path.
 	Arena *Arena
-	// NoPool bypasses the sync.Pool: every compile runs on virgin
-	// memory through the same arena code path. The escape hatch mirrors
-	// NoFastPaths — pooled and unpooled runs are proven byte-identical
-	// by differential tests; this knob exists for them and for leak
-	// triage.
-	NoPool bool
 }
 
 func (c Config) withDefaults() Config {
@@ -106,6 +100,11 @@ type Result struct {
 	MinDist  *mindist.Table // at the final (or last attempted) II
 	Stats    Stats
 	FailedII int // last II attempted when Schedule is nil
+
+	// The buffers ScheduleInto recycles, kept across a run that leaves
+	// Schedule or MinDist nil so a failure does not cost the next run.
+	spareSched *ir.Schedule
+	spareMD    *mindist.Table
 }
 
 // OK reports whether a feasible schedule was found.
@@ -176,7 +175,13 @@ func (s *Scheduler) Schedule(ctx context.Context, l *ir.Loop) (*Result, error) {
 // Result would, with the same typed errors.
 func (s *Scheduler) ScheduleInto(ctx context.Context, l *ir.Loop, dst *Result) error {
 	prevSched, prevMD := dst.Schedule, dst.MinDist
-	*dst = Result{}
+	if prevSched == nil {
+		prevSched = dst.spareSched
+	}
+	if prevMD == nil {
+		prevMD = dst.spareMD
+	}
+	*dst = Result{spareSched: prevSched, spareMD: prevMD}
 	if !l.Finalized() {
 		return fmt.Errorf("sched: loop %s not finalized", l.Name)
 	}
@@ -188,7 +193,7 @@ func (s *Scheduler) ScheduleInto(ctx context.Context, l *ir.Loop, dst *Result) e
 	}
 	res := dst
 	name := s.name()
-	*res = Result{Loop: l, Policy: name, Bounds: bounds}
+	*res = Result{Loop: l, Policy: name, Bounds: bounds, spareSched: prevSched, spareMD: prevMD}
 
 	ii := bounds.MII
 	if s.cfg.StartII > ii {
@@ -208,11 +213,7 @@ func (s *Scheduler) ScheduleInto(ctx context.Context, l *ir.Loop, dst *Result) e
 	// partial state into the next compile).
 	a := s.cfg.Arena
 	if a == nil {
-		if s.cfg.NoPool {
-			a = NewArena()
-		} else {
-			a = AcquireArena()
-		}
+		a = AcquireArena()
 		defer a.Release()
 	}
 	// MinDist tables alias arena storage that the next compile
@@ -279,7 +280,7 @@ func (s *Scheduler) ScheduleInto(ctx context.Context, l *ir.Loop, dst *Result) e
 			e := evt
 			e.Kind = EvAttemptEnd
 			e.OK = ok
-			e.Outcome = attemptOutcome(ok, reason)
+			e.Outcome = AttemptOutcomeOf(ok, reason)
 			e.Ejections = ejections
 			sink.Event(e)
 		}

@@ -3,6 +3,8 @@ package sched
 import (
 	"errors"
 	"fmt"
+
+	"repro/internal/obs"
 )
 
 // The package's sentinel errors. Both are carried by typed errors
@@ -75,3 +77,23 @@ func (e *BudgetError) Is(target error) bool { return target == ErrBudgetExhauste
 
 // Unwrap exposes the context error on cancellation.
 func (e *BudgetError) Unwrap() error { return e.Cause }
+
+// Outcome is the one place a scheduling error becomes an outcome name,
+// the vocabulary of span and trace outcomes, lsmsd's compile labels and
+// flight-recorder entries: obs.OutcomeOK for nil, a *BudgetError's
+// Reason (deadline, central-iterations, ii-attempts, canceled),
+// obs.OutcomeInfeasible for ErrInfeasible, obs.OutcomeError otherwise.
+// core.Outcome adds what only a compile knows (panic, degraded).
+func Outcome(err error) string {
+	if err == nil {
+		return obs.OutcomeOK // before declaring be: errors.As forces it to escape
+	}
+	var be *BudgetError
+	switch {
+	case errors.As(err, &be):
+		return be.Reason
+	case errors.Is(err, ErrInfeasible):
+		return obs.OutcomeInfeasible
+	}
+	return obs.OutcomeError
+}

@@ -56,9 +56,10 @@ func (o AttemptOutcome) MarshalJSON() ([]byte, error) {
 	return []byte(fmt.Sprintf("%q", o.String())), nil
 }
 
-// attemptOutcome folds the engine's (ok, stopReason) pair into the
-// typed outcome.
-func attemptOutcome(ok bool, stopReason string) AttemptOutcome {
+// AttemptOutcomeOf folds an attempt's (ok, stopReason) pair into the
+// typed outcome: the engine's, the list pass's and the exact search's
+// attempts all end through it.
+func AttemptOutcomeOf(ok bool, stopReason string) AttemptOutcome {
 	switch stopReason {
 	case "":
 		if ok {

@@ -176,8 +176,8 @@ func TestAttemptOutcomeNames(t *testing.T) {
 		ReasonCanceled:     AttemptCanceled,
 		"unknown":          AttemptGiveUp,
 	} {
-		if got := attemptOutcome(false, reason); got != want {
-			t.Fatalf("attemptOutcome(false, %q) = %v, want %v", reason, got, want)
+		if got := AttemptOutcomeOf(false, reason); got != want {
+			t.Fatalf("AttemptOutcomeOf(false, %q) = %v, want %v", reason, got, want)
 		}
 	}
 }
@@ -214,18 +214,18 @@ func TestScheduleRecordsSpans(t *testing.T) {
 	if _, err := Slack(cfg).Schedule(ctx2, big); !errors.Is(err, ErrBudgetExhausted) {
 		t.Fatalf("err = %v, want ErrBudgetExhausted", err)
 	}
-	tr2.Finish(obs.OutcomeCentralIters)
+	tr2.Finish(ReasonCentralIters)
 	if tr2.Culprit != "attempt" {
 		t.Fatalf("culprit = %q, want attempt", tr2.Culprit)
 	}
 	var found bool
 	for _, sp := range tr2.Spans {
-		if sp.Name == "attempt" && sp.Outcome == obs.OutcomeCentralIters {
+		if sp.Name == "attempt" && sp.Outcome == ReasonCentralIters {
 			found = true
 		}
 	}
 	if !found {
-		t.Fatalf("no attempt span with outcome %s: %+v", obs.OutcomeCentralIters, tr2.Spans)
+		t.Fatalf("no attempt span with outcome %s: %+v", ReasonCentralIters, tr2.Spans)
 	}
 }
 

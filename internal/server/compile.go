@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"runtime/debug"
 	"strconv"
 	"strings"
 	"sync"
@@ -362,24 +361,13 @@ func (s *Server) effectiveDeadline(req time.Duration) time.Duration {
 	return d
 }
 
-// panicError mirrors bench.LoopPanicError: one request's panic is
-// recovered, stamped with its stack, and isolated to that request.
-type panicError struct {
-	Loop      string
-	Recovered any
-	Stack     []byte
-}
-
-func (e *panicError) Error() string {
-	return fmt.Sprintf("server: %s: panic: %v", e.Loop, e.Recovered)
-}
-
-// safeCompile is core.CompileInto behind a panic barrier. It returns
-// dst, or nil after a panic (dst half-written).
+// safeCompile is core.CompileInto behind a panic barrier: one
+// request's panic becomes a *core.PanicError isolated to that request.
+// It returns dst, or nil after a panic (dst half-written).
 func safeCompile(ctx context.Context, dst *core.Compiled, l *ir.Loop, opt core.Options) (c *core.Compiled, err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			c, err = nil, &panicError{Loop: l.Name, Recovered: r, Stack: debug.Stack()}
+			c, err = nil, core.Recovered("server", l.Name, r)
 		}
 	}()
 	return dst, core.CompileInto(ctx, dst, l, opt)
@@ -404,61 +392,25 @@ func outcomeOf(p *prepared, c *core.Compiled, err error, refined bool) outcome {
 		resp.Effort = wire.EffortOf(c.Result.Stats)
 	}
 
-	var pe *panicError
-	var be *sched.BudgetError
-	switch {
-	case err == nil:
-		// fall through to the success body below
-	case errors.As(err, &pe):
-		return respOutcome(http.StatusInternalServerError, obs.OutcomePanic, resp, &wire.Error{
-			Kind: wire.ErrKindPanic, Message: pe.Error(),
-		}, false)
-	case errors.As(err, &be):
-		// The outcome label carries the exhausted bound (deadline,
-		// central-iterations, ii-attempts, canceled), so the labelled
-		// compile counters can tell cancellation from exhaustion.
-		name := be.Reason
-		if name == "" {
-			name = obs.OutcomeBudgetExhausted
-		}
-		return respOutcome(http.StatusGatewayTimeout, name, resp, &wire.Error{
-			Kind:    wire.ErrKindBudgetExhausted,
-			Message: be.Error(),
-			Reason:  be.Reason,
-			MII:     be.MII,
-			LastII:  be.LastII,
-		}, false)
-	case errors.Is(err, sched.ErrInfeasible):
-		var ie *sched.InfeasibleError
-		e := &wire.Error{Kind: wire.ErrKindInfeasible, Message: err.Error()}
-		if errors.As(err, &ie) {
-			e.MII, e.LastII = ie.MII, ie.LastII
-		}
-		// An infeasible verdict is deterministic for a given request
-		// (the II ceiling is part of the content hash), so cache it.
-		return respOutcome(http.StatusUnprocessableEntity, obs.OutcomeInfeasible, resp, e, true)
-	default:
-		return respOutcome(http.StatusInternalServerError, obs.OutcomeError, resp, &wire.Error{
-			Kind: wire.ErrKindInternal, Message: err.Error(),
-		}, false)
+	// The outcome label carries a budget exhaustion's bound (deadline,
+	// central-iterations, ii-attempts, canceled), so the labelled
+	// compile counters can tell cancellation from exhaustion.
+	name := core.Outcome(c, err)
+	if err != nil {
+		return failedOutcome(name, resp, err)
 	}
-
 	res := c.Result
 	resp.OK = c.OK()
 	resp.Degraded = c.Degraded
 	if !c.OK() {
 		// Defensive: core.CompileInto reports infeasibility via err,
 		// so this branch only guards external Result producers.
-		return respOutcome(http.StatusUnprocessableEntity, obs.OutcomeInfeasible, resp, &wire.Error{
+		return respOutcome(http.StatusUnprocessableEntity, name, resp, &wire.Error{
 			Kind:    wire.ErrKindInfeasible,
 			Message: fmt.Sprintf("no feasible schedule (last II attempted %d)", res.FailedII),
 			MII:     res.Bounds.MII,
 			LastII:  res.FailedII,
 		}, true)
-	}
-	name := obs.OutcomeOK
-	if c.Degraded {
-		name = obs.OutcomeDegraded
 	}
 	sc := res.Schedule
 	resp.II = sc.II
@@ -472,6 +424,39 @@ func outcomeOf(p *prepared, c *core.Compiled, err error, refined bool) outcome {
 	// Degraded schedules come from a wall-clock fallback and are not
 	// reproducible; keep them out of the cache.
 	return respOutcome(http.StatusOK, name, resp, nil, !c.Degraded)
+}
+
+// failedOutcome maps a failed compile, named name by core.Outcome, onto
+// its HTTP status and wire error. It is outcomeOf's error half, apart so
+// that the errors.As targets, which escape, cost only failed compiles.
+func failedOutcome(name string, resp *wire.Response, err error) outcome {
+	var be *sched.BudgetError
+	switch {
+	case name == obs.OutcomePanic:
+		return respOutcome(http.StatusInternalServerError, name, resp, &wire.Error{
+			Kind: wire.ErrKindPanic, Message: err.Error(),
+		}, false)
+	case errors.As(err, &be):
+		return respOutcome(http.StatusGatewayTimeout, name, resp, &wire.Error{
+			Kind:    wire.ErrKindBudgetExhausted,
+			Message: be.Error(),
+			Reason:  be.Reason,
+			MII:     be.MII,
+			LastII:  be.LastII,
+		}, false)
+	case name == obs.OutcomeInfeasible:
+		var ie *sched.InfeasibleError
+		e := &wire.Error{Kind: wire.ErrKindInfeasible, Message: err.Error()}
+		if errors.As(err, &ie) {
+			e.MII, e.LastII = ie.MII, ie.LastII
+		}
+		// An infeasible verdict is deterministic for a given request
+		// (the II ceiling is part of the content hash), so cache it.
+		return respOutcome(http.StatusUnprocessableEntity, name, resp, e, true)
+	}
+	return respOutcome(http.StatusInternalServerError, name, resp, &wire.Error{
+		Kind: wire.ErrKindInternal, Message: err.Error(),
+	}, false)
 }
 
 // respOutcome serializes resp with its error. A wire.Response holds

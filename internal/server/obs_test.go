@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"log/slog"
@@ -14,8 +15,10 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/bench"
 	"repro/internal/core"
 	"repro/internal/fixture"
+	"repro/internal/loopgen"
 	"repro/internal/machine"
 	"repro/internal/obs"
 	"repro/internal/sched"
@@ -141,8 +144,8 @@ func TestFlightRecorderEndpoint(t *testing.T) {
 		t.Error("trace missing its request ID")
 	}
 
-	if failed.Outcome != obs.OutcomeCentralIters {
-		t.Fatalf("failed entry outcome %q, want %q", failed.Outcome, obs.OutcomeCentralIters)
+	if failed.Outcome != sched.ReasonCentralIters {
+		t.Fatalf("failed entry outcome %q, want %q", failed.Outcome, sched.ReasonCentralIters)
 	}
 	if len(failed.Tail) == 0 {
 		t.Fatal("failed trace retained no event tail")
@@ -380,4 +383,39 @@ func scrape(t *testing.T, url string) string {
 		t.Fatal(err)
 	}
 	return string(b)
+}
+
+// A panicking registered runner is named "panic" alike in a bench run's
+// trace and in the lsmsd compile label: both panic barriers return a
+// *core.PanicError, and both name the compile through core.Outcome.
+func TestPanicOutcomeInBenchAndServer(t *testing.T) {
+	suite, err := bench.NewSuite(loopgen.Options{Size: 2, Seed: 1993})
+	if err != nil {
+		t.Fatal(err)
+	}
+	suite.Trace = true
+	rs, err := suite.Runs("test-panic")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range rs {
+		var pe *core.PanicError
+		if !errors.As(r.Err, &pe) || r.Trace == nil || r.Trace.Outcome != obs.OutcomePanic {
+			t.Fatalf("%s: Err %v, trace %+v; want a *core.PanicError and outcome %q", r.Info.Name, r.Err, r.Trace, obs.OutcomePanic)
+		}
+	}
+
+	_, ts := newTestServer(t, Config{})
+	if resp, _ := post(t, ts.URL, requestBody(t, rs[0].Info.Loop, "test-panic", wire.Options{})); resp.StatusCode != http.StatusInternalServerError {
+		t.Fatalf("test-panic returned %d", resp.StatusCode)
+	}
+	resp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	b, _ := io.ReadAll(resp.Body)
+	if want := `lsmsd_compiles_total{scheduler="test-panic",outcome="panic"} 1`; !strings.Contains(string(b), want+"\n") {
+		t.Fatalf("no sample %q in:\n%s", want, b)
+	}
 }

@@ -20,7 +20,7 @@
 // queue semaphore that rejects overload with 429 + Retry-After, then a
 // worker semaphore that bounds concurrent compiles. Per-request
 // deadlines map onto sched.Budget, panics are isolated per request
-// (mirroring bench.LoopPanicError), and Shutdown drains in-flight
+// (as a *core.PanicError), and Shutdown drains in-flight
 // compiles before returning, then closes the store.
 //
 // Error mapping (also in README "Running the service"):
