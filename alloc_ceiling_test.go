@@ -30,15 +30,13 @@ type allocCeiling struct {
 }
 
 // allocCeilings are measured on the 48-loop, seed-1993 corpus on the
-// paper machine, and are those of BENCH_history.jsonl's row "central
-// loop index sets" (9d33e37+), except list's, measured since its
-// height sort stopped allocating.
+// paper machine.
 var allocCeilings = map[core.SchedulerName]allocCeiling{
-	core.SchedSlack:    {9, 3, 3403.1666666666665, 209, effort{53, 2495, 2495, 701, 1757, 5}},
-	core.SchedSlackUni: {9, 3, 3403.1666666666665, 209, effort{52, 2288, 2288, 554, 1560, 4}},
-	core.SchedCydrome:  {9, 3, 3426.1666666666665, 232, effort{52, 2398, 2398, 595, 1682, 4}},
-	core.SchedList:     {8, 2, 3402, 208, effort{98, 1093, 1043, 0, 0, 0}},
-	core.SchedExact:    {83, 81, 11708, 11500, effort{104, 1738106, 2665386, 701, 1757, 5}},
+	core.SchedSlack:    {8, 2, 3339.1666666666665, 113, effort{53, 2495, 2495, 701, 1757, 5}},
+	core.SchedSlackUni: {8, 2, 3339.1666666666665, 113, effort{52, 2288, 2288, 554, 1560, 4}},
+	core.SchedCydrome:  {8, 2, 3362.1666666666665, 136, effort{52, 2398, 2398, 595, 1682, 4}},
+	core.SchedList:     {7, 1, 3338.1666666666665, 112, effort{98, 1093, 1043, 0, 0, 0}},
+	core.SchedExact:    {82, 80, 11675.666666666666, 11435.666666666666, effort{104, 1738106, 2665386, 701, 1757, 5}},
 }
 
 // bytesSlack is how far B/op may exceed its ceiling: bytes move with
@@ -49,7 +47,7 @@ const bytesSlack = 1.10
 // corpus. The kernel, its register allocations and its lifetime ranges
 // ride the recycled Compiled, so CompileInto stays at the SkipCodegen
 // row; a fresh Compile pays for one Kernel and its buffers.
-var codegenCeiling = allocCeiling{43, 3, 9302, 209, allocCeilings[core.SchedSlack].counters}
+var codegenCeiling = allocCeiling{42, 2, 9238.166666666666, 113, allocCeilings[core.SchedSlack].counters}
 
 // TestCompileAllocCeilings holds every policy's compile path, without
 // codegen, and slack's with codegen, to its row: the effort counters
@@ -168,7 +166,7 @@ func TestCompileIntoKeepsKernelAcrossFailure(t *testing.T) {
 	}
 	var l *ir.Loop
 	for _, wl := range w.Loops {
-		if b, err := mii.Compute(wl.CL.Loop); err == nil && b.MII > 1 {
+		if b, err := mii.Compute(context.Background(), wl.CL.Loop); err == nil && b.MII > 1 {
 			l = wl.CL.Loop
 			break
 		}

@@ -220,7 +220,7 @@ func (s *Suite) Infos() ([]*LoopInfo, error) {
 	err := s.forEach(len(s.Loops), func(i int) error {
 		wl := s.Loops[i]
 		l := wl.CL.Loop
-		b, err := mii.Compute(l)
+		b, err := mii.Compute(context.Background(), l)
 		if err != nil {
 			return fmt.Errorf("%s: %w", wl.Name, err)
 		}

@@ -138,7 +138,7 @@ func (s *Scheduler) search(ctx context.Context, l *ir.Loop) (*Outcome, error) {
 		return nil, fmt.Errorf("exact: loop %s not finalized", l.Name)
 	}
 	start := time.Now()
-	bounds, err := mii.ComputeContext(ctx, l)
+	bounds, err := mii.Compute(ctx, l)
 	if err != nil {
 		return nil, fmt.Errorf("exact: %s: %w", l.Name, err)
 	}

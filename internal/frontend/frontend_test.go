@@ -1,6 +1,7 @@
 package frontend
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -56,7 +57,7 @@ func TestSampleLoopLSE(t *testing.T) {
 	if stores != 2 {
 		t.Errorf("want 2 stores, got %d", stores)
 	}
-	b, err := mii.Compute(cl.Loop)
+	b, err := mii.Compute(context.Background(), cl.Loop)
 	if err != nil {
 		t.Fatal(err)
 	}

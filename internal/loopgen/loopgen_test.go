@@ -1,6 +1,7 @@
 package loopgen
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -24,7 +25,7 @@ func TestKernelsCompile(t *testing.T) {
 			continue
 		}
 		seen[k.Name] = true
-		if _, err := mii.Compute(k.CL.Loop); err != nil {
+		if _, err := mii.Compute(context.Background(), k.CL.Loop); err != nil {
 			t.Errorf("%s: %v", k.Name, err)
 		}
 	}
@@ -75,7 +76,7 @@ func TestBuildSuite(t *testing.T) {
 	// the benchmark harness's classification.
 	neither, cond, rec := 0, 0, 0
 	for _, l := range s.Loops {
-		b, err := mii.Compute(l.CL.Loop)
+		b, err := mii.Compute(context.Background(), l.CL.Loop)
 		if err != nil {
 			t.Fatalf("%s: %v", l.Name, err)
 		}

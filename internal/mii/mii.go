@@ -31,15 +31,10 @@ type Bounds struct {
 	MII    int
 }
 
-// Compute returns the loop's lower bounds on II.
-func Compute(l *ir.Loop) (Bounds, error) {
-	return ComputeContext(context.Background(), l)
-}
-
-// ComputeContext is Compute under a context: when the context carries an
-// obs.Trace, the bound computation records an "mii" span with the three
-// bounds as attributes (circuit enumeration dominates its duration).
-func ComputeContext(ctx context.Context, l *ir.Loop) (Bounds, error) {
+// Compute returns the loop's lower bounds on II. When the context
+// carries an obs.Trace, it records an "mii" span with the three bounds
+// as attributes (circuit enumeration dominates its duration).
+func Compute(ctx context.Context, l *ir.Loop) (Bounds, error) {
 	sp := obs.FromContext(ctx).Start("mii")
 	res := ResMII(l)
 	rec, err := circuits.RecMII(l)

@@ -1,6 +1,7 @@
 package mii
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/fixture"
@@ -13,7 +14,7 @@ func TestSampleLoopBounds(t *testing.T) {
 	// the single Adder force ResMII = 2; every recurrence circuit has
 	// ratio ≤ 1. The paper schedules it at II = 2.
 	l := fixture.Sample(machine.Cydra())
-	b, err := Compute(l)
+	b, err := Compute(context.Background(), l)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +53,7 @@ func TestRecurrenceBound(t *testing.T) {
 	s := l.NewValue("s", ir.RR, ir.Float)
 	l.NewOp(machine.FMul, []ir.Operand{{Val: s.ID, Omega: 1}, {Val: v.ID}}, s.ID)
 	l.MustFinalize()
-	b, err := Compute(l)
+	b, err := Compute(context.Background(), l)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +81,7 @@ func TestContention(t *testing.T) {
 
 func TestCriticalOps(t *testing.T) {
 	l := fixture.Sample(machine.Cydra())
-	b, _ := Compute(l)
+	b, _ := Compute(context.Background(), l)
 	crit := CriticalOps(l, b.MII)
 	// At II = 2 the Adder instance runs 2 busy cycles: 2 ≥ 0.9·2, so
 	// both FAdds are critical; the stores (1 busy on each MemPort at

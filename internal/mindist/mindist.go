@@ -17,6 +17,7 @@
 package mindist
 
 import (
+	"errors"
 	"fmt"
 
 	"repro/internal/ir"
@@ -44,16 +45,31 @@ func (e *ErrInfeasible) Error() string {
 	return fmt.Sprintf("mindist: positive dependence circuit at II=%d (II < RecMII)", e.II)
 }
 
+// ErrStopped reports that the stop poll passed to ComputeInto asked the
+// computation to abandon its work — the scheduler's budget plumbing, so
+// a deadline bounds even the O(n³) Floyd–Warshall.
+var ErrStopped = errors.New("mindist: computation stopped by the caller")
+
+// stopCheckStride is how many Floyd–Warshall pivots run between stop
+// polls: the poll reads the clock, so it stays off the inner loops.
+const stopCheckStride = 8
+
 // Compute builds the MinDist table for the loop at the given II.
 func Compute(l *ir.Loop, ii int) (*Table, error) {
-	return computeInto(l, ii, nil, nil)
+	t := &Table{}
+	if err := ComputeInto(l, ii, t, nil); err != nil {
+		return nil, err
+	}
+	return t, nil
 }
 
-// computeInto is Compute with an optional table whose backing store is
-// reused when it fits (the scheduler retries the same loop at many IIs)
-// and an optional stop poll (see Cache.SetStop) consulted once per
-// Floyd–Warshall pivot.
-func computeInto(l *ir.Loop, ii int, reuse *Table, poll func() bool) (*Table, error) {
+// ComputeInto is Compute writing into dst, whose backing store is
+// reused when it fits: the scheduler retries one loop at many IIs and
+// keeps one table that ratchets up to the largest loop it has served.
+// A non-nil stop is polled every few Floyd–Warshall pivots; when it
+// returns true the computation is abandoned with ErrStopped. On any
+// error dst's contents are undefined, but its store stays reusable.
+func ComputeInto(l *ir.Loop, ii int, dst *Table, stop func() bool) error {
 	if !l.Finalized() {
 		panic("mindist: loop not finalized")
 	}
@@ -62,10 +78,7 @@ func computeInto(l *ir.Loop, ii int, reuse *Table, poll func() bool) (*Table, er
 	}
 	n := len(l.Ops)
 	w := n + 2
-	t := reuse
-	if t == nil {
-		t = &Table{}
-	}
+	t := dst
 	t.sizeFor(n)
 	t.II = ii
 	for i := range t.d {
@@ -80,12 +93,12 @@ func computeInto(l *ir.Loop, ii int, reuse *Table, poll func() bool) (*Table, er
 	for _, dep := range l.Deps {
 		relax(int(dep.From), int(dep.To), dep.Latency-dep.Omega*ii)
 	}
-	stop, start := n, n+1
+	stopOp, startOp := n, n+1
 	for i, op := range l.Ops {
-		relax(start, i, 0)
-		relax(i, stop, l.Mach.Latency(op.Opcode))
+		relax(startOp, i, 0)
+		relax(i, stopOp, l.Mach.Latency(op.Opcode))
 	}
-	relax(start, stop, 0)
+	relax(startOp, stopOp, 0)
 	// MinDist(x, x) = 0 by definition; a self arc with negative cost
 	// imposes nothing, and one with positive cost is caught below.
 	for x := 0; x < w; x++ {
@@ -94,8 +107,8 @@ func computeInto(l *ir.Loop, ii int, reuse *Table, poll func() bool) (*Table, er
 
 	// Floyd–Warshall, maximizing.
 	for k := 0; k < w; k++ {
-		if poll != nil && k%stopCheckStride == 0 && poll() {
-			return nil, ErrStopped
+		if stop != nil && k%stopCheckStride == 0 && stop() {
+			return ErrStopped
 		}
 		rowK := t.d[k*w : (k+1)*w]
 		for x := 0; x < w; x++ {
@@ -113,10 +126,10 @@ func computeInto(l *ir.Loop, ii int, reuse *Table, poll func() bool) (*Table, er
 	}
 	for x := 0; x < w; x++ {
 		if t.d[at(x, x)] > 0 {
-			return nil, &ErrInfeasible{II: ii}
+			return &ErrInfeasible{II: ii}
 		}
 	}
-	return t, nil
+	return nil
 }
 
 // sizeFor reshapes the table for a loop of n real ops, reusing the

@@ -1,11 +1,11 @@
 // Arena: pooled per-compile scratch. One modulo-scheduling run builds a
-// MinDist table (plus the parametric frontier store on retries), an MRT,
-// a dozen Estart/Lstart/witness tables, and lifetime vectors — all
-// proportional to the loop, all dead the moment the compile returns.
-// Allocating them per compile caps service throughput, so an Arena owns
-// one reusable copy of everything and rides a sync.Pool between
-// compiles: slices ratchet up to the largest loop served and are
-// re-initialized (never re-allocated) per attempt.
+// MinDist table per II attempt, an MRT, a dozen Estart/Lstart/witness
+// tables, and lifetime vectors — all proportional to the loop, all dead
+// the moment the compile returns. Allocating them per compile caps
+// service throughput, so an Arena owns one reusable copy of everything
+// and rides a sync.Pool between compiles: slices ratchet up to the
+// largest loop served and are re-initialized (never re-allocated) per
+// attempt.
 //
 // Ownership is single-threaded: an Arena belongs to exactly one compile
 // from Acquire to Release. Release clears every reference to request
@@ -25,7 +25,6 @@ import (
 	"repro/internal/mii"
 	"repro/internal/mindist"
 	"repro/internal/mrt"
-	"repro/internal/obs"
 )
 
 // Arena holds the pooled scratch state of one compilation. The zero
@@ -35,9 +34,9 @@ type Arena struct {
 	pooled bool // return to the pool on Release
 	held   bool // double-release guard
 
-	st  State           // the one attempt state, re-initialized per II attempt
-	md  mindist.Scratch // MinDist cache + parametric frontier store
-	mrt mrt.Scratch     // modulo resource table rows + op span arrays
+	st  State         // the one attempt state, re-initialized per II attempt
+	md  mindist.Table // the MinDist table, recomputed in place per II attempt
+	mrt mrt.Scratch   // modulo resource table rows + op span arrays
 	lt  lifetime.Scratch
 
 	spans spanObserver // derives attempt spans when the compile is traced
@@ -89,11 +88,11 @@ func NewArena() *Arena {
 }
 
 // Release ends the arena's compile: it drops every reference to
-// per-request data — the loop, the MinDist cache's loop/poll/trace, the
-// MRT's loop, the attempt state's observer and event strings, the span
-// adapter's trace — and, for pooled arenas, returns the backing stores
-// to the pool. Double release
-// is a no-op so a deferred Release composes with early manual ones.
+// per-request data — the loop, the MRT's loop, the attempt state's
+// observer and event strings, the span adapter's trace — and, for
+// pooled arenas, returns the backing stores to the pool. The MinDist
+// table holds only integers and is kept as it is. Double release is a
+// no-op so a deferred Release composes with early manual ones.
 func (a *Arena) Release() {
 	if !a.held {
 		return
@@ -102,7 +101,6 @@ func (a *Arena) Release() {
 	arenaInUse.Add(-1)
 
 	a.preparedFor = nil
-	a.md.Reset()
 	a.mrt.Reset()
 	st := &a.st
 	st.L = nil
@@ -121,18 +119,6 @@ func (a *Arena) Release() {
 
 // Lifetime returns the arena's pooled pressure-measurement scratch.
 func (a *Arena) Lifetime() *lifetime.Scratch { return &a.lt }
-
-// cacheFor returns the arena's MinDist cache rebound to l: it polls
-// stop, records spans on tr, and computes every II directly when
-// direct (Config.NoFastPaths). Tables it hands out alias arena storage;
-// publish them only via Table.Clone.
-func (a *Arena) cacheFor(l *ir.Loop, stop func() bool, tr *obs.Trace, direct bool) *mindist.Cache {
-	c := a.md.CacheFor(l)
-	c.SetStop(stop)
-	c.SetTrace(tr)
-	c.SetDirect(direct)
-	return c
-}
 
 // prepareLoop builds the per-compile, II-independent view of the loop:
 // the compact CSR dependence adjacency (int32, first-occurrence order,

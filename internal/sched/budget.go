@@ -99,7 +99,7 @@ func (g *Guard) AttemptExceeded(stats *Stats) string {
 	return g.Exceeded(stats)
 }
 
-// stop returns a poll function for long analyses (the MinDist cache),
+// stop returns a poll function for long analyses (mindist.ComputeInto),
 // or nil when the guard is inactive.
 func (g *Guard) stop() func() bool {
 	if !g.active {

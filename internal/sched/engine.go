@@ -50,13 +50,6 @@ type Config struct {
 	// run (EvAttemptStart, EvPlace, EvForce, EvEject, EvRestart,
 	// EvAttemptEnd); see Observer, Tee and TextObserver.
 	Observer Observer
-	// NoFastPaths puts the MinDist cache in direct mode (Floyd–Warshall
-	// at every II, never the parametric relation) and disables the
-	// incremental Estart/Lstart maintenance, recomputing bounds from
-	// scratch at every step. The optimized and direct paths are proven
-	// equivalent by differential tests; this knob exists for them and
-	// for perf attribution.
-	NoFastPaths bool
 	// Arena supplies the pooled per-compile scratch. Nil (the default)
 	// makes each Schedule call acquire its own arena from the
 	// process-wide pool and release it on every exit path. A caller
@@ -65,6 +58,11 @@ type Config struct {
 	// the pressure measurements share scratch; Arena: NewArena() runs a
 	// compile on virgin memory through the same code path.
 	Arena *Arena
+
+	// noIncremental recomputes Estart/Lstart from scratch at every step
+	// instead of maintaining them incrementally (Section 4.4): the
+	// reference the differential tests hold the incremental bounds to.
+	noIncremental bool
 }
 
 func (c Config) withDefaults() Config {
@@ -187,7 +185,7 @@ func (s *Scheduler) ScheduleInto(ctx context.Context, l *ir.Loop, dst *Result) e
 	}
 	started := time.Now()
 	tr := obs.FromContext(ctx)
-	bounds, err := mii.ComputeContext(ctx, l)
+	bounds, err := mii.Compute(ctx, l)
 	if err != nil {
 		return fmt.Errorf("sched: loop %s: %w", l.Name, err)
 	}
@@ -226,22 +224,21 @@ func (s *Scheduler) ScheduleInto(ctx context.Context, l *ir.Loop, dst *Result) e
 	}()
 	sink := a.sink(tr, s.cfg.Observer)
 
-	// The cache computes the first II directly and answers retries from
-	// the parametric relation in O(n²), reusing one table's backing
-	// store throughout; res.MinDist therefore always holds the table at
-	// the final (achieved or last attempted) II. Under a budget the
-	// cache polls the guard so even MinDist construction is bounded;
-	// under NoFastPaths it computes every II directly.
-	cache := a.cacheFor(l, guard.stop(), tr, s.cfg.NoFastPaths)
+	// One MinDist table in the arena, recomputed in place at each II, so
+	// res.MinDist always holds the table at the final (achieved or last
+	// attempted) II. Under a budget the computation polls the guard, so
+	// a deadline bounds even the O(n³) Floyd–Warshall.
+	stop := guard.stop()
 	for ii <= maxII {
 		if reason := guard.AttemptExceeded(&res.Stats); reason != "" {
 			res.Stats.Elapsed = time.Since(started)
 			return s.budgetError(ctx, l, reason, bounds, ii, res.Stats)
 		}
 		res.Stats.IIAttempts++
-		md, err := cache.At(ii)
-		if err != nil {
+		sp := tr.Start("mindist").Int("ii", int64(ii))
+		if err := mindist.ComputeInto(l, ii, &a.md, stop); err != nil {
 			if errors.Is(err, mindist.ErrStopped) {
+				sp.End(obs.OutcomeBudgetExhausted)
 				reason := guard.Exceeded(&res.Stats)
 				if reason == "" {
 					reason = ReasonDeadline
@@ -250,10 +247,13 @@ func (s *Scheduler) ScheduleInto(ctx context.Context, l *ir.Loop, dst *Result) e
 				return s.budgetError(ctx, l, reason, bounds, ii, res.Stats)
 			}
 			// II below RecMII (possible only with StartII misuse): step up.
+			sp.End(obs.OutcomeInfeasible)
 			res.FailedII = ii
 			ii = s.nextII(ii)
 			continue
 		}
+		sp.End(obs.OutcomeOK)
+		md := &a.md
 		res.MinDist = md
 		evt := Event{Loop: l.Name, Policy: name, II: ii, Op: -1}
 		if sink != nil {
@@ -271,7 +271,7 @@ func (s *Scheduler) ScheduleInto(ctx context.Context, l *ir.Loop, dst *Result) e
 			table, ok, reason = listAttempt(l, ii, md, a, &res.Stats, &guard, sink, evt)
 		} else {
 			st := a.newState(l, ii, md)
-			st.noIncremental = s.cfg.NoFastPaths
+			st.noIncremental = s.cfg.noIncremental
 			st.obs, st.evt = sink, evt
 			ok, reason = s.attempt(st, &res.Stats, &guard, sink)
 			table, ejections = st.mrt, st.ejections

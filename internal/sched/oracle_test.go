@@ -61,7 +61,7 @@ func TestExactMatchesOracleOnFixtures(t *testing.T) {
 		if len(l.Ops) > 12 {
 			continue
 		}
-		if b, err := mii.Compute(l); err != nil || b.MII > 16 {
+		if b, err := mii.Compute(context.Background(), l); err != nil || b.MII > 16 {
 			// The divider fixture's II (and with it the horizon) is so large
 			// that the deliberately naive oracle cannot enumerate the space;
 			// the corpus differential and never-worse invariants cover it.

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"strings"
 	"testing"
 
 	"repro/internal/fixture"
@@ -203,6 +204,30 @@ func TestScheduleRecordsSpans(t *testing.T) {
 	}
 	if byName["attempt"] != res.Stats.IIAttempts {
 		t.Fatalf("%d attempt spans for %d II attempts", byName["attempt"], res.Stats.IIAttempts)
+	}
+
+	// A loop that retries computes MinDist once per II attempt, each
+	// under one "mindist" span, and records no other MinDist span.
+	div := fixture.Divide(machine.Cydra())
+	tr3 := obs.NewTrace("t3", div.Name)
+	res3, err := Slack(tinyEject).Schedule(obs.WithTrace(context.Background(), tr3), div)
+	if err != nil || !res3.OK() {
+		t.Fatalf("divide failed: %v", err)
+	}
+	if res3.Stats.IIAttempts < 2 {
+		t.Fatalf("divide took %d II attempts, want a retry", res3.Stats.IIAttempts)
+	}
+	mindists := 0
+	for _, sp := range tr3.Spans {
+		switch {
+		case sp.Name == "mindist":
+			mindists++
+		case strings.HasPrefix(sp.Name, "mindist"):
+			t.Fatalf("unexpected MinDist span %q", sp.Name)
+		}
+	}
+	if mindists != res3.Stats.IIAttempts {
+		t.Fatalf("%d mindist spans for %d II attempts", mindists, res3.Stats.IIAttempts)
 	}
 
 	// Budget trips mid-attempt: that attempt span carries the exhaustion

@@ -32,22 +32,14 @@ func benchScheduleKernels(b *testing.B, cfg Config) {
 	}
 }
 
-// BenchmarkScheduleKernels is the optimized pipeline: parametric
-// MinDist reuse plus incremental Estart/Lstart maintenance.
+// BenchmarkScheduleKernels schedules the kernel corpus under slack at
+// the paper's settings.
 func BenchmarkScheduleKernels(b *testing.B) {
 	benchScheduleKernels(b, Config{})
 }
 
-// BenchmarkScheduleKernelsNoFastPaths recomputes MinDist and the bounds
-// from scratch at every step — the pre-optimization baseline, kept as
-// the denominator for the speedup trajectory.
-func BenchmarkScheduleKernelsNoFastPaths(b *testing.B) {
-	benchScheduleKernels(b, Config{NoFastPaths: true})
-}
-
 // BenchmarkScheduleKernelsIncrementByOne forces many II retries (the
-// footnote-6 ablation), the regime where the parametric cache pays off
-// most.
+// footnote-6 ablation), each of which recomputes MinDist at its II.
 func BenchmarkScheduleKernelsIncrementByOne(b *testing.B) {
 	benchScheduleKernels(b, Config{IncrementByOne: true})
 }

@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -492,7 +493,7 @@ func checkScanPicks(t *testing.T, where string, fast, ref *State, cyd *CydromePo
 func TestScanOracleDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(1993))
 	for li, l := range scanOracleLoops(t) {
-		b, err := mii.Compute(l)
+		b, err := mii.Compute(context.Background(), l)
 		if err != nil {
 			t.Fatalf("%s: %v", l.Name, err)
 		}

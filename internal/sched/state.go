@@ -389,7 +389,7 @@ func (st *State) eject(x int) {
 	st.unplaced.add(x)
 	st.unplacedCount++
 	st.ejections++
-	// Under NoFastPaths every refreshBounds call recomputes from
+	// Under noIncremental every refreshBounds call recomputes from
 	// scratch anyway, and no bound is read between an ejection and the
 	// next refresh, so the direct path defers to it.
 	if !st.noIncremental {
