@@ -8,7 +8,9 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/ir"
 	"repro/internal/loopgen"
+	"repro/internal/mindist"
 	"repro/internal/sched"
 )
 
@@ -155,6 +157,42 @@ func TestMetricsReportDeterministicAcrossPools(t *testing.T) {
 	for _, p := range ps.mr1.Policies {
 		if p.Events[sched.EvAttemptStart.String()] == 0 || p.Events[sched.EvPlace.String()] == 0 {
 			t.Fatalf("%s: metrics counted nothing: %+v", p.Policy, p)
+		}
+	}
+}
+
+// TestFastPathsMatchLegacyAcrossWorkload holds the sweep's reusing path
+// to the direct one at workload scale: pooled arenas keep one MinDist
+// table, computed in place at every II attempt of every loop a worker
+// compiles, and for all four schedulers every successful run's MinAvg
+// must equal the MinAvg of a freshly computed table at its II. (The
+// incremental-bounds half lives in internal/sched, where the
+// full-recompute switch is.)
+func TestFastPathsMatchLegacyAcrossWorkload(t *testing.T) {
+	size := 120
+	if testing.Short() {
+		size = 40
+	}
+	s := suite(t, size)
+	for _, name := range core.Schedulers() {
+		rs, err := s.Runs(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range rs {
+			if r.Err != nil {
+				t.Fatalf("%s/%s: %v", name, r.Info.Name, r.Err)
+			}
+			if !r.OK {
+				continue
+			}
+			md, err := mindist.Compute(r.Info.Loop, r.II)
+			if err != nil {
+				t.Fatalf("%s/%s II=%d: %v", name, r.Info.Name, r.II, err)
+			}
+			if want := mindist.MinAvg(r.Info.Loop, md, ir.RR); r.MinAvg != want {
+				t.Fatalf("%s/%s II=%d: sweep MinAvg %d, fresh table %d", name, r.Info.Name, r.II, r.MinAvg, want)
+			}
 		}
 	}
 }

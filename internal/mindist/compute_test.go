@@ -56,36 +56,94 @@ func corpus(t *testing.T) []*loopgen.Loop {
 	return ks
 }
 
-// TestComputeIntoMatchesCompute drives one dirty table through every
-// corpus loop, largest first, at every II from RecMII−1 to MII+6: each
-// answer, table or *ErrInfeasible, must equal a fresh Compute. A stop
-// poll that fires abandons the computation with ErrStopped, and the
-// same table is correct on the next call.
-func TestComputeIntoMatchesCompute(t *testing.T) {
+// bySize returns the corpus loops largest first, so one table reused
+// across them is always left dirty by a wider loop.
+func bySize(t *testing.T) []*loopgen.Loop {
+	t.Helper()
 	loops := corpus(t)
 	sort.SliceStable(loops, func(i, j int) bool { return len(loops[i].CL.Loop.Ops) > len(loops[j].CL.Loop.Ops) })
-	var tab mindist.Table
-	check := func(name string, l *ir.Loop, ii int) {
-		t.Helper()
-		want, werr := mindist.Compute(l, ii)
-		gerr := mindist.ComputeInto(l, ii, &tab, nil)
-		var winf, ginf *mindist.ErrInfeasible
-		switch {
-		case werr == nil && gerr == nil:
-			sameTable(t, name, ii, want, &tab)
-		case errors.As(werr, &winf) && errors.As(gerr, &ginf) && *winf == *ginf:
-		default:
-			t.Fatalf("%s II=%d: Compute err %v, ComputeInto err %v", name, ii, werr, gerr)
-		}
+	return loops
+}
+
+// checkInto computes l at ii into tab and holds the answer, table or
+// *ErrInfeasible, to a fresh Compute.
+func checkInto(t *testing.T, name string, l *ir.Loop, ii int, tab *mindist.Table) {
+	t.Helper()
+	want, werr := mindist.Compute(l, ii)
+	gerr := mindist.ComputeInto(l, ii, tab, nil)
+	var winf, ginf *mindist.ErrInfeasible
+	switch {
+	case werr == nil && gerr == nil:
+		sameTable(t, name, ii, want, tab)
+	case errors.As(werr, &winf) && errors.As(gerr, &ginf) && *winf == *ginf:
+	default:
+		t.Fatalf("%s II=%d: Compute err %v, ComputeInto err %v", name, ii, werr, gerr)
 	}
-	for _, wl := range loops {
+}
+
+// TestCacheMatchesDirect holds the scheduler's cached MinDist, one
+// table reused in place across loops and II attempts (sched.Arena's,
+// filled by ComputeInto), to the direct path: one dirty table goes
+// through every corpus loop, largest first, at every II from RecMII−1
+// to MII+6, and each answer, table or *ErrInfeasible, must equal a
+// fresh Compute.
+func TestCacheMatchesDirect(t *testing.T) {
+	var tab mindist.Table
+	for _, wl := range bySize(t) {
 		l := wl.CL.Loop
 		b, err := mii.Compute(context.Background(), l)
 		if err != nil {
 			t.Fatalf("%s: %v", wl.Name, err)
 		}
 		for ii := max(b.RecMII-1, 1); ii <= b.MII+6; ii++ {
-			check(wl.Name, l, ii)
+			checkInto(t, wl.Name, l, ii, &tab)
+		}
+	}
+}
+
+// TestCacheMinLTStable checks that the derived metrics (MinLT, MinAvg),
+// the scheduler's actual consumers of the table, agree between a table
+// reused across loops and a fresh Compute.
+func TestCacheMinLTStable(t *testing.T) {
+	var tab mindist.Table
+	for _, wl := range bySize(t) {
+		l := wl.CL.Loop
+		b, err := mii.Compute(context.Background(), l)
+		if err != nil {
+			t.Fatalf("%s: %v", wl.Name, err)
+		}
+		for ii := b.MII; ii <= b.MII+4; ii++ {
+			direct, err := mindist.Compute(l, ii)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := mindist.ComputeInto(l, ii, &tab, nil); err != nil {
+				t.Fatal(err)
+			}
+			if a, bb := mindist.MinAvg(l, direct, ir.RR), mindist.MinAvg(l, &tab, ir.RR); a != bb {
+				t.Fatalf("%s II=%d: MinAvg direct %d, reused table %d", wl.Name, ii, a, bb)
+			}
+			for _, v := range l.Values {
+				if a, bb := mindist.MinLT(l, direct, v.ID), mindist.MinLT(l, &tab, v.ID); a != bb {
+					t.Fatalf("%s II=%d: MinLT(%s) direct %d, reused table %d", wl.Name, ii, v.Name, a, bb)
+				}
+			}
+		}
+	}
+}
+
+// TestCacheDirectMode holds the direct Floyd–Warshall, now the only
+// MinDist mode, to its stop poll, so a budget bounds it: a poll that
+// fires at once (the first poll precedes the first pivot) or midway
+// abandons ComputeInto with ErrStopped, and the same table is correct
+// on the next call.
+func TestCacheDirectMode(t *testing.T) {
+	var tab mindist.Table
+	for _, wl := range bySize(t) {
+		l := wl.CL.Loop
+		b, err := mii.Compute(context.Background(), l)
+		if err != nil {
+			t.Fatalf("%s: %v", wl.Name, err)
 		}
 		// Fire at once, then midway (a loop wide enough to poll twice
 		// leaves a half-relaxed table behind).
@@ -96,7 +154,10 @@ func TestComputeIntoMatchesCompute(t *testing.T) {
 			if fired := polls > after; fired != errors.Is(err, mindist.ErrStopped) {
 				t.Fatalf("%s: stop fired=%v, ComputeInto err = %v", wl.Name, fired, err)
 			}
-			check(wl.Name, l, b.MII)
+			if after == 0 && polls != 1 {
+				t.Fatalf("%s: %d polls before stopping, want 1 before the first pivot", wl.Name, polls)
+			}
+			checkInto(t, wl.Name, l, b.MII, &tab)
 		}
 	}
 }
