@@ -36,7 +36,7 @@ var allocCeilings = map[core.SchedulerName]allocCeiling{
 	core.SchedSlackUni: {8, 2, 3339.1666666666665, 113, effort{52, 2288, 2288, 554, 1560, 4}},
 	core.SchedCydrome:  {8, 2, 3362.1666666666665, 136, effort{52, 2398, 2398, 595, 1682, 4}},
 	core.SchedList:     {7, 1, 3338.1666666666665, 112, effort{98, 1093, 1043, 0, 0, 0}},
-	core.SchedExact:    {82, 80, 11675.666666666666, 11435.666666666666, effort{104, 1738106, 2665386, 701, 1757, 5}},
+	core.SchedExact:    {82, 80, 11544.666666666666, 11304.666666666666, effort{104, 1738106, 2665386, 701, 1757, 5}},
 }
 
 // bytesSlack is how far B/op may exceed its ceiling: bytes move with

@@ -50,7 +50,7 @@ func main() {
 	flag.Int64Var(&opt.Seed, "seed", 1993, "workload generator seed")
 	exp := flag.String("exp", "all", "comma-separated experiment ids")
 	flag.IntVar(&opt.Parallel, "parallel", 0, "worker pool for the scheduling sweep (0 = GOMAXPROCS, 1 = sequential)")
-	flag.StringVar(&opt.MetricsJSON, "metricsjson", "", "write the merged event-stream metrics JSON here (implies -exp metrics)")
+	flag.StringVar(&opt.MetricsJSON, "metricsjson", "", "write each policy's summed effort counters (the §6 Stats) as JSON here (implies -exp metrics)")
 	tracedir := flag.String("tracedir", "", "write one Chrome trace_event file per policy into this directory")
 	flag.DurationVar(&opt.Deadline, "deadline", 0, "per-loop scheduling deadline (0 = unbudgeted)")
 	flag.BoolVar(&opt.Degrade, "degrade", false, "fall back to the list scheduler when a loop exhausts its deadline")

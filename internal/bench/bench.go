@@ -90,8 +90,6 @@ type Run struct {
 	// infeasible loop (II ceiling exhausted) is not an Err — it is the
 	// OK=false data the paper's Table 4 tabulates.
 	Err error
-	// Metrics is the loop's aggregated event stream (Suite.Metrics).
-	Metrics *sched.Metrics
 	// Trace is the loop's compile-pipeline span trace (Suite.Trace).
 	Trace *obs.Trace
 }
@@ -111,11 +109,6 @@ type Suite struct {
 	// Degrade forwards core.Options.Degrade: budget-exhausted runs fall
 	// back to the list scheduler instead of failing.
 	Degrade bool
-	// Metrics attaches one sched.Metrics observer per run; the per-loop
-	// aggregates land in Run.Metrics and MergeMetrics folds them in
-	// loop order, so the merged counters are identical for serial and
-	// parallel sweeps.
-	Metrics bool
 	// Trace attaches an obs.Trace per run; the per-loop span traces land
 	// in Run.Trace, ready for obs.WriteChromeTrace (lsms-bench -tracedir).
 	Trace bool
@@ -316,15 +309,6 @@ func (s *Suite) runOne(ctx context.Context, name core.SchedulerName, cfg sched.C
 		}
 		run.Trace.Finish(core.Outcome(c, run.Err)) // nil-safe no-op unless Suite.Trace
 	}()
-	if s.Metrics {
-		m := &sched.Metrics{}
-		if prev := cfg.Observer; prev != nil {
-			cfg.Observer = sched.Tee(prev, m)
-		} else {
-			cfg.Observer = m
-		}
-		run.Metrics = m
-	}
 	if s.Trace {
 		run.Trace = obs.NewTrace(info.Name, info.Name)
 		ctx = obs.WithTrace(ctx, run.Trace)
@@ -357,23 +341,6 @@ func (s *Suite) runOne(ctx context.Context, name core.SchedulerName, cfg sched.C
 		run.ICR = c.ICR
 	}
 	return run
-}
-
-// MergeMetrics folds the per-loop metrics of a sweep in loop order —
-// deterministic regardless of the worker pool that produced them. It
-// returns nil when the suite did not collect metrics.
-func MergeMetrics(rs []Run) *sched.Metrics {
-	var out *sched.Metrics
-	for _, r := range rs {
-		if r.Metrics == nil {
-			continue
-		}
-		if out == nil {
-			out = &sched.Metrics{}
-		}
-		out.Merge(r.Metrics)
-	}
-	return out
 }
 
 // pressures collects MaxLive over successful runs.

@@ -1,6 +1,6 @@
-// Event-stream metrics of a harness sweep: every loop is scheduled with
-// its own sched.Metrics observer and each policy's aggregates merge in
-// loop order, so the record is deterministic for any worker count.
+// The effort record of a harness sweep: each policy's Section 6
+// counters summed over its runs in loop order, so the record is
+// deterministic for any worker count.
 package bench
 
 import (
@@ -10,11 +10,11 @@ import (
 	"strings"
 
 	"repro/internal/core"
-	"repro/internal/sched"
+	"repro/internal/wire"
 )
 
-// PolicyMetrics is one policy's merged event-stream aggregates plus the
-// per-loop outcome tallies of the sweep that produced them.
+// PolicyMetrics is one policy's summed effort plus the per-loop outcome
+// tallies of the sweep that produced it.
 type PolicyMetrics struct {
 	Policy   string `json:"policy"`
 	Loops    int    `json:"loops"`
@@ -22,19 +22,13 @@ type PolicyMetrics struct {
 	Errors   int    `json:"errors,omitempty"`   // per-loop Run.Err (budget, panic, internal)
 	Degraded int    `json:"degraded,omitempty"` // list-scheduler rescues
 
-	// Events counts the typed event stream by wire name, Outcomes the
-	// finished attempts by their AttemptOutcome name; Counters carries
-	// the rest of the sched.Metrics aggregate. Both maps marshal with
-	// sorted keys (encoding/json's map ordering), so the JSON record is
-	// byte-deterministic.
-	Events   map[string]int64 `json:"events"`
-	Outcomes map[string]int64 `json:"attempt_outcomes"`
-	Counters *sched.Metrics   `json:"counters"`
+	// Effort sums wire.EffortOf(run.Stats) over the policy's runs: the
+	// counters an lsmsd response reports for one compile.
+	Effort wire.Effort `json:"effort"`
 }
 
-// MetricsReport is the machine-readable event-stream record of one
-// sweep (lsms-bench -metricsjson). Each policy's per-loop metrics are
-// merged in loop order, so the report is byte-identical for serial and
+// MetricsReport is the machine-readable effort record of one sweep
+// (lsms-bench -metricsjson). It is byte-identical for serial and
 // parallel sweeps.
 type MetricsReport struct {
 	Size     int             `json:"size"`
@@ -43,32 +37,16 @@ type MetricsReport struct {
 	Policies []PolicyMetrics `json:"policies"`
 }
 
-// CollectMetrics sweeps every registered policy with a per-loop
-// sched.Metrics observer attached and folds each policy's streams
-// deterministically. It enables Suite.Metrics and re-runs the cached
-// sweeps that ran without it, so every run carries its aggregate.
+// CollectMetrics sweeps every registered policy, reusing the suite's
+// cached sweeps, and sums each policy's effort counters.
 func CollectMetrics(s *Suite) (*MetricsReport, error) {
-	s.Metrics = true
 	r := &MetricsReport{Size: s.Size(), Seed: s.Seed, Parallel: s.workers(s.Size())}
 	for _, name := range core.Schedulers() {
-		if rs := s.runs[name]; len(rs) > 0 && rs[0].Metrics == nil {
-			delete(s.runs, name)
-		}
 		rs, err := s.Runs(name)
 		if err != nil {
 			return nil, err
 		}
-		m := MergeMetrics(rs)
-		if m == nil {
-			m = &sched.Metrics{}
-		}
-		p := PolicyMetrics{
-			Policy:   string(name),
-			Loops:    len(rs),
-			Events:   m.EventCounts(),
-			Outcomes: m.OutcomeCounts(),
-			Counters: m,
-		}
+		p := PolicyMetrics{Policy: string(name), Loops: len(rs)}
 		for _, run := range rs {
 			switch {
 			case run.Err != nil:
@@ -79,6 +57,13 @@ func CollectMetrics(s *Suite) (*MetricsReport, error) {
 			if run.Degraded {
 				p.Degraded++
 			}
+			e := wire.EffortOf(run.Stats)
+			p.Effort.IIAttempts += e.IIAttempts
+			p.Effort.CentralIters += e.CentralIters
+			p.Effort.Placements += e.Placements
+			p.Effort.Forces += e.Forces
+			p.Effort.Ejections += e.Ejections
+			p.Effort.Restarts += e.Restarts
 		}
 		r.Policies = append(r.Policies, p)
 	}
@@ -94,16 +79,16 @@ func (r *MetricsReport) WriteJSON(path string) error {
 	return os.WriteFile(path, append(data, '\n'), 0o644)
 }
 
-// String renders the human-readable metrics summary.
+// String renders the human-readable effort summary.
 func (r *MetricsReport) String() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "Event-stream metrics — %d loops (seed %d), %d worker(s)\n", r.Size, r.Seed, r.Parallel)
-	fmt.Fprintf(&b, "%-22s %10s %10s %12s %10s %8s %8s %9s\n",
-		"policy", "attempts", "ok", "places", "ejects", "fails", "errors", "degraded")
+	fmt.Fprintf(&b, "Scheduling effort — %d loops (seed %d), %d worker(s)\n", r.Size, r.Seed, r.Parallel)
+	fmt.Fprintf(&b, "%-22s %9s %10s %10s %9s %10s %9s %7s %7s %9s\n",
+		"policy", "attempts", "iters", "places", "forces", "ejects", "restarts", "fails", "errors", "degraded")
 	for _, p := range r.Policies {
-		fmt.Fprintf(&b, "%-22s %10d %10d %12d %10d %8d %8d %9d\n",
-			p.Policy, p.Events[sched.EvAttemptStart.String()], p.Outcomes[sched.AttemptOK.String()],
-			p.Events[sched.EvPlace.String()], p.Events[sched.EvEject.String()],
+		e := p.Effort
+		fmt.Fprintf(&b, "%-22s %9d %10d %10d %9d %10d %9d %7d %7d %9d\n",
+			p.Policy, e.IIAttempts, e.CentralIters, e.Placements, e.Forces, e.Ejections, e.Restarts,
 			p.Failures, p.Errors, p.Degraded)
 	}
 	return b.String()

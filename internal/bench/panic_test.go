@@ -3,11 +3,13 @@ package bench
 import (
 	"context"
 	"errors"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/sched"
+	"repro/internal/wire"
 )
 
 // panicOn is an Observer that panics while one specific loop is being
@@ -120,13 +122,15 @@ func TestSweepCancellation(t *testing.T) {
 	}
 }
 
-// The metrics observers must also agree with the legacy unobserved
-// sweep on every visible outcome (II, OK) — observation cannot perturb
-// scheduling.
+// An observer attached to a policy's Config cannot perturb scheduling:
+// the observed sweep agrees with the unobserved one on every visible
+// outcome (II, OK, MaxLive) and on the effort counters the metrics
+// record sums.
 func TestMetricsDoNotPerturbScheduling(t *testing.T) {
 	plain := suite(t, 40)
 	observed := suite(t, 40)
-	observed.Metrics = true
+	var events atomic.Int64
+	observed.Configure(core.SchedSlack, sched.Config{Observer: countEvents{&events}})
 	rp, err := plain.Runs(core.SchedSlack)
 	if err != nil {
 		t.Fatal(err)
@@ -136,17 +140,17 @@ func TestMetricsDoNotPerturbScheduling(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := range rp {
-		if rp[i].OK != ro[i].OK || rp[i].II != ro[i].II || rp[i].MaxLive != ro[i].MaxLive {
+		if rp[i].OK != ro[i].OK || rp[i].II != ro[i].II || rp[i].MaxLive != ro[i].MaxLive ||
+			wire.EffortOf(rp[i].Stats) != wire.EffortOf(ro[i].Stats) {
 			t.Fatalf("%s: observed run differs: %+v vs %+v", rp[i].Info.Name, rp[i], ro[i])
 		}
-		if ro[i].Metrics == nil {
-			t.Fatalf("%s: no metrics attached", ro[i].Info.Name)
-		}
 	}
-	if m := MergeMetrics(ro); m == nil || m.Events[sched.EvAttemptStart] == 0 {
-		t.Fatalf("merged metrics empty: %+v", MergeMetrics(ro))
-	}
-	if MergeMetrics(rp) != nil {
-		t.Fatal("unobserved sweep should have no metrics to merge")
+	if events.Load() == 0 {
+		t.Fatal("the observer saw no events")
 	}
 }
+
+// countEvents counts the events of a concurrent sweep.
+type countEvents struct{ n *atomic.Int64 }
+
+func (c countEvents) Event(sched.Event) { c.n.Add(1) }

@@ -11,13 +11,11 @@ import (
 	"repro/internal/ir"
 	"repro/internal/loopgen"
 	"repro/internal/mindist"
-	"repro/internal/sched"
 )
 
 // poolSweeps is one pair of sweeps shared by the determinism tests: the
-// same workload built twice, every policy swept with metrics on, once
-// sequentially and once on a wide pool, then the metrics report
-// collected from each. Sweeping every policy, exact included, twice is
+// same workload built twice, every policy swept once sequentially and
+// once on a wide pool, then the metrics report collected from each. Sweeping every policy, exact included, twice is
 // the dear part, so it runs once per test binary.
 type poolSweeps struct {
 	seq, par *Suite
@@ -52,8 +50,8 @@ func (ps *poolSweeps) build() (err error) {
 	if ps.par, err = NewSuite(opts); err != nil {
 		return err
 	}
-	ps.seq.Parallel, ps.seq.Metrics = 1, true
-	ps.par.Parallel, ps.par.Metrics = 8, true
+	ps.seq.Parallel = 1
+	ps.par.Parallel = 8
 	if ps.is, err = ps.seq.Infos(); err != nil {
 		return err
 	}
@@ -84,8 +82,8 @@ func (ps *poolSweeps) build() (err error) {
 
 // TestParallelSweepDeterministic: the analyses and every per-loop run
 // must be identical between the serial and the wide-pool sweep, order
-// included, and CollectMetrics must reuse sweeps that already carry
-// metrics rather than run them again.
+// included, and CollectMetrics must reuse the cached sweeps rather
+// than run them again.
 func TestParallelSweepDeterministic(t *testing.T) {
 	ps := sweepPools(t)
 	if len(ps.is) != len(ps.ip) {
@@ -111,14 +109,15 @@ func TestParallelSweepDeterministic(t *testing.T) {
 	}
 	for name, first := range ps.swept {
 		if rs, _ := ps.seq.Runs(name); &rs[0] != first {
-			t.Fatalf("%s: CollectMetrics re-ran a sweep that already carried metrics", name)
+			t.Fatalf("%s: CollectMetrics re-ran a cached sweep", name)
 		}
 	}
 }
 
 // The -metricsjson record must be byte-deterministic: same corpus, same
-// JSON bytes, regardless of the worker pool. Map keys marshal sorted,
-// policies in registry order, counters folded in loop order.
+// JSON bytes, regardless of the worker pool: policies in registry
+// order, counters summed in loop order. Every loop tries at least one
+// II, the invariant CI's sweep smoke reads off the record.
 func TestMetricsJSONByteDeterministic(t *testing.T) {
 	ps := sweepPools(t)
 	b1, err := json.MarshalIndent(ps.mr1, "", "  ")
@@ -132,20 +131,19 @@ func TestMetricsJSONByteDeterministic(t *testing.T) {
 	if !bytes.Equal(b1, b2) {
 		t.Fatalf("metrics JSON differs between pool sizes:\nserial:\n%s\nparallel:\n%s", b1, b2)
 	}
+	if !bytes.Contains(b1, []byte(`"effort": {`)) {
+		t.Fatalf("record carries no effort:\n%s", b1)
+	}
 	for _, p := range ps.mr1.Policies {
-		var total int64
-		for _, n := range p.Outcomes {
-			total += n
-		}
-		if attempts := p.Events[sched.EvAttemptStart.String()]; total != attempts {
-			t.Fatalf("%s: outcome total %d != attempts %d", p.Policy, total, attempts)
+		if p.Effort.IIAttempts < p.Loops {
+			t.Fatalf("%s: %d II attempts over %d loops", p.Policy, p.Effort.IIAttempts, p.Loops)
 		}
 	}
 }
 
-// The merged metrics report is identical for serial and wide-pool
-// sweeps: per-loop observers are folded in loop order, so worker
-// interleaving cannot show through.
+// The metrics report is identical for serial and wide-pool sweeps: each
+// run's counters are summed in loop order, so worker interleaving
+// cannot show through.
 func TestMetricsReportDeterministicAcrossPools(t *testing.T) {
 	ps := sweepPools(t)
 	if !reflect.DeepEqual(ps.mr1, ps.mr2) {
@@ -155,7 +153,7 @@ func TestMetricsReportDeterministicAcrossPools(t *testing.T) {
 		t.Fatalf("got %d policies, want %d", len(ps.mr1.Policies), len(core.Schedulers()))
 	}
 	for _, p := range ps.mr1.Policies {
-		if p.Events[sched.EvAttemptStart.String()] == 0 || p.Events[sched.EvPlace.String()] == 0 {
+		if p.Effort.IIAttempts == 0 || p.Effort.CentralIters == 0 {
 			t.Fatalf("%s: metrics counted nothing: %+v", p.Policy, p)
 		}
 	}

@@ -34,6 +34,7 @@ package exact
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"time"
@@ -148,6 +149,7 @@ func (s *Scheduler) search(ctx context.Context, l *ir.Loop) (*Outcome, error) {
 		cfg:    s.cfg,
 		obs:    s.cfg.Observer,
 		bounds: bounds,
+		md:     &mindist.Table{},
 	}
 	e.scr = &lifetime.Scratch{}
 	if s.cfg.Arena != nil {
@@ -326,7 +328,7 @@ type searcher struct {
 	// Per-II attempt state.
 	ii      int
 	horizon int
-	md      *mindist.Table
+	md      *mindist.Table // one table per search, recomputed in place at each II
 	table   *mrt.Table
 	times   []int
 	order   []int
@@ -381,13 +383,21 @@ func (e *searcher) bbAtII(ii, bound int) (times []int, maxLive int, md *mindist.
 }
 
 func (e *searcher) runAttempt(ii, bound int) (times []int, maxLive int, md *mindist.Table, complete bool) {
-	var err error
-	e.md, err = mindist.Compute(e.l, ii)
-	if err != nil {
+	e.stopReason = ""
+	stop := func() bool { return e.guard.Exceeded(&e.stats) != "" }
+	if err := mindist.ComputeInto(e.l, ii, e.md, stop); err != nil {
+		if errors.Is(err, mindist.ErrStopped) {
+			e.stopReason = e.guard.Exceeded(&e.stats)
+			if e.stopReason == "" {
+				e.stopReason = sched.ReasonDeadline
+			}
+			return nil, 0, nil, false
+		}
 		return nil, 0, nil, true // II below RecMII: provably infeasible
 	}
+	md = e.md
 	e.ii = ii
-	e.horizon = e.md.CriticalPath() + 3*ii + 1
+	e.horizon = md.CriticalPath() + 3*ii + 1
 	n := len(e.l.Ops)
 
 	// Value states: per-RR-value floors, def/use lists, and the per-op
@@ -396,7 +406,7 @@ func (e *searcher) runAttempt(ii, bound int) (times []int, maxLive int, md *mind
 	byValue := make(map[ir.ValueID]int32, len(e.l.Values))
 	ltSum := 0
 	var buf [256]int // keeps the MinLT table off the heap for loops up to 256 values
-	minLTs := mindist.MinLTs(e.l, e.md, buf[:0])
+	minLTs := mindist.MinLTs(e.l, md, buf[:0])
 	for _, v := range e.l.Values {
 		if v.File != ir.RR || !v.IsVariant() {
 			continue
@@ -444,7 +454,7 @@ func (e *searcher) runAttempt(ii, bound int) (times []int, maxLive int, md *mind
 	if bound <= e.floor {
 		// The incumbent already sits at (or below) the static floor:
 		// no schedule at this II can strictly beat it.
-		return nil, 0, e.md, true
+		return nil, 0, md, true
 	}
 
 	e.table = mrt.New(e.l, ii)
@@ -455,15 +465,13 @@ func (e *searcher) runAttempt(ii, bound int) (times []int, maxLive int, md *mind
 	for i := range e.times {
 		e.times[i] = ir.Unplaced
 	}
-	e.order = orderByWindow(e.md, n, e.horizon, e.order)
+	e.order = orderByWindow(md, n, e.horizon, e.order)
 	e.bound = bound
 	e.best = nil
 	e.leaf = ir.NewSchedule(ii, n)
 	e.stop = false
 	e.atBest = false
-	e.stopReason = ""
 	e.dfs(0)
-	md = e.md
 	if e.best == nil {
 		return nil, 0, md, !e.stop
 	}

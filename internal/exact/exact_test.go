@@ -89,6 +89,54 @@ func TestExactCanceled(t *testing.T) {
 	}
 }
 
+// cancelOnExactAttempt cancels the search's context when its first
+// exact attempt starts, after the slack seed and the attempt-boundary
+// check, and records how each exact attempt ended.
+type cancelOnExactAttempt struct {
+	cancel context.CancelFunc
+	ends   []sched.Event
+}
+
+func (c *cancelOnExactAttempt) Event(e sched.Event) {
+	if e.Policy != exact.PolicyName {
+		return
+	}
+	switch e.Kind {
+	case sched.EvAttemptStart:
+		c.cancel()
+	case sched.EvAttemptEnd:
+		c.ends = append(c.ends, e)
+	}
+}
+
+// TestExactStopsInMinDist: the MinDist computation of an exact attempt
+// polls the budget, so a cancellation that lands as the attempt starts
+// ends it canceled before the branch-and-bound expands a node, and the
+// seed survives unproven.
+func TestExactStopsInMinDist(t *testing.T) {
+	l := fixture.Sample(machine.Cydra())
+	seed, err := sched.Slack(sched.Config{}).Schedule(context.Background(), l)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	rec := &cancelOnExactAttempt{cancel: cancel}
+	out, err := exact.New(sched.Config{Observer: rec}).Search(ctx, l)
+	if err != nil {
+		t.Fatalf("the seed should survive the cancel: %v", err)
+	}
+	if out.Proven {
+		t.Error("Proven=true after a canceled attempt")
+	}
+	if len(rec.ends) != 1 || rec.ends[0].Outcome != sched.AttemptCanceled {
+		t.Fatalf("exact attempt ends %+v, want one %s", rec.ends, sched.AttemptCanceled)
+	}
+	if nodes := out.Result.Stats.CentralIters - seed.Stats.CentralIters; nodes != 0 {
+		t.Errorf("the canceled attempt expanded %d search nodes", nodes)
+	}
+}
+
 // TestExactAnytime: when the seed succeeds but the node budget is too
 // small to finish the search, exact still returns the incumbent with a
 // nil error and Proven=false — the anytime contract the lsmsd refiner

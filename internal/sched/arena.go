@@ -39,8 +39,6 @@ type Arena struct {
 	mrt mrt.Scratch   // modulo resource table rows + op span arrays
 	lt  lifetime.Scratch
 
-	spans spanObserver // derives attempt spans when the compile is traced
-
 	// Per-compile loop preparation (see prepareLoop).
 	preparedFor *ir.Loop
 	pairSeen    []bool  // n×n dependence-pair dedup, all-false between compiles
@@ -89,10 +87,10 @@ func NewArena() *Arena {
 
 // Release ends the arena's compile: it drops every reference to
 // per-request data — the loop, the MRT's loop, the attempt state's
-// observer and event strings, the span adapter's trace — and, for
-// pooled arenas, returns the backing stores to the pool. The MinDist
-// table holds only integers and is kept as it is. Double release is a
-// no-op so a deferred Release composes with early manual ones.
+// observer and event strings — and, for pooled arenas, returns the
+// backing stores to the pool. The MinDist table holds only integers
+// and is kept as it is. Double release is a no-op so a deferred
+// Release composes with early manual ones.
 func (a *Arena) Release() {
 	if !a.held {
 		return
@@ -109,7 +107,6 @@ func (a *Arena) Release() {
 	st.mrt = nil
 	st.obs = nil
 	st.evt = Event{}
-	a.spans = spanObserver{}
 
 	if a.pooled {
 		arenaRecycled.Add(1)

@@ -48,7 +48,8 @@ type Config struct {
 	Budget Budget
 	// Observer, when non-nil, receives the typed event stream of the
 	// run (EvAttemptStart, EvPlace, EvForce, EvEject, EvRestart,
-	// EvAttemptEnd); see Observer, Tee and TextObserver.
+	// EvAttemptEnd); see Observer and TextObserver. Stats and the
+	// trace's spans are kept whether or not one is set.
 	Observer Observer
 	// Arena supplies the pooled per-compile scratch. Nil (the default)
 	// makes each Schedule call acquire its own arena from the
@@ -222,7 +223,7 @@ func (s *Scheduler) ScheduleInto(ctx context.Context, l *ir.Loop, dst *Result) e
 			res.MinDist = res.MinDist.CloneInto(prevMD)
 		}
 	}()
-	sink := a.sink(tr, s.cfg.Observer)
+	sink := s.cfg.Observer
 
 	// One MinDist table in the arena, recomputed in place at each II, so
 	// res.MinDist always holds the table at the final (achieved or last
@@ -255,6 +256,8 @@ func (s *Scheduler) ScheduleInto(ctx context.Context, l *ir.Loop, dst *Result) e
 		sp.End(obs.OutcomeOK)
 		md := &a.md
 		res.MinDist = md
+		sp = tr.Start("attempt").Int("ii", int64(ii)).Str("policy", name)
+		iters := res.Stats.CentralIters
 		evt := Event{Loop: l.Name, Policy: name, II: ii, Op: -1}
 		if sink != nil {
 			e := evt
@@ -276,11 +279,13 @@ func (s *Scheduler) ScheduleInto(ctx context.Context, l *ir.Loop, dst *Result) e
 			ok, reason = s.attempt(st, &res.Stats, &guard, sink)
 			table, ejections = st.mrt, st.ejections
 		}
+		outcome := AttemptOutcomeOf(ok, reason)
+		sp.Int("iters", res.Stats.CentralIters-iters).Int("ejections", int64(ejections)).End(outcome.String())
 		if sink != nil {
 			e := evt
 			e.Kind = EvAttemptEnd
 			e.OK = ok
-			e.Outcome = AttemptOutcomeOf(ok, reason)
+			e.Outcome = outcome
 			e.Ejections = ejections
 			sink.Event(e)
 		}

@@ -3,13 +3,12 @@ package sched
 import (
 	"fmt"
 	"io"
-
-	"repro/internal/obs"
 )
 
 // AttemptOutcome classifies how one II attempt ended; it is stamped on
-// EvAttemptEnd events so aggregations can tell a heuristic give-up from
-// a budget exhaustion, and a budget exhaustion from a cancellation.
+// EvAttemptEnd events and names the attempt span's outcome, so a reader
+// can tell a heuristic give-up from a budget exhaustion, and a budget
+// exhaustion from a cancellation.
 type AttemptOutcome uint8
 
 // The attempt outcomes.
@@ -27,8 +26,6 @@ const (
 	AttemptIIAttempts
 	// AttemptCanceled: the caller's context was canceled.
 	AttemptCanceled
-
-	numAttemptOutcomes // count; keep last
 )
 
 // String returns the outcome's stable wire name.
@@ -50,8 +47,8 @@ func (o AttemptOutcome) String() string {
 	return fmt.Sprintf("outcome(%d)", int(o))
 }
 
-// MarshalJSON renders the wire name, keeping flight-recorder dumps and
-// metrics JSON readable.
+// MarshalJSON renders the wire name, keeping flight-recorder dumps
+// readable.
 func (o AttemptOutcome) MarshalJSON() ([]byte, error) {
 	return []byte(fmt.Sprintf("%q", o.String())), nil
 }
@@ -107,8 +104,6 @@ const (
 	// EvDegraded reports that a budget-exhausted compilation fell back
 	// to the no-backtracking list scheduler (core.Options.Degrade).
 	EvDegraded
-
-	numEventKinds // count; keep last
 )
 
 // String returns the kind's stable wire name.
@@ -163,61 +158,10 @@ type Event struct {
 // Observer receives the typed event stream of a scheduling run. The
 // scheduler calls Event synchronously from its own goroutine; an
 // observer shared across concurrent Schedule calls must synchronize
-// itself (the bench harness instead uses one observer per loop and
-// merges deterministically).
+// itself. The counts the stream implies are Stats; the stream is for
+// the -trace text and the flight-recorder tail.
 type Observer interface {
 	Event(Event)
-}
-
-// Tee returns an Observer that forwards every event to a, then to b.
-// Chain calls for a wider fan-out.
-func Tee(a, b Observer) Observer { return tee{a, b} }
-
-type tee struct{ a, b Observer }
-
-func (t tee) Event(e Event) {
-	t.a.Event(e)
-	t.b.Event(e)
-}
-
-// spanObserver derives a trace's "attempt" spans from the event
-// stream: EvAttemptStart opens one carrying the II and policy, each
-// EvPlace counts one central-loop iteration, and EvAttemptEnd closes it
-// with the attempt's ejections and outcome. Every event is then
-// forwarded to next, the caller's Config.Observer, when one is set. It
-// lives in the Arena, so a traced compile allocates nothing for it.
-type spanObserver struct {
-	tr    *obs.Trace
-	next  Observer
-	sp    *obs.Span
-	iters int64
-}
-
-func (o *spanObserver) Event(e Event) {
-	switch e.Kind {
-	case EvAttemptStart:
-		o.sp = o.tr.Start("attempt").Int("ii", int64(e.II)).Str("policy", e.Policy)
-		o.iters = 0
-	case EvPlace:
-		o.iters++
-	case EvAttemptEnd:
-		o.sp.Int("iters", o.iters).Int("ejections", int64(e.Ejections)).End(e.Outcome.String())
-		o.sp = nil
-	}
-	if o.next != nil {
-		o.next.Event(e)
-	}
-}
-
-// sink returns the observer one scheduling run emits to: the arena's
-// span adapter when the context carries a trace (forwarding to cfg),
-// else cfg itself — nil for an unobserved run.
-func (a *Arena) sink(tr *obs.Trace, cfg Observer) Observer {
-	if tr == nil {
-		return cfg
-	}
-	a.spans = spanObserver{tr: tr, next: cfg}
-	return &a.spans
 }
 
 // textObserver renders events in the -trace text format.

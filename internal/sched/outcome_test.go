@@ -39,9 +39,8 @@ func bigChain(n int) *ir.Loop {
 func TestAttemptOutcomeCentralIters(t *testing.T) {
 	l := bigChain(2 * budgetCheckStride)
 	rec := &recorder{}
-	met := &Metrics{}
 	cfg := Config{
-		Observer: Tee(rec, met),
+		Observer: rec,
 		Budget:   Budget{MaxCentralIters: 10},
 	}
 	_, err := Slack(cfg).Schedule(context.Background(), l)
@@ -53,8 +52,8 @@ func TestAttemptOutcomeCentralIters(t *testing.T) {
 	if last.Kind != EvAttemptEnd || last.OK || last.Outcome != AttemptCentralIters {
 		t.Fatalf("last event %+v, want !OK attempt-end with outcome %s", last, AttemptCentralIters)
 	}
-	if met.AttemptOutcomes[AttemptCentralIters] != 1 {
-		t.Fatalf("metrics outcomes %v, want one %s", met.OutcomeCounts(), AttemptCentralIters)
+	if got := rec.outcomes(); got[AttemptCentralIters] != 1 {
+		t.Fatalf("outcomes %v, want one %s", got, AttemptCentralIters)
 	}
 }
 
@@ -81,9 +80,8 @@ func TestAttemptOutcomeCanceled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	rec := &recorder{}
-	met := &Metrics{}
 	canceler := &cancelOnFirstPlace{cancel: cancel}
-	cfg := Config{Observer: Tee(canceler, Tee(rec, met))}
+	cfg := Config{Observer: tee{canceler, rec}}
 	_, err := Slack(cfg).Schedule(ctx, l)
 	var be *BudgetError
 	if !errors.As(err, &be) || be.Reason != ReasonCanceled {
@@ -93,8 +91,8 @@ func TestAttemptOutcomeCanceled(t *testing.T) {
 	if last.Kind != EvAttemptEnd || last.Outcome != AttemptCanceled {
 		t.Fatalf("last event %+v, want attempt-end with outcome %s", last, AttemptCanceled)
 	}
-	if met.AttemptOutcomes[AttemptCanceled] != 1 || met.AttemptOutcomes[AttemptCentralIters] != 0 {
-		t.Fatalf("metrics outcomes %v: cancellation misfiled", met.OutcomeCounts())
+	if got := rec.outcomes(); got[AttemptCanceled] != 1 || got[AttemptCentralIters] != 0 {
+		t.Fatalf("outcomes %v: cancellation misfiled", got)
 	}
 }
 
@@ -102,25 +100,26 @@ func TestAttemptOutcomeCanceled(t *testing.T) {
 // attempt under exactly one outcome: give-ups plus one ok.
 func TestAttemptOutcomeGiveUpAndOK(t *testing.T) {
 	l := fixture.Divide(machine.Cydra())
-	met := &Metrics{}
+	rec := &recorder{}
 	cfg := tinyEject
-	cfg.Observer = met
+	cfg.Observer = rec
 	res, err := Slack(cfg).Schedule(context.Background(), l)
 	if err != nil || !res.OK() {
 		t.Fatalf("schedule failed: %v", err)
 	}
-	if met.AttemptOutcomes[AttemptOK] != 1 {
-		t.Fatalf("outcomes %v, want exactly one ok", met.OutcomeCounts())
+	counts := rec.outcomes()
+	if counts[AttemptOK] != 1 {
+		t.Fatalf("outcomes %v, want exactly one ok", counts)
 	}
-	if met.AttemptOutcomes[AttemptGiveUp] == 0 {
-		t.Fatalf("outcomes %v: divide under tinyEject should give up at least once", met.OutcomeCounts())
+	if counts[AttemptGiveUp] == 0 {
+		t.Fatalf("outcomes %v: divide under tinyEject should give up at least once", counts)
 	}
 	var total int64
-	for _, n := range met.AttemptOutcomes {
+	for _, n := range counts {
 		total += n
 	}
-	if total != met.Events[EvAttemptStart] {
-		t.Fatalf("outcome total %d != attempts %d", total, met.Events[EvAttemptStart])
+	if starts := rec.count(EvAttemptStart); total != starts {
+		t.Fatalf("outcome total %d != attempts %d", total, starts)
 	}
 }
 
@@ -150,7 +149,7 @@ func TestListStampsOutcomes(t *testing.T) {
 	}
 }
 
-// The outcome names are the budget Reason strings, so spans, metrics
+// The outcome names are the budget Reason strings, so spans, events
 // and errors all speak one vocabulary; JSON renders the names.
 func TestAttemptOutcomeNames(t *testing.T) {
 	cases := map[AttemptOutcome]string{
@@ -254,11 +253,12 @@ func TestScheduleRecordsSpans(t *testing.T) {
 	}
 }
 
-// Attempt spans derive from the event stream, so they reconcile with
-// the Section 6 counters on every fixture, under every policy and the
-// list scheduler: one span per II attempt, span iters summing to
-// CentralIters and span ejections to Ejections. The caller's own
-// Observer still sees the whole stream alongside the spans.
+// The engine's attempt spans reconcile with the Section 6 counters on
+// every fixture, under every policy and the list scheduler: one span
+// per II attempt, span iters summing to CentralIters and span
+// ejections to Ejections. The caller's own Observer still sees the
+// whole stream alongside the spans, one attempt-start and one
+// attempt-end per span, the end's outcome the span's.
 func TestAttemptSpansMatchStats(t *testing.T) {
 	cfg := tinyEject // forces restarts, so retries are covered too
 	runs := map[string]func(context.Context, *ir.Loop, Config) (*Result, error){
@@ -278,17 +278,26 @@ func TestAttemptSpansMatchStats(t *testing.T) {
 	for name, run := range runs {
 		for _, l := range fixture.All(machine.Cydra()) {
 			tr := obs.NewTrace(name, l.Name)
-			met := &Metrics{}
+			rec := &recorder{}
 			c := cfg
-			c.Observer = met
+			c.Observer = rec
 			res, err := run(obs.WithTrace(context.Background(), tr), l, c)
 			if err != nil && !errors.Is(err, ErrInfeasible) { // an infeasible result still carries its Stats
 				t.Fatalf("%s/%s: %v", name, l.Name, err)
 			}
 			var spans, iters, ejections int64
+			var outcomes []AttemptOutcome
+			for _, e := range rec.events {
+				if e.Kind == EvAttemptEnd {
+					outcomes = append(outcomes, e.Outcome)
+				}
+			}
 			for _, sp := range tr.Spans {
 				if sp.Name != "attempt" {
 					continue
+				}
+				if i := int(spans); i >= len(outcomes) || sp.Outcome != outcomes[i].String() {
+					t.Errorf("%s/%s: attempt span %d outcome %q, attempt-ends %v", name, l.Name, i, sp.Outcome, outcomes)
 				}
 				spans++
 				for _, a := range sp.Attrs {
@@ -309,9 +318,9 @@ func TestAttemptSpansMatchStats(t *testing.T) {
 				t.Errorf("%s/%s: spans %d, iters %d, ejections %d; stats %d, %d, %d",
 					name, l.Name, spans, iters, ejections, st.IIAttempts, st.CentralIters, st.Ejections)
 			}
-			if met.Events[EvAttemptStart] != spans || met.Events[EvPlace] != iters {
-				t.Errorf("%s/%s: observer saw %d attempts, %d places; spans %d, iters %d",
-					name, l.Name, met.Events[EvAttemptStart], met.Events[EvPlace], spans, iters)
+			if starts, places := rec.count(EvAttemptStart), rec.count(EvPlace); starts != spans || int64(len(outcomes)) != spans || places != iters {
+				t.Errorf("%s/%s: observer saw %d attempt starts, %d ends, %d places; spans %d, iters %d",
+					name, l.Name, starts, len(outcomes), places, spans, iters)
 			}
 		}
 	}

@@ -25,7 +25,7 @@ func TestTextTraceReconstructedFromTailByteIdentical(t *testing.T) {
 			var live bytes.Buffer
 			tail := NewTailRecorder(1 << 16) // lossless for these runs
 			c := cfg
-			c.Observer = Tee(TextObserver(&live), tail)
+			c.Observer = tee{TextObserver(&live), tail}
 			if _, err := Slack(c).Schedule(context.Background(), l); err != nil {
 				t.Fatal(err)
 			}
@@ -58,7 +58,7 @@ func TestTailRecorderRing(t *testing.T) {
 	ring := NewTailRecorder(32)
 	l := fixture.Divide(machine.Cydra())
 	cfg := tinyEject
-	cfg.Observer = Tee(full, ring)
+	cfg.Observer = tee{full, ring}
 	if _, err := Slack(cfg).Schedule(context.Background(), l); err != nil {
 		t.Fatal(err)
 	}

@@ -78,17 +78,16 @@ func (s *Server) serve(r *http.Request, scr *reqScratch) reply {
 
 // reqScratch is one request's state from begin to release, pooled so
 // that no stage allocates for it: the body buffer, the wire decode
-// scratch, the event tail recorder, the compile's scheduler metrics and
-// result buffers, and the request's identity and prepared form. A
-// worker that has served a request of a given size serves the next one
-// of that size without allocating any of them. Response bytes are
-// freshly allocated (they outlive the request in the result store and
-// singleflight waiters), so nothing the scratch owns escapes.
+// scratch, the event tail recorder, the compile's result buffers, and
+// the request's identity and prepared form. A worker that has served a
+// request of a given size serves the next one of that size without
+// allocating any of them. Response bytes are freshly allocated (they
+// outlive the request in the result store and singleflight waiters),
+// so nothing the scratch owns escapes.
 type reqScratch struct {
 	body bytes.Buffer
 	dec  wire.Scratch
 	tail *sched.TailRecorder
-	sm   sched.Metrics
 	c    core.Compiled
 
 	id    string    // request ID: log records and trace entries share it
@@ -313,20 +312,22 @@ func (s *Server) admit(ctx context.Context) (outcome, bool) {
 
 // compile runs scheduling and pressure measurement (no codegen) behind
 // the panic barrier, under the request's trace and deadline, folds the
-// compile's event stream into the registry, and maps the result onto
-// an outcome.
+// compile's effort counters into the registry, and maps the result
+// onto an outcome.
 func (s *Server) compile(ctx context.Context, scr *reqScratch, tr *obs.Trace) (outcome, error) {
 	p := &scr.p
 	cfg := p.norm.Options.SchedConfig()
 	cfg.Budget.Deadline = s.effectiveDeadline(cfg.Budget.Deadline)
-	cfg.Observer = sched.Tee(&scr.sm, scr.tail)
+	cfg.Observer = scr.tail
 	c, err := safeCompile(obs.WithTrace(ctx, tr), &scr.c, p.loop, core.Options{
 		Scheduler:   core.SchedulerName(p.scheduler),
 		Config:      cfg,
 		SkipCodegen: true,
 		Degrade:     p.norm.Options.Degrade,
 	})
-	s.m.foldSched(&scr.sm)
+	if c != nil && c.Result != nil {
+		s.m.foldEffort(c.Result.Stats)
+	}
 	if err == nil && c.OK() {
 		if mii := c.Result.Bounds.MII; mii > 0 {
 			s.m.iiOverMII.Observe(float64(c.Result.Schedule.II) / float64(mii))

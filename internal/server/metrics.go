@@ -44,11 +44,9 @@ type metrics struct {
 	maxLive        *obs.Family // lsmsd_maxlive
 	queueDepth     *obs.Family // lsmsd_queue_depth
 
-	// The scheduler event stream, folded in once per compile from the
-	// compile's own sched.Metrics (foldSched).
-	schedEvents       *obs.Family // lsmsd_sched_events_total{kind}
-	schedOutcomes     *obs.Family // lsmsd_sched_attempt_outcomes_total{outcome}
-	schedScanFailures *obs.Family // lsmsd_sched_scan_failures_total
+	// The Section 6 effort counters, lsmsd_sched_<field>_total for each
+	// wire.Effort field, folded in once per compile (foldEffort).
+	iiAttempts, centralIters, placements, forces, ejections, restarts *obs.Family
 
 	// hits/lookups back the cache-hit-ratio gauge callback: a GaugeFunc
 	// runs under the registry lock and therefore cannot read the
@@ -152,19 +150,17 @@ func newMetrics(s *Server) *metrics {
 			return 0
 		})
 
-	m.schedEvents = r.Counter("lsmsd_sched_events_total",
-		"Scheduler events folded across all requests, by kind.", "kind")
-	var zero sched.Metrics // its arrays span every kind and outcome
-	for k := range zero.Events {
-		m.schedEvents.Add(0, sched.EventKind(k).String())
+	effort := func(name, help string) *obs.Family {
+		f := r.Counter("lsmsd_sched_"+name+"_total", help+" Summed over compiles; a response's effort field carries its own.")
+		f.Add(0)
+		return f
 	}
-	m.schedOutcomes = r.Counter("lsmsd_sched_attempt_outcomes_total",
-		"Finished II attempts by outcome (ok, give-up, budget bound, canceled).", "outcome")
-	for o := range zero.AttemptOutcomes {
-		m.schedOutcomes.Add(0, sched.AttemptOutcome(o).String())
-	}
-	m.schedScanFailures = r.Counter("lsmsd_sched_scan_failures_total",
-		"Window scans that found no conflict-free cycle.")
+	m.iiAttempts = effort("ii_attempts", "II values tried.")
+	m.centralIters = effort("central_iters", "Central-loop iterations (exact: search nodes).")
+	m.placements = effort("placements", "Operations placed, re-placements included.")
+	m.forces = effort("forces", "Window scans that found no conflict-free cycle (step 3).")
+	m.ejections = effort("ejections", "Operations ejected from partial schedules.")
+	m.restarts = effort("restarts", "II attempts abandoned at the ejection budget (step 6).")
 	return m
 }
 
@@ -191,23 +187,16 @@ func (m *metrics) compileDone(scheduler, outcome string, seconds float64, traceI
 	m.compileSeconds.ObserveExemplar(seconds, "trace_id", traceID, scheduler, outcome)
 }
 
-// foldSched adds one compile's scheduler event-stream aggregate to the
-// sched families and zeroes it for the caller's next compile.
-func (m *metrics) foldSched(sm *sched.Metrics) {
-	for k, n := range sm.Events {
-		if n > 0 {
-			m.schedEvents.Add(float64(n), sched.EventKind(k).String())
-		}
-	}
-	for o, n := range sm.AttemptOutcomes {
-		if n > 0 {
-			m.schedOutcomes.Add(float64(n), sched.AttemptOutcome(o).String())
-		}
-	}
-	if sm.ScanFailures > 0 {
-		m.schedScanFailures.Add(float64(sm.ScanFailures))
-	}
-	*sm = sched.Metrics{}
+// foldEffort adds one compile's Section 6 counters to the effort
+// families: the sums of the effort fields of the responses built from
+// those compiles.
+func (m *metrics) foldEffort(st sched.Stats) {
+	m.iiAttempts.Add(float64(st.IIAttempts))
+	m.centralIters.Add(float64(st.CentralIters))
+	m.placements.Add(float64(st.Placements))
+	m.forces.Add(float64(st.Forces))
+	m.ejections.Add(float64(st.Ejections))
+	m.restarts.Add(float64(st.Restarts))
 }
 
 // handleMetrics renders the registry in the Prometheus text exposition

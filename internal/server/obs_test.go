@@ -13,6 +13,7 @@ import (
 	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/bench"
@@ -20,6 +21,7 @@ import (
 	"repro/internal/fixture"
 	"repro/internal/loopgen"
 	"repro/internal/machine"
+	"repro/internal/mii"
 	"repro/internal/obs"
 	"repro/internal/sched"
 	"repro/internal/wire"
@@ -266,38 +268,41 @@ func TestRequestIDAndLogging(t *testing.T) {
 	}
 }
 
-// schedEvents sums lsmsd_sched_events_total over every kind; tests use
-// it to prove a store hit scheduled nothing.
-func schedEvents(s *Server) int64 {
+// effortFamilies are the lsmsd_sched_* counters in registration order,
+// one per wire.Effort field.
+var effortFamilies = []string{
+	"lsmsd_sched_ii_attempts_total", "lsmsd_sched_central_iters_total",
+	"lsmsd_sched_placements_total", "lsmsd_sched_forces_total",
+	"lsmsd_sched_ejections_total", "lsmsd_sched_restarts_total",
+}
+
+// effortFields lists an Effort's counters in effortFamilies' order.
+func effortFields(e wire.Effort) []int64 {
+	return []int64{int64(e.IIAttempts), e.CentralIters, e.Placements, e.Forces, e.Ejections, e.Restarts}
+}
+
+// schedEffort sums every lsmsd_sched_* effort counter; tests use it to
+// prove a store hit scheduled nothing.
+func schedEffort(s *Server) int64 {
 	var n float64
-	for k := range (sched.Metrics{}).Events {
-		n += s.m.schedEvents.Value(sched.EventKind(k).String())
+	for _, f := range []*obs.Family{s.m.iiAttempts, s.m.centralIters, s.m.placements, s.m.forces, s.m.ejections, s.m.restarts} {
+		n += f.Value()
 	}
 	return int64(n)
 }
 
-// TestSchedFamiliesMatchEventStream is the -race test of lsmsd's one
-// exposition path for the scheduler event stream: concurrent distinct
-// misses each fold their own sched.Metrics into the registry, and the
-// family totals must equal one sched.Metrics fed the same compiles.
-// Every kind and outcome series is listed from boot, and the sched
-// families are exactly the three the registry declares.
-func TestSchedFamiliesMatchEventStream(t *testing.T) {
-	s, ts := newTestServer(t, Config{Workers: 4})
-	var zero sched.Metrics
+// TestEffortFamiliesMatchResponses is the -race test of lsmsd's effort
+// counters: a concurrent burst of distinct misses, in-flight duplicates
+// and later repeats (an infeasible verdict among them), after which
+// each lsmsd_sched_*_total in the /metrics scrape equals the sum of the
+// effort field over the responses served as X-Lsmsd-Cache: miss. The six
+// series exist at boot, and they are the only sched families.
+func TestEffortFamiliesMatchResponses(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 4})
 	boot := scrape(t, ts.URL)
-	var series []string
-	for k := range zero.Events {
-		series = append(series, fmt.Sprintf("lsmsd_sched_events_total{kind=%q} 0", sched.EventKind(k)))
-	}
-	for o := range zero.AttemptOutcomes {
-		series = append(series, fmt.Sprintf("lsmsd_sched_attempt_outcomes_total{outcome=%q} 0", sched.AttemptOutcome(o)))
-	}
-	series = append(series, "lsmsd_sched_scan_failures_total 0",
-		`lsmsd_cache_hits_total{tier="memory"} 0`, `lsmsd_cache_hits_total{tier="disk"} 0`)
-	for _, line := range series {
-		if !strings.Contains(boot, "\n"+line+"\n") {
-			t.Errorf("boot exposition lacks %q", line)
+	for _, name := range effortFamilies {
+		if !strings.Contains(boot, "\n"+name+" 0\n") {
+			t.Errorf("boot exposition lacks %s 0", name)
 		}
 	}
 	var fams []string
@@ -306,67 +311,94 @@ func TestSchedFamiliesMatchEventStream(t *testing.T) {
 			fams = append(fams, "lsmsd_sched_"+strings.Fields(name)[0])
 		}
 	}
-	if want := []string{"lsmsd_sched_events_total", "lsmsd_sched_attempt_outcomes_total",
-		"lsmsd_sched_scan_failures_total"}; !slices.Equal(fams, want) {
-		t.Errorf("sched families %v, want %v", fams, want)
+	if !slices.Equal(fams, effortFamilies) {
+		t.Errorf("sched families %v, want %v", fams, effortFamilies)
 	}
 
-	loops := fixture.All(machine.Cydra())
-	want := &sched.Metrics{}
-	bodies := make([][]byte, len(loops))
-	for i, l := range loops {
-		req, err := wire.NewRequest(l, "slack", wire.Options{})
+	var bodies [][]byte
+	for _, l := range fixture.All(machine.Cydra()) {
+		for _, name := range []string{"slack", "cydrome", "list"} {
+			bodies = append(bodies, requestBody(t, l, name, wire.Options{}))
+		}
+	}
+	// A one-ejection budget makes the divide loop restart (step 6) at
+	// its MII; capped there, the verdict is infeasible, and an
+	// infeasible response still reports its effort.
+	div := fixture.Divide(machine.Cydra())
+	b, err := mii.Compute(context.Background(), div)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tiny := wire.Options{EjectBudgetPerOp: 1, MinEjectBudget: 1}
+	bodies = append(bodies, requestBody(t, div, "slack", tiny))
+	tiny.MaxII = b.MII
+	bodies = append(bodies, requestBody(t, div, "slack", tiny))
+
+	var (
+		mu         sync.Mutex
+		want       wire.Effort
+		misses     int
+		infeasible atomic.Int64
+	)
+	send := func(body []byte) {
+		r, err := http.Post(ts.URL+"/v1/compile", "application/json", bytes.NewReader(body))
 		if err != nil {
-			t.Fatal(err)
+			t.Error(err)
+			return
 		}
-		norm, loop, err := req.Normalize()
-		if err != nil {
-			t.Fatal(err)
+		b, _ := io.ReadAll(r.Body)
+		r.Body.Close()
+		if r.StatusCode == http.StatusUnprocessableEntity {
+			infeasible.Add(1)
+		} else if r.StatusCode != http.StatusOK {
+			t.Errorf("status %d: %s", r.StatusCode, b)
+			return
 		}
-		cfg := norm.Options.SchedConfig()
-		cfg.Observer = want
-		if _, err := core.Compile(context.Background(), loop, core.Options{Config: cfg, SkipCodegen: true}); err != nil {
-			t.Fatalf("%s: %v", l.Name, err)
+		if r.Header.Get("X-Lsmsd-Cache") != "miss" {
+			return
 		}
-		bodies[i] = requestBody(t, l, "slack", wire.Options{})
+		var resp wire.Response
+		if err := json.Unmarshal(b, &resp); err != nil {
+			t.Error(err)
+			return
+		}
+		e := resp.Effort
+		mu.Lock()
+		misses++
+		want.IIAttempts += e.IIAttempts
+		want.CentralIters += e.CentralIters
+		want.Placements += e.Placements
+		want.Forces += e.Forces
+		want.Ejections += e.Ejections
+		want.Restarts += e.Restarts
+		mu.Unlock()
+	}
+	for round := 0; round < 2; round++ { // the second round repeats the first
+		var wg sync.WaitGroup
+		for _, body := range bodies {
+			for dup := 0; dup < 3; dup++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					send(body)
+				}()
+			}
+		}
+		wg.Wait()
+	}
+	if misses != len(bodies) {
+		t.Fatalf("%d misses for %d distinct requests", misses, len(bodies))
+	}
+	if want.Placements == 0 || want.Restarts == 0 || infeasible.Load() == 0 {
+		t.Fatalf("the burst exercised too little: %+v, %d infeasible responses", want, infeasible.Load())
 	}
 
-	var wg sync.WaitGroup
-	for i, body := range bodies {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			r, err := http.Post(ts.URL+"/v1/compile", "application/json", bytes.NewReader(body))
-			if err != nil {
-				t.Errorf("%s: %v", loops[i].Name, err)
-				return
-			}
-			b, _ := io.ReadAll(r.Body)
-			r.Body.Close()
-			if r.StatusCode != http.StatusOK || r.Header.Get("X-Lsmsd-Cache") != "miss" {
-				t.Errorf("%s: status %d, cache %q: %s", loops[i].Name, r.StatusCode, r.Header.Get("X-Lsmsd-Cache"), b)
-			}
-		}()
-	}
-	wg.Wait()
-
-	for k, n := range want.Events {
-		kind := sched.EventKind(k).String()
-		if got := s.m.schedEvents.Value(kind); got != float64(n) {
-			t.Errorf("events{kind=%s} = %v, want %d", kind, got, n)
+	after := scrape(t, ts.URL)
+	for i, name := range effortFamilies {
+		line := fmt.Sprintf("\n%s %d\n", name, effortFields(want)[i])
+		if !strings.Contains(after, line) {
+			t.Errorf("scrape lacks %q", strings.TrimSpace(line))
 		}
-	}
-	for o, n := range want.AttemptOutcomes {
-		outcome := sched.AttemptOutcome(o).String()
-		if got := s.m.schedOutcomes.Value(outcome); got != float64(n) {
-			t.Errorf("attempt_outcomes{outcome=%s} = %v, want %d", outcome, got, n)
-		}
-	}
-	if got := s.m.schedScanFailures.Value(); got != float64(want.ScanFailures) {
-		t.Errorf("scan_failures = %v, want %d", got, want.ScanFailures)
-	}
-	if want.Events[sched.EvPlace] == 0 {
-		t.Fatal("reference stream is empty")
 	}
 }
 

@@ -160,9 +160,9 @@ func TestCompileCacheHit(t *testing.T) {
 	if !first.OK || first.II < first.Bounds.MII || len(first.Times) == 0 {
 		t.Fatalf("first response implausible: %+v", first)
 	}
-	eventsAfterFirst := schedEvents(s)
-	if eventsAfterFirst == 0 {
-		t.Fatal("first compile produced no scheduler events")
+	effortAfterFirst := schedEffort(s)
+	if effortAfterFirst == 0 {
+		t.Fatal("first compile counted no scheduling effort")
 	}
 	hitsBefore := metricValue(t, ts.URL, `lsmsd_cache_hits_total{tier="memory"}`)
 
@@ -179,8 +179,8 @@ func TestCompileCacheHit(t *testing.T) {
 	if hits := metricValue(t, ts.URL, `lsmsd_cache_hits_total{tier="memory"}`); hits != hitsBefore+1 {
 		t.Errorf("cache hits: %d, want %d", hits, hitsBefore+1)
 	}
-	if after := schedEvents(s); after != eventsAfterFirst {
-		t.Errorf("cache hit emitted scheduler events: %d before, %d after", eventsAfterFirst, after)
+	if after := schedEffort(s); after != effortAfterFirst {
+		t.Errorf("cache hit scheduled: %d before, %d after", effortAfterFirst, after)
 	}
 }
 

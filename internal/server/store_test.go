@@ -65,7 +65,7 @@ func TestRestartByteIdentity(t *testing.T) {
 		t.Fatalf("LoadReport = %d loaded, %d rejected, ok=%v; want %d, 0, true",
 			loaded, rejected, ok, len(bodies))
 	}
-	eventsBefore := schedEvents(s2)
+	effortBefore := schedEffort(s2)
 	for i, body := range bodies {
 		r, b := post(t, ts2.URL, body)
 		if got := r.Header.Get("X-Lsmsd-Cache"); got != "hit-disk" {
@@ -75,8 +75,8 @@ func TestRestartByteIdentity(t *testing.T) {
 			t.Errorf("replay %d not byte-identical:\n%s\nvs\n%s", i, first[i], b)
 		}
 	}
-	if after := schedEvents(s2); after != eventsBefore {
-		t.Errorf("disk replays emitted scheduler events: %d before, %d after", eventsBefore, after)
+	if after := schedEffort(s2); after != effortBefore {
+		t.Errorf("disk replays scheduled: %d before, %d after", effortBefore, after)
 	}
 	if hits := metricValue(t, ts2.URL, `lsmsd_cache_hits_total{tier="disk"}`); hits != int64(len(bodies)) {
 		t.Errorf("disk-tier hits = %d, want %d", hits, len(bodies))
@@ -218,12 +218,12 @@ func TestWarmStart(t *testing.T) {
 		t.Fatalf("post-restart warm-start stats: %+v err=%v", st, err)
 	}
 	// And the warmed store serves traffic without scheduling.
-	events := schedEvents(s2)
+	effort := schedEffort(s2)
 	r, _ := post(t, ts2.URL, requestBody(t, suite.Loops[0].CL.Loop, "slack", wire.Options{}))
 	if got := r.Header.Get("X-Lsmsd-Cache"); got != "hit" && got != "hit-disk" {
 		t.Fatalf("warmed request: %q, want a store hit", got)
 	}
-	if after := schedEvents(s2); after != events {
+	if after := schedEffort(s2); after != effort {
 		t.Error("warmed request scheduled")
 	}
 }
