@@ -9,7 +9,6 @@ import (
 	"io"
 	"net/http"
 	"strconv"
-	"strings"
 	"sync"
 	"time"
 
@@ -130,7 +129,7 @@ func (s *Server) begin(r *http.Request) *reqScratch {
 	scr := reqScratchPool.Get().(*reqScratch)
 	scr.start = time.Now()
 	if scr.id = r.Header.Get("X-Request-Id"); scr.id == "" {
-		scr.id = fmt.Sprintf("req-%06d", s.reqSeq.Add(1))
+		scr.id = requestID(s.reqSeq.Add(1))
 	}
 	if h := r.Header.Get("traceparent"); h != "" {
 		if sc, err := obs.ParseTraceparent(h); err == nil {
@@ -521,30 +520,55 @@ func (s *Server) respond(w http.ResponseWriter, scr *reqScratch, rep reply) {
 	s.slo.Record(rep.status < 500, d)
 }
 
+// requestID mints the ID of the n-th request without an X-Request-Id:
+// fmt's "req-%06d", zero-padded to six digits and wider past 999,999.
+func requestID(n uint64) string {
+	var d [20]byte
+	digits := strconv.AppendUint(d[:0], n, 10)
+	var b [32]byte
+	out := append(b[:0], "req-"...)
+	for k := len(digits); k < 6; k++ {
+		out = append(out, '0')
+	}
+	return string(append(out, digits...))
+}
+
 // serverTiming renders a finished trace's spans as a Server-Timing
 // header value (RFC 8941-ish: `name;dur=ms`, comma-separated), summing
-// spans that share a name — the per-stage latency breakdown a caller
-// sees without fetching the exported trace.
+// spans that share a name, in first-seen order — the per-stage latency
+// breakdown a caller sees without fetching the exported trace. A trace
+// has a handful of distinct names, so each span finds its sum by a
+// linear scan of the ones seen so far.
 func serverTiming(tr *obs.Trace) string {
 	if tr == nil || len(tr.Spans) == 0 {
 		return ""
 	}
-	var names []string
-	durs := map[string]time.Duration{}
+	type stage struct {
+		name string
+		dur  time.Duration
+	}
+	var buf [16]stage
+	stages := buf[:0]
+next:
 	for _, sp := range tr.Spans {
-		if _, ok := durs[sp.Name]; !ok {
-			names = append(names, sp.Name)
+		for i := range stages {
+			if stages[i].name == sp.Name {
+				stages[i].dur += sp.Dur
+				continue next
+			}
 		}
-		durs[sp.Name] += sp.Dur
+		stages = append(stages, stage{sp.Name, sp.Dur})
 	}
-	var b strings.Builder
-	for i, n := range names {
+	var arr [256]byte
+	b := arr[:0]
+	for i, st := range stages {
 		if i > 0 {
-			b.WriteByte(',')
+			b = append(b, ',')
 		}
-		fmt.Fprintf(&b, "%s;dur=%.3f", n, float64(durs[n].Microseconds())/1000)
+		b = append(append(b, st.name...), ";dur="...)
+		b = strconv.AppendFloat(b, float64(st.dur.Microseconds())/1000, 'f', 3, 64)
 	}
-	return b.String()
+	return string(b)
 }
 
 // traceCtx places one compile's trace: its own span context, plus the

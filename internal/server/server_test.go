@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"strconv"
 	"strings"
 	"testing"
@@ -620,5 +621,69 @@ func TestInlineSpecCompile(t *testing.T) {
 	}
 	if r.II <= rCy.II {
 		t.Errorf("II %d on one mem port should exceed II %d on two", r.II, rCy.II)
+	}
+}
+
+// TestSourceMemoLeavesAnswersUnchanged: the requests Normalize never
+// memoizes — a source-form request on an inline spec, and failing
+// sources (a parse error, an out-of-range loop_index, an ineligible
+// loop, an op the target lacks) — get byte-identical answers before
+// and after the memo holds a clean lowering of the same source text.
+func TestSourceMemoLeavesAnswersUnchanged(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	daxpy, err := os.ReadFile("../../testdata/loops/daxpy.f")
+	if err != nil {
+		t.Fatal(err)
+	}
+	noMul := &machine.Spec{
+		Name:  "server-memo-no-mul",
+		Units: []machine.UnitSpec{{Name: "ALU", Count: 4}, {Name: "Mem", Count: 2}},
+		Profiles: []machine.ProfileSpec{
+			{Ops: []string{"load", "store"}, Unit: "Mem", Latency: 2},
+			{Ops: []string{"fadd", "aadd", "brtop"}, Unit: "ALU", Latency: 1},
+		},
+	}
+	machine.Register(noMul.MustBuild())
+	inline := machine.FamilySpec("server-memo-inline", machine.CydraLatencies())
+	short := "      subroutine short(x)\n      real x(10)\n      integer i\n" +
+		"      do i = 1, 3\n        x(i) = x(i) + 1.0\n      end do\n      end\n"
+	cases := []struct {
+		name   string
+		req    wire.Request
+		status int
+	}{
+		{"inline spec", wire.Request{Machine: inline.Name, MachineSpec: inline, Source: string(daxpy)}, http.StatusOK},
+		{"parse error", wire.Request{Machine: "cydra", Source: "      subroutine (\n"}, http.StatusBadRequest},
+		{"loop_index", wire.Request{Machine: "cydra", Source: string(daxpy), LoopIndex: 3}, http.StatusBadRequest},
+		{"ineligible", wire.Request{Machine: "cydra", Source: short}, http.StatusBadRequest},
+		{"unsupported op", wire.Request{Machine: noMul.Name, Source: string(daxpy)}, http.StatusUnprocessableEntity},
+	}
+	answer := func(r wire.Request) (int, string) {
+		r.Version = wire.Version
+		b, err := json.Marshal(&r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, out := post(t, ts.URL, b)
+		return resp.StatusCode, string(out)
+	}
+	cold := make([]string, len(cases))
+	for i, c := range cases {
+		status, body := answer(c.req)
+		if status != c.status {
+			t.Fatalf("%s: status %d, want %d: %s", c.name, status, c.status, body)
+		}
+		cold[i] = body
+	}
+	// The second daxpy on cydra is lowered from the memo.
+	for range 2 {
+		if status, body := answer(wire.Request{Machine: "cydra", Source: string(daxpy)}); status != http.StatusOK {
+			t.Fatalf("daxpy on cydra: status %d: %s", status, body)
+		}
+	}
+	for i, c := range cases {
+		if status, body := answer(c.req); status != c.status || body != cold[i] {
+			t.Errorf("%s: answer changed with a warm memo:\ncold: %s\nwarm: %d %s", c.name, cold[i], status, body)
+		}
 	}
 }

@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -453,5 +455,53 @@ func TestBuildInfoAndTraceMetrics(t *testing.T) {
 	}
 	if errs := obs.LintExposition(strings.NewReader(om)); len(errs) > 0 {
 		t.Fatalf("OpenMetrics /metrics fails promlint: %v", errs)
+	}
+}
+
+// TestServerTimingAndRequestIDBytes pins the Server-Timing header and
+// the minted request IDs byte for byte, against literals and against
+// the fmt formatting they replaced: repeated span names sum in
+// first-seen order, durations print in milliseconds to three places,
+// and IDs are zero-padded to six digits, wider past 999,999.
+func TestServerTimingAndRequestIDBytes(t *testing.T) {
+	tr := &obs.Trace{Spans: []*obs.Span{
+		{Name: "mindist", Dur: 1500 * time.Microsecond},
+		{Name: "attempt", Dur: 2*time.Millisecond + 499*time.Nanosecond},
+		{Name: "mindist", Dur: 250 * time.Microsecond},
+		{Name: "store-put", Dur: 0},
+		{Name: "attempt", Dur: 12345678 * time.Microsecond},
+	}}
+	const want = "mindist;dur=1.750,attempt;dur=12347.678,store-put;dur=0.000"
+	if got := serverTiming(tr); got != want {
+		t.Errorf("serverTiming = %q, want %q", got, want)
+	}
+	var names []string
+	durs := map[string]time.Duration{}
+	for _, sp := range tr.Spans {
+		if _, ok := durs[sp.Name]; !ok {
+			names = append(names, sp.Name)
+		}
+		durs[sp.Name] += sp.Dur
+	}
+	var b strings.Builder
+	for i, n := range names {
+		if i > 0 {
+			b.WriteByte(',')
+		}
+		fmt.Fprintf(&b, "%s;dur=%.3f", n, float64(durs[n].Microseconds())/1000)
+	}
+	if b.String() != want {
+		t.Errorf("fmt rendering %q differs from the pinned %q", b.String(), want)
+	}
+	if got := serverTiming(&obs.Trace{}); got != "" {
+		t.Errorf("serverTiming of a trace without spans = %q, want empty", got)
+	}
+	for n, want := range map[uint64]string{
+		1: "req-000001", 42: "req-000042", 999999: "req-999999",
+		1000000: "req-1000000", 123456789012: "req-123456789012", math.MaxUint64: "req-18446744073709551615",
+	} {
+		if got := requestID(n); got != want || got != fmt.Sprintf("req-%06d", n) {
+			t.Errorf("requestID(%d) = %q, want %q", n, got, want)
+		}
 	}
 }

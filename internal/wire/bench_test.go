@@ -61,7 +61,9 @@ func decodedForms(b *testing.B, f benchForm) []*Request {
 	return reqs
 }
 
-// BenchmarkWireNormalize times Normalize on decoded requests.
+// BenchmarkWireNormalize times Normalize on decoded requests. The
+// corpus fits the source memo, so past the first cycle a source-form
+// op is a memo hit; BenchmarkFrontend times the lowering itself.
 func BenchmarkWireNormalize(b *testing.B) {
 	for _, f := range benchForms(b) {
 		b.Run(f.name, func(b *testing.B) {

@@ -524,12 +524,15 @@ func TestHashNormalizedAllocs(t *testing.T) {
 // TestHashNormalizedAllocs's. Under the race detector, whose pools drop
 // a quarter of what they are given, re-making the recycled memory adds
 // about 20 on average; the allowance for it is half again as much.
+// The memo stores nothing here, so every call runs the frontend;
+// TestNormalizeMemoHitAllocs bounds a memo hit.
 func TestNormalizeSourceAllocs(t *testing.T) {
 	src, err := os.ReadFile("../../testdata/loops/daxpy.f")
 	if err != nil {
 		t.Fatal(err)
 	}
 	r := &Request{Version: Version, Machine: machine.PaperMachine, Source: string(src)}
+	useMemo(t, newSourceMemo(0))
 	allocs := testing.AllocsPerRun(100, func() {
 		if _, _, err := r.Normalize(); err != nil {
 			t.Fatal(err)
@@ -541,6 +544,32 @@ func TestNormalizeSourceAllocs(t *testing.T) {
 	}
 	if allocs > limit {
 		t.Errorf("source-form Normalize made %.0f allocations, want ≤ %.0f", allocs, limit)
+	}
+}
+
+// TestNormalizeMemoHitAllocs bounds a source-form Normalize served from
+// the memo: the envelope copy and the DecodeLoop of the stored
+// document, with no frontend. It takes 11 allocations; the slack is
+// TestHashNormalizedAllocs's.
+func TestNormalizeMemoHitAllocs(t *testing.T) {
+	useMemo(t, newSourceMemo(MemoBudget))
+	src, err := os.ReadFile("../../testdata/loops/daxpy.f")
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := &Request{Version: Version, Machine: machine.PaperMachine, Source: string(src)}
+	first, _, err := r.Normalize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		n, _, err := r.Normalize()
+		if err != nil || n.Loop != first.Loop {
+			t.Fatalf("Normalize missed the memo (%v)", err)
+		}
+	})
+	if limit := 11.0 + 7; allocs > limit {
+		t.Errorf("memo-hit Normalize made %.0f allocations, want ≤ %.0f", allocs, limit)
 	}
 }
 

@@ -67,8 +67,28 @@ type decoder struct {
 	// buf holds the unquoted bytes of the last string that needed
 	// unescaping; it lives in the Scratch, so its capacity is pooled.
 	buf []byte
+	// hw is how far decodes have written into the pooled storage since
+	// its last reset; it outlives the decode, until that reset.
+	hw highWater
 	// key holds the folded form of the last object key.
 	key [24]byte
+}
+
+// highWater records the longest each pooled slice has been since it
+// was last reset: the loop document's values, ops and deps, the
+// longest argument list of any op, and the unquote buffer. A decode
+// writes only below these lengths, so everything past them is still
+// zero and a reset clears only up to them.
+type highWater struct {
+	values, ops, deps, args int
+	buf                     int
+}
+
+// mark raises *hw to n.
+func mark(hw *int, n int) {
+	if n > *hw {
+		*hw = n
+	}
 }
 
 // interned maps each known spelling of an enumerated field to its
@@ -133,7 +153,7 @@ func (d *decoder) request(r *Request, doc *Loop) error {
 				w = new(Loop)
 			} else {
 				docUsed = true
-				doc.Reset()
+				doc.reset(&d.hw)
 			}
 			r.Loop = w
 			start, depth := d.off, d.depth
@@ -209,11 +229,11 @@ func (d *decoder) loop(w *Loop) error {
 		case "has_conditional":
 			return d.boolean(&w.HasConditional)
 		case "values":
-			return decodeSlice(d, &w.Values, (*decoder).value)
+			return decodeSlice(d, &w.Values, (*decoder).value, &d.hw.values)
 		case "ops":
-			return decodeSlice(d, &w.Ops, (*decoder).op)
+			return decodeSlice(d, &w.Ops, (*decoder).op, &d.hw.ops)
 		case "deps":
-			return decodeSlice(d, &w.Deps, (*decoder).dep)
+			return decodeSlice(d, &w.Deps, (*decoder).dep, &d.hw.deps)
 		}
 		return d.skip()
 	})
@@ -257,7 +277,7 @@ func (d *decoder) op(o *Op) error {
 		case "opcode":
 			return d.str(&o.Opcode, opcodeNames)
 		case "args":
-			return decodeSlice(d, &o.Args, (*decoder).operand)
+			return decodeSlice(d, &o.Args, (*decoder).operand, &d.hw.args)
 		case "result":
 			return intField(d, &o.Result)
 		case "pred":
@@ -302,8 +322,9 @@ func (d *decoder) dep(p *Dep) error {
 // decodeSlice decodes an array into *p the way encoding/json does: element i
 // decodes into the slice's existing element i while i is within its
 // capacity, the length is set to the element count, an empty array
-// yields a non-nil empty slice, and null yields nil.
-func decodeSlice[T any](d *decoder, p *[]T, elem func(*decoder, *T) error) error {
+// yields a non-nil empty slice, and null yields nil. hw is raised to
+// every length the slice reaches.
+func decodeSlice[T any](d *decoder, p *[]T, elem func(*decoder, *T) error, hw *int) error {
 	switch d.ws() {
 	case 'n':
 		*p = nil
@@ -334,6 +355,7 @@ func decodeSlice[T any](d *decoder, p *[]T, elem func(*decoder, *T) error) error
 			var zero T
 			s = append(s, zero)
 		}
+		mark(hw, i+1)
 		if err := elem(d, &s[i]); err != nil {
 			*p = s
 			return err
@@ -676,7 +698,10 @@ func (d *decoder) quoted() ([]byte, error) {
 // exactly as encoding/json unquotes.
 func (d *decoder) unquote(start int) ([]byte, error) {
 	b := append(d.buf[:0], d.data[start:d.off]...)
-	defer func() { d.buf = b[:0] }()
+	defer func() {
+		mark(&d.hw.buf, len(b))
+		d.buf = b[:0]
+	}()
 	for d.off < len(d.data) {
 		switch c := d.data[d.off]; {
 		case c == '"':

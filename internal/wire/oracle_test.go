@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 
 	"repro/internal/machine"
 )
@@ -58,7 +59,7 @@ func (s *oracleScratch) DecodeRequest(body []byte) (*Request, error) {
 	s.req.Source = s.env.Source
 	s.req.LoopIndex = s.env.LoopIndex
 	if len(s.env.Loop) > 0 && !bytes.Equal(s.env.Loop, jsonNull) {
-		s.doc.Reset()
+		s.doc.reset(&highWater{values: cap(s.doc.Values), ops: cap(s.doc.Ops), deps: cap(s.doc.Deps), args: math.MaxInt})
 		if err := json.Unmarshal(s.env.Loop, &s.doc); err != nil {
 			return nil, fmt.Errorf("parsing request loop: %w", err)
 		}

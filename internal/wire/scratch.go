@@ -7,10 +7,10 @@ package wire
 // because a stale non-nil pointer would make a source-form request look
 // like it also carried an IR payload. The Request struct itself owns no
 // slices, so a plain zeroing loses no capacity; loop-document reuse
-// lives in Scratch / (*Loop).Reset.
+// lives in Scratch.
 func (r *Request) Reset() { *r = Request{} }
 
-// Reset deep-zeroes the loop document while keeping every slice's
+// reset deep-zeroes the loop document while keeping every slice's
 // capacity, making it safe to decode the next document into it. The
 // decoder reuses slice backing arrays up to capacity without clearing
 // the elements first, so anything short of a deep zero leaks one
@@ -18,24 +18,22 @@ func (r *Request) Reset() { *r = Request{} }
 // or Const literal would silently change the decoded loop — and its
 // content hash. Pointers (Op.Pred, Value.Const) are nil'd for the same
 // reason an absent key must read as absent, not as the previous value.
-func (w *Loop) Reset() {
-	values := w.Values[:cap(w.Values)]
-	for i := range values {
-		values[i] = Value{}
-	}
-	ops := w.Ops[:cap(w.Ops)]
+// Every write since the last reset lies below hw's lengths (see
+// highWater) and everything past them is still zero, so it clears only
+// up to them, then zeroes the document's marks.
+func (w *Loop) reset(hw *highWater) {
+	values := w.Values[:min(hw.values, cap(w.Values))]
+	clear(values)
+	ops := w.Ops[:min(hw.ops, cap(w.Ops))]
 	for i := range ops {
-		args := ops[i].Args[:cap(ops[i].Args)]
-		for j := range args {
-			args[j] = Operand{}
-		}
+		args := ops[i].Args[:min(hw.args, cap(ops[i].Args))]
+		clear(args)
 		ops[i] = Op{Args: args[:0]}
 	}
-	deps := w.Deps[:cap(w.Deps)]
-	for i := range deps {
-		deps[i] = Dep{}
-	}
+	deps := w.Deps[:min(hw.deps, cap(w.Deps))]
+	clear(deps)
 	*w = Loop{Values: values[:0], Ops: ops[:0], Deps: deps[:0]}
+	hw.values, hw.ops, hw.deps, hw.args = 0, 0, 0, 0
 }
 
 // Scratch is pooled request-decode storage: the loop document, the
@@ -55,11 +53,10 @@ type Scratch struct {
 // keeping all buffer capacity for the next decode. Pools call this on
 // release so an idle scratch retains no request data.
 func (s *Scratch) Reset() {
-	s.doc.Reset()
+	s.doc.reset(&s.dec.hw)
 	s.req.Reset()
-	buf := s.dec.buf[:cap(s.dec.buf)]
-	clear(buf)
-	s.dec = decoder{buf: buf[:0]}
+	clear(s.dec.buf[:min(s.dec.hw.buf, cap(s.dec.buf))])
+	s.dec = decoder{buf: s.dec.buf[:0]}
 }
 
 // DecodeRequest parses body into the scratch-backed request in one pass
@@ -70,7 +67,7 @@ func (s *Scratch) Reset() {
 // encoding/json decode it replaced gave (oracle_test.go).
 func (s *Scratch) DecodeRequest(body []byte) (*Request, error) {
 	s.req.Reset()
-	s.dec = decoder{data: body, buf: s.dec.buf[:0]}
+	s.dec = decoder{data: body, buf: s.dec.buf[:0], hw: s.dec.hw}
 	err := s.dec.request(&s.req, &s.doc)
 	s.dec.data = nil
 	if err != nil {

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"encoding/json"
+	"fmt"
 	"testing"
 
 	"repro/internal/loopgen"
@@ -141,5 +142,96 @@ func TestScratchReleaseRetainsNoRequestData(t *testing.T) {
 		if op.Opcode != "" || op.Pred != nil || op.Result != 0 || op.PredNeg || len(op.Args) != 0 {
 			t.Fatalf("stale op beyond len after Reset: %+v", op)
 		}
+	}
+}
+
+// TestScratchResetClearsWhatDecodesWrote: Reset clears the pooled
+// storage only up to the longest each slice has been since the last
+// Reset, so those marks must cover every element a decode wrote. A
+// 140-op document, a 5-op one, and one whose repeated "values" key is
+// shorter the second time go through one Scratch, released after each
+// as the server releases it. Each decode must encode as a fresh decode
+// does, and after each release no element within any slice's capacity,
+// nor any byte of the unquote buffer, may hold data.
+func TestScratchResetClearsWhatDecodesWrote(t *testing.T) {
+	doc := func(nops int) []byte {
+		l := &Loop{Name: fmt.Sprintf("loop\t%d", nops), NumBB: 2, TripCount: 9, HasConditional: true}
+		for i := 0; i <= nops; i++ {
+			v := Value{Name: fmt.Sprintf("value\n%d", i), File: "RR", Type: "float", LiveOut: i%2 == 0}
+			if i%3 == 0 {
+				v.Const = &Const{I: int64(i), F: 1.5, B: true}
+			}
+			l.Values = append(l.Values, v)
+		}
+		for i := 0; i < nops; i++ {
+			op := Op{Opcode: "fadd", Result: i + 1, PredNeg: i%2 == 1,
+				Args: []Operand{{Val: i, Omega: i % 3}, {Val: (i + 1) % nops, Omega: 1}}}
+			if i%4 == 0 {
+				op.Pred = &Operand{Val: 0, Omega: 2}
+			}
+			l.Ops = append(l.Ops, op)
+			if i%5 == 0 {
+				l.Deps = append(l.Deps, Dep{From: i, To: (i + 1) % nops, Latency: 3, Omega: 2, Kind: "mem"})
+			}
+		}
+		b, err := json.Marshal(&Request{Version: Version, Machine: "cydra", Options: Options{MaxII: 7}, Loop: l})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	dup := []byte(`{"version":"lsms-wire/2","machine":"cydra","loop":{"name":"dup",
+		"values":[{"name":"a","file":"RR","type":"int","live_out":true,"const":{"i":4}},
+			{"name":"b\u0009","file":"GPR","type":"addr"},{"name":"c","file":"RR","type":"float"}],
+		"ops":[{"opcode":"iadd","args":[{"val":0,"omega":1}],"result":1}],
+		"values":[{"name":"z"}]}}`)
+	var scr Scratch
+	for i, body := range [][]byte{doc(140), doc(5), dup} {
+		var fresh Request
+		if err := json.Unmarshal(body, &fresh); err != nil {
+			t.Fatalf("doc %d: %v", i, err)
+		}
+		got, err := scr.DecodeRequest(body)
+		if err != nil {
+			t.Fatalf("doc %d: %v", i, err)
+		}
+		want, _ := appendRequest(nil, &fresh)
+		have, _ := appendRequest(nil, got)
+		if string(want) != string(have) {
+			t.Fatalf("doc %d decodes differently through the scratch:\nfresh:   %s\nscratch: %s", i, want, have)
+		}
+		scr.Reset()
+		d := &scr.doc
+		for _, v := range d.Values[:cap(d.Values)] {
+			if v != (Value{}) {
+				t.Fatalf("doc %d: stale value after Reset: %+v", i, v)
+			}
+		}
+		for _, op := range d.Ops[:cap(d.Ops)] {
+			if op.Opcode != "" || op.Pred != nil || op.Result != 0 || op.PredNeg || len(op.Args) != 0 {
+				t.Fatalf("doc %d: stale op after Reset: %+v", i, op)
+			}
+			for _, a := range op.Args[:cap(op.Args)] {
+				if a != (Operand{}) {
+					t.Fatalf("doc %d: stale operand after Reset: %+v", i, a)
+				}
+			}
+		}
+		for _, dep := range d.Deps[:cap(d.Deps)] {
+			if dep != (Dep{}) {
+				t.Fatalf("doc %d: stale dep after Reset: %+v", i, dep)
+			}
+		}
+		for k, c := range scr.dec.buf[:cap(scr.dec.buf)] {
+			if c != 0 {
+				t.Fatalf("doc %d: unquoted bytes retained after Reset at %d", i, k)
+			}
+		}
+		if scr.dec.hw != (highWater{}) {
+			t.Fatalf("doc %d: marks %+v survive Reset", i, scr.dec.hw)
+		}
+	}
+	if cap(scr.doc.Ops) < 140 || cap(scr.dec.buf) == 0 {
+		t.Errorf("Reset dropped capacity: %d ops, %d unquote bytes", cap(scr.doc.Ops), cap(scr.dec.buf))
 	}
 }

@@ -454,6 +454,12 @@ func (r *Request) validate() (*machine.Desc, error) {
 // writing a request converges on one set of canonical bytes. The
 // receiver is not modified; the result is marked normalized, so Hash
 // and Canonical on it skip a second Normalize.
+//
+// A source-form request for a registered target is lowered once per
+// process while its entry lasts (see MemoBudget): later requests for
+// the same source, loop index and target share the stored document as
+// their Loop, and the returned *ir.Loop is decoded from it. The
+// document is read-only; the *ir.Loop is the caller's own.
 func (r *Request) Normalize() (*Request, *ir.Loop, error) {
 	m, err := r.validate()
 	if err != nil {
@@ -464,6 +470,20 @@ func (r *Request) Normalize() (*Request, *ir.Loop, error) {
 	n.Machine = m.Name
 	n.normalized = true
 	if r.Source != "" {
+		// A registered target's lowering is memoized; an inline spec
+		// builds a fresh Desc per request, so it could never hit.
+		var k *memoKey
+		if r.MachineSpec == nil {
+			k = &memoKey{m: m, index: r.LoopIndex, sum: sourceSum(r.Source)}
+			if wl := sources.get(k); wl != nil {
+				l, err := wl.DecodeLoop(m)
+				if err != nil {
+					return nil, nil, err
+				}
+				n.Source, n.LoopIndex, n.Loop = "", 0, wl
+				return &n, l, nil
+			}
+		}
 		cl, loops, err := frontend.CompileIndex(r.Source, r.LoopIndex, m)
 		if err != nil {
 			return nil, nil, fmt.Errorf("wire: compiling source: %w", err)
@@ -477,6 +497,9 @@ func (r *Request) Normalize() (*Request, *ir.Loop, error) {
 		wl, err := EncodeLoop(cl.Loop)
 		if err != nil {
 			return nil, nil, err
+		}
+		if k != nil {
+			sources.put(k, wl)
 		}
 		n.Source, n.LoopIndex, n.Loop = "", 0, wl
 		return &n, cl.Loop, nil

@@ -163,8 +163,11 @@ func TestSourceAndIRFormsHashIdentically(t *testing.T) {
 
 // TestNormalizeConcurrent: source-form Normalize recycles its token
 // slice, AST, unit and lowering tables through pools, so requests
-// normalized at once must hash exactly as they do one at a time.
+// normalized at once must hash exactly as they do one at a time. The
+// memo stores nothing here, so every source runs the frontend
+// (TestMemoConcurrentEviction covers the memo).
 func TestNormalizeConcurrent(t *testing.T) {
+	useMemo(t, newSourceMemo(0))
 	irDocs, srcDocs := corpusDocs(t, 120, 1993)
 	docs := append(srcDocs, irDocs...)
 	want := make([]string, len(docs))
