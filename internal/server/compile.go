@@ -24,13 +24,15 @@ import (
 // The compile path is one sequence of named stages, the layers
 // perfbench attributes serve time to:
 //
-//	read → decode → prepare → lookup → join → admit → compile → store → respond
+//	read → decode → prepare → lookup → lower → join → admit → compile → store → respond
 //
-// handleCompile runs all of them. WarmStart enters at prepare (its
-// corpus is already decoded) and probes the store itself, so warm-up
-// lookups do not count as traffic. The refiner runs decode, prepare
-// and compile, and builds its body with outcomeOf. Every compile
-// response leaves through respond.
+// handleCompile runs all of them. prepare canonicalizes and hashes at
+// the wire level; only a request the store cannot answer is lowered to
+// IR, and a request lower turns away never joins a flight. WarmStart
+// enters at prepare (its corpus is already decoded) and probes the
+// store itself, so warm-up lookups do not count as traffic. The
+// refiner runs decode, prepare, lower and compile, and builds its body
+// with outcomeOf. Every compile response leaves through respond.
 func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 	scr := s.begin(r)
 	defer scr.release()
@@ -65,6 +67,10 @@ func (s *Server) serve(r *http.Request, scr *reqScratch) reply {
 	if rep, ok := s.lookup(scr); ok {
 		return rep
 	}
+	if e := s.lower(&scr.p); e != nil {
+		return s.reject(e)
+	}
+	s.m.storeMiss()
 	c, leader := s.flights.join(scr.p.hash)
 	if !leader {
 		return s.dedup(r.Context(), scr, c)
@@ -144,9 +150,9 @@ func (s *Server) begin(r *http.Request) *reqScratch {
 	return scr
 }
 
-// prepared is the prepare stage's output in two halves. The key —
-// content hash, loop name, scheduler — is all that lookup, join and
-// respond read; the lowered request is for compile alone.
+// prepared is what prepare and lower fill in. The key — content hash,
+// loop name, scheduler — is all that lookup, join and respond read; the
+// normalized request and its lowered loop are for compile alone.
 type prepared struct {
 	hash, loopName, scheduler string
 
@@ -154,43 +160,57 @@ type prepared struct {
 	loop *ir.Loop
 }
 
-// prepare normalizes the request (lowering source form to IR), defaults
-// and checks the scheduler, and computes the content hash. The fields
-// fill in as far as prepare gets, so a turned-away request's log record
-// still names what it could.
+// prepare normalizes the request (lowering a source form not in the
+// source memo), computes its content hash and defaults the scheduler.
+// The fields fill in as far as prepare gets, so a turned-away request's
+// log record still names what it could.
 func (s *Server) prepare(req *wire.Request, p *prepared) *wire.Error {
-	norm, loop, err := req.Normalize()
+	norm, hash, err := req.Normalize()
 	if err != nil {
-		// Ops the target cannot execute are a well-formed request for
-		// impossible work — unprocessable (422), not malformed (400).
-		var ue *machine.UnsupportedOpError
-		if errors.As(err, &ue) {
-			return &wire.Error{Kind: wire.ErrKindUnsupportedOp, Message: err.Error()}
-		}
-		return badRequest(err)
+		return requestError(err)
 	}
-	p.norm, p.loop, p.loopName, p.scheduler = norm, loop, loop.Name, norm.Scheduler
+	p.norm, p.hash, p.loopName, p.scheduler = norm, hash, norm.Loop.Name, norm.Scheduler
 	if p.scheduler == "" {
 		p.scheduler = string(core.SchedSlack)
 	}
+	return nil
+}
+
+// lower builds the prepared request's IR and checks its scheduler, in
+// that order, so a malformed loop is a bad request whatever scheduler
+// it names.
+func (s *Server) lower(p *prepared) *wire.Error {
+	loop, err := p.norm.Lower()
+	if err != nil {
+		return requestError(err)
+	}
+	p.loop = loop
 	if _, ok := core.Lookup(core.SchedulerName(p.scheduler)); !ok {
 		return &wire.Error{
 			Kind:    wire.ErrKindUnknownScheduler,
 			Message: fmt.Sprintf("unknown scheduler %q (registered: %v)", p.scheduler, core.Schedulers()),
 		}
 	}
-	if p.hash, err = norm.Hash(); err != nil {
-		return badRequest(err)
-	}
 	return nil
+}
+
+// requestError maps a Normalize or Lower failure onto its wire error.
+// Ops the target cannot execute are a well-formed request for
+// impossible work — unprocessable (422), not malformed (400).
+func requestError(err error) *wire.Error {
+	var ue *machine.UnsupportedOpError
+	if errors.As(err, &ue) {
+		return &wire.Error{Kind: wire.ErrKindUnsupportedOp, Message: err.Error()}
+	}
+	return badRequest(err)
 }
 
 func badRequest(err error) *wire.Error {
 	return &wire.Error{Kind: wire.ErrKindBadRequest, Message: err.Error()}
 }
 
-// reject answers a request read, decode or prepare turned away: 422 for
-// unsupported ops, 400 for everything else.
+// reject answers a request read, decode, prepare or lower turned away:
+// 422 for unsupported ops, 400 for everything else.
 func (s *Server) reject(e *wire.Error) reply {
 	s.m.badRequests.Inc()
 	status := http.StatusBadRequest
@@ -203,11 +223,11 @@ func (s *Server) reject(e *wire.Error) reply {
 // lookup answers from the content-addressed result store. A memory-tier
 // hit is labelled "hit"; a deeper tier's is "hit-disk", and since it did
 // I/O it also leaves a store-get trace in the flight recorder. A memory
-// hit pays for a trace only when the trace will be exported.
+// hit pays for a trace only when the trace will be exported. serve
+// counts a miss once lower has accepted the request.
 func (s *Server) lookup(scr *reqScratch) (reply, bool) {
 	rec, tier, ok := s.store.GetTier(scr.p.hash)
 	if !ok {
-		s.m.storeMiss()
 		return reply{}, false
 	}
 	rep := reply{outcome: outcome{status: rec.Status, name: "cache-hit", body: rec.Body}, cache: "hit", refined: rec.Refined}

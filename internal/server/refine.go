@@ -121,10 +121,10 @@ func (r *refiner) run() {
 	}
 }
 
-// process runs one refinement end to end: decode, prepare, an exact
-// compile, the strict-improvement comparison, and the store upgrade.
-// Every job leaves one `refine` trace in the flight recorder and bumps
-// exactly one of the improved/unchanged/exhausted counters.
+// process runs one refinement end to end: decode, prepare, lower, an
+// exact compile, the strict-improvement comparison, and the store
+// upgrade. Every job leaves one `refine` trace in the flight recorder
+// and bumps exactly one of the improved/unchanged/exhausted counters.
 func (r *refiner) process(scr *reqScratch, job refineJob) {
 	s := r.s
 	start := time.Now()
@@ -166,6 +166,10 @@ func (r *refiner) process(scr *reqScratch, job refineJob) {
 		return
 	}
 	if e := s.prepare(req, &scr.p); e != nil {
+		tr.Err = e.Message
+		return
+	}
+	if e := s.lower(&scr.p); e != nil {
 		tr.Err = e.Message
 		return
 	}

@@ -216,7 +216,11 @@ func refinedOracle(t *testing.T, l *ir.Loop, hash string, cfg Config) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	norm, loop, err := req.Normalize()
+	norm, _, err := req.Normalize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	loop, err := norm.Lower()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -284,6 +288,9 @@ func TestRefinedBodyIsOutcomeOf(t *testing.T) {
 		}
 		var p prepared
 		if e := s.prepare(req, &p); e != nil {
+			t.Fatal(e.Message)
+		}
+		if e := s.lower(&p); e != nil {
 			t.Fatal(e.Message)
 		}
 		r.process(scr, refineJob{hash: p.hash, reqID: k.Name, schedName: p.scheduler, loopName: p.loopName,

@@ -627,8 +627,12 @@ func TestInlineSpecCompile(t *testing.T) {
 // TestSourceMemoLeavesAnswersUnchanged: the requests Normalize never
 // memoizes — a source-form request on an inline spec, and failing
 // sources (a parse error, an out-of-range loop_index, an ineligible
-// loop, an op the target lacks) — get byte-identical answers before
-// and after the memo holds a clean lowering of the same source text.
+// loop, an op the target lacks) — and the IR-form documents Lower turns
+// away (an unknown opcode, an out-of-range operand, an op the target
+// lacks, an unknown opcode under an unknown scheduler) get identical
+// answers (status, X-Lsmsd-Cache, body) before and after the memo and
+// the store hold a clean lowering of the same loop. A turned-away
+// request counts as a bad request and never as a cache miss.
 func TestSourceMemoLeavesAnswersUnchanged(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	daxpy, err := os.ReadFile("../../testdata/loops/daxpy.f")
@@ -647,6 +651,32 @@ func TestSourceMemoLeavesAnswersUnchanged(t *testing.T) {
 	inline := machine.FamilySpec("server-memo-inline", machine.CydraLatencies())
 	short := "      subroutine short(x)\n      real x(10)\n      integer i\n" +
 		"      do i = 1, 3\n        x(i) = x(i) + 1.0\n      end do\n      end\n"
+	valid := wire.Request{Version: wire.Version, Machine: "cydra", Source: string(daxpy)}
+	norm, _, err := valid.Normalize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// irForm is daxpy's IR document, copied (the normalized one is the
+	// memo's, shared read-only) and edited by mut.
+	irForm := func(mach, scheduler string, mut func(*wire.Loop)) wire.Request {
+		b, err := json.Marshal(norm.Loop)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var l wire.Loop
+		if err := json.Unmarshal(b, &l); err != nil {
+			t.Fatal(err)
+		}
+		mut(&l)
+		return wire.Request{Machine: mach, Scheduler: scheduler, Loop: &l}
+	}
+	renameFmul := func(l *wire.Loop) {
+		for i := range l.Ops {
+			if l.Ops[i].Opcode == machine.FMul.String() {
+				l.Ops[i].Opcode = "fmulx"
+			}
+		}
+	}
 	cases := []struct {
 		name   string
 		req    wire.Request
@@ -657,33 +687,69 @@ func TestSourceMemoLeavesAnswersUnchanged(t *testing.T) {
 		{"loop_index", wire.Request{Machine: "cydra", Source: string(daxpy), LoopIndex: 3}, http.StatusBadRequest},
 		{"ineligible", wire.Request{Machine: "cydra", Source: short}, http.StatusBadRequest},
 		{"unsupported op", wire.Request{Machine: noMul.Name, Source: string(daxpy)}, http.StatusUnprocessableEntity},
+		{"ir unknown opcode", irForm("cydra", "", renameFmul), http.StatusBadRequest},
+		{"ir out-of-range operand", irForm("cydra", "", func(l *wire.Loop) { l.Ops[0].Args[0].Val = len(l.Values) }),
+			http.StatusBadRequest},
+		{"ir unsupported op", irForm(noMul.Name, "", func(*wire.Loop) {}), http.StatusUnprocessableEntity},
+		{"ir unknown opcode and scheduler", irForm("cydra", "nope", renameFmul), http.StatusBadRequest},
 	}
-	answer := func(r wire.Request) (int, string) {
+	type answer struct {
+		status      int
+		cache, body string
+	}
+	send := func(r wire.Request) answer {
 		r.Version = wire.Version
 		b, err := json.Marshal(&r)
 		if err != nil {
 			t.Fatal(err)
 		}
 		resp, out := post(t, ts.URL, b)
-		return resp.StatusCode, string(out)
+		return answer{resp.StatusCode, resp.Header.Get("X-Lsmsd-Cache"), string(out)}
 	}
-	cold := make([]string, len(cases))
-	for i, c := range cases {
-		status, body := answer(c.req)
-		if status != c.status {
-			t.Fatalf("%s: status %d, want %d: %s", c.name, status, c.status, body)
+	// round answers every case, holding each turned-away request to one
+	// bad request and no cache miss.
+	round := func() []answer {
+		got := make([]answer, len(cases))
+		for i, c := range cases {
+			bad := metricValue(t, ts.URL, "lsmsd_bad_requests_total")
+			misses := metricValue(t, ts.URL, "lsmsd_cache_misses_total")
+			got[i] = send(c.req)
+			if got[i].status != c.status {
+				t.Fatalf("%s: status %d, want %d: %s", c.name, got[i].status, c.status, got[i].body)
+			}
+			if c.status == http.StatusOK {
+				continue
+			}
+			if d := metricValue(t, ts.URL, "lsmsd_bad_requests_total") - bad; d != 1 {
+				t.Errorf("%s: lsmsd_bad_requests_total rose by %d, want 1", c.name, d)
+			}
+			if d := metricValue(t, ts.URL, "lsmsd_cache_misses_total") - misses; d != 0 {
+				t.Errorf("%s: lsmsd_cache_misses_total rose by %d, want 0", c.name, d)
+			}
 		}
-		cold[i] = body
+		return got
 	}
-	// The second daxpy on cydra is lowered from the memo.
+	cold := round()
+	if !strings.Contains(cold[len(cold)-1].body, `"kind":"bad-request"`) {
+		t.Errorf("unknown opcode under an unknown scheduler: %s, want a bad request", cold[len(cold)-1].body)
+	}
+	// The second daxpy on cydra is lowered from the memo and answered
+	// from the store, and so is its IR form.
 	for range 2 {
-		if status, body := answer(wire.Request{Machine: "cydra", Source: string(daxpy)}); status != http.StatusOK {
-			t.Fatalf("daxpy on cydra: status %d: %s", status, body)
+		if a := send(valid); a.status != http.StatusOK {
+			t.Fatalf("daxpy on cydra: status %d: %s", a.status, a.body)
 		}
 	}
-	for i, c := range cases {
-		if status, body := answer(c.req); status != c.status || body != cold[i] {
-			t.Errorf("%s: answer changed with a warm memo:\ncold: %s\nwarm: %d %s", c.name, cold[i], status, body)
+	if a := send(irForm("cydra", "", func(*wire.Loop) {})); a.cache != "hit" {
+		t.Fatalf("daxpy's IR form on cydra: cache %q, want hit", a.cache)
+	}
+	for i, warm := range round() {
+		want := cold[i]
+		if cases[i].status == http.StatusOK {
+			want.cache = "hit" // the inline-spec compile stored its answer
+		}
+		if warm != want {
+			t.Errorf("%s: answer changed with a warm memo and store:\ncold: %+v\nwarm: %+v", cases[i].name, cold[i], warm)
 		}
 	}
 }

@@ -99,17 +99,20 @@ feeding:
 }
 
 // warmOne precompiles one corpus request through the live stages:
-// prepare, a store probe (stored reports a hit), then join — as the
-// singleflight leader it runs admit, compile and store; as a follower,
-// a live request is already compiling the key and its write-through
-// warms the store. Each compile traces under a fresh TraceID linked to
-// the run's root.
+// prepare, a store probe (stored reports a hit), lower, then join — as
+// the singleflight leader it runs admit, compile and store; as a
+// follower, a live request is already compiling the key and its
+// write-through warms the store. Each compile traces under a fresh
+// TraceID linked to the run's root.
 func (s *Server) warmOne(ctx context.Context, scr *reqScratch, req *wire.Request, i int, root obs.SpanContext) (stored bool, err error) {
 	if e := s.prepare(req, &scr.p); e != nil {
 		return false, errors.New(e.Message)
 	}
 	if _, ok := s.store.Get(scr.p.hash); ok {
 		return true, nil
+	}
+	if e := s.lower(&scr.p); e != nil {
+		return false, errors.New(e.Message)
 	}
 	if !s.gate.enter() {
 		return false, errors.New("server is draining")

@@ -9,11 +9,12 @@ import (
 	"repro/internal/machine"
 )
 
-// The wire-layer benchmarks time the three calls lsmsd makes on every
-// request body — DecodeRequest, Normalize, Hash of the normalized
-// request — one layer each, over the 120-loop loopgen corpus (seed
-// 1993) in IR and source form, plus the inline-spec golden fixture.
-// One op is one request; the corpus is cycled.
+// The wire-layer benchmarks time the calls lsmsd makes on a request
+// body — DecodeRequest and Normalize on every request, Lower only on a
+// store miss — and Hash of a normalized request, one layer each, over
+// the 120-loop loopgen corpus (seed 1993) in IR and source form, plus
+// the inline-spec golden fixture. One op is one request; the corpus is
+// cycled.
 //
 //	go test -run '^$' -bench 'BenchmarkWire' -benchmem ./internal/wire
 
@@ -61,9 +62,11 @@ func decodedForms(b *testing.B, f benchForm) []*Request {
 	return reqs
 }
 
-// BenchmarkWireNormalize times Normalize on decoded requests. The
-// corpus fits the source memo, so past the first cycle a source-form
-// op is a memo hit; BenchmarkFrontend times the lowering itself.
+// BenchmarkWireNormalize times Normalize on decoded requests: the
+// canonical form plus one encode and digest of it, the content hash.
+// It builds no IR. The corpus fits the source memo, so past the first
+// cycle a source-form op is a memo hit; BenchmarkFrontend times the
+// lowering itself.
 func BenchmarkWireNormalize(b *testing.B) {
 	for _, f := range benchForms(b) {
 		b.Run(f.name, func(b *testing.B) {
@@ -78,18 +81,47 @@ func BenchmarkWireNormalize(b *testing.B) {
 	}
 }
 
-// BenchmarkWireHash times Hash on normalized requests.
-func BenchmarkWireHash(b *testing.B) {
+// BenchmarkWireLower times Lower on normalized requests: DecodeLoop and
+// ir.Finalize of the document, the work a store miss adds to
+// Normalize. Each request has been lowered once already, so no op
+// takes a loop the frontend left behind.
+func BenchmarkWireLower(b *testing.B) {
 	for _, f := range benchForms(b) {
 		b.Run(f.name, func(b *testing.B) {
-			reqs := decodedForms(b, f)
-			norms := make([]*Request, len(reqs))
-			for i, r := range reqs {
-				var err error
-				if norms[i], _, err = r.Normalize(); err != nil {
+			norms := normalizedForms(b, f)
+			for _, n := range norms {
+				if _, err := n.Lower(); err != nil {
 					b.Fatal(err)
 				}
 			}
+			b.ReportAllocs()
+			for i := 0; b.Loop(); i++ {
+				if _, err := norms[i%len(norms)].Lower(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// normalizedForms normalizes every request decodedForms gives.
+func normalizedForms(b *testing.B, f benchForm) []*Request {
+	reqs := decodedForms(b, f)
+	for i, r := range reqs {
+		var err error
+		if reqs[i], _, err = r.Normalize(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	return reqs
+}
+
+// BenchmarkWireHash times Hash on normalized requests, which returns
+// the address Normalize kept.
+func BenchmarkWireHash(b *testing.B) {
+	for _, f := range benchForms(b) {
+		b.Run(f.name, func(b *testing.B) {
+			norms := normalizedForms(b, f)
 			b.ReportAllocs()
 			for i := 0; b.Loop(); i++ {
 				if _, err := norms[i%len(norms)].Hash(); err != nil {

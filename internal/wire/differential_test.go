@@ -40,9 +40,9 @@ func TestDifferentialLoopgen(t *testing.T) {
 			if err := json.Unmarshal(canon, &parsed); err != nil {
 				t.Fatalf("%s: reparse: %v", wl.Name, err)
 			}
-			_, decoded, err := parsed.Normalize()
+			decoded, err := parsed.Lower()
 			if err != nil {
-				t.Fatalf("%s: normalize: %v", wl.Name, err)
+				t.Fatalf("%s: lower: %v", wl.Name, err)
 			}
 
 			direct := compileAny(t, sn, wl.Name, l)

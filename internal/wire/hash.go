@@ -28,14 +28,22 @@ import (
 //     and the version string is canonicalized first, so v1 and v2
 //     envelopes of the same request hash identically.
 //
-// A request Normalize returned is hashed as it stands, without being
-// normalized again.
+// Normalize computes the address and keeps it, so Hash on a request
+// Normalize returned encodes nothing. Like Normalize, Hash does not
+// decode an IR-form document: a loop that Lower would reject still has
+// an address.
 func (r *Request) Hash() (string, error) {
 	n, err := r.normalizedForm()
 	if err != nil {
 		return "", err
 	}
-	h := *n
+	return n.hash, nil
+}
+
+// digest encodes the normalized request r with its deadline zeroed and
+// returns the address of those bytes.
+func (r *Request) digest() (string, error) {
+	h := *r
 	h.Options.DeadlineMS = 0
 	bp := hashBufs.Get().(*[]byte)
 	defer hashBufs.Put(bp)
@@ -53,8 +61,8 @@ func (r *Request) Hash() (string, error) {
 
 const hashPrefix = "sha256:"
 
-// hashBufs pools Hash's encoding buffers; the canonical bytes never
-// leave Hash, only their digest does.
+// hashBufs pools digest's encoding buffers; the canonical bytes never
+// leave digest, only their address does.
 var hashBufs = sync.Pool{New: func() any { return new([]byte) }}
 
 // Effort is the deterministic subset of sched.Stats: the Section 6

@@ -76,18 +76,26 @@ func TestMemoColdWarmIdentical(t *testing.T) {
 			t.Fatal(err)
 		}
 		sources = cold
-		cn, cl, err := r.Normalize()
+		cn, _, err := r.Normalize()
 		if err != nil {
 			t.Fatalf("doc %d: cold: %v", i, err)
+		}
+		cl, err := cn.Lower()
+		if err != nil {
+			t.Fatalf("doc %d: cold lower: %v", i, err)
 		}
 		sources = warm
 		first, _, err := r.Normalize()
 		if err != nil {
 			t.Fatalf("doc %d: first warm: %v", i, err)
 		}
-		wn, wl, err := r.Normalize()
+		wn, _, err := r.Normalize()
 		if err != nil {
 			t.Fatalf("doc %d: warm: %v", i, err)
+		}
+		wl, err := wn.Lower()
+		if err != nil {
+			t.Fatalf("doc %d: warm lower: %v", i, err)
 		}
 		if wn.Loop == first.Loop {
 			hits++
@@ -144,7 +152,12 @@ func TestMemoConcurrentEviction(t *testing.T) {
 			for round := range 3 {
 				for k := range len(reqs) / 2 {
 					i := (k + g*len(reqs)/8 + round) % len(reqs)
-					n, l, err := reqs[i].Normalize()
+					n, _, err := reqs[i].Normalize()
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					l, err := n.Lower()
 					if err != nil {
 						t.Error(err)
 						return
@@ -233,7 +246,11 @@ func TestMemoReRegisteredTarget(t *testing.T) {
         x(i) = x(i-1) + x(i)
       end do
       end`}
-	n1, l1, err := r.Normalize()
+	n1, _, err := r.Normalize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	l1, err := n1.Lower()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,7 +265,11 @@ func TestMemoReRegisteredTarget(t *testing.T) {
 	}
 	second := spec.MustBuild()
 	machine.Register(second)
-	n2, l2, err := r.Normalize()
+	n2, _, err := r.Normalize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	l2, err := n2.Lower()
 	if err != nil {
 		t.Fatal(err)
 	}

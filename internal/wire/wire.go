@@ -76,11 +76,17 @@ type Request struct {
 	LoopIndex   int           `json:"loop_index,omitempty"`
 	Loop        *Loop         `json:"loop,omitempty"`
 
-	// normalized marks a request Normalize returned: it is already in
-	// canonical form, so Hash and Canonical encode it as it stands.
-	// Copies keep the mark; a caller that edits a normalized request
-	// must re-normalize the original instead.
-	normalized bool
+	// hash, set only on a request Normalize returned, is its content
+	// address, and marks it as already in canonical form: Hash returns
+	// it, and Canonical encodes the request as it stands. Copies keep
+	// the mark; a caller that edits a normalized request must
+	// re-normalize the original instead. desc is the target Normalize
+	// resolved, so Lower builds no inline spec a second time; lowered
+	// is the frontend's loop when Normalize just ran it, handed to the
+	// first Lower.
+	hash    string
+	desc    *machine.Desc
+	lowered *ir.Loop
 }
 
 // Options is the serializable subset of sched.Config plus the
@@ -444,71 +450,99 @@ func (r *Request) validate() (*machine.Desc, error) {
 	return m, nil
 }
 
-// Normalize resolves the request to IR form: a source-form request is
-// compiled (frontend) and its LoopIndex-th innermost loop replaces the
-// source, so source- and IR-form requests for the same loop
-// canonicalize — and content-hash — identically. An IR-form request is
-// round-tripped through DecodeLoop to validate it. The envelope is
+// Normalize is the wire-level step: it validates the request and
+// canonicalizes it to IR form, and returns the normalized request with
+// its content address (see Hash). A source-form request is compiled
+// (frontend) and its LoopIndex-th innermost loop replaces the source,
+// so source- and IR-form requests for the same loop canonicalize — and
+// content-hash — identically. An IR-form document is taken as it
+// stands: Lower, not Normalize, decodes and checks it. The envelope is
 // canonicalized too — a v1 version string becomes Version, and an
 // inline spec fills the machine name — so every accepted way of
 // writing a request converges on one set of canonical bytes. The
-// receiver is not modified; the result is marked normalized, so Hash
-// and Canonical on it skip a second Normalize.
+// receiver is not modified; the result keeps its address, so Hash on
+// it encodes nothing.
 //
 // A source-form request for a registered target is lowered once per
 // process while its entry lasts (see MemoBudget): later requests for
 // the same source, loop index and target share the stored document as
-// their Loop, and the returned *ir.Loop is decoded from it. The
-// document is read-only; the *ir.Loop is the caller's own.
-func (r *Request) Normalize() (*Request, *ir.Loop, error) {
+// their Loop and run no frontend. The document is read-only. Only
+// clean lowerings enter the memo, so a hit never skips an error the
+// frontend would report.
+func (r *Request) Normalize() (*Request, string, error) {
 	m, err := r.validate()
 	if err != nil {
-		return nil, nil, err
+		return nil, "", err
 	}
 	n := *r
 	n.Version = Version
 	n.Machine = m.Name
-	n.normalized = true
+	n.desc, n.lowered = m, nil
 	if r.Source != "" {
-		// A registered target's lowering is memoized; an inline spec
-		// builds a fresh Desc per request, so it could never hit.
-		var k *memoKey
-		if r.MachineSpec == nil {
-			k = &memoKey{m: m, index: r.LoopIndex, sum: sourceSum(r.Source)}
-			if wl := sources.get(k); wl != nil {
-				l, err := wl.DecodeLoop(m)
-				if err != nil {
-					return nil, nil, err
-				}
-				n.Source, n.LoopIndex, n.Loop = "", 0, wl
-				return &n, l, nil
-			}
+		if err := n.lowerSource(m); err != nil {
+			return nil, "", err
 		}
-		cl, loops, err := frontend.CompileIndex(r.Source, r.LoopIndex, m)
-		if err != nil {
-			return nil, nil, fmt.Errorf("wire: compiling source: %w", err)
-		}
-		if cl == nil {
-			return nil, nil, fmt.Errorf("wire: loop_index %d out of range (%d innermost loops)", r.LoopIndex, loops)
-		}
-		if cl.Ineligible != nil {
-			return nil, nil, fmt.Errorf("wire: loop %d not modulo-schedulable: %w", r.LoopIndex, cl.Ineligible)
-		}
-		wl, err := EncodeLoop(cl.Loop)
-		if err != nil {
-			return nil, nil, err
-		}
-		if k != nil {
-			sources.put(k, wl)
-		}
-		n.Source, n.LoopIndex, n.Loop = "", 0, wl
-		return &n, cl.Loop, nil
 	}
-	l, err := r.Loop.DecodeLoop(m)
+	if n.hash, err = n.digest(); err != nil {
+		return nil, "", err
+	}
+	return &n, n.hash, nil
+}
+
+// lowerSource replaces r's source with its loop document: the memo's
+// when it holds one, else the frontend's, whose loop Lower then takes.
+func (r *Request) lowerSource(m *machine.Desc) error {
+	// A registered target's lowering is memoized; an inline spec
+	// builds a fresh Desc per request, so it could never hit.
+	var k *memoKey
+	if r.MachineSpec == nil {
+		k = &memoKey{m: m, index: r.LoopIndex, sum: sourceSum(r.Source)}
+		if wl := sources.get(k); wl != nil {
+			r.Source, r.LoopIndex, r.Loop = "", 0, wl
+			return nil
+		}
+	}
+	cl, loops, err := frontend.CompileIndex(r.Source, r.LoopIndex, m)
 	if err != nil {
-		return nil, nil, err
+		return fmt.Errorf("wire: compiling source: %w", err)
 	}
-	return &n, l, nil
+	if cl == nil {
+		return fmt.Errorf("wire: loop_index %d out of range (%d innermost loops)", r.LoopIndex, loops)
+	}
+	if cl.Ineligible != nil {
+		return fmt.Errorf("wire: loop %d not modulo-schedulable: %w", r.LoopIndex, cl.Ineligible)
+	}
+	wl, err := EncodeLoop(cl.Loop)
+	if err != nil {
+		return err
+	}
+	if k != nil {
+		sources.put(k, wl)
+	}
+	r.Source, r.LoopIndex, r.Loop, r.lowered = "", 0, wl, cl.Loop
+	return nil
+}
+
+// Lower builds the request's finalized ir.Loop, normalizing it first
+// unless Normalize returned it. The first Lower after a source-form
+// Normalize that ran the frontend takes the frontend's loop; every
+// other call decodes the loop document against the target Normalize
+// resolved (DecodeLoop), so an inline spec is built once per request.
+// Its errors are DecodeLoop's: an unknown opcode, an out-of-range
+// value, or a *machine.UnsupportedOpError for an op the target lacks.
+// The returned loop is the caller's own. A normalized request is not
+// safe for concurrent Lower calls, and a copy of one shares the
+// frontend's loop with it, so lower only one of them.
+func (r *Request) Lower() (*ir.Loop, error) {
+	n, err := r.normalizedForm()
+	if err != nil {
+		return nil, err
+	}
+	if l := n.lowered; l != nil {
+		n.lowered = nil
+		return l, nil
+	}
+	return n.Loop.DecodeLoop(n.desc)
 }
 
 // Canonical returns the canonical bytes of the request: the JSON
@@ -526,7 +560,7 @@ func (r *Request) Canonical() ([]byte, error) {
 // normalizedForm returns r itself if Normalize produced it, else its
 // normalized form.
 func (r *Request) normalizedForm() (*Request, error) {
-	if r.normalized {
+	if r.hash != "" {
 		return r, nil
 	}
 	n, _, err := r.Normalize()

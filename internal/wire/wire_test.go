@@ -144,7 +144,7 @@ func TestSourceAndIRFormsHashIdentically(t *testing.T) {
 	if err != nil {
 		t.Fatalf("source-form hash: %v", err)
 	}
-	_, l, err := srcReq.Normalize()
+	l, err := srcReq.Lower()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -292,7 +292,7 @@ func TestGoldenFixture(t *testing.T) {
 	}
 	// The pinned document must still decode to the fixture loop and
 	// compile identically to it.
-	_, l, err := r.Normalize()
+	l, err := r.Lower()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -414,7 +414,7 @@ func TestGoldenSpecFixture(t *testing.T) {
 	}
 	// The embedded target must build and the loop compile on it; one
 	// memory port doubles ResMII for daxpy (2 mem ops / 1 port ≥ 2).
-	_, l, err := r.Normalize()
+	l, err := r.Lower()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -450,8 +450,8 @@ func TestNewRequestEmbedsUnregisteredSpec(t *testing.T) {
 	if custom.Machine != "unregistered-box" || custom.MachineSpec.Name != custom.Machine {
 		t.Errorf("name mismatch: machine %q, spec %q", custom.Machine, custom.MachineSpec.Name)
 	}
-	if _, _, err := custom.Normalize(); err != nil {
-		t.Fatalf("inline-spec request does not normalize: %v", err)
+	if _, err := custom.Lower(); err != nil {
+		t.Fatalf("inline-spec request does not lower: %v", err)
 	}
 }
 
