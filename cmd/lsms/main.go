@@ -314,11 +314,11 @@ func emitWire(loops []*frontend.CompiledLoop, scheduler string, deadline time.Du
 		if err != nil {
 			fatalf("loop %d: %v", i+1, err)
 		}
-		b, err := req.Canonical()
+		norm, hash, err := req.Normalize()
 		if err != nil {
 			fatalf("loop %d: %v", i+1, err)
 		}
-		hash, err := req.Hash()
+		b, err := norm.Canonical()
 		if err != nil {
 			fatalf("loop %d: %v", i+1, err)
 		}

@@ -70,8 +70,16 @@ func (s *Server) serve(r *http.Request, scr *reqScratch) reply {
 	if e := s.lower(&scr.p); e != nil {
 		return s.reject(e)
 	}
-	s.m.storeMiss()
 	c, leader := s.flights.join(scr.p.hash)
+	if leader {
+		// A flight for the same hash may have stored its answer and
+		// finished since lookup; compiling it again would duplicate it.
+		if rep, ok := s.lookup(scr); ok {
+			s.flights.finish(scr.p.hash, c, rep.outcome)
+			return rep
+		}
+	}
+	s.m.storeMiss()
 	if !leader {
 		return s.dedup(r.Context(), scr, c)
 	}

@@ -10,6 +10,7 @@ import (
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"slices"
 	"strings"
 	"sync"
@@ -19,6 +20,8 @@ import (
 	"repro/internal/bench"
 	"repro/internal/core"
 	"repro/internal/fixture"
+	"repro/internal/frontend"
+	"repro/internal/ir"
 	"repro/internal/loopgen"
 	"repro/internal/machine"
 	"repro/internal/mii"
@@ -48,7 +51,7 @@ func TestMetricsExpositionLints(t *testing.T) {
 	body := requestBody(t, fixture.Daxpy(m), "slack", wire.Options{})
 	post(t, ts.URL, body)
 	post(t, ts.URL, body)
-	post(t, ts.URL, requestBody(t, fixture.Divide(m), "slack", budgetTripOptions))
+	post(t, ts.URL, requestBody(t, srotLoop(t), "slack", budgetTripOptions))
 	post(t, ts.URL, requestBody(t, fixture.Daxpy(m), "slack", wire.Options{MaxII: 1}))
 	post(t, ts.URL, requestBody(t, fixture.Daxpy(m), "test-panic", wire.Options{}))
 	post(t, ts.URL, []byte("{not json"))
@@ -88,10 +91,27 @@ func TestMetricsExpositionLints(t *testing.T) {
 	}
 }
 
-// budgetTripOptions make divide's first II attempt give up (one ejection
-// and out) and the central-iteration cap trip at the attempt boundary —
-// a deterministic mid-compile budget exhaustion with a real event tail.
-var budgetTripOptions = wire.Options{EjectBudgetPerOp: 1, MinEjectBudget: 1, MaxCentralIters: 1}
+// budgetTripOptions make the central-iteration cap trip on srot (see
+// srotLoop) at the boundary after its first II attempt, which restarts
+// once and gives up after 213 iterations — a deterministic mid-compile
+// budget exhaustion with a real event tail.
+var budgetTripOptions = wire.Options{MaxCentralIters: 1}
+
+// srotLoop is testdata/loops/srot.f's loop on cydra. Under the default
+// ejection budget its slack schedule restarts (step 6) at MII 17, 18
+// and 19 and lands at II 20.
+func srotLoop(t *testing.T) *ir.Loop {
+	t.Helper()
+	src, err := os.ReadFile("../../testdata/loops/srot.f")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl, _, err := frontend.CompileIndex(string(src), 0, machine.Cydra())
+	if err != nil || cl == nil || cl.Ineligible != nil {
+		t.Fatalf("srot does not lower: %v", err)
+	}
+	return cl.Loop
+}
 
 // The flight recorder retains every compile's trace and, for non-ok
 // outcomes, the tail of the scheduler event stream; the debug endpoint
@@ -102,7 +122,7 @@ func TestFlightRecorderEndpoint(t *testing.T) {
 	m := machine.Cydra()
 
 	post(t, ts.URL, requestBody(t, fixture.Daxpy(m), "slack", wire.Options{}))
-	post(t, ts.URL, requestBody(t, fixture.Divide(m), "slack", budgetTripOptions))
+	post(t, ts.URL, requestBody(t, srotLoop(t), "slack", budgetTripOptions))
 
 	resp, err := http.Get(ds.URL + "/debug/flightrecorder")
 	if err != nil {
@@ -321,18 +341,15 @@ func TestEffortFamiliesMatchResponses(t *testing.T) {
 			bodies = append(bodies, requestBody(t, l, name, wire.Options{}))
 		}
 	}
-	// A one-ejection budget makes the divide loop restart (step 6) at
-	// its MII; capped there, the verdict is infeasible, and an
-	// infeasible response still reports its effort.
-	div := fixture.Divide(machine.Cydra())
-	b, err := mii.Compute(context.Background(), div)
+	// srot restarts (step 6) at its MII; capped there, the verdict is
+	// infeasible, and an infeasible response still reports its effort.
+	srot := srotLoop(t)
+	b, err := mii.Compute(context.Background(), srot)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tiny := wire.Options{EjectBudgetPerOp: 1, MinEjectBudget: 1}
-	bodies = append(bodies, requestBody(t, div, "slack", tiny))
-	tiny.MaxII = b.MII
-	bodies = append(bodies, requestBody(t, div, "slack", tiny))
+	bodies = append(bodies, requestBody(t, srot, "slack", wire.Options{}))
+	bodies = append(bodies, requestBody(t, srot, "slack", wire.Options{MaxII: b.MII}))
 
 	var (
 		mu         sync.Mutex

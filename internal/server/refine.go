@@ -174,10 +174,10 @@ func (r *refiner) process(scr *reqScratch, job refineJob) {
 		return
 	}
 
-	// The request's structural options (MaxII, StartII, increment mode)
-	// still bind — a refined schedule must satisfy the same contract the
-	// original answer did — but the synchronous deadline does not: the
-	// whole point of the tier is searching under a longer budget.
+	// The request's II ceiling (MaxII) still binds — a refined schedule
+	// must satisfy the same contract the original answer did — but the
+	// synchronous budget does not: the whole point of the tier is
+	// searching under a longer one.
 	cfg := scr.p.norm.Options.SchedConfig()
 	cfg.Budget.Deadline = s.cfg.RefineDeadline
 	cfg.Budget.MaxCentralIters = s.cfg.RefineNodes

@@ -7,8 +7,8 @@
 //	POST /v1/compile    — compile one loop (wire.Request: source or IR form)
 //	GET  /v1/schedulers — the registered scheduling policies
 //	GET  /healthz       — liveness and pool occupancy
-//	GET  /metrics       — Prometheus-style counters, including the
-//	                      folded scheduler event stream
+//	GET  /metrics       — Prometheus-style counters, including each
+//	                      compile's sched.Stats summed
 //
 // Request handling is tiered: a content-addressed result store (keyed
 // by the canonical wire hash; a per-node LRU in front of an optional

@@ -17,6 +17,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/fixture"
 	"repro/internal/ir"
+	"repro/internal/loopgen"
 	"repro/internal/machine"
 	"repro/internal/sched"
 	"repro/internal/wire"
@@ -216,6 +217,59 @@ func TestSourceAndIRFormsShareCacheEntry(t *testing.T) {
 	}
 	if !bytes.Equal(b1, b2) {
 		t.Error("source- and IR-form responses differ")
+	}
+}
+
+// TestColdSourceAndIRFormsAnswerIdentically: over the 120-loop wire
+// corpus (loopgen seed 1993) under slack, cydrome and list, a
+// source-form request to one fresh server and its IR form — the JSON of
+// what Normalize made of it — to another get identical status and body,
+// both compiled cold. Each scheduler's source carries its own count of
+// trailing newlines, so every source-form request is a new key to the
+// process's source memo and its first lowering runs the frontend.
+func TestColdSourceAndIRFormsAnswerIdentically(t *testing.T) {
+	suite, err := loopgen.Build(loopgen.Options{Size: 120, Seed: 1993})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, srcTS := newTestServer(t, Config{})
+	_, irTS := newTestServer(t, Config{})
+	idx := 0
+	for i, l := range suite.Loops {
+		if i > 0 && suite.Loops[i-1].Source == l.Source {
+			idx++
+		} else {
+			idx = 0
+		}
+		for k, name := range []string{"slack", "cydrome", "list"} {
+			req := &wire.Request{
+				Version: wire.Version, Machine: "cydra", Scheduler: name,
+				Source: l.Source + strings.Repeat("\n", k+1), LoopIndex: idx,
+			}
+			srcBody, err := json.Marshal(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			srcResp, srcOut := post(t, srcTS.URL, srcBody)
+			norm, _, err := req.Normalize()
+			if err != nil {
+				t.Fatalf("%s/%s: %v", l.Name, name, err)
+			}
+			irBody, err := json.Marshal(norm)
+			if err != nil {
+				t.Fatal(err)
+			}
+			irResp, irOut := post(t, irTS.URL, irBody)
+			for _, r := range []*http.Response{srcResp, irResp} {
+				if c := r.Header.Get("X-Lsmsd-Cache"); c != "miss" {
+					t.Fatalf("%s/%s: cache %q on a fresh server, want miss", l.Name, name, c)
+				}
+			}
+			if srcResp.StatusCode != irResp.StatusCode || !bytes.Equal(srcOut, irOut) {
+				t.Errorf("%s/%s: source form answered %d %s\nIR form answered %d %s",
+					l.Name, name, srcResp.StatusCode, srcOut, irResp.StatusCode, irOut)
+			}
+		}
 	}
 }
 

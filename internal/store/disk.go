@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 )
 
 // Disk is the persistent tier: an append-only log of checksummed
@@ -46,9 +47,9 @@ type Disk struct {
 	seq      int64 // insertion order stamp, for eviction and compaction
 	index    map[string]diskEntry
 	closed   bool
-	counter  counters
+	rejects  atomic.Int64
 
-	loadRejects int64 // rejects counted while opening (subset of counter.rejects)
+	loadRejects int64 // rejects counted while opening (subset of rejects)
 	loaded      int   // records surviving verification at open
 }
 
@@ -120,7 +121,7 @@ func (d *Disk) load() error {
 	}
 	d.size = int64(len(buf))
 	off := 0
-	reject := func() { d.counter.rejects.Add(1); d.loadRejects++ }
+	reject := func() { d.rejects.Add(1); d.loadRejects++ }
 	for off < len(buf) {
 		rec := buf[off:]
 		if len(rec) < headerSize {
@@ -209,23 +210,19 @@ func (d *Disk) Get(key string) (Record, bool) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if d.closed {
-		d.counter.misses.Add(1)
 		return Record{}, false
 	}
 	e, ok := d.index[key]
 	if !ok {
-		d.counter.misses.Add(1)
 		return Record{}, false
 	}
 	rec, ok := d.readAt(e)
 	if !ok || string(rec.key) != key {
-		d.counter.rejects.Add(1)
-		d.counter.misses.Add(1)
+		d.rejects.Add(1)
 		delete(d.index, key)
 		d.live -= e.size
 		return Record{}, false
 	}
-	d.counter.hits.Add(1)
 	return Record{Status: rec.status, Machine: string(rec.machine), Body: rec.body, Refined: rec.refined}, true
 }
 
@@ -297,7 +294,7 @@ func (d *Disk) Put(key string, rec Record) {
 		// An append that failed midway leaves a torn record that the
 		// next load (and any Get) rejects by checksum; resize the
 		// bookkeeping to what the file claims and carry on serving.
-		d.counter.rejects.Add(1)
+		d.rejects.Add(1)
 		if st, serr := d.f.Stat(); serr == nil {
 			d.size = st.Size()
 		}
@@ -395,12 +392,12 @@ func (d *Disk) compact(keep []string) error {
 	for _, key := range keep {
 		raw, ok := d.readAt(d.index[key])
 		if !ok || string(raw.key) != key {
-			d.counter.rejects.Add(1)
+			d.rejects.Add(1)
 			continue
 		}
 		buf := make([]byte, d.index[key].size)
 		if _, err := d.f.ReadAt(buf, d.index[key].off); err != nil {
-			d.counter.rejects.Add(1)
+			d.rejects.Add(1)
 			continue
 		}
 		if _, err := tmp.WriteAt(buf, off); err != nil {
@@ -457,8 +454,8 @@ func (d *Disk) Close() error {
 	return nil
 }
 
-// Stats implements StatsReporter.
-func (d *Disk) Stats() Stats { return d.counter.snapshot() }
+// Stats reports the tier's verification failures.
+func (d *Disk) Stats() Stats { return Stats{Rejects: d.rejects.Load()} }
 
 // LoadReport describes what Open found: how many records survived
 // verification and how many were rejected (skipped, counted, never

@@ -9,12 +9,11 @@ import (
 // tier. Values are stored whole (the response bytes are shared, not
 // copied), so a hit replays the original response byte-identically.
 type Memory struct {
-	mu      sync.Mutex
-	max     int
-	ll      *list.List // front = most recently used
-	m       map[string]*list.Element
-	closed  bool
-	counter counters
+	mu     sync.Mutex
+	max    int
+	ll     *list.List // front = most recently used
+	m      map[string]*list.Element
+	closed bool
 }
 
 type memEntry struct {
@@ -35,11 +34,9 @@ func (c *Memory) Get(key string) (Record, bool) {
 	defer c.mu.Unlock()
 	el, ok := c.m[key]
 	if !ok || c.closed {
-		c.counter.misses.Add(1)
 		return Record{}, false
 	}
 	c.ll.MoveToFront(el)
-	c.counter.hits.Add(1)
 	return el.Value.(*memEntry).rec, true
 }
 
@@ -86,7 +83,3 @@ func (c *Memory) Close() error {
 	c.m = map[string]*list.Element{}
 	return nil
 }
-
-// Stats implements StatsReporter. A memory tier never rejects: it
-// either holds the record it was given or has evicted it entirely.
-func (c *Memory) Stats() Stats { return c.counter.snapshot() }

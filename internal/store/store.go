@@ -18,13 +18,8 @@
 // Tiered composes them: Get consults tiers front to back and promotes
 // lower-tier hits upward, Put writes through every tier, Len is the sum
 // over tiers. lsmsd mounts a Memory→Disk pair and exposes the disk
-// tier's health as lsmsd_store_{hits,misses,rejects}_total and
-// lsmsd_store_records.
+// tier's health as lsmsd_store_rejects_total and lsmsd_store_records.
 package store
-
-import (
-	"sync/atomic"
-)
 
 // Record is one stored compile outcome: the exact serialized response
 // bytes, the HTTP status they were served with, and the machine the
@@ -57,34 +52,10 @@ type Tier interface {
 	Close() error
 }
 
-// Stats counts a tier's traffic: Hits and Misses are Get outcomes,
-// Rejects counts records that failed verification (checksum mismatch,
+// Stats counts the disk tier's verification failures: Rejects is the
+// number of records that failed verification (checksum mismatch,
 // truncation, unsupported version) and were skipped rather than
-// served. All three are cumulative since the tier was opened.
+// served, cumulative since the tier was opened.
 type Stats struct {
-	Hits    int64
-	Misses  int64
 	Rejects int64
-}
-
-// StatsReporter is optionally implemented by tiers that count their
-// traffic; lsmsd's store metrics read it.
-type StatsReporter interface {
-	Stats() Stats
-}
-
-// counters is the shared atomic implementation behind each tier's
-// StatsReporter.
-type counters struct {
-	hits    atomic.Int64
-	misses  atomic.Int64
-	rejects atomic.Int64
-}
-
-func (c *counters) snapshot() Stats {
-	return Stats{
-		Hits:    c.hits.Load(),
-		Misses:  c.misses.Load(),
-		Rejects: c.rejects.Load(),
-	}
 }

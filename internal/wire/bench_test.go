@@ -83,17 +83,12 @@ func BenchmarkWireNormalize(b *testing.B) {
 
 // BenchmarkWireLower times Lower on normalized requests: DecodeLoop and
 // ir.Finalize of the document, the work a store miss adds to
-// Normalize. Each request has been lowered once already, so no op
-// takes a loop the frontend left behind.
+// Normalize. Source and IR forms take the same path; they differ only
+// in the documents the corpus gives them.
 func BenchmarkWireLower(b *testing.B) {
 	for _, f := range benchForms(b) {
 		b.Run(f.name, func(b *testing.B) {
 			norms := normalizedForms(b, f)
-			for _, n := range norms {
-				if _, err := n.Lower(); err != nil {
-					b.Fatal(err)
-				}
-			}
 			b.ReportAllocs()
 			for i := 0; b.Loop(); i++ {
 				if _, err := norms[i%len(norms)].Lower(); err != nil {

@@ -194,16 +194,8 @@ func (d *decoder) request(r *Request, doc *Loop) error {
 func (d *decoder) options(o *Options) error {
 	return d.object(func(key []byte) error {
 		switch string(key) {
-		case "increment_by_one":
-			return d.boolean(&o.IncrementByOne)
-		case "eject_budget_per_op":
-			return intField(d, &o.EjectBudgetPerOp)
-		case "min_eject_budget":
-			return intField(d, &o.MinEjectBudget)
 		case "max_ii":
 			return intField(d, &o.MaxII)
-		case "start_ii":
-			return intField(d, &o.StartII)
 		case "deadline_ms":
 			return intField(d, &o.DeadlineMS)
 		case "max_central_iters":

@@ -66,20 +66,8 @@ func closeList(b []byte, mark int, open, close byte) []byte {
 
 func appendOptions(b []byte, o *Options) []byte {
 	mark := len(b)
-	if o.IncrementByOne {
-		b = append(b, `,"increment_by_one":true`...)
-	}
-	if o.EjectBudgetPerOp != 0 {
-		b = appendInt(append(b, `,"eject_budget_per_op":`...), o.EjectBudgetPerOp)
-	}
-	if o.MinEjectBudget != 0 {
-		b = appendInt(append(b, `,"min_eject_budget":`...), o.MinEjectBudget)
-	}
 	if o.MaxII != 0 {
 		b = appendInt(append(b, `,"max_ii":`...), o.MaxII)
-	}
-	if o.StartII != 0 {
-		b = appendInt(append(b, `,"start_ii":`...), o.StartII)
 	}
 	if o.DeadlineMS != 0 {
 		b = appendInt(append(b, `,"deadline_ms":`...), o.DeadlineMS)

@@ -32,7 +32,7 @@ func TestScratchDecodeMatchesFresh(t *testing.T) {
 		if i%3 == 1 {
 			// Vary the options so absent keys in the next document must
 			// not inherit these values.
-			opt = Options{MaxII: 100, IncrementByOne: true, Degrade: true}
+			opt = Options{MaxII: 100, MaxIIAttempts: 7, Degrade: true}
 		}
 		req, err := NewRequest(wl.CL.Loop, []string{"slack", ""}[i%2], opt)
 		if err != nil {
@@ -56,7 +56,8 @@ func TestScratchDecodeMatchesFresh(t *testing.T) {
       end`,
 	})
 	// The source-form request lands right after an IR-form one: a Reset
-	// that leaked the previous Loop pointer would make it fail Validate.
+	// that leaked the previous Loop pointer would make it carry both
+	// payloads, which Normalize refuses.
 	bodies = append(bodies[:len(bodies)/2:len(bodies)/2],
 		append([][]byte{src}, bodies[len(bodies)/2:]...)...)
 

@@ -1,8 +1,8 @@
 // Package wire defines the canonical serialized form of a compilation
 // request: the loop IR (operations, predicates, dependence arcs with
 // their (latency, ω) labels), the machine selection, the scheduling
-// policy, and the governed-pipeline options of core.Options /
-// sched.Config. The encoding is a deterministic, versioned JSON
+// policy, and the options that bound or rescue the compile (see
+// Options). The encoding is a deterministic, versioned JSON
 // document — structs only, no maps, fields in declaration order — so
 // the same request always serializes to the same bytes, and a SHA-256
 // over the canonical bytes (see Hash) is a stable content address for
@@ -81,38 +81,32 @@ type Request struct {
 	// it, and Canonical encodes the request as it stands. Copies keep
 	// the mark; a caller that edits a normalized request must
 	// re-normalize the original instead. desc is the target Normalize
-	// resolved, so Lower builds no inline spec a second time; lowered
-	// is the frontend's loop when Normalize just ran it, handed to the
-	// first Lower.
-	hash    string
-	desc    *machine.Desc
-	lowered *ir.Loop
+	// resolved, so Lower builds no inline spec a second time.
+	hash string
+	desc *machine.Desc
 }
 
-// Options is the serializable subset of sched.Config plus the
-// core.Options knobs a remote caller may set. DeadlineMS is wall-clock
-// and therefore excluded from the content hash (see Hash).
+// Options are the knobs a remote caller may set: the II ceiling, the
+// budget (wall-clock deadline and deterministic work caps) and the
+// degrade-to-list fallback. They bound or rescue a compile; they are a
+// contract, not tuning, so the scheduler's own heuristics (the
+// ejection budget, the II step, the starting II) stay library-only
+// sched.Config fields and their keys are ignored on the wire.
+// DeadlineMS is wall-clock and therefore excluded from the content
+// hash (see Hash).
 type Options struct {
-	IncrementByOne   bool  `json:"increment_by_one,omitempty"`
-	EjectBudgetPerOp int   `json:"eject_budget_per_op,omitempty"`
-	MinEjectBudget   int   `json:"min_eject_budget,omitempty"`
-	MaxII            int   `json:"max_ii,omitempty"`
-	StartII          int   `json:"start_ii,omitempty"`
-	DeadlineMS       int64 `json:"deadline_ms,omitempty"`
-	MaxCentralIters  int64 `json:"max_central_iters,omitempty"`
-	MaxIIAttempts    int   `json:"max_ii_attempts,omitempty"`
-	Degrade          bool  `json:"degrade,omitempty"`
+	MaxII           int   `json:"max_ii,omitempty"`
+	DeadlineMS      int64 `json:"deadline_ms,omitempty"`
+	MaxCentralIters int64 `json:"max_central_iters,omitempty"`
+	MaxIIAttempts   int   `json:"max_ii_attempts,omitempty"`
+	Degrade         bool  `json:"degrade,omitempty"`
 }
 
 // SchedConfig converts the wire options to a sched.Config (Observer
 // is process-local and stays nil).
 func (o Options) SchedConfig() sched.Config {
 	return sched.Config{
-		IncrementByOne:   o.IncrementByOne,
-		EjectBudgetPerOp: o.EjectBudgetPerOp,
-		MinEjectBudget:   o.MinEjectBudget,
-		MaxII:            o.MaxII,
-		StartII:          o.StartII,
+		MaxII: o.MaxII,
 		Budget: sched.Budget{
 			Deadline:        time.Duration(o.DeadlineMS) * time.Millisecond,
 			MaxCentralIters: o.MaxCentralIters,
@@ -124,15 +118,11 @@ func (o Options) SchedConfig() sched.Config {
 // OptionsFrom captures the serializable parts of a sched.Config.
 func OptionsFrom(cfg sched.Config, degrade bool) Options {
 	return Options{
-		IncrementByOne:   cfg.IncrementByOne,
-		EjectBudgetPerOp: cfg.EjectBudgetPerOp,
-		MinEjectBudget:   cfg.MinEjectBudget,
-		MaxII:            cfg.MaxII,
-		StartII:          cfg.StartII,
-		DeadlineMS:       cfg.Budget.Deadline.Milliseconds(),
-		MaxCentralIters:  cfg.Budget.MaxCentralIters,
-		MaxIIAttempts:    cfg.Budget.MaxIIAttempts,
-		Degrade:          degrade,
+		MaxII:           cfg.MaxII,
+		DeadlineMS:      cfg.Budget.Deadline.Milliseconds(),
+		MaxCentralIters: cfg.Budget.MaxCentralIters,
+		MaxIIAttempts:   cfg.Budget.MaxIIAttempts,
+		Degrade:         degrade,
 	}
 }
 
@@ -421,15 +411,10 @@ func (r *Request) Desc() (*machine.Desc, error) {
 	return m, nil
 }
 
-// Validate checks the request's envelope (version, machine or inline
-// spec, exactly one payload form) without touching the payload.
-func (r *Request) Validate() error {
-	_, err := r.validate()
-	return err
-}
-
-// validate is Validate returning the resolved target, so an inline spec
-// is built once per Normalize.
+// validate checks the request's envelope (version, machine or inline
+// spec, exactly one payload form) without touching the payload, and
+// returns the resolved target, so an inline spec is built once per
+// Normalize.
 func (r *Request) validate() (*machine.Desc, error) {
 	switch r.Version {
 	case Version:
@@ -477,7 +462,7 @@ func (r *Request) Normalize() (*Request, string, error) {
 	n := *r
 	n.Version = Version
 	n.Machine = m.Name
-	n.desc, n.lowered = m, nil
+	n.desc = m
 	if r.Source != "" {
 		if err := n.lowerSource(m); err != nil {
 			return nil, "", err
@@ -490,7 +475,7 @@ func (r *Request) Normalize() (*Request, string, error) {
 }
 
 // lowerSource replaces r's source with its loop document: the memo's
-// when it holds one, else the frontend's, whose loop Lower then takes.
+// when it holds one, else the one encoded from the frontend's loop.
 func (r *Request) lowerSource(m *machine.Desc) error {
 	// A registered target's lowering is memoized; an inline spec
 	// builds a fresh Desc per request, so it could never hit.
@@ -519,28 +504,22 @@ func (r *Request) lowerSource(m *machine.Desc) error {
 	if k != nil {
 		sources.put(k, wl)
 	}
-	r.Source, r.LoopIndex, r.Loop, r.lowered = "", 0, wl, cl.Loop
+	r.Source, r.LoopIndex, r.Loop = "", 0, wl
 	return nil
 }
 
 // Lower builds the request's finalized ir.Loop, normalizing it first
-// unless Normalize returned it. The first Lower after a source-form
-// Normalize that ran the frontend takes the frontend's loop; every
-// other call decodes the loop document against the target Normalize
-// resolved (DecodeLoop), so an inline spec is built once per request.
-// Its errors are DecodeLoop's: an unknown opcode, an out-of-range
-// value, or a *machine.UnsupportedOpError for an op the target lacks.
-// The returned loop is the caller's own. A normalized request is not
-// safe for concurrent Lower calls, and a copy of one shares the
-// frontend's loop with it, so lower only one of them.
+// unless Normalize returned it: DecodeLoop of the loop document against
+// the target Normalize resolved, so the loop compiled is a function of
+// the canonical bytes alone, whichever form the request came in, and an
+// inline spec is built once per request. Its errors are DecodeLoop's:
+// an unknown opcode, an out-of-range value, or a
+// *machine.UnsupportedOpError for an op the target lacks. The returned
+// loop is the caller's own.
 func (r *Request) Lower() (*ir.Loop, error) {
 	n, err := r.normalizedForm()
 	if err != nil {
 		return nil, err
-	}
-	if l := n.lowered; l != nil {
-		n.lowered = nil
-		return l, nil
 	}
 	return n.Loop.DecodeLoop(n.desc)
 }

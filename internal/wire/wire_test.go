@@ -227,7 +227,7 @@ func TestValidateRejectsBadEnvelopes(t *testing.T) {
 	} {
 		r := *good
 		mut(&r)
-		if err := r.Validate(); err == nil {
+		if _, _, err := r.Normalize(); err == nil {
 			t.Errorf("%s: bad envelope accepted", name)
 		}
 	}
@@ -320,12 +320,9 @@ func TestV1EnvelopeCompat(t *testing.T) {
 	if err := json.Unmarshal(v1, &r); err != nil {
 		t.Fatal(err)
 	}
-	if err := r.Validate(); err != nil {
-		t.Fatalf("v1 envelope rejected: %v", err)
-	}
 	n, _, err := r.Normalize()
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("v1 envelope rejected: %v", err)
 	}
 	if n.Version != Version {
 		t.Errorf("Normalize left version %q, want %q", n.Version, Version)
@@ -341,9 +338,12 @@ func TestV1EnvelopeCompat(t *testing.T) {
 
 // TestRetiredOptionKeyIgnored: testdata/daxpy.retired-option.wire.json
 // is the golden fixture with the fast-path debug key an earlier wire
-// revision accepted in "options". The key is now an ordinary unknown
-// key, so the request decodes, canonicalizes and hashes exactly like
-// the golden fixture without it.
+// revision accepted in "options"; the other inputs set, one each, the
+// scheduler heuristics earlier revisions also carried (the II step,
+// the ejection budget, its floor, the starting II). Each key is now an
+// ordinary unknown key, so every request decodes — through the
+// request decoder and through encoding/json — canonicalizes and hashes
+// exactly like the golden fixture without it.
 func TestRetiredOptionKeyIgnored(t *testing.T) {
 	golden, err := os.ReadFile("testdata/daxpy.wire.json")
 	if err != nil {
@@ -356,25 +356,45 @@ func TestRetiredOptionKeyIgnored(t *testing.T) {
 	if bytes.Equal(golden, retired) {
 		t.Fatal("fixtures are identical; the retired key is missing")
 	}
-	var want, got Request
+	inputs := map[string][]byte{"no_fast_paths": retired}
+	for _, opt := range []string{
+		`"increment_by_one":true`, `"eject_budget_per_op":1`, `"min_eject_budget":1`, `"start_ii":9`,
+	} {
+		b := bytes.Replace(golden, []byte(`"options":{}`), []byte(`"options":{`+opt+`}`), 1)
+		if bytes.Equal(b, golden) {
+			t.Fatalf("%s: the golden fixture has no empty options to extend", opt)
+		}
+		inputs[opt] = b
+	}
+	var want Request
 	if err := json.Unmarshal(golden, &want); err != nil {
 		t.Fatal(err)
 	}
-	if err := json.Unmarshal(retired, &got); err != nil {
-		t.Fatalf("request with the retired key does not decode: %v", err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("decoded requests differ:\n got %+v\nwant %+v", got, want)
-	}
-	canon, err := got.Canonical()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(canon, bytes.TrimRight(golden, "\n")) {
-		t.Errorf("canonical form differs from the golden fixture:\n%s", canon)
-	}
-	if h, err := got.Hash(); err != nil || h != goldenHash {
-		t.Errorf("hash = %s (%v), want %s", h, err, goldenHash)
+	for name, body := range inputs {
+		var got Request
+		if err := json.Unmarshal(body, &got); err != nil {
+			t.Fatalf("%s: request does not decode: %v", name, err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: decoded requests differ:\n got %+v\nwant %+v", name, got, want)
+		}
+		var scr Scratch
+		fast, err := scr.DecodeRequest(body)
+		if err != nil {
+			t.Fatalf("%s: request decoder refused it: %v", name, err)
+		}
+		for _, r := range []*Request{&got, fast} {
+			canon, err := r.Canonical()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(canon, bytes.TrimRight(golden, "\n")) {
+				t.Errorf("%s: canonical form differs from the golden fixture:\n%s", name, canon)
+			}
+			if h, err := r.Hash(); err != nil || h != goldenHash {
+				t.Errorf("%s: hash = %s (%v), want %s", name, h, err, goldenHash)
+			}
+		}
 	}
 }
 
