@@ -29,7 +29,9 @@ func TestDifferentialAllSchedulers(t *testing.T) {
 				}
 				t.Fatalf("%s/%s: scheduling gave up", name, r.Loop.Name)
 			}
-			schedcheck.MustCheck(r.Loop, c.Result.Schedule)
+			if vs := schedcheck.Check(r.Loop, c.Result.Schedule); vs != nil {
+				t.Fatalf("illegal schedule: %v", vs)
+			}
 			if err := VerifyExecution(c, r.Env, r.Trips); err != nil {
 				t.Errorf("%s/%s: %v\n%s", name, r.Loop.Name, err, c.Kernel)
 			}

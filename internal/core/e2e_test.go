@@ -238,7 +238,9 @@ func TestFrontendDifferential(t *testing.T) {
 					}
 					t.Fatalf("%s: gave up", name)
 				}
-				schedcheck.MustCheck(cl.Loop, c.Result.Schedule)
+				if vs := schedcheck.Check(cl.Loop, c.Result.Schedule); vs != nil {
+					t.Fatalf("illegal schedule: %v", vs)
+				}
 				if err := VerifyExecution(c, env, trips); err != nil {
 					t.Errorf("%s: %v", name, err)
 				}

@@ -50,7 +50,9 @@ func TestGeneratedLoopsFullPipeline(t *testing.T) {
 		if !c.OK() {
 			t.Fatalf("loop %d: slack gave up\n%s", i, src)
 		}
-		schedcheck.MustCheck(cl.Loop, c.Result.Schedule)
+		if vs := schedcheck.Check(cl.Loop, c.Result.Schedule); vs != nil {
+			t.Fatalf("illegal schedule: %v", vs)
+		}
 		if err := VerifyExecution(c, env, trips); err != nil {
 			t.Fatalf("loop %d: %v\n%s%s", i, err, src, c.Kernel)
 		}

@@ -424,7 +424,7 @@ func TestNestedLoopPicksInnermost(t *testing.T) {
 }
 
 func TestLexerBasics(t *testing.T) {
-	toks, err := Lex("x = a .lt. 1.5e2 ! comment\nC full comment line\n  y = .5")
+	toks, err := lexInto(nil, "x = a .lt. 1.5e2 ! comment\nC full comment line\n  y = .5")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -449,8 +449,8 @@ func TestLexerBasics(t *testing.T) {
 // identifier scan emit empty tokens forever.
 func TestLexerRejectsNonASCII(t *testing.T) {
 	for _, src := range []string{"x = caf\u00e9\n", "      subroutine s\ufffdn, a)\n", "y = \xaa\n"} {
-		if _, err := Lex(src); err == nil {
-			t.Errorf("Lex(%q) accepted a non-ASCII byte", src)
+		if _, err := lexInto(nil, src); err == nil {
+			t.Errorf("lexInto(%q) accepted a non-ASCII byte", src)
 		}
 	}
 }
@@ -463,7 +463,7 @@ func TestLexerRejectsNonASCII(t *testing.T) {
 func TestLexLinearInRealLiterals(t *testing.T) {
 	src := "      x = " + strings.Repeat("1.5+", 1<<18) + "1.5\n"
 	start := time.Now()
-	toks, err := Lex(src)
+	toks, err := lexInto(nil, src)
 	if err != nil {
 		t.Fatal(err)
 	}

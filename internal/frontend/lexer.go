@@ -70,18 +70,10 @@ func isKeyword(word string) bool {
 	return false
 }
 
-// Lex tokenizes the source. FORTRAN-style comment lines (leading C, c,
-// or !) and '!' tail comments are skipped; statements end at newlines.
-func Lex(src string) ([]Token, error) {
-	toks, err := lexInto(nil, src)
-	if err != nil {
-		return nil, err
-	}
-	return toks, nil
-}
-
-// lexInto is Lex appending to toks[:0]; on error it still returns the
-// slice, for reuse.
+// lexInto tokenizes the source, appending to toks[:0]; on error it
+// still returns the slice, for reuse. FORTRAN-style comment lines
+// (leading C, c, or !) and '!' tail comments are skipped; statements end
+// at newlines.
 func lexInto(toks []Token, src string) ([]Token, error) {
 	// Typical sources run 2.5 bytes per token; len/2 avoids regrowth
 	// without reserving far more than the source needs.

@@ -112,7 +112,10 @@ func MeasureIn(l *ir.Loop, s *ir.Schedule, file ir.RegFile, scr *Scratch) Pressu
 	return pressureOf(scr.vec, s.II)
 }
 
-// ICRUsageIn is ICRUsage using pooled scratch buffers.
+// ICRUsageIn returns the ICR predicate pressure of a schedule (Figure 8):
+// the peak number of live predicate values plus one iteration-control
+// (stage) predicate per kernel stage, since the kernel-only code schema
+// guards each stage's operations with a rotating stage predicate.
 func ICRUsageIn(l *ir.Loop, s *ir.Schedule, scr *Scratch) int {
 	return MeasureIn(l, s, ir.ICR, scr).MaxLive + s.Stages()
 }
@@ -170,14 +173,6 @@ func pressureOf(vec []int, ii int) Pressure {
 // paper's headline pressure number.
 func MaxLive(l *ir.Loop, s *ir.Schedule) int {
 	return Measure(l, s, ir.RR).MaxLive
-}
-
-// ICRUsage returns the ICR predicate pressure of a schedule (Figure 8):
-// the peak number of live predicate values plus one iteration-control
-// (stage) predicate per kernel stage, since the kernel-only code schema
-// guards each stage's operations with a rotating stage predicate.
-func ICRUsage(l *ir.Loop, s *ir.Schedule) int {
-	return Measure(l, s, ir.ICR).MaxLive + s.Stages()
 }
 
 func (p Pressure) String() string {

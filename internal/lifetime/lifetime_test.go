@@ -126,7 +126,7 @@ func TestICRUsageCountsStages(t *testing.T) {
 	for i := range s.Time {
 		s.Time[i] = i
 	}
-	u := ICRUsage(l, s)
+	u := ICRUsageIn(l, s, &Scratch{})
 	if u < s.Stages() {
 		t.Errorf("ICR usage %d must include %d stage predicates", u, s.Stages())
 	}

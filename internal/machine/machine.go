@@ -28,11 +28,7 @@ const (
 	Multiplier               // 1 unit: int/float multiply (2)
 	Divider                  // 1 unit, NOT pipelined: div/mod (17), sqrt (21)
 	Branch                   // 1 unit: brtop (2)
-	numFUKinds
 )
-
-// NumFUKinds is the number of functional-unit classes.
-const NumFUKinds = int(numFUKinds)
 
 var fuKindNames = [...]string{
 	MemPort:    "MemPort",
@@ -152,19 +148,6 @@ func (o Opcode) String() string {
 	}
 	return opcodeNames[o]
 }
-
-// IsCompare reports whether the opcode produces a 1-bit predicate.
-func (o Opcode) IsCompare() bool {
-	switch o {
-	case ICmpEQ, ICmpNE, ICmpLT, ICmpLE, ICmpGT, ICmpGE,
-		FCmpEQ, FCmpNE, FCmpLT, FCmpLE, FCmpGT, FCmpGE, PNot, PAnd, POr:
-		return true
-	}
-	return false
-}
-
-// IsMem reports whether the opcode accesses memory.
-func (o Opcode) IsMem() bool { return o == Load || o == Store }
 
 // OpcodeByName resolves an assembler mnemonic to its opcode.
 func OpcodeByName(s string) (Opcode, bool) {

@@ -95,12 +95,3 @@ func TestOpcodeStrings(t *testing.T) {
 		t.Error("FUKind names wrong")
 	}
 }
-
-func TestIsCompareAndIsMem(t *testing.T) {
-	if !FCmpLT.IsCompare() || !PNot.IsCompare() || IAdd.IsCompare() {
-		t.Error("IsCompare misclassifies")
-	}
-	if !Load.IsMem() || !Store.IsMem() || FAdd.IsMem() {
-		t.Error("IsMem misclassifies")
-	}
-}

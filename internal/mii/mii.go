@@ -6,7 +6,9 @@
 //     II ≥ ⌈N/R⌉. The non-pipelined divider contributes its full latency
 //     per divide/modulo/sqrt.
 //   - RecMII: recurrence circuits. A circuit with total latency L and
-//     total distance Ω forces II ≥ ⌈L/Ω⌉.
+//     total distance Ω forces II ≥ ⌈L/Ω⌉. The largest such ratio is the
+//     minimum cost-to-time ratio the paper attributes to Lawler; RecMII
+//     finds it by a binary search over II, never listing the circuits.
 //   - MII = max(ResMII, RecMII).
 //
 // It also identifies critical resources and operations (Section 4.3): a
@@ -17,8 +19,8 @@ package mii
 
 import (
 	"context"
+	"errors"
 
-	"repro/internal/circuits"
 	"repro/internal/ir"
 	"repro/internal/machine"
 	"repro/internal/obs"
@@ -33,11 +35,11 @@ type Bounds struct {
 
 // Compute returns the loop's lower bounds on II. When the context
 // carries an obs.Trace, it records an "mii" span with the three bounds
-// as attributes (circuit enumeration dominates its duration).
+// as attributes (the RecMII search dominates its duration).
 func Compute(ctx context.Context, l *ir.Loop) (Bounds, error) {
 	sp := obs.FromContext(ctx).Start("mii")
 	res := ResMII(l)
-	rec, err := circuits.RecMII(l)
+	rec, err := RecMII(l)
 	if err != nil {
 		sp.End(obs.OutcomeError)
 		return Bounds{}, err
@@ -80,6 +82,76 @@ func ResMII(l *ir.Loop) int {
 		}
 	}
 	return res
+}
+
+// ErrZeroOmega reports a dependence circuit with total distance zero: a
+// combinational cycle no schedule can satisfy. Well-formed loop bodies
+// never contain one. Its text, prefix included, reaches response
+// bodies and is pinned byte for byte.
+var ErrZeroOmega = errors.New("circuits: dependence circuit with zero total omega")
+
+// RecMII returns the recurrence-constrained lower bound on II: the
+// largest ⌈L/Ω⌉ over the dependence circuits, at least 1. That is the
+// smallest II ≥ 1 at which the graph with arc costs latency − ω·II has
+// no positive-cost circuit. A circuit's cost only falls as II grows, so
+// RecMII binary-searches II with a Bellman–Ford probe per step. A
+// circuit with Σω = 0 bounds no II and returns ErrZeroOmega. RecMII runs
+// once per compile and allocates nothing for loops up to 256 ops.
+func RecMII(l *ir.Loop) (int, error) {
+	var buf [256]int
+	var dist []int
+	if n := len(l.Ops); n <= len(buf) {
+		dist = buf[:n]
+	} else {
+		dist = make([]int, n)
+	}
+	// At cost 1 − (n+1)·ω a circuit of k ≤ n arcs costs k > 0 when its
+	// Σω is 0 and at most k − (n+1) < 0 otherwise (ir rejects ω < 0).
+	if positiveCircuit(l.Deps, dist, len(dist)+1, true) {
+		return 0, ErrZeroOmega
+	}
+	// Every circuit now has Ω ≥ 1, so no ⌈L/Ω⌉ exceeds the sum of the
+	// positive latencies.
+	lo, hi := 1, 1
+	for _, d := range l.Deps {
+		hi += max(d.Latency, 0)
+	}
+	for lo < hi {
+		mid := lo + (hi-lo)/2
+		if positiveCircuit(l.Deps, dist, mid, false) {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo, nil
+}
+
+// positiveCircuit reports whether some circuit is positive when arc d
+// costs d.Latency − d.Omega·ii, or 1 − d.Omega·ii under unit. dist (one
+// entry per op) holds longest-path lengths from a virtual source joined
+// to every op at cost 0. Without a positive circuit they settle within
+// len(dist) passes, so one more pass that changes them proves one.
+func positiveCircuit(deps []ir.Dep, dist []int, ii int, unit bool) bool {
+	clear(dist)
+	for range len(dist) + 1 {
+		changed := false
+		for i := range deps {
+			d := &deps[i]
+			c := d.Latency
+			if unit {
+				c = 1
+			}
+			if v := dist[d.From] + c - d.Omega*ii; v > dist[d.To] {
+				dist[d.To] = v
+				changed = true
+			}
+		}
+		if !changed {
+			return false
+		}
+	}
+	return true
 }
 
 // HasResourceContention reports whether the loop competes for any

@@ -391,16 +391,3 @@ func MarshalTrace(t *Trace) ([]byte, error) {
 	}
 	return json.MarshalIndent(&doc, "", "  ")
 }
-
-// UnmarshalTraceDoc parses an lsms-trace/1 document, rejecting other
-// format tags — the round-trip half of the export contract.
-func UnmarshalTraceDoc(b []byte) (*TraceDoc, error) {
-	var doc TraceDoc
-	if err := json.Unmarshal(b, &doc); err != nil {
-		return nil, fmt.Errorf("obs: parsing trace document: %w", err)
-	}
-	if doc.Format != TraceFormat {
-		return nil, fmt.Errorf("obs: trace document format %q, want %q", doc.Format, TraceFormat)
-	}
-	return &doc, nil
-}

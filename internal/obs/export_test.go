@@ -2,6 +2,7 @@ package obs
 
 import (
 	"bytes"
+	"encoding/json"
 	"flag"
 	"fmt"
 	"net/http"
@@ -52,7 +53,7 @@ func goldenTrace() *Trace {
 // TestMarshalTraceGolden pins the lsms-trace/1 byte layout: the same
 // trace must marshal to the committed fixture byte for byte (child span
 // IDs are derived, timestamps fixed), and the fixture must parse back
-// through UnmarshalTraceDoc with structure intact.
+// through unmarshalTraceDoc with structure intact.
 func TestMarshalTraceGolden(t *testing.T) {
 	doc, err := MarshalTrace(goldenTrace())
 	if err != nil {
@@ -75,7 +76,7 @@ func TestMarshalTraceGolden(t *testing.T) {
 		t.Fatalf("lsms-trace/1 output drifted from the golden fixture.\ngot:\n%s\nwant:\n%s", doc, want)
 	}
 
-	parsed, err := UnmarshalTraceDoc(want)
+	parsed, err := unmarshalTraceDoc(want)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,11 +104,24 @@ func TestMarshalTraceGolden(t *testing.T) {
 	}
 }
 
+// unmarshalTraceDoc parses an lsms-trace/1 document, rejecting other
+// format tags — the round-trip half of the export contract.
+func unmarshalTraceDoc(b []byte) (*TraceDoc, error) {
+	var doc TraceDoc
+	if err := json.Unmarshal(b, &doc); err != nil {
+		return nil, fmt.Errorf("obs: parsing trace document: %w", err)
+	}
+	if doc.Format != TraceFormat {
+		return nil, fmt.Errorf("obs: trace document format %q, want %q", doc.Format, TraceFormat)
+	}
+	return &doc, nil
+}
+
 func TestUnmarshalTraceDocRejectsOtherFormats(t *testing.T) {
-	if _, err := UnmarshalTraceDoc([]byte(`{"format":"lsms-trace/2","resourceSpans":[]}`)); err == nil {
+	if _, err := unmarshalTraceDoc([]byte(`{"format":"lsms-trace/2","resourceSpans":[]}`)); err == nil {
 		t.Fatal("future format tag accepted")
 	}
-	if _, err := UnmarshalTraceDoc([]byte(`not json`)); err == nil {
+	if _, err := unmarshalTraceDoc([]byte(`not json`)); err == nil {
 		t.Fatal("garbage accepted")
 	}
 }
@@ -136,7 +150,7 @@ func TestExporterSpoolsToDir(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := UnmarshalTraceDoc(b); err != nil {
+	if _, err := unmarshalTraceDoc(b); err != nil {
 		t.Fatalf("spooled document does not round-trip: %v", err)
 	}
 	if st := e.Stats(); st.Exported != 1 || st.Dropped != 0 || st.Failed != 0 {
@@ -174,7 +188,7 @@ func TestExporterSpoolReaderSeesWholeDocuments(t *testing.T) {
 					t.Errorf("reading listed spool file %s: %v", name, err)
 					continue
 				}
-				if _, err := UnmarshalTraceDoc(b); err != nil {
+				if _, err := unmarshalTraceDoc(b); err != nil {
 					t.Errorf("spool file %s is partial (%d bytes): %v", name, len(b), err)
 				}
 				seen[name] = true

@@ -1,5 +1,5 @@
 // Package obs is the observability layer of the compile pipeline: a
-// span-based tracer threaded through frontend → mindist → mii/circuits
+// span-based tracer threaded through frontend → mindist → mii
 // → per-II scheduling attempts → regalloc → codegen, a flight recorder
 // holding the last N compile traces, a Chrome trace_event exporter, and
 // a dependency-free Prometheus exposition registry.

@@ -52,7 +52,7 @@ func TestDeadlineExhaustsPromptly(t *testing.T) {
 
 // tinyEject makes divide backtrack across many II attempts, so the
 // attempt- and iteration-cap budgets have something to trip on.
-var tinyEject = Config{EjectBudgetPerOp: 1, MinEjectBudget: 1}
+var tinyEject = Config{tinyEject: true}
 
 func TestMaxIIAttempts(t *testing.T) {
 	l := fixture.Divide(machine.Cydra())

@@ -43,7 +43,9 @@ func TestSlackSucceedsWhereCydromeFails(t *testing.T) {
 	if !rs.OK() {
 		t.Fatalf("slack gave up on the divider circuit (stats %+v)", rs.Stats)
 	}
-	schedcheck.MustCheck(l, rs.Schedule)
+	if vs := schedcheck.Check(l, rs.Schedule); vs != nil {
+		t.Fatalf("illegal schedule: %v", vs)
+	}
 	if rs.Schedule.II != rs.Bounds.MII {
 		t.Errorf("slack II = %d, want MII %d", rs.Schedule.II, rs.Bounds.MII)
 	}
@@ -56,7 +58,9 @@ func TestSlackSucceedsWhereCydromeFails(t *testing.T) {
 		// Not a failure of this repository — but it would no longer
 		// reproduce the paper's qualitative contrast, so flag it.
 		t.Logf("note: cydrome now schedules the divider circuit at II %d", rc.Schedule.II)
-		schedcheck.MustCheck(l, rc.Schedule)
+		if vs := schedcheck.Check(l, rc.Schedule); vs != nil {
+			t.Fatalf("illegal schedule: %v", vs)
+		}
 	} else {
 		if rc.FailedII == 0 || rc.Stats.Restarts == 0 {
 			t.Errorf("cydrome failure should report the last II attempted: %+v", rc.Stats)

@@ -33,11 +33,6 @@ type Config struct {
 	// IncrementByOne retries failed loops at II+1 instead of the paper's
 	// II + max(⌊0.04·II⌋, 1) (Section 4.2, footnote 6 ablation).
 	IncrementByOne bool
-	// EjectBudgetPerOp scales the per-attempt ejection budget
-	// ("operations ejected too many times", step 6). Default 16.
-	EjectBudgetPerOp int
-	// MinEjectBudget floors the budget for tiny loops. Default 64.
-	MinEjectBudget int
 	// MaxII caps the search; 0 derives a generous bound from the loop.
 	MaxII int
 	// StartII overrides the initial II (default: the loop's MII).
@@ -64,17 +59,17 @@ type Config struct {
 	// instead of maintaining them incrementally (Section 4.4): the
 	// reference the differential tests hold the incremental bounds to.
 	noIncremental bool
+	// tinyEject cuts the ejection budget to one per op, floor 1, so
+	// tests can make a loop backtrack, restart and give up.
+	tinyEject bool
 }
 
-func (c Config) withDefaults() Config {
-	if c.EjectBudgetPerOp == 0 {
-		c.EjectBudgetPerOp = 16
-	}
-	if c.MinEjectBudget == 0 {
-		c.MinEjectBudget = 64
-	}
-	return c
-}
+// The per-attempt ejection budget ("operations ejected too many times",
+// step 6) is ejectBudgetPerOp·|ops|, at least minEjectBudget.
+const (
+	ejectBudgetPerOp = 16
+	minEjectBudget   = 64
+)
 
 // Stats instruments one Schedule call with the Section 6 counters.
 type Stats struct {
@@ -128,7 +123,7 @@ type Scheduler struct {
 
 // New returns a scheduler with the given policy and configuration.
 func New(policy Policy, cfg Config) *Scheduler {
-	return &Scheduler{policy: policy, cfg: cfg.withDefaults()}
+	return &Scheduler{policy: policy, cfg: cfg}
 }
 
 // name identifies the scheduler in results, events and errors.
@@ -372,9 +367,9 @@ func (s *Scheduler) autoMaxII(l *ir.Loop, b mii.Bounds) int {
 // a non-empty stopReason aborts the attempt because the caller's
 // Budget or context ran out.
 func (s *Scheduler) attempt(st *State, stats *Stats, g *Guard, sink Observer) (ok bool, stopReason string) {
-	budget := st.n * s.cfg.EjectBudgetPerOp
-	if budget < s.cfg.MinEjectBudget {
-		budget = s.cfg.MinEjectBudget
+	budget := max(st.n*ejectBudgetPerOp, minEjectBudget)
+	if s.cfg.tinyEject {
+		budget = max(st.n, 1)
 	}
 	iterCap := 4*(st.n+budget) + 256
 

@@ -327,7 +327,9 @@ func TestExhaustiveFindsFixtureSchedules(t *testing.T) {
 			t.Errorf("%s: exhaustive search found nothing at MII %d though slack did", l.Name, res.Bounds.MII)
 			continue
 		}
-		schedcheck.MustCheck(l, s)
+		if vs := schedcheck.Check(l, s); vs != nil {
+			t.Fatalf("illegal schedule: %v", vs)
+		}
 	}
 }
 
@@ -431,7 +433,9 @@ func TestSlackNearOptimalOnTinyLoops(t *testing.T) {
 		if opt == nil {
 			continue
 		}
-		schedcheck.MustCheck(l, opt)
+		if vs := schedcheck.Check(l, opt); vs != nil {
+			t.Fatalf("illegal schedule: %v", vs)
+		}
 		feasible++
 		if res.Schedule.II == res.Bounds.MII {
 			matched++

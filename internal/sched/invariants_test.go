@@ -29,12 +29,12 @@ func (p *instrumentedPolicy) ChooseOp(st *State) int {
 	if st.Placed(x) {
 		p.t.Errorf("policy chose placed index %d", x)
 	}
-	for y := 0; y <= st.NumOps(); y++ {
+	for y := 0; y <= st.n; y++ {
 		if st.Placed(y) {
 			continue
 		}
 		es, ls := st.Estart(y), st.Lstart(y)
-		for z := 0; z <= st.NumOps(); z++ {
+		for z := 0; z <= st.n; z++ {
 			if !st.Placed(z) || z == y {
 				continue
 			}

@@ -31,7 +31,7 @@ import (
 func List(cfg Config) *Scheduler {
 	cfg.StartII = 0
 	cfg.IncrementByOne = true
-	return &Scheduler{cfg: cfg.withDefaults()}
+	return &Scheduler{cfg: cfg}
 }
 
 // listAttempt is the list scheduler's pass at one II: every op in

@@ -146,7 +146,7 @@ func TestTextObserverGolden(t *testing.T) {
 	for _, c := range []struct {
 		name string
 		cfg  Config
-	}{{"default", Config{}}, {"eject-budget-1", Config{EjectBudgetPerOp: 1, MinEjectBudget: 1}}} {
+	}{{"default", Config{}}, {"eject-budget-1", tinyEject}} {
 		for _, l := range fixture.All(machine.Cydra()) {
 			fmt.Fprintf(&got, "== %s %s\n", c.name, l.Name)
 			cfg := c.cfg

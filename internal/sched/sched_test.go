@@ -156,7 +156,9 @@ func TestTightRecurrence(t *testing.T) {
 	if !res.OK() || res.Schedule.II != 4 {
 		t.Errorf("II = %v, want RecMII 4", res.II())
 	}
-	schedcheck.MustCheck(l, res.Schedule)
+	if vs := schedcheck.Check(l, res.Schedule); vs != nil {
+		t.Fatalf("illegal schedule: %v", vs)
+	}
 }
 
 // Stress: random cyclic loops must always yield legal schedules, and the
@@ -233,7 +235,9 @@ func TestDividerScheduling(t *testing.T) {
 	if !res.OK() || res.Schedule.II != 38 {
 		t.Fatalf("II = %v, want ResMII 38", res.II())
 	}
-	schedcheck.MustCheck(l, res.Schedule)
+	if vs := schedcheck.Check(l, res.Schedule); vs != nil {
+		t.Fatalf("illegal schedule: %v", vs)
+	}
 }
 
 // Stats plumbing: a loop that schedules greedily reports no backtracking;

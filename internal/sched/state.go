@@ -100,9 +100,6 @@ type State struct {
 // resources.
 func (st *State) StopIndex() int { return st.n }
 
-// NumOps returns the number of real operations.
-func (st *State) NumOps() int { return st.n }
-
 // Placed reports whether index x (an op or Stop) is currently placed.
 func (st *State) Placed(x int) bool { return st.time[x] != ir.Unplaced }
 

@@ -94,25 +94,3 @@ func (t *TailRecorder) AttachTail(tr *obs.Trace) {
 	}
 	tr.TailDropped = t.Dropped()
 }
-
-// EventsFromTail recovers the typed events from a trace tail written by
-// AttachTail, dropping anything foreign (a trace produced by another
-// program version, say). The result replays through any Observer.
-func EventsFromTail(tail []any) []Event {
-	out := make([]Event, 0, len(tail))
-	for _, v := range tail {
-		if e, ok := v.(Event); ok {
-			out = append(out, e)
-		}
-	}
-	return out
-}
-
-// Replay feeds a recorded event sequence to an observer — flight
-// recorder reconstruction: replaying a run's tail through TextObserver
-// regenerates the exact trace text of the original run.
-func Replay(events []Event, o Observer) {
-	for _, e := range events {
-		o.Event(e)
-	}
-}

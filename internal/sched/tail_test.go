@@ -20,7 +20,7 @@ func TestTextTraceReconstructedFromTailByteIdentical(t *testing.T) {
 	m := machine.Cydra()
 	// tinyEject makes divide backtrack, covering "forced" lines; the
 	// other fixtures cover the plain "chose" lines.
-	for _, cfg := range []Config{{}, {EjectBudgetPerOp: 1, MinEjectBudget: 1}} {
+	for _, cfg := range []Config{{}, tinyEject} {
 		for _, l := range fixture.All(m) {
 			var live bytes.Buffer
 			tail := NewTailRecorder(1 << 16) // lossless for these runs
@@ -36,9 +36,11 @@ func TestTextTraceReconstructedFromTailByteIdentical(t *testing.T) {
 			// Round-trip through the flight-recorder representation.
 			tr := obs.NewTrace("req", l.Name)
 			tail.AttachTail(tr)
-			events := EventsFromTail(tr.Tail)
 			var replayed bytes.Buffer
-			Replay(events, TextObserver(&replayed))
+			text := TextObserver(&replayed)
+			for _, e := range eventsFromTail(tr.Tail) {
+				text.Event(e)
+			}
 
 			if live.Len() == 0 {
 				t.Fatalf("%s: live trace produced nothing", l.Name)
@@ -80,7 +82,20 @@ func TestTailRecorderRing(t *testing.T) {
 	}
 }
 
-// AttachTail on a nil trace is a no-op; EventsFromTail skips foreign
+// eventsFromTail recovers the typed events from a trace tail written by
+// AttachTail, dropping anything foreign (a trace produced by another
+// program version, say).
+func eventsFromTail(tail []any) []Event {
+	out := make([]Event, 0, len(tail))
+	for _, v := range tail {
+		if e, ok := v.(Event); ok {
+			out = append(out, e)
+		}
+	}
+	return out
+}
+
+// AttachTail on a nil trace is a no-op; eventsFromTail skips foreign
 // values (a dump written by a different build, say).
 func TestTailAttachEdgeCases(t *testing.T) {
 	ring := NewTailRecorder(4)
@@ -93,8 +108,8 @@ func TestTailAttachEdgeCases(t *testing.T) {
 		t.Fatalf("tail = %d events dropped %d, want 1 and 0", len(tr.Tail), tr.TailDropped)
 	}
 	tr.Tail = append(tr.Tail, "not-an-event", 42)
-	events := EventsFromTail(tr.Tail)
+	events := eventsFromTail(tr.Tail)
 	if len(events) != 1 || events[0].Op != 1 {
-		t.Fatalf("EventsFromTail = %+v, want the one real event", events)
+		t.Fatalf("eventsFromTail = %+v, want the one real event", events)
 	}
 }

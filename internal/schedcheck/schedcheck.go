@@ -86,14 +86,3 @@ func Check(l *ir.Loop, s *ir.Schedule) []Violation {
 	}
 	return out
 }
-
-// MustCheck panics on an illegal schedule; used by tests and benches.
-func MustCheck(l *ir.Loop, s *ir.Schedule) {
-	if vs := Check(l, s); vs != nil {
-		msg := fmt.Sprintf("illegal schedule for loop %s (II=%d):", l.Name, s.II)
-		for _, v := range vs {
-			msg += "\n  " + v.Msg
-		}
-		panic(msg)
-	}
-}

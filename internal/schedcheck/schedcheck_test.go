@@ -118,14 +118,3 @@ func TestBusyExceedsII(t *testing.T) {
 		t.Errorf("want busy-exceeds-II violation, got %v", vs)
 	}
 }
-
-func TestMustCheckPanics(t *testing.T) {
-	l, s := legalSample(t)
-	s.Time[0] = ir.Unplaced
-	defer func() {
-		if recover() == nil {
-			t.Error("MustCheck must panic on illegal schedules")
-		}
-	}()
-	MustCheck(l, s)
-}

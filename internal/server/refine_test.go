@@ -244,7 +244,7 @@ func refinedOracle(t *testing.T, l *ir.Loop, hash string, cfg Config) []byte {
 		Bounds: wire.Bounds{ResMII: b.ResMII, RecMII: b.RecMII, MII: b.MII},
 		II:     sc.II, Length: sc.Length(), Stages: sc.Stages(), Times: sc.Time,
 		MaxLive: out.MaxLive, MinAvg: mindist.MinAvg(loop, md, ir.RR),
-		ICR: lifetime.ICRUsage(loop, sc), GPRs: loop.GPRCount(),
+		ICR: lifetime.ICRUsageIn(loop, sc, &lifetime.Scratch{}), GPRs: loop.GPRCount(),
 		Effort: wire.EffortOf(res.Stats), Refined: true,
 	})
 	if err != nil {

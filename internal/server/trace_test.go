@@ -59,9 +59,9 @@ func spoolDocs(t *testing.T, dir string, pred func(*obs.TraceDoc) bool) []*obs.T
 			if err != nil {
 				continue
 			}
-			doc, err := obs.UnmarshalTraceDoc(b)
-			if err != nil {
-				t.Fatalf("spool file %s is not lsms-trace/1: %v", name, err)
+			doc := new(obs.TraceDoc)
+			if err := json.Unmarshal(b, doc); err != nil || doc.Format != obs.TraceFormat {
+				t.Fatalf("spool file %s (format %q) is not lsms-trace/1: %v", name, doc.Format, err)
 			}
 			if pred(doc) {
 				hits = append(hits, doc)

@@ -465,10 +465,3 @@ func (d *Disk) LoadReport() (loaded int, rejected int64) {
 	defer d.mu.Unlock()
 	return d.loaded, d.loadRejects
 }
-
-// SizeBytes reports the log file's current size (diagnostic).
-func (d *Disk) SizeBytes() int64 {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.size
-}

@@ -101,6 +101,13 @@ func TestDiskPersistence(t *testing.T) {
 	}
 }
 
+// sizeBytes reports the log file's current size.
+func sizeBytes(d *Disk) int64 {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.size
+}
+
 func TestDiskIdempotentPut(t *testing.T) {
 	dir := t.TempDir()
 	d, err := Open(dir, 0)
@@ -109,10 +116,10 @@ func TestDiskIdempotentPut(t *testing.T) {
 	}
 	defer d.Close()
 	d.Put("k", rec(200, "body"))
-	size := d.SizeBytes()
+	size := sizeBytes(d)
 	d.Put("k", rec(200, "body")) // content-addressed: second Put is free
-	if d.SizeBytes() != size {
-		t.Fatalf("idempotent Put grew the log: %d -> %d", size, d.SizeBytes())
+	if sizeBytes(d) != size {
+		t.Fatalf("idempotent Put grew the log: %d -> %d", size, sizeBytes(d))
 	}
 	if d.Len() != 1 {
 		t.Fatalf("Len = %d, want 1", d.Len())
@@ -130,8 +137,8 @@ func TestDiskCompaction(t *testing.T) {
 	for i := 0; i < 40; i++ {
 		d.Put(fmt.Sprintf("ck-%02d", i), Record{Status: 200, Machine: "cydra", Body: body})
 	}
-	if d.SizeBytes() > 1024 {
-		t.Fatalf("log size %d exceeds the 1024 bound after compaction", d.SizeBytes())
+	if sizeBytes(d) > 1024 {
+		t.Fatalf("log size %d exceeds the 1024 bound after compaction", sizeBytes(d))
 	}
 	// The newest record always survives.
 	if got, ok := d.Get("ck-39"); !ok || !bytes.Equal(got.Body, body) {

@@ -130,10 +130,10 @@ func BenchmarkWireHash(b *testing.B) {
 // BenchmarkFrontend splits source-form Normalize into its layers, over
 // the sources of the same 120-loop corpus; one op is one loop. Each
 // layer runs on the previous layers' output, prepared outside the
-// timing, except that parse includes lexing (Parse lexes its input):
-// parse alone is parse minus lex. lower includes ir.Finalize. Parse and
-// Analyze allocate a new AST and unit each time; compile-index is lex
-// through lower as Normalize runs them, with that memory recycled.
+// timing, except that parse includes lexing (Parse lexes its input).
+// lower includes ir.Finalize. Parse and Analyze allocate a new AST and
+// unit each time; compile-index is lex through lower as Normalize runs
+// them, with that memory recycled.
 //
 //	go test -run '^$' -bench 'BenchmarkFrontend' -benchmem ./internal/wire
 func BenchmarkFrontend(b *testing.B) {
@@ -168,7 +168,6 @@ func BenchmarkFrontend(b *testing.B) {
 		name string
 		run  func(i int) error
 	}{
-		{"lex", func(i int) error { _, err := frontend.Lex(s.Loops[i].Source); return err }},
 		{"parse", func(i int) error { _, err := frontend.Parse(s.Loops[i].Source); return err }},
 		{"analyze", func(i int) error { _, err := frontend.Analyze(progs[i]); return err }},
 		{"lower", func(i int) error { return frontend.Lower(units[i], dos[i], m).Ineligible }},
