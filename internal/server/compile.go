@@ -15,6 +15,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/ir"
 	"repro/internal/machine"
+	"repro/internal/mii"
 	"repro/internal/obs"
 	"repro/internal/sched"
 	"repro/internal/store"
@@ -177,7 +178,7 @@ func (s *Server) prepare(req *wire.Request, p *prepared) *wire.Error {
 	if err != nil {
 		return requestError(err)
 	}
-	p.norm, p.hash, p.loopName, p.scheduler = norm, hash, norm.Loop.Name, norm.Scheduler
+	p.norm, p.hash, p.loopName, p.scheduler = norm, hash, norm.LoopName(), norm.Scheduler
 	if p.scheduler == "" {
 		p.scheduler = string(core.SchedSlack)
 	}
@@ -481,6 +482,12 @@ func failedOutcome(name string, resp *wire.Response, err error) outcome {
 		// An infeasible verdict is deterministic for a given request
 		// (the II ceiling is part of the content hash), so cache it.
 		return respOutcome(http.StatusUnprocessableEntity, name, resp, e, true)
+	case errors.Is(err, mii.ErrZeroOmega):
+		// A dependence circuit no iteration distance separates is the
+		// client's loop at fault, which only the compile finds.
+		return respOutcome(http.StatusBadRequest, name, resp, &wire.Error{
+			Kind: wire.ErrKindBadRequest, Message: err.Error(),
+		}, false)
 	}
 	return respOutcome(http.StatusInternalServerError, name, resp, &wire.Error{
 		Kind: wire.ErrKindInternal, Message: err.Error(),

@@ -19,6 +19,7 @@ import (
 	"repro/internal/ir"
 	"repro/internal/loopgen"
 	"repro/internal/machine"
+	"repro/internal/mii"
 	"repro/internal/sched"
 	"repro/internal/wire"
 )
@@ -210,14 +211,42 @@ func TestSourceAndIRFormsShareCacheEntry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	irReq, _ := json.Marshal(norm)
-	r2, b2 := post(t, ts.URL, irReq)
+	r2, b2 := post(t, ts.URL, irBody(t, norm))
 	if got := r2.Header.Get("X-Lsmsd-Cache"); got != "hit" {
 		t.Errorf("IR form after source form: cache %q, want hit", got)
 	}
 	if !bytes.Equal(b1, b2) {
 		t.Error("source- and IR-form responses differ")
 	}
+}
+
+// canonicalRequest is a normalized request as encoding/json decodes its
+// canonical bytes: a normalized source-form request keeps its loop only
+// as those bytes, so this is how a test gets the loop document back
+// without the package's own decoder.
+func canonicalRequest(t *testing.T, norm *wire.Request) wire.Request {
+	t.Helper()
+	c, err := norm.Canonical()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var r wire.Request
+	if err := json.Unmarshal(c, &r); err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
+
+// irBody is the IR form of a normalized request as a client would send
+// it: json.Marshal of its canonicalRequest.
+func irBody(t *testing.T, norm *wire.Request) []byte {
+	t.Helper()
+	r := canonicalRequest(t, norm)
+	b, err := json.Marshal(&r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
 }
 
 // TestColdSourceAndIRFormsAnswerIdentically: over the 120-loop wire
@@ -255,11 +284,7 @@ func TestColdSourceAndIRFormsAnswerIdentically(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s/%s: %v", l.Name, name, err)
 			}
-			irBody, err := json.Marshal(norm)
-			if err != nil {
-				t.Fatal(err)
-			}
-			irResp, irOut := post(t, irTS.URL, irBody)
+			irResp, irOut := post(t, irTS.URL, irBody(t, norm))
 			for _, r := range []*http.Response{srcResp, irResp} {
 				if c := r.Header.Get("X-Lsmsd-Cache"); c != "miss" {
 					t.Fatalf("%s/%s: cache %q on a fresh server, want miss", l.Name, name, c)
@@ -463,6 +488,32 @@ func TestErrorMapping(t *testing.T) {
 		resp2, _ := post(t, ts.URL, body)
 		if resp2.Header.Get("X-Lsmsd-Cache") == "hit" {
 			t.Error("budget-exhausted outcome must not be cached")
+		}
+	})
+	t.Run("zero-omega circuit is 400 and not cached", func(t *testing.T) {
+		// a and b read each other in the same iteration: a circuit that
+		// ir.validate accepts and only the compile's RecMII rejects.
+		l := ir.NewLoop("combinational", m)
+		a := l.NewValue("a", ir.RR, ir.Float)
+		b := l.NewValue("b", ir.RR, ir.Float)
+		l.NewOp(machine.FAdd, []ir.Operand{{Val: b.ID}, {Val: b.ID}}, a.ID)
+		l.NewOp(machine.FSub, []ir.Operand{{Val: a.ID}, {Val: a.ID}}, b.ID)
+		l.MustFinalize()
+		for _, name := range []string{"slack", "exact", "list"} {
+			body := requestBody(t, l, name, wire.Options{})
+			resp, out := post(t, ts.URL, body)
+			r := decodeResponse(t, out)
+			if resp.StatusCode != http.StatusBadRequest || r.Error == nil || r.Error.Kind != wire.ErrKindBadRequest ||
+				!strings.Contains(r.Error.Message, mii.ErrZeroOmega.Error()) {
+				t.Fatalf("%s: status %d, error %+v", name, resp.StatusCode, r.Error)
+			}
+			resp2, out2 := post(t, ts.URL, body)
+			if resp2.StatusCode != http.StatusBadRequest || !bytes.Equal(out, out2) {
+				t.Errorf("%s: repeat answered %d %s, first %s", name, resp2.StatusCode, out2, out)
+			}
+			if c := resp2.Header.Get("X-Lsmsd-Cache"); c != "miss" {
+				t.Errorf("%s: repeat cache %q, want miss: a 400 is never stored", name, c)
+			}
 		}
 	})
 	t.Run("panic is isolated as 500", func(t *testing.T) {
@@ -710,19 +761,12 @@ func TestSourceMemoLeavesAnswersUnchanged(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// irForm is daxpy's IR document, copied (the normalized one is the
-	// memo's, shared read-only) and edited by mut.
+	// irForm is daxpy's IR document, decoded afresh from the canonical
+	// bytes and edited by mut.
 	irForm := func(mach, scheduler string, mut func(*wire.Loop)) wire.Request {
-		b, err := json.Marshal(norm.Loop)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var l wire.Loop
-		if err := json.Unmarshal(b, &l); err != nil {
-			t.Fatal(err)
-		}
-		mut(&l)
-		return wire.Request{Machine: mach, Scheduler: scheduler, Loop: &l}
+		l := canonicalRequest(t, norm).Loop
+		mut(l)
+		return wire.Request{Machine: mach, Scheduler: scheduler, Loop: l}
 	}
 	renameFmul := func(l *wire.Loop) {
 		for i := range l.Ops {

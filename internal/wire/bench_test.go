@@ -83,11 +83,27 @@ func BenchmarkWireNormalize(b *testing.B) {
 
 // BenchmarkWireLower times Lower on normalized requests: DecodeLoop and
 // ir.Finalize of the document, the work a store miss adds to
-// Normalize. Source and IR forms take the same path; they differ only
-// in the documents the corpus gives them.
+// Normalize. An IR-form request holds its document; a source-form one
+// holds canonical bytes, which Lower parses back into a document first.
+// The source row's bytes are the frontend's, normalized through a
+// memo that stores nothing; the source-memo row's are the memo's, the
+// lowering a memo hit that misses the store pays for.
 func BenchmarkWireLower(b *testing.B) {
-	for _, f := range benchForms(b) {
+	forms := benchForms(b)
+	forms = append(forms, benchForm{"source-memo", forms[1].docs})
+	for _, f := range forms {
 		b.Run(f.name, func(b *testing.B) {
+			switch f.name {
+			case "source":
+				useMemo(b, newSourceMemo(0))
+			case "source-memo":
+				m := useMemo(b, newSourceMemo(MemoBudget))
+				defer func() {
+					if len(m.docs) != len(f.docs) {
+						b.Fatalf("memo holds %d of %d documents", len(m.docs), len(f.docs))
+					}
+				}()
+			}
 			norms := normalizedForms(b, f)
 			b.ReportAllocs()
 			for i := 0; b.Loop(); i++ {

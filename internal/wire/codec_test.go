@@ -278,14 +278,19 @@ func sameConstBits(a, b *Request) bool {
 }
 
 // oracleHash is Hash as it was before the hand-written encoder: a full
-// Normalize, then SHA-256 over json.Marshal with the deadline zeroed.
+// Normalize, then SHA-256 over json.Marshal of its oracleForm with the
+// deadline zeroed.
 func oracleHash(t *testing.T, r *Request) string {
 	t.Helper()
 	n, _, err := r.Normalize()
 	if err != nil {
 		t.Fatal(err)
 	}
-	h := *n
+	f, err := oracleForm(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := *f
 	h.Options.DeadlineMS = 0
 	b, err := json.Marshal(&h)
 	if err != nil {
@@ -516,8 +521,9 @@ func TestHashNormalizedAllocs(t *testing.T) {
 // TestNormalizeSourceAllocs bounds source-form Normalize on the daxpy
 // loop. With the token slice, the AST and unit memory and the lowering
 // tables recycled, and values, ops and encoded slices cut from slabs of
-// known size, it takes 24 allocations, one of them the content address;
-// the bound leaves 6 of slack. Under the race detector, whose pools
+// known size, it takes 26 allocations, one of them the content address
+// and two the loop's canonical bytes and name; the bound leaves 4 of
+// slack. Under the race detector, whose pools
 // drop a quarter of what they are given, re-making the recycled memory
 // adds about 20 on average; the allowance for it is half again as much.
 // The memo stores nothing here, so every call runs the frontend;
@@ -561,7 +567,7 @@ func TestNormalizeMemoHitAllocs(t *testing.T) {
 	}
 	allocs := testing.AllocsPerRun(100, func() {
 		n, _, err := r.Normalize()
-		if err != nil || n.Loop != first.Loop {
+		if err != nil || !sameDoc(n, first) {
 			t.Fatalf("Normalize missed the memo (%v)", err)
 		}
 	})

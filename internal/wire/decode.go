@@ -8,6 +8,7 @@ import (
 	"unicode"
 	"unicode/utf16"
 	"unicode/utf8"
+	"unsafe"
 
 	"repro/internal/machine"
 )
@@ -61,7 +62,10 @@ func (e *typeError) Error() string { return fmt.Sprintf("offset %d: value is not
 
 // decoder is the cursor of one request decode.
 type decoder struct {
-	data  []byte
+	data []byte
+	// src, when set, is data as a string: an immutable document whose
+	// unescaped strings the decode may share instead of copying.
+	src   string
 	off   int
 	depth int
 	// buf holds the unquoted bytes of the last string that needed
@@ -375,17 +379,21 @@ func decodePointer[T any](d *decoder, p **T, elem func(*decoder, *T) error) erro
 }
 
 // str decodes a string field; null leaves it alone. A string found in
-// names is stored as its interned copy, any other as a fresh one, so
-// the field never aliases the body.
+// names is stored as its interned copy, one that needed no unescaping
+// as a substring of src when it is set, and any other as a fresh one,
+// so the field never aliases the body.
 func (d *decoder) str(p *string, names map[string]string) error {
 	switch d.ws() {
 	case '"':
+		start := d.off + 1
 		b, err := d.quoted()
 		if err != nil {
 			return err
 		}
 		if s, ok := names[string(b)]; ok {
 			*p = s
+		} else if d.src != "" && unsafe.SliceData(b) == unsafe.SliceData(d.data[start:]) {
+			*p = d.src[start : start+len(b)]
 		} else {
 			*p = string(b)
 		}

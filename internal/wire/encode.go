@@ -15,8 +15,10 @@ import (
 // encoding/json's format — without reflection. The codec tests and
 // FuzzDecodeRequest hold it to json.Marshal (oracle_test.go).
 
-// appendRequest appends r's canonical encoding to b. It fails only on a
-// NaN or infinite constant, which JSON cannot represent.
+// appendRequest appends r's canonical encoding to b. A normalized
+// source-form request's loop is already canonical bytes, spliced in
+// as they are. It fails only on a NaN or infinite constant, which JSON
+// cannot represent.
 func appendRequest(b []byte, r *Request) ([]byte, error) {
 	b = append(b, `{"version":`...)
 	b = appendString(b, r.Version)
@@ -39,11 +41,14 @@ func appendRequest(b []byte, r *Request) ([]byte, error) {
 	if r.LoopIndex != 0 {
 		b = appendInt(append(b, `,"loop_index":`...), r.LoopIndex)
 	}
-	if r.Loop != nil {
+	switch {
+	case r.Loop != nil:
 		var err error
 		if b, err = appendLoop(append(b, `,"loop":`...), r.Loop); err != nil {
 			return nil, err
 		}
+	case r.doc.bytes != "":
+		b = append(append(b, `,"loop":`...), r.doc.bytes...)
 	}
 	return append(b, '}'), nil
 }

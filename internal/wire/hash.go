@@ -61,8 +61,8 @@ func (r *Request) digest() (string, error) {
 
 const hashPrefix = "sha256:"
 
-// hashBufs pools digest's encoding buffers; the canonical bytes never
-// leave digest, only their address does.
+// hashBufs pools the buffers digest and encodeDoc encode into; only
+// an address or a copy of the bytes leaves either.
 var hashBufs = sync.Pool{New: func() any { return new([]byte) }}
 
 // Effort is the deterministic subset of sched.Stats: the Section 6

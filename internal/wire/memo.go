@@ -10,9 +10,9 @@ import (
 )
 
 // MemoBudget is the ceiling on the bytes the source memo retains:
-// every document's slices at their capacity, its names, and its key.
-// A document larger than MemoBudget/64 is never stored, so no single
-// source can flush the memo.
+// every document's canonical bytes, its name, and its key. A document
+// larger than MemoBudget/64 is never stored, so no single source can
+// flush the memo.
 const MemoBudget = 3 << 20
 
 // sources is the process-wide memo of source-form lowerings that
@@ -34,10 +34,29 @@ func sourceSum(src string) [sha256.Size]byte {
 	return sha256.Sum256(unsafe.Slice(unsafe.StringData(src), len(src)))
 }
 
-// sourceMemo maps each lowered source to the canonical loop document
-// EncodeLoop built for it, so a repeated source-form request runs no
-// frontend. Documents are shared read-only: every request that hits
-// one points its normalized form at the same *Loop. Eviction is
+// loopDoc is a loop document in canonical form: the bytes appendLoop
+// wrote for it, and its name. Both are strings of their own, so a
+// loopDoc shares nothing with the request it was lowered from, and
+// every request that holds one may share it.
+type loopDoc struct {
+	bytes, name string
+}
+
+// encodeDoc encodes w once into a loopDoc.
+func encodeDoc(w *Loop) (loopDoc, error) {
+	bp := hashBufs.Get().(*[]byte)
+	defer hashBufs.Put(bp)
+	b, err := appendLoop((*bp)[:0], w)
+	if err != nil {
+		return loopDoc{}, err
+	}
+	*bp = b
+	return loopDoc{bytes: string(b), name: strings.Clone(w.Name)}, nil
+}
+
+// sourceMemo maps each lowered source to the canonical bytes of the
+// loop document the frontend's loop encodes to, so a repeated
+// source-form request runs no frontend and encodes no loop. Eviction is
 // first-in first-out by retained bytes. Only successful lowerings of
 // registered targets enter; every error path lowers again.
 type sourceMemo struct {
@@ -51,7 +70,7 @@ type sourceMemo struct {
 }
 
 type memoEntry struct {
-	doc  *Loop
+	doc  loopDoc
 	size int
 }
 
@@ -59,24 +78,21 @@ func newSourceMemo(budget int) *sourceMemo {
 	return &sourceMemo{budget: budget, docs: map[memoKey]memoEntry{}}
 }
 
-// get returns the document stored under k, or nil.
-func (c *sourceMemo) get(k *memoKey) *Loop {
+// get returns the document stored under k, and whether there is one.
+func (c *sourceMemo) get(k *memoKey) (loopDoc, bool) {
 	c.mu.Lock()
-	e := c.docs[*k]
+	e, ok := c.docs[*k]
 	c.mu.Unlock()
-	return e.doc
+	return e.doc, ok
 }
 
-// put stores doc under k, which must be a freshly encoded document no
-// one else references: its names are copied out of the source first,
-// so the memo pins no request's bytes. The oldest entries go until the
-// new one fits. A concurrent put of the same key keeps the first.
-func (c *sourceMemo) put(k *memoKey, doc *Loop) {
-	size := docBytes(doc) + memoKeyBytes
+// put stores doc under k. The oldest entries go until the new one
+// fits. A concurrent put of the same key keeps the first.
+func (c *sourceMemo) put(k *memoKey, doc loopDoc) {
+	size := len(doc.bytes) + len(doc.name) + memoKeyBytes
 	if size > c.budget/64 {
 		return
 	}
-	detachNames(doc)
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if _, ok := c.docs[*k]; ok {
@@ -101,49 +117,3 @@ func (c *sourceMemo) put(k *memoKey, doc *Loop) {
 // memoKeyBytes is what an entry costs besides its document: the key,
 // held by the map and the queue, and the map's value.
 const memoKeyBytes = 2*int(unsafe.Sizeof(memoKey{})) + int(unsafe.Sizeof(memoEntry{}))
-
-// docBytes counts the memory a document EncodeLoop built retains: its
-// slices at their capacity, the constants and operands its pointers and
-// argument lists share, and its names. The other strings are the
-// static spellings of enumerations.
-func docBytes(w *Loop) int {
-	n := int(unsafe.Sizeof(*w)) + len(w.Name)
-	n += cap(w.Values) * int(unsafe.Sizeof(Value{}))
-	for i := range w.Values {
-		n += len(w.Values[i].Name)
-		if w.Values[i].Const != nil {
-			n += int(unsafe.Sizeof(Const{}))
-		}
-	}
-	n += cap(w.Ops) * int(unsafe.Sizeof(Op{}))
-	for i := range w.Ops {
-		n += len(w.Ops[i].Args) * int(unsafe.Sizeof(Operand{}))
-		if w.Ops[i].Pred != nil {
-			n += int(unsafe.Sizeof(Operand{}))
-		}
-	}
-	return n + cap(w.Deps)*int(unsafe.Sizeof(Dep{}))
-}
-
-// detachNames copies the loop and value names into one string of the
-// document's own. The frontend slices identifiers out of the source,
-// so without the copy a stored document would keep its whole request
-// source alive.
-func detachNames(w *Loop) {
-	n := len(w.Name)
-	for i := range w.Values {
-		n += len(w.Values[i].Name)
-	}
-	var b strings.Builder
-	b.Grow(n)
-	b.WriteString(w.Name)
-	for i := range w.Values {
-		b.WriteString(w.Values[i].Name)
-	}
-	s := b.String()
-	w.Name, s = s[:len(w.Name)], s[len(w.Name):]
-	for i := range w.Values {
-		k := len(w.Values[i].Name)
-		w.Values[i].Name, s = s[:k], s[k:]
-	}
-}

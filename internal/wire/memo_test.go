@@ -4,12 +4,15 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"reflect"
 	"runtime"
 	"slices"
 	"strings"
 	"sync"
 	"testing"
+	"unsafe"
 
+	"repro/internal/fixture"
 	"repro/internal/machine"
 )
 
@@ -46,6 +49,13 @@ func checkMemo(t *testing.T, m *sourceMemo) {
 	}
 }
 
+// sameDoc reports whether two normalized source-form requests share
+// one string of canonical loop bytes: the memo's, since every lowering
+// by the frontend encodes a string of its own.
+func sameDoc(a, b *Request) bool {
+	return a.doc.bytes != "" && unsafe.StringData(a.doc.bytes) == unsafe.StringData(b.doc.bytes)
+}
+
 func decodeDocs(tb testing.TB, docs [][]byte) []*Request {
 	tb.Helper()
 	reqs := make([]*Request, len(docs))
@@ -60,7 +70,9 @@ func decodeDocs(tb testing.TB, docs [][]byte) []*Request {
 
 // TestMemoColdWarmIdentical: over the seed-1993 corpus, a source that
 // the frontend lowers afresh and the same source served from the memo
-// give the same canonical bytes, content hash and IR.
+// give the same canonical bytes, content hash and IR, and the warm
+// Normalize runs no frontend: it returns the very bytes the first warm
+// one stored.
 func TestMemoColdWarmIdentical(t *testing.T) {
 	step := 1
 	if testing.Short() {
@@ -69,7 +81,6 @@ func TestMemoColdWarmIdentical(t *testing.T) {
 	_, srcDocs := corpusDocs(t, 1525, 1993)
 	cold, warm := newSourceMemo(0), newSourceMemo(MemoBudget)
 	useMemo(t, cold)
-	hits := 0
 	for i := 0; i < len(srcDocs); i += step {
 		var r Request
 		if err := json.Unmarshal(srcDocs[i], &r); err != nil {
@@ -97,10 +108,8 @@ func TestMemoColdWarmIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatalf("doc %d: warm lower: %v", i, err)
 		}
-		if wn.Loop == first.Loop {
-			hits++
-		} else if docBytes(first.Loop)+memoKeyBytes <= MemoBudget/64 {
-			t.Fatalf("doc %d (%s): a memo-sized document was lowered again", i, cn.Loop.Name)
+		if sameDoc(cn, first) || !sameDoc(wn, first) {
+			t.Fatalf("doc %d (%s): the warm Normalize lowered the source again", i, cn.LoopName())
 		}
 		cb, err := cn.Canonical()
 		if err != nil {
@@ -121,11 +130,80 @@ func TestMemoColdWarmIdentical(t *testing.T) {
 		if cs, ws := cl.String(), wl.String(); cs != ws {
 			t.Fatalf("doc %d: IR differs:\ncold:\n%s\nwarm:\n%s", i, cs, ws)
 		}
-	}
-	if hits == 0 {
-		t.Fatal("no warm Normalize hit the memo")
+		if wn.LoopName() != cl.Name || cn.LoopName() != cl.Name {
+			t.Fatalf("doc %d: loop names %q cold, %q warm, %q lowered", i, cn.LoopName(), wn.LoopName(), cl.Name)
+		}
 	}
 	checkMemo(t, warm)
+}
+
+// TestLoopDocRoundTrip: canonical bytes parse back into the document
+// they were encoded from. Names that need no escaping come back as
+// substrings of the bytes; escaped ones, names with HTML characters,
+// separators or quotes, come back as copies with the same text.
+func TestLoopDocRoundTrip(t *testing.T) {
+	for name, edit := range map[string]func(*Loop){
+		"plain": func(*Loop) {},
+		"escaped": func(w *Loop) {
+			w.Name = `<loop> "one" & \ two` + "\u2028\t"
+			w.Values[0].Name = "x\ny"
+			w.Values[1].Name = "é\u2029"
+		},
+	} {
+		w, err := EncodeLoop(fixture.Daxpy(machine.Cydra()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		edit(w)
+		d, err := encodeDoc(w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		shared := func(s string) bool {
+			p := uintptr(unsafe.Pointer(unsafe.StringData(s)))
+			base := uintptr(unsafe.Pointer(unsafe.StringData(d.bytes)))
+			return len(s) > 0 && p >= base && p < base+uintptr(len(d.bytes))
+		}
+		if d.name != w.Name {
+			t.Errorf("%s: name %q, want %q", name, d.name, w.Name)
+		}
+		var s Scratch
+		got, err := s.decodeDoc(d.bytes)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if !reflect.DeepEqual(got, w) {
+			t.Errorf("%s: parsed %+v\nwant %+v", name, got, w)
+		}
+		for i, v := range got.Values {
+			if shared(v.Name) != strings.Contains(d.bytes, `"name":"`+v.Name+`"`) {
+				t.Errorf("%s: value %d name %q shares the bytes: %v", name, i, v.Name, shared(v.Name))
+			}
+		}
+		if shared(got.Name) != (name == "plain") {
+			t.Errorf("%s: parsed loop name %q shares the bytes: %v", name, got.Name, shared(got.Name))
+		}
+	}
+}
+
+// TestMemoHoldsCorpus: each 1,525-loop corpus, seed 1993 and the
+// held-out seed 2718, fits the memo whole: after every source is
+// lowered once, every one is still stored and none was evicted.
+func TestMemoHoldsCorpus(t *testing.T) {
+	for _, seed := range []int64{1993, 2718} {
+		_, srcDocs := corpusDocs(t, 1525, seed)
+		m := useMemo(t, newSourceMemo(MemoBudget))
+		for _, r := range decodeDocs(t, srcDocs) {
+			if _, _, err := r.Normalize(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		checkMemo(t, m)
+		t.Logf("seed %d: %d entries, %d B counted, %d B per entry", seed, len(m.docs), m.used, m.used/max(len(m.docs), 1))
+		if len(m.docs) != len(srcDocs) || m.head != 0 {
+			t.Errorf("seed %d: memo holds %d of %d sources after evicting %d", seed, len(m.docs), len(srcDocs), m.head)
+		}
+	}
 }
 
 // TestMemoConcurrentEviction: goroutines normalizing overlapping
@@ -165,8 +243,8 @@ func TestMemoConcurrentEviction(t *testing.T) {
 					if got, err := n.Hash(); err != nil || got != want[i] {
 						t.Errorf("doc %d: hash %s (%v), cold %s", i, got, err, want[i])
 					}
-					if l.Name != n.Loop.Name {
-						t.Errorf("doc %d: loop %q, document %q", i, l.Name, n.Loop.Name)
+					if l.Name != n.LoopName() {
+						t.Errorf("doc %d: loop %q, document %q", i, l.Name, n.LoopName())
 					}
 				}
 			}
@@ -180,18 +258,20 @@ func TestMemoConcurrentEviction(t *testing.T) {
 }
 
 // TestMemoRetainedHeapFlat: the memo's retained heap stops growing at
-// its budget. Four rounds of the corpus, each source made distinct by a
-// comment line, store four times what the budget holds; the heap after
-// the last round is where it was after the first.
+// its budget. Four rounds of two copies of the corpus, each source made
+// distinct by a comment line, store several times what the budget
+// holds (one copy fits it whole); the heap after the last round is
+// where it was after the first.
 func TestMemoRetainedHeapFlat(t *testing.T) {
 	_, srcDocs := corpusDocs(t, 1525, 1993)
 	base := decodeDocs(t, srcDocs)
 	rounds := make([][]Request, 4)
 	for k := range rounds {
-		rounds[k] = make([]Request, len(base))
-		for i, r := range base {
+		rounds[k] = make([]Request, 2*len(base))
+		for i := range rounds[k] {
+			r := base[i%len(base)]
 			rounds[k][i] = *r
-			rounds[k][i].Source = fmt.Sprintf("c round %d\n%s", k, r.Source)
+			rounds[k][i].Source = fmt.Sprintf("c round %d copy %d\n%s", k, i/len(base), r.Source)
 		}
 	}
 	m := useMemo(t, newSourceMemo(MemoBudget))
@@ -273,7 +353,7 @@ func TestMemoReRegisteredTarget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n2.Loop == n1.Loop || l2.Mach != second {
+	if sameDoc(n2, n1) || l2.Mach != second {
 		t.Fatal("the replaced target was served the old target's lowering")
 	}
 	useMemo(t, newSourceMemo(0))

@@ -68,5 +68,33 @@ func (s *oracleScratch) DecodeRequest(body []byte) (*Request, error) {
 	return &s.req, nil
 }
 
-// oracleCanonical is the reference canonical encoding of a request.
-func oracleCanonical(r *Request) ([]byte, error) { return json.Marshal(r) }
+// oracleCanonical is the reference canonical encoding of a request:
+// json.Marshal of its oracleForm.
+func oracleCanonical(r *Request) ([]byte, error) {
+	f, err := oracleForm(r)
+	if err != nil {
+		return nil, err
+	}
+	return json.Marshal(f)
+}
+
+// oracleForm returns r with its loop as a document encoding/json can
+// marshal. A normalized source-form request keeps its loop only as
+// canonical bytes, so there the loop is json.Unmarshal's decode of
+// Canonical, and json.Marshal re-encodes it without appendLoop.
+func oracleForm(r *Request) (*Request, error) {
+	if r.Loop != nil || r.doc.bytes == "" {
+		return r, nil
+	}
+	c, err := r.Canonical()
+	if err != nil {
+		return nil, err
+	}
+	var d Request
+	if err := json.Unmarshal(c, &d); err != nil {
+		return nil, err
+	}
+	f := *r
+	f.Loop = d.Loop
+	return &f, nil
+}

@@ -1,5 +1,11 @@
 package wire
 
+import (
+	"fmt"
+	"sync"
+	"unsafe"
+)
+
 // Reset clears the request envelope for reuse by the decoder, which
 // merges into existing values rather than starting fresh: a key absent
 // from the next document leaves the old field contents in place. Every
@@ -74,4 +80,20 @@ func (s *Scratch) DecodeRequest(body []byte) (*Request, error) {
 		return nil, err
 	}
 	return &s.req, nil
+}
+
+// docScratch pools the storage Lower parses canonical loop bytes into.
+var docScratch = sync.Pool{New: func() any { return new(Scratch) }}
+
+// decodeDoc parses canonical loop bytes into the scratch's document,
+// valid until the next decode. Its strings are substrings of doc where
+// they needed no unescaping: doc is immutable, so they may outlive the
+// scratch.
+func (s *Scratch) decodeDoc(doc string) (*Loop, error) {
+	s.doc.reset(&s.dec.hw)
+	s.dec = decoder{data: unsafe.Slice(unsafe.StringData(doc), len(doc)), src: doc, buf: s.dec.buf[:0], hw: s.dec.hw}
+	if err := s.dec.loop(&s.doc); err != nil {
+		return nil, fmt.Errorf("parsing loop document: %w", err)
+	}
+	return &s.doc, nil
 }

@@ -81,9 +81,12 @@ type Request struct {
 	// it, and Canonical encodes the request as it stands. Copies keep
 	// the mark; a caller that edits a normalized request must
 	// re-normalize the original instead. desc is the target Normalize
-	// resolved, so Lower builds no inline spec a second time.
+	// resolved, so Lower builds no inline spec a second time. doc, set
+	// only on a normalized source-form request, is its loop document in
+	// canonical bytes, which stand in for Loop.
 	hash string
 	desc *machine.Desc
+	doc  loopDoc
 }
 
 // Options are the knobs a remote caller may set: the II ceiling, the
@@ -440,20 +443,22 @@ func (r *Request) validate() (*machine.Desc, error) {
 // its content address (see Hash). A source-form request is compiled
 // (frontend) and its LoopIndex-th innermost loop replaces the source,
 // so source- and IR-form requests for the same loop canonicalize — and
-// content-hash — identically. An IR-form document is taken as it
-// stands: Lower, not Normalize, decodes and checks it. The envelope is
-// canonicalized too — a v1 version string becomes Version, and an
-// inline spec fills the machine name — so every accepted way of
-// writing a request converges on one set of canonical bytes. The
-// receiver is not modified; the result keeps its address, so Hash on
-// it encodes nothing.
+// content-hash — identically. The normalized form of a source-form
+// request carries that loop as canonical bytes, not as a document: its
+// Loop is nil, Canonical returns its bytes, LoopName its name and Lower
+// its IR. An IR-form document is taken as it stands: Lower, not
+// Normalize, decodes and checks it. The envelope is canonicalized
+// too — a v1 version string becomes Version, and an inline spec fills
+// the machine name — so every accepted way of writing a request
+// converges on one set of canonical bytes. The receiver is not
+// modified; the result keeps its address, so Hash on it encodes
+// nothing.
 //
 // A source-form request for a registered target is lowered once per
 // process while its entry lasts (see MemoBudget): later requests for
-// the same source, loop index and target share the stored document as
-// their Loop and run no frontend. The document is read-only. Only
-// clean lowerings enter the memo, so a hit never skips an error the
-// frontend would report.
+// the same source, loop index and target share the stored bytes and
+// run no frontend. Only clean lowerings enter the memo, so a hit never
+// skips an error the frontend would report.
 func (r *Request) Normalize() (*Request, string, error) {
 	m, err := r.validate()
 	if err != nil {
@@ -474,16 +479,17 @@ func (r *Request) Normalize() (*Request, string, error) {
 	return &n, n.hash, nil
 }
 
-// lowerSource replaces r's source with its loop document: the memo's
-// when it holds one, else the one encoded from the frontend's loop.
+// lowerSource replaces r's source with its loop's canonical bytes: the
+// memo's when it holds them, else those encoded from the frontend's
+// loop.
 func (r *Request) lowerSource(m *machine.Desc) error {
 	// A registered target's lowering is memoized; an inline spec
 	// builds a fresh Desc per request, so it could never hit.
 	var k *memoKey
 	if r.MachineSpec == nil {
 		k = &memoKey{m: m, index: r.LoopIndex, sum: sourceSum(r.Source)}
-		if wl := sources.get(k); wl != nil {
-			r.Source, r.LoopIndex, r.Loop = "", 0, wl
+		if d, ok := sources.get(k); ok {
+			r.Source, r.LoopIndex, r.doc = "", 0, d
 			return nil
 		}
 	}
@@ -501,33 +507,61 @@ func (r *Request) lowerSource(m *machine.Desc) error {
 	if err != nil {
 		return err
 	}
-	if k != nil {
-		sources.put(k, wl)
+	d, err := encodeDoc(wl)
+	if err != nil {
+		return err
 	}
-	r.Source, r.LoopIndex, r.Loop = "", 0, wl
+	if k != nil {
+		sources.put(k, d)
+	}
+	r.Source, r.LoopIndex, r.doc = "", 0, d
 	return nil
+}
+
+// LoopName returns the name of the request's loop: its document's, or
+// for a normalized source-form request the one its canonical bytes
+// carry. A source-form request Normalize did not return has none yet.
+func (r *Request) LoopName() string {
+	if r.Loop != nil {
+		return r.Loop.Name
+	}
+	return r.doc.name
 }
 
 // Lower builds the request's finalized ir.Loop, normalizing it first
 // unless Normalize returned it: DecodeLoop of the loop document against
 // the target Normalize resolved, so the loop compiled is a function of
 // the canonical bytes alone, whichever form the request came in, and an
-// inline spec is built once per request. Its errors are DecodeLoop's:
-// an unknown opcode, an out-of-range value, or a
-// *machine.UnsupportedOpError for an op the target lacks. The returned
-// loop is the caller's own.
+// inline spec is built once per request. A source-form request's
+// document is parsed back out of its canonical bytes first, on pooled
+// storage. Its errors are DecodeLoop's: an unknown opcode, an
+// out-of-range value, or a *machine.UnsupportedOpError for an op the
+// target lacks. The returned loop is the caller's own.
 func (r *Request) Lower() (*ir.Loop, error) {
 	n, err := r.normalizedForm()
 	if err != nil {
 		return nil, err
 	}
-	return n.Loop.DecodeLoop(n.desc)
+	if n.Loop != nil {
+		return n.Loop.DecodeLoop(n.desc)
+	}
+	s := docScratch.Get().(*Scratch)
+	defer func() {
+		s.Reset()
+		docScratch.Put(s)
+	}()
+	w, err := s.decodeDoc(n.doc.bytes)
+	if err != nil {
+		return nil, err
+	}
+	return w.DecodeLoop(n.desc)
 }
 
 // Canonical returns the canonical bytes of the request: the JSON
 // encoding of its normalized (IR) form. Two requests describing the
 // same work — regardless of source vs IR form — have identical
-// canonical bytes.
+// canonical bytes. It is the way to a normalized source-form request's
+// loop, whose document Normalize keeps only as these bytes.
 func (r *Request) Canonical() ([]byte, error) {
 	n, err := r.normalizedForm()
 	if err != nil {
