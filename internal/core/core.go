@@ -20,7 +20,9 @@
 //   - sched.ErrInfeasible — the II ceiling was exhausted (carried by a
 //     *sched.InfeasibleError; the partial *Compiled is still returned);
 //   - sched.ErrBudgetExhausted — the sched.Budget or context ran out
-//     (carried by a *sched.BudgetError with the effort evidence).
+//     (carried by a *sched.BudgetError with the effort evidence);
+//   - core.ErrNoSchedule — a Runner returned a nil error without a
+//     schedule, breaking its contract.
 //
 // With Options.Degrade set, a budget-exhausted compilation falls back to
 // the no-backtracking list scheduler so callers still receive a feasible
@@ -129,7 +131,8 @@ func Compile(ctx context.Context, l *ir.Loop, opt Options) (*Compiled, error) {
 // preflight failure, or a hard mindist/codegen error dst is reset
 // (dst.Loop == nil) and the error returned; on scheduling failure dst
 // carries the partial evidence alongside the typed error; on success
-// (or a rescued Degrade) err is nil and dst is complete.
+// (or a rescued Degrade) err is nil and dst is complete. A Runner that
+// returns a nil error without a schedule fails with ErrNoSchedule.
 func CompileInto(ctx context.Context, dst *Compiled, l *ir.Loop, opt Options) error {
 	// Recycle the result buffers the previous compilation left behind;
 	// everything else resets.
@@ -195,7 +198,7 @@ func CompileInto(ctx context.Context, dst *Compiled, l *ir.Loop, opt Options) er
 		}
 	}
 	if res == nil || !res.OK() {
-		return nil
+		return fmt.Errorf("%w: %s on %s", ErrNoSchedule, opt.Scheduler, l.Name)
 	}
 	s := res.Schedule
 	spp := tr.Start("pressure").Int("ii", int64(s.II))
@@ -233,8 +236,7 @@ func CompileInto(ctx context.Context, dst *Compiled, l *ir.Loop, opt Options) er
 
 // Outcome names how a compile ended, in sched.Outcome's vocabulary
 // plus what only core knows: obs.OutcomePanic for a *PanicError, and,
-// when err is nil, obs.OutcomeInfeasible for a result without a
-// schedule and obs.OutcomeDegraded for a rescue by Options.Degrade.
+// when err is nil, obs.OutcomeDegraded for a rescue by Options.Degrade.
 // Span and trace outcomes, lsmsd's compile labels and flight-recorder
 // entries all take their name from here (DESIGN §5b has the table).
 func Outcome(c *Compiled, err error) string {
@@ -245,11 +247,7 @@ func Outcome(c *Compiled, err error) string {
 		}
 		return sched.Outcome(err)
 	}
-	switch {
-	case c == nil:
-	case !c.OK():
-		return obs.OutcomeInfeasible
-	case c.Degraded:
+	if c != nil && c.Degraded {
 		return obs.OutcomeDegraded
 	}
 	return obs.OutcomeOK

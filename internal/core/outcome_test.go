@@ -37,7 +37,6 @@ func TestOutcomeVocabulary(t *testing.T) {
 		{"generic", nil, errors.New("boom"), "error", "error"},
 		{"panic", nil, Recovered("server", "l", "boom"), "error", "panic"},
 		{"degraded", degraded, nil, "ok", "degraded"},
-		{"not ok", failed, nil, "ok", "infeasible"},
 	} {
 		if got := sched.Outcome(tc.err); got != tc.sched {
 			t.Errorf("%s: sched.Outcome = %q, want %q", tc.name, got, tc.sched)

@@ -28,6 +28,10 @@ const (
 // errors.Is(err, core.ErrUnknownScheduler).
 var ErrUnknownScheduler = errors.New("core: unknown scheduler")
 
+// ErrNoSchedule reports a Runner that returned a nil error without a
+// schedule; CompileInto wraps it with the scheduler and loop names.
+var ErrNoSchedule = errors.New("core: runner returned neither a schedule nor an error")
+
 // Runner schedules loops under a context into a caller-owned Result;
 // see sched.Scheduler.ScheduleInto for the contract: dst is zeroed on
 // preflight failure, carries the partial evidence alongside a typed

@@ -82,6 +82,29 @@ func unregisterAtCleanup(t *testing.T, name SchedulerName) {
 	})
 }
 
+// A Runner that returns nil without filling dst breaks its contract;
+// CompileInto says so with ErrNoSchedule, which Outcome names "error",
+// instead of reporting a compile with nothing in it as success.
+func TestRunnerWithoutScheduleIsAnError(t *testing.T) {
+	const name SchedulerName = "zz-empty"
+	Register(name, func(sched.Config) Runner {
+		return RunnerFunc(func(context.Context, *ir.Loop, *sched.Result) error { return nil })
+	})
+	unregisterAtCleanup(t, name)
+
+	var dst Compiled
+	err := CompileInto(context.Background(), &dst, fixture.Sample(machine.Cydra()), Options{Scheduler: name})
+	if !errors.Is(err, ErrNoSchedule) {
+		t.Fatalf("err = %v, want ErrNoSchedule", err)
+	}
+	if got := Outcome(&dst, err); got != "error" {
+		t.Errorf("Outcome = %q, want \"error\"", got)
+	}
+	if dst.Loop != nil || dst.Result != nil {
+		t.Errorf("dst carries %+v after an empty run", dst)
+	}
+}
+
 func TestRegisterPanics(t *testing.T) {
 	for _, tc := range []struct {
 		name SchedulerName

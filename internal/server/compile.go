@@ -32,8 +32,9 @@ import (
 // IR, and a request lower turns away never joins a flight. WarmStart
 // enters at prepare (its corpus is already decoded) and probes the
 // store itself, so warm-up lookups do not count as traffic. The
-// refiner runs decode, prepare, lower and compile, and builds its body
-// with outcomeOf. Every compile response leaves through respond.
+// refiner enters at compile with the leader's prepared loop and builds
+// its body with outcomeOf. Every compile response leaves through
+// respond.
 func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 	scr := s.begin(r)
 	defer scr.release()
@@ -86,7 +87,7 @@ func (s *Server) serve(r *http.Request, scr *reqScratch) reply {
 	}
 	out, tr := s.miss(r.Context(), scr)
 	s.flights.finish(scr.p.hash, c, out)
-	s.refine.offer(scr, body, out)
+	s.refine.offer(scr, out)
 	return reply{outcome: out, cache: "miss", timing: tr}
 }
 
@@ -159,11 +160,16 @@ func (s *Server) begin(r *http.Request) *reqScratch {
 	return scr
 }
 
-// prepared is what prepare and lower fill in. The key — content hash,
-// loop name, scheduler — is all that lookup, join and respond read; the
-// normalized request and its lowered loop are for compile alone.
+// prepared is what prepare and lower fill in, and all that a stage
+// after lower reads. The key — content hash, loop name, scheduler — is
+// all that lookup, join and respond read; the machine name, the options
+// and the lowered loop are for compile and outcomeOf. norm, the
+// normalized request, is lower's input alone: lower replaces it with
+// the loop, so a prepared that reaches compile holds nothing of the
+// request's decode scratch and can outlive it (the refiner's jobs do).
 type prepared struct {
-	hash, loopName, scheduler string
+	hash, loopName, scheduler, machine string
+	opts                               wire.Options
 
 	norm *wire.Request
 	loop *ir.Loop
@@ -179,6 +185,7 @@ func (s *Server) prepare(req *wire.Request, p *prepared) *wire.Error {
 		return requestError(err)
 	}
 	p.norm, p.hash, p.loopName, p.scheduler = norm, hash, norm.LoopName(), norm.Scheduler
+	p.machine, p.opts = norm.Machine, norm.Options
 	if p.scheduler == "" {
 		p.scheduler = string(core.SchedSlack)
 	}
@@ -193,7 +200,7 @@ func (s *Server) lower(p *prepared) *wire.Error {
 	if err != nil {
 		return requestError(err)
 	}
-	p.loop = loop
+	p.norm, p.loop = nil, loop
 	if _, ok := core.Lookup(core.SchedulerName(p.scheduler)); !ok {
 		return &wire.Error{
 			Kind:    wire.ErrKindUnknownScheduler,
@@ -344,19 +351,19 @@ func (s *Server) admit(ctx context.Context) (outcome, bool) {
 // onto an outcome.
 func (s *Server) compile(ctx context.Context, scr *reqScratch, tr *obs.Trace) (outcome, error) {
 	p := &scr.p
-	cfg := p.norm.Options.SchedConfig()
+	cfg := p.opts.SchedConfig()
 	cfg.Budget.Deadline = s.effectiveDeadline(cfg.Budget.Deadline)
 	cfg.Observer = scr.tail
 	c, err := safeCompile(obs.WithTrace(ctx, tr), &scr.c, p.loop, core.Options{
 		Scheduler:   core.SchedulerName(p.scheduler),
 		Config:      cfg,
 		SkipCodegen: true,
-		Degrade:     p.norm.Options.Degrade,
+		Degrade:     p.opts.Degrade,
 	})
 	if c != nil && c.Result != nil {
 		s.m.foldEffort(c.Result.Stats)
 	}
-	if err == nil && c.OK() {
+	if err == nil {
 		if mii := c.Result.Bounds.MII; mii > 0 {
 			s.m.iiOverMII.Observe(float64(c.Result.Schedule.II) / float64(mii))
 		}
@@ -370,7 +377,7 @@ func (s *Server) compile(ctx context.Context, scr *reqScratch, tr *obs.Trace) (o
 // the flight recorder should show what it cost.
 func (s *Server) put(scr *reqScratch, tr *obs.Trace, out outcome) {
 	sp := tr.Start("store-put")
-	s.store.Put(scr.p.hash, store.Record{Status: out.status, Machine: scr.p.norm.Machine, Body: out.body})
+	s.store.Put(scr.p.hash, store.Record{Status: out.status, Body: out.body})
 	sp.Int("body_bytes", int64(len(out.body))).End(obs.OutcomeOK)
 }
 
@@ -411,7 +418,7 @@ func outcomeOf(p *prepared, c *core.Compiled, err error, refined bool) outcome {
 	resp := &wire.Response{
 		Hash:      p.hash,
 		Loop:      p.loopName,
-		Machine:   p.norm.Machine,
+		Machine:   p.machine,
 		Scheduler: p.scheduler,
 		Refined:   refined,
 	}
@@ -428,20 +435,9 @@ func outcomeOf(p *prepared, c *core.Compiled, err error, refined bool) outcome {
 	if err != nil {
 		return failedOutcome(name, resp, err)
 	}
-	res := c.Result
-	resp.OK = c.OK()
+	resp.OK = true
 	resp.Degraded = c.Degraded
-	if !c.OK() {
-		// Defensive: core.CompileInto reports infeasibility via err,
-		// so this branch only guards external Result producers.
-		return respOutcome(http.StatusUnprocessableEntity, name, resp, &wire.Error{
-			Kind:    wire.ErrKindInfeasible,
-			Message: fmt.Sprintf("no feasible schedule (last II attempted %d)", res.FailedII),
-			MII:     res.Bounds.MII,
-			LastII:  res.FailedII,
-		}, true)
-	}
-	sc := res.Schedule
+	sc := c.Result.Schedule
 	resp.II = sc.II
 	resp.Length = sc.Length()
 	resp.Stages = sc.Stages()

@@ -68,7 +68,7 @@ func newMetrics(s *Server) *metrics {
 	m.refineStarted = r.Counter("lsmsd_refine_started_total", "Background exact refinements started.")
 	m.refineImproved = r.Counter("lsmsd_refine_improved_total", "Refinements that strictly improved (II, MaxLive) and upgraded the store record.")
 	m.refineUnchanged = r.Counter("lsmsd_refine_unchanged_total", "Refinements whose exact result did not beat the served schedule.")
-	m.refineExhausted = r.Counter("lsmsd_refine_exhausted_total", "Refinements that ended without a usable exact result (budget, cancellation, decode failure).")
+	m.refineExhausted = r.Counter("lsmsd_refine_exhausted_total", "Refinements that ended without a usable exact result (budget, cancellation).")
 
 	m.compiles = r.Counter("lsmsd_compiles_total",
 		"Finished compilations by scheduling policy and outcome.", "scheduler", "outcome")

@@ -25,16 +25,14 @@ import (
 // larger budget than the synchronous compile, and retrying it on every
 // hit would burn the background pool on proven-unimprovable keys.
 
-// refineJob is one queued refinement: a private copy of the raw request
-// bytes (the handler's decode buffers are pooled and recycled, so the
-// worker re-decodes from its own copy) plus the served schedule's
-// (II, MaxLive) for the strict-improvement comparison.
+// refineJob is one queued refinement: a copy of the leader's prepared
+// record, whose lowered loop the worker compiles as is (no compile stage
+// writes to a finalized ir.Loop, and lower has dropped the reference to
+// the pooled decode scratch), plus the served schedule's (II, MaxLive)
+// for the strict-improvement comparison.
 type refineJob struct {
-	hash        string
+	p           prepared
 	reqID       string
-	schedName   string
-	loopName    string
-	rawReq      []byte // owned copy of the request body
 	baseII      int
 	baseMaxLive int
 	// link is the originating request's span context. The refinement runs
@@ -72,22 +70,18 @@ func newRefiner(s *Server) *refiner {
 // by any scheduler but exact, which has nothing to refine toward. A
 // full queue drops the job (the record stays correct, just unrefined).
 // Nil-safe: a server without the tier offers nothing.
-func (r *refiner) offer(scr *reqScratch, body []byte, out outcome) {
+func (r *refiner) offer(scr *reqScratch, out outcome) {
 	if r == nil || !out.cacheable || out.status != http.StatusOK || out.name != obs.OutcomeOK ||
 		scr.p.scheduler == string(core.SchedExact) {
 		return
 	}
-	// The job owns a copy of the raw request (the decode scratch is
-	// pooled). The request's span context rides along as the link
-	// target: the refine trace is caused by this request without being
-	// nested under it.
+	// The request's span context rides along as the link target: the
+	// refine trace is caused by this request without being nested under
+	// it.
 	select {
 	case r.jobs <- refineJob{
-		hash:        scr.p.hash,
+		p:           scr.p,
 		reqID:       scr.id,
-		schedName:   scr.p.scheduler,
-		loopName:    scr.p.loopName,
-		rawReq:      append([]byte(nil), body...),
 		baseII:      scr.c.Result.Schedule.II,
 		baseMaxLive: scr.c.RR.MaxLive,
 		link:        scr.tc.ctx,
@@ -121,17 +115,18 @@ func (r *refiner) run() {
 	}
 }
 
-// process runs one refinement end to end: decode, prepare, lower, an
-// exact compile, the strict-improvement comparison, and the store
-// upgrade. Every job leaves one `refine` trace in the flight recorder
-// and bumps exactly one of the improved/unchanged/exhausted counters.
+// process runs one refinement end to end: an exact compile of the
+// job's loop, the strict-improvement comparison, and the store upgrade.
+// Every job leaves one `refine` trace, opened under the exact scheduler,
+// in the flight recorder and bumps exactly one of the
+// improved/unchanged/exhausted counters.
 func (r *refiner) process(scr *reqScratch, job refineJob) {
 	s := r.s
 	start := time.Now()
 	s.m.refineStarted.Inc()
-	scr.id, scr.tc = job.reqID, linkedTo(job.link)
-	scr.p.loopName, scr.p.scheduler = job.loopName, string(core.SchedExact)
+	scr.id, scr.tc, scr.p = job.reqID, linkedTo(job.link), job.p
 	tr := scr.trace()
+	tr.Scheduler = string(core.SchedExact)
 	sp := tr.Start("refine")
 
 	outcome := "exhausted"
@@ -151,46 +146,30 @@ func (r *refiner) process(scr *reqScratch, job refineJob) {
 		if s.cfg.Logger != nil {
 			s.cfg.Logger.Info("refine",
 				"request_id", job.reqID,
-				"loop", job.loopName,
-				"scheduler", job.schedName,
-				"hash", job.hash,
+				"loop", job.p.loopName,
+				"scheduler", job.p.scheduler,
+				"hash", job.p.hash,
 				"outcome", outcome,
 				"duration_ms", float64(time.Since(start).Microseconds())/1000,
 			)
 		}
 	}()
 
-	req, err := scr.dec.DecodeRequest(job.rawReq)
-	if err != nil {
-		tr.Err = err.Error()
-		return
-	}
-	if e := s.prepare(req, &scr.p); e != nil {
-		tr.Err = e.Message
-		return
-	}
-	if e := s.lower(&scr.p); e != nil {
-		tr.Err = e.Message
-		return
-	}
-
 	// The request's II ceiling (MaxII) still binds — a refined schedule
 	// must satisfy the same contract the original answer did — but the
 	// synchronous budget does not: the whole point of the tier is
 	// searching under a longer one.
-	cfg := scr.p.norm.Options.SchedConfig()
+	cfg := scr.p.opts.SchedConfig()
 	cfg.Budget.Deadline = s.cfg.RefineDeadline
 	cfg.Budget.MaxCentralIters = s.cfg.RefineNodes
 	cfg.Budget.MaxIIAttempts = 0
-	err = core.CompileInto(obs.WithTrace(r.ctx, tr), &scr.c, scr.p.loop, core.Options{
+	err := core.CompileInto(obs.WithTrace(r.ctx, tr), &scr.c, scr.p.loop, core.Options{
 		Scheduler:   core.SchedExact,
 		Config:      cfg,
 		SkipCodegen: true,
 	})
-	if err != nil || !scr.c.OK() {
-		if err != nil {
-			tr.Err = err.Error()
-		}
+	if err != nil {
+		tr.Err = err.Error()
 		return
 	}
 	eII, eML := scr.c.Result.Schedule.II, scr.c.RR.MaxLive
@@ -204,11 +183,6 @@ func (r *refiner) process(scr *reqScratch, job refineJob) {
 	if r.ctx.Err() != nil {
 		return // shutting down: don't race the store teardown
 	}
-	s.store.Upgrade(scr.p.hash, store.Record{
-		Status:  out.status,
-		Machine: scr.p.norm.Machine,
-		Body:    out.body,
-		Refined: true,
-	})
+	s.store.Upgrade(scr.p.hash, store.Record{Status: out.status, Body: out.body, Refined: true})
 	outcome = "improved"
 }

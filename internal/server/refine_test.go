@@ -281,40 +281,116 @@ func TestRefinedBodyIsOutcomeOf(t *testing.T) {
 		ks = ks[:8]
 	}
 	for _, k := range ks {
-		raw := requestBody(t, k.CL.Loop, "slack", wire.Options{})
-		req, err := wire.NewRequest(k.CL.Loop, "slack", wire.Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		var p prepared
-		if e := s.prepare(req, &p); e != nil {
-			t.Fatal(e.Message)
-		}
-		if e := s.lower(&p); e != nil {
-			t.Fatal(e.Message)
-		}
-		r.process(scr, refineJob{hash: p.hash, reqID: k.Name, schedName: p.scheduler, loopName: p.loopName,
-			rawReq: raw, baseII: 1 << 20})
+		p := preparedFor(t, s, k.CL.Loop)
+		r.process(scr, refineJob{p: p, reqID: k.Name, baseII: 1 << 20})
 		scr.reset()
 		rec, ok := s.store.Get(p.hash)
 		if !ok || !rec.Refined {
 			t.Fatalf("%s: no refined record stored", k.Name)
 		}
-
-		cfg2 := p.norm.Options.SchedConfig()
-		cfg2.Budget.Deadline = cfg.RefineDeadline
-		cfg2.Budget.MaxCentralIters = cfg.RefineNodes
-		c, err := core.Compile(context.Background(), p.loop, core.Options{
-			Scheduler: core.SchedExact, Config: cfg2, SkipCodegen: true,
-		})
-		if err != nil {
-			t.Fatalf("%s: %v", k.Name, err)
-		}
-		if want := outcomeOf(&p, c, nil, true); !bytes.Equal(rec.Body, want.body) {
-			t.Errorf("%s: refined body is not outcomeOf's:\n%s\nvs\n%s", k.Name, rec.Body, want.body)
+		if want := refinedOutcome(t, s, p); !bytes.Equal(rec.Body, want) {
+			t.Errorf("%s: refined body is not outcomeOf's:\n%s\nvs\n%s", k.Name, rec.Body, want)
 		}
 		if want := refinedOracle(t, k.CL.Loop, p.hash, cfg); !bytes.Equal(rec.Body, want) {
 			t.Errorf("%s: refined body differs from the hand-built one:\n%s\nvs\n%s", k.Name, rec.Body, want)
 		}
+	}
+}
+
+// preparedFor runs prepare and lower on l's slack request, as a live
+// leader does before it compiles.
+func preparedFor(t *testing.T, s *Server, l *ir.Loop) prepared {
+	t.Helper()
+	req, err := wire.NewRequest(l, "slack", wire.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var p prepared
+	if e := s.prepare(req, &p); e != nil {
+		t.Fatal(e.Message)
+	}
+	if e := s.lower(&p); e != nil {
+		t.Fatal(e.Message)
+	}
+	return p
+}
+
+// refinedOutcome is outcomeOf over an exact compile of p's loop under
+// s's refinement budget, with Refined set.
+func refinedOutcome(t *testing.T, s *Server, p prepared) []byte {
+	t.Helper()
+	cfg := p.opts.SchedConfig()
+	cfg.Budget.Deadline = s.cfg.RefineDeadline
+	cfg.Budget.MaxCentralIters = s.cfg.RefineNodes
+	c, err := core.Compile(context.Background(), p.loop, core.Options{
+		Scheduler: core.SchedExact, Config: cfg, SkipCodegen: true,
+	})
+	if err != nil {
+		t.Fatalf("%s: %v", p.loopName, err)
+	}
+	return outcomeOf(&p, c, nil, true).body
+}
+
+// TestRefineJobOutlivesLeaderScratch: a queued job carries the loop its
+// leader lowered, not a view of the leader's pooled request scratch.
+// The job is taken from offer after a live IR-form miss, and only
+// processed once that scratch has been reset and has decoded, prepared
+// and lowered a different request; the refined body must still be
+// outcomeOf over the original loop.
+func TestRefineJobOutlivesLeaderScratch(t *testing.T) {
+	s, err := New(Config{Workers: 1, RefineDeadline: time.Minute, RefineNodes: 1 << 12})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	r := &refiner{s: s, jobs: make(chan refineJob, 1)}
+	r.ctx, r.cancel = context.WithCancel(context.Background())
+	defer r.cancel()
+
+	triad := kernelLoop(t, "triad")
+	leader := reqScratchPool.Get().(*reqScratch)
+	defer leader.release()
+	lowerBody := func(body []byte) {
+		t.Helper()
+		req, err := leader.dec.DecodeRequest(body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if e := s.prepare(req, &leader.p); e != nil {
+			t.Fatal(e.Message)
+		}
+		if e := s.lower(&leader.p); e != nil {
+			t.Fatal(e.Message)
+		}
+	}
+	lowerBody(requestBody(t, triad, "slack", wire.Options{}))
+	out, _ := s.miss(context.Background(), leader)
+	r.offer(leader, out)
+	job := <-r.jobs
+	job.baseII = 1 << 20 // every exact result counts as an improvement
+	leader.reset()
+	lowerBody(requestBody(t, kernelLoop(t, "daxpy"), "cydrome", wire.Options{MaxII: 40}))
+
+	worker := reqScratchPool.Get().(*reqScratch)
+	defer worker.release()
+	r.process(worker, job)
+	rec, ok := s.store.Get(job.p.hash)
+	if !ok || !rec.Refined {
+		t.Fatal("no refined record stored")
+	}
+	if want := refinedOutcome(t, s, preparedFor(t, s, triad)); !bytes.Equal(rec.Body, want) {
+		t.Errorf("refined body is not outcomeOf over the original loop:\n%s\nvs\n%s", rec.Body, want)
+	}
+	refines := 0
+	for _, tr := range s.FlightRecorder().Snapshot() {
+		if len(tr.Spans) > 0 && tr.Spans[0].Name == "refine" {
+			refines++
+			if tr.Scheduler != "exact" || tr.Name != triad.Name {
+				t.Errorf("refine trace for scheduler %q, loop %q; want exact, %q", tr.Scheduler, tr.Name, triad.Name)
+			}
+		}
+	}
+	if refines != 1 {
+		t.Errorf("%d refine traces in the flight recorder, want 1", refines)
 	}
 }

@@ -53,6 +53,9 @@ func init() {
 			}
 		})
 	})
+	core.Register("test-empty", func(cfg sched.Config) core.Runner {
+		return core.RunnerFunc(func(context.Context, *ir.Loop, *sched.Result) error { return nil })
+	})
 }
 
 func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
@@ -433,7 +436,7 @@ func TestSingleflightDedup(t *testing.T) {
 }
 
 func TestErrorMapping(t *testing.T) {
-	_, ts := newTestServer(t, Config{Workers: 2})
+	s, ts := newTestServer(t, Config{Workers: 2})
 	m := machine.Cydra()
 
 	t.Run("bad json", func(t *testing.T) {
@@ -513,6 +516,23 @@ func TestErrorMapping(t *testing.T) {
 			}
 			if c := resp2.Header.Get("X-Lsmsd-Cache"); c != "miss" {
 				t.Errorf("%s: repeat cache %q, want miss: a 400 is never stored", name, c)
+			}
+		}
+	})
+	t.Run("runner without a schedule is 500 and not cached", func(t *testing.T) {
+		body := requestBody(t, fixture.Daxpy(m), "test-empty", wire.Options{})
+		for range 2 {
+			resp, out := post(t, ts.URL, body)
+			r := decodeResponse(t, out)
+			if resp.StatusCode != http.StatusInternalServerError || r.Error == nil || r.Error.Kind != wire.ErrKindInternal ||
+				!strings.Contains(r.Error.Message, core.ErrNoSchedule.Error()) {
+				t.Fatalf("status %d, error %+v", resp.StatusCode, r.Error)
+			}
+			if c := resp.Header.Get("X-Lsmsd-Cache"); c != "miss" {
+				t.Errorf("cache %q, want miss", c)
+			}
+			if _, ok := s.store.Get(r.Hash); ok {
+				t.Fatal("a broken runner's answer was stored")
 			}
 		}
 	})

@@ -393,10 +393,18 @@ func TestFlightRecorderTraceFilter(t *testing.T) {
 // Prometheus scrape). Both renders pass the linter.
 func TestBuildInfoAndTraceMetrics(t *testing.T) {
 	spool := t.TempDir()
-	_, ts := newTestServer(t, Config{Workers: 2, TraceDir: spool})
+	s, ts := newTestServer(t, Config{Workers: 2, TraceDir: spool})
 	body := requestBody(t, fixture.Daxpy(machine.Cydra()), "slack", wire.Options{})
 	postTraced(t, ts.URL, body, fixedTraceparent)
 	spoolDocs(t, spool, func(d *obs.TraceDoc) bool { return true })
+	// The exporter counts a trace only after renaming its file into the
+	// spool, so the file can appear before the count moves.
+	for deadline := time.Now().Add(5 * time.Second); s.exporter.Stats().Exported != 1; {
+		if time.Now().After(deadline) {
+			t.Fatalf("exporter stats %+v, want one trace exported", s.exporter.Stats())
+		}
+		time.Sleep(20 * time.Millisecond)
+	}
 
 	scrape := func(accept string) (string, string) {
 		t.Helper()

@@ -26,8 +26,7 @@ func writeCorpus(t *testing.T, n int) (dir string, want map[string]Record, layou
 	want = map[string]Record{}
 	for i := 0; i < n; i++ {
 		k := fmt.Sprintf("corpus-key-%02d", i)
-		r := Record{Status: 200, Machine: "cydra",
-			Body: []byte(fmt.Sprintf(`{"loop":"loop%02d","ii":%d,"times":[0,1,2]}`, i, i+2))}
+		r := Record{Status: 200, Body: []byte(fmt.Sprintf(`{"loop":"loop%02d","ii":%d,"times":[0,1,2]}`, i, i+2))}
 		want[k] = r
 		d.Put(k, r)
 	}
@@ -86,7 +85,7 @@ func checkSurvivors(t *testing.T, dir string, want map[string]Record, lost []str
 		if !ok {
 			t.Fatalf("%s: surviving record missed", k)
 		}
-		if got.Status != w.Status || got.Machine != w.Machine || !bytes.Equal(got.Body, w.Body) {
+		if got.Status != w.Status || !bytes.Equal(got.Body, w.Body) {
 			t.Fatalf("%s: served bytes differ: got %+v, want %+v", k, got, w)
 		}
 	}

@@ -26,11 +26,11 @@ import (
 //	version uint16
 //	status  uint16   HTTP status the body was served with
 //	keyLen  uint16
-//	machLen uint16
+//	machLen uint16   0 in every record written now
 //	bodyLen uint32
 //	crc     uint32   CRC-32C over version..bodyLen, key, machine, body
 //	key     [keyLen]byte
-//	machine [machLen]byte
+//	machine [machLen]byte  an older log's target name, skipped on read
 //	body    [bodyLen]byte
 //
 // Re-Putting a key appends a fresh record that supersedes the old one
@@ -223,15 +223,16 @@ func (d *Disk) Get(key string) (Record, bool) {
 		d.live -= e.size
 		return Record{}, false
 	}
-	return Record{Status: rec.status, Machine: string(rec.machine), Body: rec.body, Refined: rec.refined}, true
+	return Record{Status: rec.status, Body: rec.body, Refined: rec.refined}, true
 }
 
-// rawRecord is one verified on-disk record, borrowed or copied.
+// rawRecord is one verified on-disk record: its bytes, header included,
+// and the fields parsed out of them.
 type rawRecord struct {
 	status  int
 	refined bool
+	bytes   []byte
 	key     []byte
-	machine []byte
 	body    []byte
 }
 
@@ -258,13 +259,14 @@ func (d *Disk) readAt(e diskEntry) (rawRecord, bool) {
 	if binary.LittleEndian.Uint32(buf[16:20]) != recordCRC(buf[4:16], buf[headerSize:]) {
 		return rawRecord{}, false
 	}
+	// An older record's machine bytes lie between key and body; skip them.
 	p := buf[headerSize:]
 	status := binary.LittleEndian.Uint16(buf[6:8])
 	return rawRecord{
 		status:  int(status &^ refinedBit),
 		refined: status&refinedBit != 0,
+		bytes:   buf,
 		key:     p[:keyLen],
-		machine: p[keyLen : keyLen+machLen],
 		body:    p[keyLen+machLen:],
 	}, true
 }
@@ -274,8 +276,7 @@ func (d *Disk) readAt(e diskEntry) (rawRecord, bool) {
 // supersedes any previous one for the key, and the log is compacted if
 // it has outgrown MaxBytes.
 func (d *Disk) Put(key string, rec Record) {
-	if len(key) == 0 || len(key) > maxKeyBytes || len(rec.Machine) > maxMachBytes ||
-		len(rec.Body) > maxRecordBytes {
+	if len(key) == 0 || len(key) > maxKeyBytes || len(rec.Body) > maxRecordBytes {
 		return
 	}
 	d.mu.Lock()
@@ -303,10 +304,10 @@ func (d *Disk) Put(key string, rec Record) {
 	d.maybeCompact()
 }
 
-// append marshals and writes one record at the end of the log and
-// indexes it.
+// append marshals and writes one record, with an empty machine field,
+// at the end of the log and indexes it.
 func (d *Disk) append(key string, rec Record) error {
-	size := headerSize + len(key) + len(rec.Machine) + len(rec.Body)
+	size := headerSize + len(key) + len(rec.Body)
 	buf := make([]byte, size)
 	copy(buf[:4], diskMagic[:])
 	binary.LittleEndian.PutUint16(buf[4:6], diskVersion)
@@ -316,12 +317,10 @@ func (d *Disk) append(key string, rec Record) error {
 	}
 	binary.LittleEndian.PutUint16(buf[6:8], status)
 	binary.LittleEndian.PutUint16(buf[8:10], uint16(len(key)))
-	binary.LittleEndian.PutUint16(buf[10:12], uint16(len(rec.Machine)))
 	binary.LittleEndian.PutUint32(buf[12:16], uint32(len(rec.Body)))
 	p := buf[headerSize:]
 	copy(p, key)
-	copy(p[len(key):], rec.Machine)
-	copy(p[len(key)+len(rec.Machine):], rec.Body)
+	copy(p[len(key):], rec.Body)
 	binary.LittleEndian.PutUint32(buf[16:20], recordCRC(buf[4:16], p))
 	if _, err := d.f.WriteAt(buf, d.size); err != nil {
 		return err
@@ -395,19 +394,15 @@ func (d *Disk) compact(keep []string) error {
 			d.rejects.Add(1)
 			continue
 		}
-		buf := make([]byte, d.index[key].size)
-		if _, err := d.f.ReadAt(buf, d.index[key].off); err != nil {
-			d.rejects.Add(1)
-			continue
-		}
-		if _, err := tmp.WriteAt(buf, off); err != nil {
+		size := int64(len(raw.bytes))
+		if _, err := tmp.WriteAt(raw.bytes, off); err != nil {
 			tmp.Close()
 			return err
 		}
 		seq++
-		newIndex[key] = diskEntry{off: off, size: int64(len(buf)), seq: seq}
-		off += int64(len(buf))
-		live += int64(len(buf))
+		newIndex[key] = diskEntry{off: off, size: size, seq: seq, refined: raw.refined}
+		off += size
+		live += size
 	}
 	if err := tmp.Sync(); err != nil {
 		tmp.Close()

@@ -22,16 +22,14 @@
 package store
 
 // Record is one stored compile outcome: the exact serialized response
-// bytes, the HTTP status they were served with, and the machine the
-// compile targeted (diagnostic: the hash already pins the machine).
-// Body must be treated as immutable by every tier and every caller.
-// Refined marks a record upgraded in place by lsmsd's background
-// refinement tier (the body then carries the refined schedule); it
-// survives the disk tier, so a restarted daemon keeps serving the
-// refined bytes and keeps labeling them refined.
+// bytes and the HTTP status they were served with. Body must be treated
+// as immutable by every tier and every caller. Refined marks a record
+// upgraded in place by lsmsd's background refinement tier (the body
+// then carries the refined schedule); it survives the disk tier, so a
+// restarted daemon keeps serving the refined bytes and keeps labeling
+// them refined.
 type Record struct {
 	Status  int
-	Machine string
 	Body    []byte
 	Refined bool
 }

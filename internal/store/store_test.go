@@ -9,7 +9,7 @@ import (
 )
 
 func rec(status int, body string) Record {
-	return Record{Status: status, Machine: "cydra", Body: []byte(body)}
+	return Record{Status: status, Body: []byte(body)}
 }
 
 func TestMemoryLRU(t *testing.T) {
@@ -51,10 +51,10 @@ func TestDiskRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := Record{Status: 422, Machine: "cgra4", Body: []byte(`{"ok":false}`)}
+	want := Record{Status: 422, Body: []byte(`{"ok":false}`)}
 	d.Put("k1", want)
 	got, ok := d.Get("k1")
-	if !ok || got.Status != want.Status || got.Machine != want.Machine || !bytes.Equal(got.Body, want.Body) {
+	if !ok || got.Status != want.Status || !bytes.Equal(got.Body, want.Body) {
 		t.Fatalf("got %+v ok=%v, want %+v", got, ok, want)
 	}
 	if _, ok := d.Get("absent"); ok {
@@ -128,14 +128,14 @@ func TestDiskIdempotentPut(t *testing.T) {
 
 func TestDiskCompaction(t *testing.T) {
 	dir := t.TempDir()
-	// Each record is ~20+5+5+100 bytes; cap the log so ~8 fit.
+	// Each record is 20+5+100 bytes; cap the log so ~8 fit.
 	d, err := Open(dir, 1024)
 	if err != nil {
 		t.Fatal(err)
 	}
 	body := bytes.Repeat([]byte("x"), 100)
 	for i := 0; i < 40; i++ {
-		d.Put(fmt.Sprintf("ck-%02d", i), Record{Status: 200, Machine: "cydra", Body: body})
+		d.Put(fmt.Sprintf("ck-%02d", i), Record{Status: 200, Body: body})
 	}
 	if sizeBytes(d) > 1024 {
 		t.Fatalf("log size %d exceeds the 1024 bound after compaction", sizeBytes(d))
