@@ -12,8 +12,8 @@ import (
 // TestOutcomeVocabulary pins the outcome names: sched.Outcome for every
 // scheduling verdict and core.Outcome for what only a compile adds.
 // The names are wire strings (span and trace outcomes, the
-// lsmsd_compiles_total label, flight-recorder entries), so the table
-// spells them out rather than through constants.
+// lsmsd_compile_seconds outcome label, flight-recorder entries), so
+// the table spells them out rather than through constants.
 func TestOutcomeVocabulary(t *testing.T) {
 	budget := func(reason string) error {
 		return &sched.BudgetError{Loop: "l", Policy: "slack", Reason: reason, MII: 2, LastII: 3}

@@ -30,7 +30,6 @@ import (
 const (
 	OutcomeOK              = "ok"
 	OutcomeInfeasible      = "infeasible"
-	OutcomeGiveUp          = "give-up"
 	OutcomeDegraded        = "degraded"
 	OutcomeError           = "error"
 	OutcomePanic           = "panic"

@@ -27,14 +27,16 @@ import (
 //
 //	read → decode → prepare → lookup → lower → join → admit → compile → store → respond
 //
-// handleCompile runs all of them. prepare canonicalizes and hashes at
-// the wire level; only a request the store cannot answer is lowered to
-// IR, and a request lower turns away never joins a flight. WarmStart
-// enters at prepare (its corpus is already decoded) and probes the
-// store itself, so warm-up lookups do not count as traffic. The
-// refiner enters at compile with the leader's prepared loop and builds
-// its body with outcomeOf. Every compile response leaves through
-// respond.
+// handleCompile runs all of them: serve reads, decodes and prepares,
+// and resolve runs lookup through store. prepare canonicalizes and
+// hashes at the wire level; only a request the store cannot answer is
+// lowered to IR, and a request lower turns away never joins a flight.
+// WarmStart runs prepare and resolve for each corpus request; only
+// serve accounts the reply as traffic, so warm-up counts in no cache
+// family and is never offered for refinement. The refiner enters at
+// compile with the leader's prepared loop, behind the same panic
+// barrier (safeCompile), and builds its body with outcomeOf. Every
+// compile response leaves through respond.
 func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 	scr := s.begin(r)
 	defer scr.release()
@@ -49,15 +51,19 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 	s.respond(w, scr, s.serve(r, scr))
 }
 
-// serve runs read through store for one admitted live request.
+// maxBodyBytes bounds a request body.
+const maxBodyBytes = 8 << 20
+
+// serve runs read through store for one admitted live request and
+// accounts its reply.
 func (s *Server) serve(r *http.Request, scr *reqScratch) reply {
 	scr.body.Reset()
-	if _, err := scr.body.ReadFrom(io.LimitReader(r.Body, s.cfg.MaxBodyBytes+1)); err != nil {
+	if _, err := scr.body.ReadFrom(io.LimitReader(r.Body, maxBodyBytes+1)); err != nil {
 		return s.reject(badRequest(fmt.Errorf("reading body: %w", err)))
 	}
 	body := scr.body.Bytes()
-	if int64(len(body)) > s.cfg.MaxBodyBytes {
-		return s.reject(badRequest(fmt.Errorf("request body exceeds %d bytes", s.cfg.MaxBodyBytes)))
+	if len(body) > maxBodyBytes {
+		return s.reject(badRequest(fmt.Errorf("request body exceeds %d bytes", maxBodyBytes)))
 	}
 	req, err := scr.dec.DecodeRequest(body)
 	if err != nil {
@@ -66,29 +72,73 @@ func (s *Server) serve(r *http.Request, scr *reqScratch) reply {
 	if e := s.prepare(req, &scr.p); e != nil {
 		return s.reject(e)
 	}
-	if rep, ok := s.lookup(scr); ok {
-		return rep
-	}
-	if e := s.lower(&scr.p); e != nil {
+	rep, e := s.resolve(r.Context(), scr)
+	if e != nil {
 		return s.reject(e)
 	}
+	s.account(scr, &rep)
+	return rep
+}
+
+// resolve runs the stages after prepare: lookup; on a miss, lower and
+// join; the flight's leader looks the store up once more and then runs
+// miss, while a follower waits in dedup. A request lower turns away
+// returns its error and never joins a flight. Apart from dedup's
+// counter, which a follower raises while it waits, resolve counts
+// nothing: the caller accounts for the reply.
+func (s *Server) resolve(ctx context.Context, scr *reqScratch) (reply, *wire.Error) {
+	if rep, ok := s.lookup(&scr.p); ok {
+		return rep, nil
+	}
+	if e := s.lower(&scr.p); e != nil {
+		return reply{}, e
+	}
 	c, leader := s.flights.join(scr.p.hash)
-	if leader {
-		// A flight for the same hash may have stored its answer and
-		// finished since lookup; compiling it again would duplicate it.
-		if rep, ok := s.lookup(scr); ok {
-			s.flights.finish(scr.p.hash, c, rep.outcome)
-			return rep
-		}
-	}
-	s.m.storeMiss()
 	if !leader {
-		return s.dedup(r.Context(), scr, c)
+		return s.dedup(ctx, scr, c), nil
 	}
-	out, tr := s.miss(r.Context(), scr)
-	s.flights.finish(scr.p.hash, c, out)
-	s.refine.offer(scr, out)
-	return reply{outcome: out, cache: "miss", timing: tr}
+	// A flight for the same hash may have stored its answer and
+	// finished since lookup; compiling it again would duplicate it.
+	rep, ok := s.lookup(&scr.p)
+	if !ok {
+		out, tr := s.miss(ctx, scr)
+		rep = reply{outcome: out, cache: "miss", timing: tr}
+	}
+	s.flights.finish(scr.p.hash, c, rep.outcome)
+	return rep, nil
+}
+
+// account counts a live request's reply as traffic. A hit counts by
+// tier and, since a deeper tier's hit did I/O, leaves a store-get trace
+// in the flight recorder; a memory hit pays for a trace only when the
+// trace will be exported. A miss or a dedup counts in
+// lsmsd_cache_misses_total, and a miss's compile is offered for
+// refinement.
+func (s *Server) account(scr *reqScratch, rep *reply) {
+	switch rep.cache {
+	case "miss":
+		s.m.misses.Inc()
+		s.refine.offer(scr, rep.outcome)
+		return
+	case "dedup":
+		s.m.misses.Inc()
+		return
+	}
+	if rep.tier > 0 {
+		s.m.hits.Inc("disk")
+	} else {
+		s.m.hits.Inc("memory")
+	}
+	if rep.tier > 0 || s.exporting(scr) {
+		tr := scr.trace()
+		tr.Start("store-get").Int("tier", int64(rep.tier)).Int("body_bytes", int64(len(rep.body))).End(obs.OutcomeOK)
+		tr.Finish(obs.OutcomeOK)
+		if rep.tier > 0 {
+			s.flight.Record(tr)
+		}
+		s.exportTrace(tr)
+		rep.timing = tr
+	}
 }
 
 // reqScratch is one request's state from begin to release, pooled so
@@ -236,32 +286,16 @@ func (s *Server) reject(e *wire.Error) reply {
 	return reply{outcome: errOutcome(status, e)}
 }
 
-// lookup answers from the content-addressed result store. A memory-tier
-// hit is labelled "hit"; a deeper tier's is "hit-disk", and since it did
-// I/O it also leaves a store-get trace in the flight recorder. A memory
-// hit pays for a trace only when the trace will be exported. serve
-// counts a miss once lower has accepted the request.
-func (s *Server) lookup(scr *reqScratch) (reply, bool) {
-	rec, tier, ok := s.store.GetTier(scr.p.hash)
+// lookup answers from the content-addressed result store: "hit" from
+// the memory tier, "hit-disk" from a deeper one.
+func (s *Server) lookup(p *prepared) (reply, bool) {
+	rec, tier, ok := s.store.GetTier(p.hash)
 	if !ok {
 		return reply{}, false
 	}
-	rep := reply{outcome: outcome{status: rec.Status, name: "cache-hit", body: rec.Body}, cache: "hit", refined: rec.Refined}
+	rep := reply{outcome: outcome{status: rec.Status, name: "cache-hit", body: rec.Body}, cache: "hit", refined: rec.Refined, tier: tier}
 	if tier > 0 {
 		rep.cache = "hit-disk"
-		s.m.hit("disk")
-	} else {
-		s.m.hit("memory")
-	}
-	if tier > 0 || s.exporting(scr) {
-		tr := scr.trace()
-		tr.Start("store-get").Int("tier", int64(tier)).Int("body_bytes", int64(len(rec.Body))).End(obs.OutcomeOK)
-		tr.Finish(obs.OutcomeOK)
-		if tier > 0 {
-			s.flight.Record(tr)
-		}
-		s.exportTrace(tr)
-		rep.timing = tr
 	}
 	return rep, true
 }
@@ -281,7 +315,7 @@ func (s *Server) dedup(ctx context.Context, scr *reqScratch, c *call) reply {
 	if !ok {
 		return reply{outcome: errOutcome(http.StatusServiceUnavailable, &wire.Error{
 			Kind: wire.ErrKindInternal, Message: "client canceled while waiting for a duplicate in-flight compile",
-		})}
+		}), cache: "dedup"}
 	}
 	sp.End(obs.OutcomeOK)
 	tr.Finish(obs.OutcomeOK)
@@ -321,7 +355,7 @@ func (s *Server) miss(ctx context.Context, scr *reqScratch) (outcome, *obs.Trace
 		// nothing (tracing off, or the trace dropped on a full queue).
 		exID = tr.Ctx.TraceID.String()
 	}
-	s.m.compileDone(scr.p.scheduler, out.name, tr.Dur.Seconds(), exID)
+	s.m.compileSeconds.ObserveExemplar(tr.Dur.Seconds(), "trace_id", exID, scr.p.scheduler, out.name)
 	return out, tr
 }
 
@@ -510,6 +544,7 @@ type reply struct {
 	outcome
 	cache   string     // X-Lsmsd-Cache: hit, hit-disk, miss or dedup
 	refined bool       // X-Lsmsd-Refined: a hit on an upgraded record
+	tier    int        // the store tier a hit came from, 0 the front
 	timing  *obs.Trace // rendered as Server-Timing when it has spans
 }
 

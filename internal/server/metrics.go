@@ -4,7 +4,6 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
-	"sync/atomic"
 
 	"repro/internal/machine"
 	"repro/internal/obs"
@@ -22,12 +21,12 @@ import (
 type metrics struct {
 	reg *obs.Registry
 
-	requests     *obs.Family
-	hitsC        *obs.Family // lsmsd_cache_hits_total{tier}
-	cacheMissesC *obs.Family
-	deduped      *obs.Family
-	rejected     *obs.Family
-	badRequests  *obs.Family
+	requests    *obs.Family
+	hits        *obs.Family // lsmsd_cache_hits_total{tier}
+	misses      *obs.Family
+	deduped     *obs.Family
+	rejected    *obs.Family
+	badRequests *obs.Family
 
 	// Background refinement tier (Config.Refine); every started
 	// refinement ends in exactly one of the three outcome counters.
@@ -36,9 +35,8 @@ type metrics struct {
 	refineUnchanged *obs.Family
 	refineExhausted *obs.Family
 
-	// The scheduler/outcome-labelled view of finished compiles, and the
-	// distribution histograms.
-	compiles       *obs.Family // lsmsd_compiles_total{scheduler,outcome}
+	// The distribution histograms. lsmsd_compile_seconds_count is also
+	// the count of finished compiles by scheduling policy and outcome.
 	compileSeconds *obs.Family // lsmsd_compile_seconds{scheduler,outcome}
 	iiOverMII      *obs.Family // lsmsd_ii_over_mii
 	maxLive        *obs.Family // lsmsd_maxlive
@@ -47,21 +45,16 @@ type metrics struct {
 	// The Section 6 effort counters, lsmsd_sched_<field>_total for each
 	// wire.Effort field, folded in once per compile (foldEffort).
 	iiAttempts, centralIters, placements, forces, ejections, restarts *obs.Family
-
-	// hits/lookups back the cache-hit-ratio gauge callback: a GaugeFunc
-	// runs under the registry lock and therefore cannot read the
-	// counter families, so the ratio derives from these mirrors.
-	hits, lookups atomic.Int64
 }
 
 func newMetrics(s *Server) *metrics {
 	r := obs.NewRegistry()
 	m := &metrics{reg: r}
 	m.requests = r.Counter("lsmsd_requests_total", "Compile requests received.")
-	m.hitsC = r.Counter("lsmsd_cache_hits_total", "Requests answered from a result-store tier: memory, or disk (served byte-identically across restarts).", "tier")
-	m.hitsC.Add(0, "memory")
-	m.hitsC.Add(0, "disk")
-	m.cacheMissesC = r.Counter("lsmsd_cache_misses_total", "Requests that missed every result-store tier.")
+	m.hits = r.Counter("lsmsd_cache_hits_total", "Requests answered from a result-store tier: memory, or disk (served byte-identically across restarts).", "tier")
+	m.hits.Add(0, "memory")
+	m.hits.Add(0, "disk")
+	m.misses = r.Counter("lsmsd_cache_misses_total", "Requests that missed every result-store tier.")
 	m.deduped = r.Counter("lsmsd_dedup_total", "Requests collapsed onto an identical in-flight compile.")
 	m.rejected = r.Counter("lsmsd_rejected_total", "Requests rejected 429 by admission control.")
 	m.badRequests = r.Counter("lsmsd_bad_requests_total", "Malformed or unresolvable requests.")
@@ -70,8 +63,6 @@ func newMetrics(s *Server) *metrics {
 	m.refineUnchanged = r.Counter("lsmsd_refine_unchanged_total", "Refinements whose exact result did not beat the served schedule.")
 	m.refineExhausted = r.Counter("lsmsd_refine_exhausted_total", "Refinements that ended without a usable exact result (budget, cancellation).")
 
-	m.compiles = r.Counter("lsmsd_compiles_total",
-		"Finished compilations by scheduling policy and outcome.", "scheduler", "outcome")
 	m.compileSeconds = r.Histogram("lsmsd_compile_seconds",
 		"Wall time of one compilation, by scheduling policy and outcome.",
 		obs.ExpBuckets(0.0005, 2, 16), "scheduler", "outcome")
@@ -97,13 +88,6 @@ func newMetrics(s *Server) *metrics {
 		r.CounterFunc("lsmsd_store_rejects_total", "Store records rejected by checksum or framing verification (on load or on read); rejected records are never served.",
 			func() float64 { return float64(s.disk.Stats().Rejects) })
 	}
-	r.GaugeFunc("lsmsd_cache_hit_ratio", "Cache hits over cache lookups since boot (0 before any lookup).",
-		func() float64 {
-			if n := m.lookups.Load(); n > 0 {
-				return float64(m.hits.Load()) / float64(n)
-			}
-			return 0
-		})
 	r.GaugeFunc("lsmsd_flightrecorder_entries", "Compile traces held by the flight recorder.",
 		func() float64 { return float64(s.flight.Len()) })
 	// Arena pool health (process-wide: the sched arena pool is shared by
@@ -162,29 +146,6 @@ func newMetrics(s *Server) *metrics {
 	m.ejections = effort("ejections", "Operations ejected from partial schedules.")
 	m.restarts = effort("restarts", "II attempts abandoned at the ejection budget (step 6).")
 	return m
-}
-
-// hit / storeMiss keep the hit-ratio mirrors in step with the counter
-// families. A hit from any tier counts toward the ratio; the family
-// splits it by tier ("memory" or "disk").
-func (m *metrics) hit(tier string) {
-	m.hitsC.Inc(tier)
-	m.hits.Add(1)
-	m.lookups.Add(1)
-}
-
-func (m *metrics) storeMiss() {
-	m.cacheMissesC.Inc()
-	m.lookups.Add(1)
-}
-
-// compileDone records the labelled counter and latency histogram for
-// one finished compilation. traceID, when non-empty, becomes the
-// exemplar on the histogram bucket the observation lands in — the
-// trace-correlation channel that never touches label cardinality.
-func (m *metrics) compileDone(scheduler, outcome string, seconds float64, traceID string) {
-	m.compiles.Inc(scheduler, outcome)
-	m.compileSeconds.ObserveExemplar(seconds, "trace_id", traceID, scheduler, outcome)
 }
 
 // foldEffort adds one compile's Section 6 counters to the effort

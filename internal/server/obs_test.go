@@ -65,25 +65,25 @@ func TestMetricsExpositionLints(t *testing.T) {
 	if issues := obs.LintExposition(bytes.NewReader(b)); len(issues) != 0 {
 		t.Fatalf("exposition lint found %d issues in:\n%s\nissues: %v", len(issues), b, issues)
 	}
-	// The labelled compile counter carries both dimensions and every
-	// outcome, including the ones the retired per-outcome families
-	// below used to count.
+	// The compile histogram's count carries both dimensions and every
+	// outcome, including the ones the retired families below counted.
 	for _, want := range []string{
-		`lsmsd_compiles_total{scheduler="slack",outcome="ok"} 1`,
-		`lsmsd_compiles_total{scheduler="slack",outcome="central-iterations"} 1`,
-		`lsmsd_compiles_total{scheduler="slack",outcome="infeasible"} 1`,
-		`lsmsd_compiles_total{scheduler="test-panic",outcome="panic"} 1`,
+		`lsmsd_compile_seconds_count{scheduler="slack",outcome="ok"} 1`,
+		`lsmsd_compile_seconds_count{scheduler="slack",outcome="central-iterations"} 1`,
+		`lsmsd_compile_seconds_count{scheduler="slack",outcome="infeasible"} 1`,
+		`lsmsd_compile_seconds_count{scheduler="test-panic",outcome="panic"} 1`,
 	} {
 		if !strings.Contains(string(b), want+"\n") {
 			t.Fatalf("no sample %q in:\n%s", want, b)
 		}
 	}
-	// Families that only repeated lsmsd_compiles_total or
-	// lsmsd_cache_misses_total are gone.
+	// Families that only repeated lsmsd_compile_seconds_count or the
+	// cache counters are gone.
 	for _, gone := range []string{
 		"lsmsd_compile_ok_total", "lsmsd_compile_degraded_total",
 		"lsmsd_compile_infeasible_total", "lsmsd_compile_budget_exhausted_total",
 		"lsmsd_panics_total", "lsmsd_internal_errors_total", "lsmsd_store_misses_total",
+		"lsmsd_compiles_total", "lsmsd_cache_hit_ratio",
 	} {
 		if strings.Contains(string(b), gone) {
 			t.Errorf("retired family %s still exported", gone)
@@ -464,7 +464,7 @@ func TestPanicOutcomeInBenchAndServer(t *testing.T) {
 	}
 	defer resp.Body.Close()
 	b, _ := io.ReadAll(resp.Body)
-	if want := `lsmsd_compiles_total{scheduler="test-panic",outcome="panic"} 1`; !strings.Contains(string(b), want+"\n") {
+	if want := `lsmsd_compile_seconds_count{scheduler="test-panic",outcome="panic"} 1`; !strings.Contains(string(b), want+"\n") {
 		t.Fatalf("no sample %q in:\n%s", want, b)
 	}
 }

@@ -42,6 +42,10 @@ type refineJob struct {
 	link obs.SpanContext
 }
 
+// refineQueue bounds the pending-refinement queue; a full queue drops
+// new jobs (the served record stays valid, just unrefined).
+const refineQueue = 256
+
 // refiner is the background worker pool. Workers honor ctx — Close
 // cancels it and the exact search's budget guard observes it within
 // one check stride — and drain nothing on shutdown: queued jobs are
@@ -56,7 +60,7 @@ type refiner struct {
 }
 
 func newRefiner(s *Server) *refiner {
-	r := &refiner{s: s, jobs: make(chan refineJob, s.cfg.RefineQueue)}
+	r := &refiner{s: s, jobs: make(chan refineJob, refineQueue)}
 	r.ctx, r.cancel = context.WithCancel(context.Background())
 	for i := 0; i < s.cfg.RefineWorkers; i++ {
 		r.wg.Add(1)
@@ -116,9 +120,10 @@ func (r *refiner) run() {
 }
 
 // process runs one refinement end to end: an exact compile of the
-// job's loop, the strict-improvement comparison, and the store upgrade.
-// Every job leaves one `refine` trace, opened under the exact scheduler,
-// in the flight recorder and bumps exactly one of the
+// job's loop behind the live path's panic barrier (a panic ends the job
+// as exhausted), the strict-improvement comparison, and the store
+// upgrade. Every job leaves one `refine` trace, opened under the exact
+// scheduler, in the flight recorder and bumps exactly one of the
 // improved/unchanged/exhausted counters.
 func (r *refiner) process(scr *reqScratch, job refineJob) {
 	s := r.s
@@ -163,7 +168,7 @@ func (r *refiner) process(scr *reqScratch, job refineJob) {
 	cfg.Budget.Deadline = s.cfg.RefineDeadline
 	cfg.Budget.MaxCentralIters = s.cfg.RefineNodes
 	cfg.Budget.MaxIIAttempts = 0
-	err := core.CompileInto(obs.WithTrace(r.ctx, tr), &scr.c, scr.p.loop, core.Options{
+	c, err := safeCompile(obs.WithTrace(r.ctx, tr), &scr.c, scr.p.loop, core.Options{
 		Scheduler:   core.SchedExact,
 		Config:      cfg,
 		SkipCodegen: true,
@@ -172,14 +177,14 @@ func (r *refiner) process(scr *reqScratch, job refineJob) {
 		tr.Err = err.Error()
 		return
 	}
-	eII, eML := scr.c.Result.Schedule.II, scr.c.RR.MaxLive
+	eII, eML := c.Result.Schedule.II, c.RR.MaxLive
 	sp.Int("base_ii", int64(job.baseII)).Int("base_maxlive", int64(job.baseMaxLive))
 	sp.Int("ii", int64(eII)).Int("maxlive", int64(eML))
 	if eII > job.baseII || (eII == job.baseII && eML >= job.baseMaxLive) {
 		outcome = "unchanged"
 		return
 	}
-	out := outcomeOf(&scr.p, &scr.c, nil, true)
+	out := outcomeOf(&scr.p, c, nil, true)
 	if r.ctx.Err() != nil {
 		return // shutting down: don't race the store teardown
 	}

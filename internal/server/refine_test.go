@@ -17,6 +17,7 @@ import (
 	"repro/internal/loopgen"
 	"repro/internal/machine"
 	"repro/internal/mindist"
+	"repro/internal/sched"
 	"repro/internal/wire"
 )
 
@@ -187,6 +188,41 @@ func TestRefineUnchangedLeavesRecord(t *testing.T) {
 	}
 	if v := metricValue(t, ts.URL, "lsmsd_refine_improved_total"); v != 0 {
 		t.Errorf("lsmsd_refine_improved_total = %d, want 0", v)
+	}
+}
+
+// TestRefinePanicIsContained: a panic in the exact search ends the
+// refinement as exhausted behind the compile barrier. The process lives
+// on, and the served record stays as the cold compile stored it.
+func TestRefinePanicIsContained(t *testing.T) {
+	exactFactory, _ := core.Lookup(core.SchedExact)
+	core.Register(core.SchedExact, func(sched.Config) core.Runner {
+		return core.RunnerFunc(func(context.Context, *ir.Loop, *sched.Result) error {
+			panic("synthetic exact-search panic")
+		})
+	})
+	t.Cleanup(func() { core.Register(core.SchedExact, exactFactory) })
+
+	_, ts := newTestServer(t, Config{Workers: 1, Refine: true})
+	body := requestBody(t, kernelLoop(t, "triad"), "slack", wire.Options{})
+	r0, b0 := post(t, ts.URL, body)
+	if r0.StatusCode != http.StatusOK || r0.Header.Get("X-Lsmsd-Cache") != "miss" {
+		t.Fatalf("cold compile: status %d, cache %q", r0.StatusCode, r0.Header.Get("X-Lsmsd-Cache"))
+	}
+	deadline := time.Now().Add(30 * time.Second)
+	for metricValue(t, ts.URL, "lsmsd_refine_exhausted_total") == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("refinement never finished")
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	if v := metricValue(t, ts.URL, "lsmsd_refine_exhausted_total"); v != 1 {
+		t.Errorf("lsmsd_refine_exhausted_total = %d, want 1", v)
+	}
+	r, b := post(t, ts.URL, body)
+	if r.Header.Get("X-Lsmsd-Cache") != "hit" || r.Header.Get("X-Lsmsd-Refined") != "" || !bytes.Equal(b, b0) {
+		t.Fatalf("after the panic: cache %q, refined %q, body\n%s\nwant the cold body\n%s",
+			r.Header.Get("X-Lsmsd-Cache"), r.Header.Get("X-Lsmsd-Refined"), b, b0)
 	}
 }
 

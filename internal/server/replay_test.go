@@ -92,8 +92,8 @@ func TestConcurrentReplay(t *testing.T) {
 		}
 	}
 	t.Logf("%d requests over %d loops: %v", len(replies), len(bodies), caches)
-	if compiles := familySum(t, ts.URL, "lsmsd_compiles_total"); compiles != int64(caches["miss"]) {
-		t.Errorf("lsmsd_compiles_total sums to %d, want one compile per miss (%d)", compiles, caches["miss"])
+	if compiles := familySum(t, ts.URL, "lsmsd_compile_seconds_count"); compiles != int64(caches["miss"]) {
+		t.Errorf("lsmsd_compile_seconds_count sums to %d, want one compile per miss (%d)", compiles, caches["miss"])
 	}
 }
 

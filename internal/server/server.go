@@ -81,8 +81,6 @@ type Config struct {
 	MaxDeadline time.Duration
 	// RetryAfter is the hint returned with 429; default 1s.
 	RetryAfter time.Duration
-	// MaxBodyBytes bounds the request body; default 8 MiB.
-	MaxBodyBytes int64
 	// FlightEntries bounds the flight recorder's ring of recent compile
 	// traces; default obs.DefaultFlightEntries.
 	FlightEntries int
@@ -103,10 +101,6 @@ type Config struct {
 	// (sched.Budget.MaxCentralIters for the exact backend); default
 	// 1<<20.
 	RefineNodes int64
-	// RefineQueue bounds the pending-refinement queue; a full queue
-	// drops new jobs (the served record stays valid, just unrefined).
-	// Default 256.
-	RefineQueue int
 	// TraceDir, when non-empty, spools sampled request traces to disk as
 	// lsms-trace/1 JSON documents, one file per trace (obs.Exporter).
 	TraceDir string
@@ -159,9 +153,6 @@ func (c Config) withDefaults() Config {
 	if c.RetryAfter <= 0 {
 		c.RetryAfter = time.Second
 	}
-	if c.MaxBodyBytes <= 0 {
-		c.MaxBodyBytes = 8 << 20
-	}
 	if c.RefineWorkers <= 0 {
 		c.RefineWorkers = 1
 	}
@@ -170,9 +161,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.RefineNodes <= 0 {
 		c.RefineNodes = 1 << 20
-	}
-	if c.RefineQueue <= 0 {
-		c.RefineQueue = 256
 	}
 	if c.TraceSample == 0 {
 		c.TraceSample = 1
@@ -390,7 +378,7 @@ func (s *Server) ready() (bool, string) {
 	if s.slo.Burning(s.cfg.SLOBurnThreshold) {
 		return false, "slo-burn"
 	}
-	if s.refine != nil && cap(s.refine.jobs) > 0 && len(s.refine.jobs) == cap(s.refine.jobs) {
+	if s.refine != nil && len(s.refine.jobs) == refineQueue {
 		return false, "refine-wedged"
 	}
 	return true, "ok"

@@ -7,11 +7,13 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 
 	"repro/internal/fixture"
 	"repro/internal/loopgen"
 	"repro/internal/machine"
+	"repro/internal/store"
 	"repro/internal/wire"
 )
 
@@ -230,7 +232,7 @@ func TestWarmStart(t *testing.T) {
 
 // TestWarmStartServesLiveBytes: warm-start runs the live stages, so a
 // request it warmed is served byte-identically to a cold POST on a
-// fresh server. Warm compiles count in lsmsd_compiles_total and never
+// fresh server. Warm compiles count in lsmsd_compile_seconds and never
 // in lsmsd_requests_total, which counts only HTTP traffic.
 func TestWarmStartServesLiveBytes(t *testing.T) {
 	suite, err := loopgen.Build(loopgen.Options{Size: 1, Seed: 7})
@@ -252,7 +254,7 @@ func TestWarmStartServesLiveBytes(t *testing.T) {
 	if st, err := warmed.WarmStart(context.Background(), reqs); err != nil || st.Compiled != len(reqs) {
 		t.Fatalf("warm-start stats %+v, err %v", st, err)
 	}
-	ok := `lsmsd_compiles_total{scheduler="slack",outcome="ok"}`
+	ok := `lsmsd_compile_seconds_count{scheduler="slack",outcome="ok"}`
 	if n := metricValue(t, tsWarm.URL, ok); n != int64(len(reqs)) {
 		t.Errorf("%s = %d after warm-start, want %d", ok, n, len(reqs))
 	}
@@ -276,5 +278,64 @@ func TestWarmStartServesLiveBytes(t *testing.T) {
 	}
 	if n := metricValue(t, tsWarm.URL, ok); n != int64(len(reqs)) {
 		t.Errorf("%s = %d after hits, want %d", ok, n, len(reqs))
+	}
+}
+
+// missFirstTier holds its records but misses the first Get of each key:
+// the store a request sees when an identical flight stores its answer
+// between the request's lookup and its join.
+type missFirstTier struct {
+	store.Tier
+	mu   sync.Mutex
+	seen map[string]bool
+}
+
+func (m *missFirstTier) Get(key string) (store.Record, bool) {
+	m.mu.Lock()
+	first := !m.seen[key]
+	m.seen[key] = true
+	m.mu.Unlock()
+	if first {
+		return store.Record{}, false
+	}
+	return m.Tier.Get(key)
+}
+
+// TestLeaderRelookupServesStoredRecord: a request whose key was stored
+// after its lookup finds the record at the leader's second lookup, live
+// or warm, and schedules nothing.
+func TestLeaderRelookupServesStoredRecord(t *testing.T) {
+	l := fixture.Daxpy(machine.Cydra())
+	req, err := wire.NewRequest(l, "slack", wire.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, hash, err := req.Normalize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	stored := []byte(`{"stored":true}`)
+	newServer := func() (*Server, *httptest.Server) {
+		mem := store.NewMemory(16)
+		mem.Put(hash, store.Record{Status: http.StatusOK, Body: stored})
+		return newTestServer(t, Config{Workers: 1, Store: &missFirstTier{Tier: mem, seen: map[string]bool{}}})
+	}
+
+	live, ts := newServer()
+	r, b := post(t, ts.URL, requestBody(t, l, "slack", wire.Options{}))
+	if c := r.Header.Get("X-Lsmsd-Cache"); c != "hit" || !bytes.Equal(b, stored) {
+		t.Errorf("live request: cache %q, body %s; want hit, %s", c, b, stored)
+	}
+	if e := schedEffort(live); e != 0 {
+		t.Errorf("live request scheduled: effort %d", e)
+	}
+
+	warm, _ := newServer()
+	st, err := warm.WarmStart(context.Background(), []*wire.Request{req})
+	if err != nil || st != (WarmStats{Total: 1, Warm: 1}) {
+		t.Errorf("warm-start stats %+v, err %v; want total=1 warm=1", st, err)
+	}
+	if e := schedEffort(warm); e != 0 {
+		t.Errorf("warm-start scheduled: effort %d", e)
 	}
 }

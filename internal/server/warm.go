@@ -99,36 +99,26 @@ feeding:
 }
 
 // warmOne precompiles one corpus request through the live stages:
-// prepare, a store probe (stored reports a hit), lower, then join — as
-// the singleflight leader it runs admit, compile and store; as a
-// follower, a live request is already compiling the key and its
-// write-through warms the store. Each compile traces under a fresh
-// TraceID linked to the run's root.
+// prepare, then resolve, which answers a stored key from the store
+// (stored reports it), compiles the key as a flight's leader, or waits
+// for the live or warm request already compiling it. Each compile
+// traces under a fresh TraceID linked to the run's root.
 func (s *Server) warmOne(ctx context.Context, scr *reqScratch, req *wire.Request, i int, root obs.SpanContext) (stored bool, err error) {
 	if e := s.prepare(req, &scr.p); e != nil {
-		return false, errors.New(e.Message)
-	}
-	if _, ok := s.store.Get(scr.p.hash); ok {
-		return true, nil
-	}
-	if e := s.lower(&scr.p); e != nil {
 		return false, errors.New(e.Message)
 	}
 	if !s.gate.enter() {
 		return false, errors.New("server is draining")
 	}
 	defer s.gate.exit()
-	var out outcome
-	var ok bool
-	if c, leader := s.flights.join(scr.p.hash); leader {
-		scr.id, scr.tc = fmt.Sprintf("warm-%04d", i), linkedTo(root)
-		out, _ = s.miss(ctx, scr)
-		s.flights.finish(scr.p.hash, c, out)
-	} else if out, ok = c.wait(ctx); !ok {
-		return false, ctx.Err()
-	}
-	if !out.cacheable {
-		return false, fmt.Errorf("%s: %s outcome not cacheable", scr.p.loopName, out.name)
+	scr.id, scr.tc = fmt.Sprintf("warm-%04d", i), linkedTo(root)
+	switch rep, e := s.resolve(ctx, scr); {
+	case e != nil:
+		return false, errors.New(e.Message)
+	case rep.name == "cache-hit": // a hit, or a follower of a leader's hit
+		return true, nil
+	case !rep.cacheable:
+		return false, fmt.Errorf("%s: %s outcome not cacheable", scr.p.loopName, rep.name)
 	}
 	return false, nil
 }

@@ -120,6 +120,30 @@ func TestCorruptWrongVersionHeader(t *testing.T) {
 	checkSurvivors(t, dir, want, []string{"corpus-key-05"}, 1)
 }
 
+// TestOtherVersionIsMissAndCompacted re-tags one record with another
+// version and a checksum to match: a sound record of another response
+// format. It misses without a reject, and Open compacts it out of the
+// log, so the next open finds nothing to skip.
+func TestOtherVersionIsMissAndCompacted(t *testing.T) {
+	dir, want, layout := writeCorpus(t, 8)
+	victim := layout[5]
+	corrupt(t, dir, func(b []byte) []byte {
+		rec := b[victim.off : victim.off+victim.size]
+		binary.LittleEndian.PutUint16(rec[4:], diskVersion+7)
+		binary.LittleEndian.PutUint32(rec[16:], recordCRC(rec[4:16], rec[headerSize:]))
+		return b
+	})
+	checkSurvivors(t, dir, want, []string{"corpus-key-05"}, 0)
+	st, err := os.Stat(filepath.Join(dir, logName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if full := layout[len(layout)-1].off + layout[len(layout)-1].size; st.Size() != full-victim.size {
+		t.Errorf("log is %d bytes after open, want %d without the other version's record", st.Size(), full-victim.size)
+	}
+	checkSurvivors(t, dir, want, []string{"corpus-key-05"}, 0)
+}
+
 // TestCorruptHeaderResync smashes a whole header (magic included): the
 // loader must resynchronize on the next record's magic marker instead
 // of abandoning the rest of the log.

@@ -20,7 +20,9 @@ import (
 // Stats.Rejects, and treated as a miss. The store can lose the tail
 // written during a crash; it can never serve wrong bytes.
 //
-// Record layout (little-endian), defined by diskVersion:
+// Record layout (little-endian), defined by diskVersion, which is also
+// the format tag of the response bytes the records hold: a change to
+// those bytes bumps it, and every record of the old version misses.
 //
 //	magic   [4]byte "lsrc"
 //	version uint16
@@ -82,10 +84,11 @@ var (
 
 // Open opens (creating if needed) the disk tier rooted at dir. Every
 // record in the existing log is verified before it is indexed: a
-// record whose checksum does not match, whose header names an
-// unsupported version, or which is cut off by the end of the file is
-// skipped and counted in Stats().Rejects — the surviving records serve
-// byte-identically, the damaged ones miss. maxBytes > 0 bounds the log
+// record whose checksum does not match, or which is cut off by the end
+// of the file, is skipped and counted in Stats().Rejects — the
+// surviving records serve byte-identically, the damaged ones miss. A
+// sound record of another version misses too, uncounted, and is
+// compacted away. maxBytes > 0 bounds the log
 // size via compaction and oldest-first eviction; 0 means unbounded.
 func Open(dir string, maxBytes int64) (*Disk, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
@@ -110,10 +113,13 @@ func Open(dir string, maxBytes int64) (*Disk, error) {
 
 // load scans the log, verifying every record and indexing the last
 // (live) record of each key. Framing is trusted as far as the header
-// sanity checks allow: a record with a bad checksum or an unsupported
-// version but sane lengths is skipped exactly; a record whose header
-// is itself implausible triggers a byte-wise rescan for the next magic
-// marker, so one corrupt header cannot take out the rest of the log.
+// sanity checks allow: a record with a bad checksum but sane lengths is
+// skipped exactly; a record whose header is itself implausible triggers
+// a byte-wise rescan for the next magic marker, so one corrupt header
+// cannot take out the rest of the log. The version is the store's
+// format tag: a record whose checksum holds but whose version is not
+// diskVersion was written for another response format, so it is a miss,
+// not a reject, and load compacts such records out of the log.
 func (d *Disk) load() error {
 	buf, err := os.ReadFile(d.path)
 	if err != nil {
@@ -121,6 +127,7 @@ func (d *Disk) load() error {
 	}
 	d.size = int64(len(buf))
 	off := 0
+	stale := false
 	reject := func() { d.rejects.Add(1); d.loadRejects++ }
 	for off < len(buf) {
 		rec := buf[off:]
@@ -152,12 +159,17 @@ func (d *Disk) load() error {
 			reject() // truncated tail record
 			break
 		}
-		ok := version == diskVersion &&
-			crc == recordCRC(rec[4:16], rec[headerSize:size])
-		if !ok {
-			// Wrong version or checksum mismatch: framing is sane, so
-			// skip this record exactly and keep the rest of the log.
+		if crc != recordCRC(rec[4:16], rec[headerSize:size]) {
+			// Checksum mismatch: framing is sane, so skip this record
+			// exactly and keep the rest of the log.
 			reject()
+			off += size
+			continue
+		}
+		if version != diskVersion {
+			// A sound record of another version holds another response
+			// format: a miss, not damage. Compacted away below.
+			stale = true
 			off += size
 			continue
 		}
@@ -181,6 +193,11 @@ func (d *Disk) load() error {
 		d.size = int64(off)
 	}
 	d.loaded = len(d.index)
+	if stale {
+		// Like maybeCompact, keep serving the current records from the
+		// old log if the rewrite fails.
+		d.compact(d.keysBySeq())
+	}
 	return nil
 }
 

@@ -11,9 +11,10 @@
 //   - Memory, a per-node LRU over whole records (the old private
 //     server cache, promoted to the public first tier);
 //   - Disk, a crash-safe append-only log with a per-record checksum,
-//     verified-on-load (a corrupt, truncated, or wrong-version record
-//     is skipped and counted, never served) and size-bounded log
-//     compaction — the tier that survives restarts.
+//     verified-on-load (a corrupt or truncated record is skipped and
+//     counted, never served; a record of another format version is a
+//     miss, compacted away) and size-bounded log compaction — the tier
+//     that survives restarts.
 //
 // Tiered composes them: Get consults tiers front to back and promotes
 // lower-tier hits upward, Put writes through every tier, Len is the sum
@@ -52,7 +53,7 @@ type Tier interface {
 
 // Stats counts the disk tier's verification failures: Rejects is the
 // number of records that failed verification (checksum mismatch,
-// truncation, unsupported version) and were skipped rather than
+// truncation, implausible framing) and were skipped rather than
 // served, cumulative since the tier was opened.
 type Stats struct {
 	Rejects int64
